@@ -18,6 +18,7 @@ from . import checks
 from .domain import DomainBounds
 from .errors import SetAspError
 from .gz import (
+    GENERATOR_BOUNDS,
     cross_check,
     differential_trials,
     eligible_positions,
@@ -44,17 +45,27 @@ def _add_bounds_flags(cmd):
     )
 
 
-def _bounds_from(args) -> DomainBounds:
-    defaults = DomainBounds()
-    return DomainBounds(
-        max_herbrand_depth=args.max_depth if args.max_depth is not None else defaults.max_herbrand_depth,
-        int_min=args.min_int if args.min_int is not None else defaults.int_min,
-        int_max=args.max_int if args.max_int is not None else defaults.int_max,
-        max_set_rank=args.max_set_rank if args.max_set_rank is not None else defaults.max_set_rank,
-        max_set_card=args.max_set_card if args.max_set_card is not None else defaults.max_set_card,
-        max_tuple_arity=args.max_arity if args.max_arity is not None else defaults.max_tuple_arity,
-        full_domain=args.full_domain,
-    )
+# flag destination -> DomainBounds field
+_BOUND_FLAGS = {
+    "max_depth": "max_herbrand_depth",
+    "min_int": "int_min",
+    "max_int": "int_max",
+    "max_set_rank": "max_set_rank",
+    "max_set_card": "max_set_card",
+    "max_arity": "max_tuple_arity",
+}
+
+
+def _bounds_from(args, base: DomainBounds = DomainBounds()) -> DomainBounds:
+    """``base`` with every bound flag the user gave laid over it."""
+    given = {
+        field: getattr(args, flag)
+        for flag, field in _BOUND_FLAGS.items()
+        if getattr(args, flag) is not None
+    }
+    if args.full_domain:
+        given["full_domain"] = True
+    return base.with_(**given)
 
 
 def _read_theory(path):
@@ -175,10 +186,9 @@ def _cmd_ground(args):
 
 
 def _cmd_cross_check(args):
-    bounds = _bounds_from(args)
     if args.input is not None:
         theory = _read_theory(args.input)
-        result = cross_check(theory, bounds)
+        result = cross_check(theory, _bounds_from(args))
         if args.json:
             print(json.dumps({"command": "cross-check", **result.to_json()}, sort_keys=True))
         else:
@@ -186,7 +196,7 @@ def _cmd_cross_check(args):
             print(f"equilibrium models: {[_model_lines(m) for m in result.eq_models]}")
             print("AGREE" if result.agree else "DISAGREE")
         return 0 if result.agree else 1
-    report = differential_trials(args.trials, args.seed)
+    report = differential_trials(args.trials, args.seed, _bounds_from(args, GENERATOR_BOUNDS))
     if args.json:
         print(json.dumps({"command": "cross-check", **report}, sort_keys=True))
     else:
@@ -269,7 +279,6 @@ def build_arg_parser():
     tr = sub.add_parser("transform", help="existential variable introduction")
     tr.add_argument("input", help="program file")
     tr.add_argument("--position", type=int, default=0, help="eligible atom position to rewrite")
-    _add_bounds_flags(tr)
     tr.set_defaults(run=_cmd_transform)
 
     props = sub.add_parser("check-props", help="run invariant suites")

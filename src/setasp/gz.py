@@ -28,6 +28,10 @@ from .solver import (
     find_stable_models,
     format_atom,
     ground_theory,
+    least_model,
+    lower_bound,
+    rule_view,
+    there_candidates,
 )
 from .syntax import (
     AGGREGATE_NAMES,
@@ -411,18 +415,9 @@ def gz_solve_ground(ground: GroundTheory):
     universe = ground.universe
     if any(phi == BOT for phi in ground.formulas):
         return []
-    atoms = sorted(_gz_relevant_atoms(ground), key=atom_key)
-    if len(atoms) > universe.bounds.atom_cap:
-        raise NotGZError(f"{len(atoms)} candidate atoms is too many to enumerate")
-    index = {atom: i for i, atom in enumerate(atoms)}
-    forced = 0
-    for atom in ground.facts:
-        forced |= 1 << index[atom]
+    upper = _gz_relevant_atoms(ground)
     stable = []
-    for mask in range(1 << len(atoms)):
-        if mask & forced != forced:
-            continue
-        candidate = frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
+    for candidate in there_candidates(upper, lower_bound(ground, upper), universe.bounds):
         if not all(cl_satisfies(candidate, phi, universe) for phi in ground.formulas):
             continue
         reduced = [reduct(phi, candidate, universe) for phi in ground.formulas]
@@ -433,12 +428,46 @@ def gz_solve_ground(ground: GroundTheory):
     return stable
 
 
+def _gz_key(phi):
+    if not isinstance(phi, PredAtom) or phi.pred in RELATION_PREDS:
+        return None
+    values = _static_args(phi)
+    return None if None in values else (phi.pred, values)
+
+
+def _positive(phi):
+    """Built from atoms with ``,`` and ``;`` only, so classically monotone."""
+    if isinstance(phi, (And, Or)):
+        return _positive(phi.left) and _positive(phi.right)
+    return isinstance(phi, _Top) or _gz_key(phi) is not None
+
+
 def _has_smaller_model(candidate, reduced, universe):
-    """Exhaustive subset search below the candidate, smallest first."""
-    members = sorted(candidate, key=atom_key)
-    for size in range(len(members)):
-        for combo in itertools.combinations(members, size):
-            smaller = frozenset(combo)
+    """Whether the reduct has a classical model strictly inside the candidate.
+
+    When every reduced formula is a fact or a rule with a positive body,
+    the reduct's least model decides: the candidate is stable iff it is
+    that model.  Other reducts (disjunctive heads, nested implications)
+    take the subset search.
+    """
+    view = rule_view(reduced, _gz_key, _positive)
+    if not view.exact:
+        return _smaller_model_search(candidate, reduced, universe)
+
+    def here(atoms):
+        return lambda body: cl_satisfies(atoms, body, universe)
+
+    return least_model(view.facts, view.rules, here) != candidate
+
+
+def _smaller_model_search(candidate, reduced, universe):
+    """Reference minimality check: subset search below the candidate,
+    smallest first, keeping the reduct's facts, which every model holds."""
+    forced = rule_view(reduced, _gz_key, _positive).facts & candidate
+    free = sorted(candidate - forced, key=atom_key)
+    for size in range(len(free)):
+        for combo in itertools.combinations(free, size):
+            smaller = forced | frozenset(combo)
             if all(cl_satisfies(smaller, phi, universe) for phi in reduced):
                 return True
     return False

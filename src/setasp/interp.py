@@ -162,9 +162,6 @@ class Assignment:
         return "{" + "; ".join(parts) + "}"
 
 
-EMPTY_ASSIGNMENT = Assignment()
-
-
 def assignment_leq(s1: Assignment, s2: Assignment) -> bool:
     return s1.leq(s2)
 

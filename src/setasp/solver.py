@@ -1,12 +1,15 @@
 """Grounding, model checking and equilibrium (stable-model) search.
 
 The search enumerates total candidates ``(sigma, T)`` and keeps those with
-no strictly smaller here-world model.  ``T`` ranges over subsets of the
-*possibly-true* atoms: a fixpoint of ground-rule head instances whose
-bodies are optimistically satisfiable.  An atom outside that fixpoint has
-no support in any rule chain, so dropping it always yields a smaller model;
-enumerating every atom of every predicate over the whole domain (the naive
-alternative) is hopeless even at desk scale.
+no strictly smaller here-world model.  ``T`` ranges between two bounds.
+The upper bound is the set of *possibly-true* atoms: a fixpoint of
+ground-rule head instances whose bodies are optimistically satisfiable.
+An atom outside it has no support in any rule chain, so dropping it
+always yields a smaller model; enumerating every atom of every predicate
+over the whole domain (the naive alternative) is hopeless even at desk
+scale.  The lower bound holds the atoms that rules with statically
+decidable bodies force into every model.  Minimality is a least-model
+fixpoint where the rules allow it and a subset search elsewhere.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .domain import DomainBounds, build_active_domain
 from .errors import DomainLimitError, RangeDeclarationError
@@ -83,6 +87,19 @@ class GroundTheory:
     def __iter__(self):
         return iter(self.formulas)
 
+    @cached_property
+    def rules(self):
+        """The formulas read as facts, rules and constraints; built once."""
+        static = HTInterpretation.total(self.universe, Assignment(), frozenset())
+        keys = {}
+
+        def key(atom):
+            if atom not in keys:
+                keys[atom] = static_atom(atom, static)
+            return keys[atom]
+
+        return rule_view(self.formulas, key, _here_monotone)
+
 
 def build_universe(theory: Theory, bounds: DomainBounds) -> Universe:
     return Universe(theory.signature, bounds, build_active_domain(theory, bounds))
@@ -126,13 +143,24 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
                 formulas.append(instance)
                 provenance[instance] = (phi, {n: v for n, v in zip(names, combo)})
                 universe.register_intsets(instance)
-    facts = set()
-    for g in formulas:
-        if isinstance(g, PredAtom) and g.pred not in RELATION_PREDS:
-            vals = [eval_term(static, T, a) for a in g.args if _independent(a)]
-            if len(vals) == len(g.args) and UNDEF not in vals:
-                facts.add((g.pred, tuple(vals)))
+    facts = {static_atom(g, static) for g in formulas} - {None}
     return GroundTheory(universe, tuple(formulas), provenance, frozenset(facts))
+
+
+def static_atom(phi, static: HTInterpretation):
+    """``(pred, values)`` of a predicate atom whose arguments cannot depend
+    on the interpretation and are defined, else None."""
+    if not isinstance(phi, PredAtom) or phi.pred in RELATION_PREDS:
+        return None
+    values = []
+    for a in phi.args:
+        if isinstance(a, (Val, Num)):  # what grounding leaves almost everywhere
+            values.append(a.value)
+        elif _independent(a):
+            values.append(eval_term(static, T, a))
+        else:
+            return None
+    return None if UNDEF in values else (phi.pred, tuple(values))
 
 
 def _independent(term):
@@ -428,6 +456,169 @@ def relevant_atoms(ground: GroundTheory):
 
 
 # ---------------------------------------------------------------------------
+# Rules, the lower bound and least models
+
+
+@dataclass(frozen=True)
+class RuleView:
+    """Ground formulas read as rules ``body -> heads`` over atom keys.
+
+    ``facts`` are the atoms of the formulas that are conjunctions of
+    atoms; ``rules`` holds ``(body, heads)`` for every formula ``body ->
+    heads`` whose head is such a conjunction; constraints ``body -> bot``
+    are left out.  ``exact`` holds when no formula has another shape and
+    every rule body passes the engine's monotonicity test, so that the
+    least model of the rules decides minimality.  ``key`` is the atom
+    reading the view was built with.
+    """
+
+    facts: frozenset
+    rules: tuple
+    exact: bool
+    key: object
+
+
+def _heads(phi, key):
+    """Atom keys of a conjunction of atoms, or None."""
+    if isinstance(phi, And):
+        left = _heads(phi.left, key)
+        right = _heads(phi.right, key)
+        return None if left is None or right is None else left | right
+    atom = key(phi)
+    return None if atom is None else frozenset((atom,))
+
+
+def rule_view(formulas, key, monotone) -> RuleView:
+    """Classify ground formulas in one pass.
+
+    ``key`` maps an atom with interpretation-independent arguments to its
+    ``(pred, values)`` and anything else to None; ``monotone`` tests
+    whether a body's truth can only grow with the atoms of a smaller
+    world below a fixed model.
+    """
+    facts, rules, exact = set(), [], True
+    for phi in formulas:
+        if isinstance(phi, _Top):
+            continue
+        heads = _heads(phi, key)
+        if heads is not None:
+            facts |= heads
+        elif isinstance(phi, Implies) and phi.right == BOT:
+            # a constraint is its body's negation, so it is tested whole
+            exact = exact and monotone(phi)
+        elif isinstance(phi, Implies) and (heads := _heads(phi.right, key)) is not None:
+            rules.append((phi.left, heads))
+            exact = exact and monotone(phi.left)
+        else:
+            exact = False
+    return RuleView(frozenset(facts), tuple(rules), exact, key)
+
+
+def _here_monotone(phi) -> bool:
+    """Here-truth only grows with the here-atoms below a fixed there-world.
+
+    Negation reads only the there-world, so any other implication breaks
+    the property.  A set term stays undefined at the here-world until its
+    here-extension reaches its there-extension, which happens once and
+    for good provided its body is monotone and its head terms hold no set
+    term (whose undefinedness would make the extension undefined again).
+    """
+    if isinstance(phi, Implies):
+        return phi.right == BOT
+    if isinstance(phi, (And, Or)):
+        return _here_monotone(phi.left) and _here_monotone(phi.right)
+    if isinstance(phi, (Forall, Exists)):
+        return _here_monotone(phi.body)
+    if isinstance(phi, PredAtom):
+        return all(_monotone_term(a) for a in phi.args)
+    if isinstance(phi, Eq):
+        return _monotone_term(phi.left) and _monotone_term(phi.right)
+    return True
+
+
+def _monotone_term(term) -> bool:
+    if isinstance(term, IntSet):
+        return _here_monotone(term.body) and not any(
+            isinstance(node, IntSet) for t in term.head for node in walk(t)
+        )
+    if isinstance(term, (HApp, EApp)):
+        return all(_monotone_term(a) for a in term.args)
+    if isinstance(term, ExtSet):
+        return all(_monotone_term(t) for m in term.members for t in m)
+    return True
+
+
+def least_model(facts, rules, here):
+    """Least atom set that holds ``facts`` and is closed under ``rules``.
+
+    ``here(atoms)`` returns the body test at the world ``atoms``; bodies
+    must be monotone in the atoms, so a rule that fired stays fired.
+    """
+    model = frozenset(facts)
+    pending = [rule for rule in rules if not rule[1] <= model]
+    while pending:
+        holds = here(model)
+        waiting, derived = [], set()
+        for rule in pending:
+            if holds(rule[0]):
+                derived |= rule[1]
+            else:
+                waiting.append(rule)
+        if not derived:
+            break
+        model |= derived
+        pending = [rule for rule in waiting if not rule[1] <= model]
+    return model
+
+
+def lower_bound(ground: GroundTheory, upper) -> frozenset:
+    """Atoms true in every there-model between the facts and ``upper``.
+
+    Starting from the facts, a rule's heads join once its body holds in
+    every world between the bound so far and ``upper``.
+    """
+    view = ground.rules
+    bound = set(view.facts)
+    grew = True
+    while grew:
+        grew = False
+        for body, heads in view.rules:
+            if not heads <= bound and _certain(body, view.key, bound, upper):
+                bound |= heads
+                grew = True
+    return frozenset(bound)
+
+
+def _certain(phi, key, lower, upper) -> bool:
+    """Whether ``phi`` holds in every world between ``lower`` and ``upper``,
+    judged from static atoms, their negations, ``,`` and ``;``; anything
+    else counts as uncertain."""
+    if isinstance(phi, And):
+        return _certain(phi.left, key, lower, upper) and _certain(phi.right, key, lower, upper)
+    if isinstance(phi, Or):
+        return _certain(phi.left, key, lower, upper) or _certain(phi.right, key, lower, upper)
+    negated = isinstance(phi, Implies) and phi.right == BOT
+    atom = key(phi.left if negated else phi)
+    if atom is None:
+        return False
+    return atom not in upper if negated else atom in lower
+
+
+def there_candidates(upper, lower, bounds: DomainBounds):
+    """The there-worlds to try: ``lower`` plus each subset of the
+    undecided atoms ``upper - lower``, which ``atom_cap`` bounds."""
+    undecided = sorted(upper - lower, key=atom_key)
+    if len(undecided) > bounds.atom_cap:
+        raise DomainLimitError(
+            f"{len(undecided)} undecided atoms is too many to enumerate", "atom_cap"
+        )
+    return (
+        lower | frozenset(a for i, a in enumerate(undecided) if mask >> i & 1)
+        for mask in range(1 << len(undecided))
+    )
+
+
+# ---------------------------------------------------------------------------
 # Model checking
 
 
@@ -552,11 +743,38 @@ def _sub_assignments(sigma: Assignment):
 
 
 def find_countermodel(interp: HTInterpretation, ground: GroundTheory):
-    """Search for a strictly smaller here-world model below a total model.
+    """A strictly smaller here-world model below a total model, or None.
 
-    Enumerates ``H`` by increasing cardinality (facts always stay in) and,
-    for declared functions, every sub-assignment of the there-assignment;
-    returns the first hit.
+    With an exact rule view and a there-assignment that stores nothing (no
+    function facts in particular), every rule body's here-truth only grows
+    with the here-atoms, so the least here-model is the least model of the
+    rules: the candidate is stable iff it is that model, which is otherwise
+    the countermodel of least cardinality.  Every other case takes the
+    subset search.
+    """
+    view = ground.rules
+    if not view.exact or interp.sigma_t.funcs or interp.sigma_t.sets:
+        return _countermodel_search(interp, ground)
+    universe = ground.universe
+    atoms_t = interp.atoms_t
+    sigma = Assignment()
+    # a body false at the there-world is false at every here-world below
+    rules = [rule for rule in view.rules if s_satisfies(interp, T, rule[0])]
+
+    def here(atoms):
+        world = HTInterpretation(universe, sigma, sigma, atoms, atoms_t, check=False)
+        return lambda body: s_satisfies(world, H, body)
+
+    least = least_model(view.facts, rules, here)
+    if least == atoms_t:
+        return None
+    return HTInterpretation(universe, sigma, sigma, least, atoms_t, check=False)
+
+
+def _countermodel_search(interp: HTInterpretation, ground: GroundTheory):
+    """Reference minimality check: enumerate ``H`` by increasing
+    cardinality (facts always stay in) and, for declared functions, every
+    sub-assignment of the there-assignment; return the first model.
     """
     universe = ground.universe
     total_atoms = interp.atoms_t
@@ -624,26 +842,15 @@ def find_stable_models(theory: Theory, bounds: DomainBounds = None) -> StableMod
 
 def solve_ground(ground: GroundTheory) -> StableModelReport:
     universe = ground.universe
-    bounds = universe.bounds
     started = time.perf_counter()
     if any(phi == BOT for phi in ground.formulas):
         return StableModelReport([], SearchStats(0, time.perf_counter() - started))
-    atoms = sorted(relevant_atoms(ground), key=atom_key)
-    if len(atoms) > bounds.atom_cap:
-        raise DomainLimitError(
-            f"{len(atoms)} candidate atoms is too many to enumerate", "atom_cap"
-        )
-    forced_mask = 0
-    index = {atom: i for i, atom in enumerate(atoms)}
-    for atom in ground.facts:
-        forced_mask |= 1 << index[atom]
+    upper = relevant_atoms(ground)
+    candidates = there_candidates(upper, lower_bound(ground, upper), universe.bounds)
     sigma_space = _sigma_candidates(ground)
     found = []
     stats = SearchStats()
-    for mask in range(1 << len(atoms)):
-        if mask & forced_mask != forced_mask:
-            continue
-        t_atoms = frozenset(atoms[i] for i in range(len(atoms)) if mask >> i & 1)
+    for t_atoms in candidates:
         for sigma_t in sigma_space:
             stats.candidates += 1
             candidate = HTInterpretation.total(universe, sigma_t, t_atoms)

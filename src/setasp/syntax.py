@@ -298,10 +298,6 @@ def neg(phi):
     return Implies(phi, BOT)
 
 
-def is_neg(phi):
-    return isinstance(phi, Implies) and phi.right == BOT
-
-
 def conj(parts):
     parts = [p for p in parts if p is not TOP]
     if not parts:
@@ -309,15 +305,6 @@ def conj(parts):
     out = parts[0]
     for p in parts[1:]:
         out = And(out, p)
-    return out
-
-
-def disj(parts):
-    if not parts:
-        return BOT
-    out = parts[0]
-    for p in parts[1:]:
-        out = Or(out, p)
     return out
 
 

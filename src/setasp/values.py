@@ -123,10 +123,6 @@ def finset(values):
     return FinSet((v,) for v in values)
 
 
-def is_value(v):
-    return isinstance(v, (int, HTerm, FinSet)) and not isinstance(v, bool)
-
-
 def value_key(v):
     """Total order over values (and member tuples), used for all sorting."""
     if isinstance(v, bool):

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from setasp import cli
 from setasp.cli import main
+from setasp.gz import GENERATOR_BOUNDS, differential_trials
 
 PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
@@ -92,6 +94,40 @@ def test_cross_check_trials_json(capsys):
     assert payload["trials"] == 20
     assert payload["agreements"] == 20
     assert payload["disagreements"] == []
+
+
+def test_generated_cross_check_reads_the_bound_flags(capsys, monkeypatch):
+    seen = []
+
+    def recorded(trials, seed, bounds=None):
+        seen.append(bounds)
+        return differential_trials(trials, seed, bounds)
+
+    monkeypatch.setattr(cli, "differential_trials", recorded)
+    code, out, _ = run(capsys, "cross-check", "--trials", "50", "--max-int", "0", "--json")
+    assert code == 0
+    assert seen == [GENERATOR_BOUNDS.with_(int_max=0)]
+    expected = differential_trials(50, 0, GENERATOR_BOUNDS.with_(int_max=0))
+    assert json.loads(out) == {"command": "cross-check", **expected}
+
+
+def test_transform_takes_no_bound_flags(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["transform", str(PROGRAMS / "p2.lp"), "--max-int", "3"])
+    assert exit_info.value.code == 2
+    assert "--max-int" in capsys.readouterr().err
+
+
+def test_atom_cap_exits_2(tmp_path, capsys):
+    program = tmp_path / "choice.lp"
+    program.write_text(
+        "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X).\n"
+        + " ".join(f"d({i})." for i in range(10))
+    )
+    for mode in ("equilibrium", "gz"):
+        code, _, err = run(capsys, "solve", str(program), "--mode", mode, "--max-int", "9")
+        assert code == 2
+        assert "(limit: atom_cap)" in err
 
 
 def test_transform_command(capsys):
