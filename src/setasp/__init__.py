@@ -8,6 +8,7 @@ that they agree where both apply.
 
 from .domain import ActiveDomain, DomainBounds, build_active_domain, build_domain_level
 from .errors import (
+    BoundsError,
     DomainLimitError,
     NotGZError,
     ParseError,

@@ -70,7 +70,22 @@ def _bounds_from(args, base: DomainBounds = DomainBounds()) -> DomainBounds:
 
 def _read_theory(path):
     with open(path, encoding="utf-8") as handle:
-        return parse_program(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise SetAspError(f"{path}: not UTF-8 text (byte {exc.start})") from None
+    return parse_program(text)
+
+
+def _count(text):
+    """A non-negative integer flag value."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _atom_json(atom):
@@ -270,7 +285,7 @@ def build_arg_parser():
 
     cc = sub.add_parser("cross-check", help="compare the two semantics")
     cc.add_argument("input", nargs="?", default=None, help="program file (omit to generate)")
-    cc.add_argument("--trials", type=int, default=100, help="number of generated programs")
+    cc.add_argument("--trials", type=_count, default=100, help="number of generated programs")
     cc.add_argument("--seed", type=int, default=0)
     cc.add_argument("--json", action="store_true")
     _add_bounds_flags(cc)
@@ -278,7 +293,7 @@ def build_arg_parser():
 
     tr = sub.add_parser("transform", help="existential variable introduction")
     tr.add_argument("input", help="program file")
-    tr.add_argument("--position", type=int, default=0, help="eligible atom position to rewrite")
+    tr.add_argument("--position", type=_count, default=0, help="eligible atom position to rewrite")
     tr.set_defaults(run=_cmd_transform)
 
     props = sub.add_parser("check-props", help="run invariant suites")
@@ -287,7 +302,7 @@ def build_arg_parser():
         choices=["all"] + sorted(checks.ALL_SUITES),
         default="all",
     )
-    props.add_argument("--trials", type=int, default=1000)
+    props.add_argument("--trials", type=_count, default=1000)
     props.add_argument("--seed", type=int, default=0)
     props.add_argument("--json", action="store_true")
     props.set_defaults(run=_cmd_check_props)

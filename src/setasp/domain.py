@@ -18,7 +18,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainLimitError
+from .errors import BoundsError, DomainLimitError
 from .parser import Signature, Theory
 from .syntax import (
     AGGREGATE_NAMES,
@@ -62,7 +62,7 @@ class DomainBounds:
         # int_min > int_max is allowed and means "no integer values"
         for name in ("max_herbrand_depth", "max_set_rank", "max_set_card", "max_tuple_arity"):
             if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+                raise BoundsError(f"{name} must be >= 0, got {getattr(self, name)}")
 
     def with_(self, **kwargs):
         return replace(self, **kwargs)

@@ -30,6 +30,10 @@ class DomainLimitError(SetAspError):
         super().__init__(f"{message} (limit: {bound})")
 
 
+class BoundsError(SetAspError, ValueError):
+    """A :class:`DomainBounds` field holds an illegal value."""
+
+
 class RangeDeclarationError(SetAspError):
     """An evaluable function has no finite range declaration."""
 

@@ -31,6 +31,7 @@ from .solver import (
     least_model,
     lower_bound,
     rule_view,
+    search_theory,
     there_candidates,
 )
 from .syntax import (
@@ -412,15 +413,16 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
 
 
 def gz_solve_ground(ground: GroundTheory):
-    universe = ground.universe
     if any(phi == BOT for phi in ground.formulas):
         return []
     upper = _gz_relevant_atoms(ground)
+    search = search_theory(ground, lambda phi: _gz_possibly(upper, phi, ground.universe))
+    universe = search.universe
     stable = []
-    for candidate in there_candidates(upper, lower_bound(ground, upper), universe.bounds):
-        if not all(cl_satisfies(candidate, phi, universe) for phi in ground.formulas):
+    for candidate in there_candidates(upper, lower_bound(search, upper), universe.bounds):
+        if not all(cl_satisfies(candidate, phi, universe) for phi in search.formulas):
             continue
-        reduced = [reduct(phi, candidate, universe) for phi in ground.formulas]
+        reduced = [reduct(phi, candidate, universe) for phi in search.formulas]
         if _has_smaller_model(candidate, reduced, universe):
             continue
         stable.append(candidate)

@@ -8,15 +8,18 @@ An atom outside it has no support in any rule chain, so dropping it
 always yields a smaller model; enumerating every atom of every predicate
 over the whole domain (the naive alternative) is hopeless even at desk
 scale.  The lower bound holds the atoms that rules with statically
-decidable bodies force into every model.  Minimality is a least-model
-fixpoint where the rules allow it and a subset search elsewhere.
+decidable bodies force into every model.  The search itself runs on a
+copy of the ground theory without the rules and set-term candidates whose
+bodies no candidate inside the upper bound can satisfy.  Minimality is a
+least-model fixpoint where the rules allow it and a subset search
+elsewhere.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 from .domain import DomainBounds, build_active_domain
@@ -262,6 +265,8 @@ class _Viability:
         self._sat = {}
 
     def run(self):
+        """The fixpoint.  The caches stay filled in its last round, which
+        added nothing, so later queries read the final atoms."""
         while True:
             self._values.clear()
             self._sat.clear()
@@ -277,7 +282,7 @@ class _Viability:
         cached = self._values.get(term)
         if cached is not None:
             return cached
-        self._values[term] = frozenset()  # cut accidental cycles conservatively
+        self._values[term] = _TOP_MARK  # cut accidental cycles conservatively
         out = self._possible_values(term)
         self._values[term] = out
         return out
@@ -450,9 +455,10 @@ class _Viability:
                 self._collect_heads(body)
 
 
-def relevant_atoms(ground: GroundTheory):
-    """Atoms that can occur in some stable model: the support fixpoint."""
-    return _Viability(ground).run()
+def relevant_atoms(ground: GroundTheory, viability=None):
+    """Atoms that can occur in some stable model: the support fixpoint.
+    A caller that passes its own ``viability`` can query it afterwards."""
+    return (viability or _Viability(ground)).run()
 
 
 # ---------------------------------------------------------------------------
@@ -602,6 +608,24 @@ def _certain(phi, key, lower, upper) -> bool:
     if atom is None:
         return False
     return atom not in upper if negated else atom in lower
+
+
+def search_theory(ground: GroundTheory, possible) -> GroundTheory:
+    """The copy of ``ground`` that the search runs on.
+
+    ``possible(phi)`` must hold whenever ``phi`` is true at the there-world
+    of some candidate inside the engine's upper bound.  A formula ``B ->
+    X`` whose body fails that test is satisfied at both worlds of every
+    candidate, since a body false at the there-world is false at every
+    here-world below it, so it is dropped, constraints included.  The
+    same argument drops a set-term candidate whose body cannot hold: it
+    never contributes a member.  Atoms, bounds and registered set terms
+    are shared, so models and witnesses stay those of ``ground``.
+    """
+    formulas = tuple(
+        phi for phi in ground.formulas if not isinstance(phi, Implies) or possible(phi.left)
+    )
+    return replace(ground, universe=ground.universe.restricted(possible), formulas=formulas)
 
 
 def there_candidates(upper, lower, bounds: DomainBounds):
@@ -841,13 +865,15 @@ def find_stable_models(theory: Theory, bounds: DomainBounds = None) -> StableMod
 
 
 def solve_ground(ground: GroundTheory) -> StableModelReport:
-    universe = ground.universe
     started = time.perf_counter()
     if any(phi == BOT for phi in ground.formulas):
         return StableModelReport([], SearchStats(0, time.perf_counter() - started))
-    upper = relevant_atoms(ground)
-    candidates = there_candidates(upper, lower_bound(ground, upper), universe.bounds)
+    viability = _Viability(ground)
+    upper = relevant_atoms(ground, viability)
     sigma_space = _sigma_candidates(ground)
+    search = search_theory(ground, viability.possibly_sat)
+    universe = search.universe
+    candidates = there_candidates(upper, lower_bound(search, upper), universe.bounds)
     found = []
     stats = SearchStats()
     for t_atoms in candidates:
@@ -856,9 +882,9 @@ def solve_ground(ground: GroundTheory) -> StableModelReport:
             candidate = HTInterpretation.total(universe, sigma_t, t_atoms)
             # total interpretations collapse both worlds, so the there-world
             # check decides modelhood
-            if not all(s_satisfies(candidate, T, phi) for phi in ground.formulas):
+            if not all(s_satisfies(candidate, T, phi) for phi in search.formulas):
                 continue
-            if find_countermodel(candidate, ground) is None:
+            if find_countermodel(candidate, search) is None:
                 found.append(StableModel(t_atoms, _witness(candidate)))
                 break
     found.sort(key=lambda m: tuple(atom_key(a) for a in m.sorted_atoms()))

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from setasp import DomainBounds, parse_program
 from setasp.values import HTerm
 
+PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
 
 P1 = """
 r(1). r(2). q(1).

@@ -1,5 +1,4 @@
 import json
-from pathlib import Path
 
 import pytest
 
@@ -7,7 +6,7 @@ from setasp import cli
 from setasp.cli import main
 from setasp.gz import GENERATOR_BOUNDS, differential_trials
 
-PROGRAMS = Path(__file__).resolve().parent.parent / "programs"
+from conftest import PROGRAMS
 
 
 def run(capsys, *argv):
@@ -81,6 +80,13 @@ def test_ground_command_prints_instances(capsys):
     assert "q(5) :- sum{X : p(X)} = 5." in out
 
 
+def test_ground_command_prints_the_whole_grounding(capsys):
+    # the search drops vacuous instances of its own copy, never these
+    code, out, _ = run(capsys, "ground", str(PROGRAMS / "p1.lp"), "--min-int", "1", "--max-int", "2")
+    assert code == 0
+    assert len(out.splitlines()) == 45
+
+
 def test_cross_check_on_file(capsys):
     code, out, _ = run(capsys, "cross-check", str(PROGRAMS / "p4.lp"), "--max-int", "3")
     assert code == 0
@@ -148,6 +154,40 @@ def test_parse_error_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "solve", str(bad))
     assert code == 2
     assert "error:" in err
+
+
+def test_negative_bound_flag_exits_2(capsys):
+    code, out, err = run(capsys, "solve", str(PROGRAMS / "p3.lp"), "--max-depth", "-1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: max_herbrand_depth must be >= 0, got -1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["transform", str(PROGRAMS / "p2.lp"), "--position", "-1"],
+        ["cross-check", "--trials", "-3"],
+        ["check-props", "--trials", "-1"],
+    ],
+    ids=["transform-position", "cross-check-trials", "check-props-trials"],
+)
+def test_negative_count_flag_exits_2(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {argv[-2]}: must be >= 0, got {argv[-1]}" in captured.err
+
+
+def test_program_that_is_not_utf8_exits_2(tmp_path, capsys):
+    program = tmp_path / "latin1.lp"
+    program.write_bytes(b"p(1).\n% caf\xe9 \xff\n")
+    code, out, err = run(capsys, "solve", str(program))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {program}: not UTF-8 text")
 
 
 def test_missing_file_exits_2(capsys):

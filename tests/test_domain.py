@@ -8,7 +8,7 @@ from setasp.domain import (
     build_domain_level,
     needs_set_layer,
 )
-from setasp.errors import DomainLimitError
+from setasp.errors import BoundsError, DomainLimitError, SetAspError
 from setasp.parser import parse_program
 from setasp.values import EMPTY_SET, FinSet, HTerm, finset
 
@@ -76,6 +76,16 @@ def test_explosion_guard_names_the_limit():
 
 # ---------------------------------------------------------------------------
 # active domain
+
+
+@pytest.mark.parametrize(
+    "field", ["max_herbrand_depth", "max_set_rank", "max_set_card", "max_tuple_arity"]
+)
+def test_negative_bound_names_its_field(field):
+    with pytest.raises(BoundsError, match=f"{field} must be >= 0, got -1") as err:
+        DomainBounds(**{field: -1})
+    assert isinstance(err.value, SetAspError)
+    assert isinstance(err.value, ValueError)
 
 
 def test_active_domain_constants_only():

@@ -1,5 +1,7 @@
 """The fast search (lower bound plus least-model minimality check) against
-the reference search (facts-only forcing plus subset search)."""
+the reference search (facts-only forcing plus subset search), and the
+search restricted to what the upper bound can reach against the search
+over the whole ground theory."""
 
 import random
 from contextlib import contextmanager
@@ -12,12 +14,16 @@ from setasp.checks import random_zero_rank_program
 from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
 from setasp.solver import (
+    _TOP_MARK,
+    _Viability,
     build_universe,
     find_stable_models,
     ground_theory,
     lower_bound,
     relevant_atoms,
 )
+from setasp.syntax import Num
+from setasp.values import finset
 
 from conftest import COUNT0, P1, P2, P3, P4, atom
 
@@ -56,7 +62,9 @@ FAST = [
 
 
 def _eq(text, bounds):
-    return find_stable_models(parse_program(text), bounds).atom_sets()
+    """Model atoms with their witnesses; an ``Assignment`` compares with
+    ``==`` whatever order its set terms were stored in."""
+    return [(m.atoms, m.sigma) for m in find_stable_models(parse_program(text), bounds).models]
 
 
 def _gz(text, bounds):
@@ -75,9 +83,20 @@ def reference_search():
         yield
 
 
-def _compare(programs, engines, bounds):
+@contextmanager
+def unrestricted_search():
+    """Both engines search the whole ground theory and every set-term
+    candidate."""
+    with pytest.MonkeyPatch.context() as patch:
+        whole = lambda ground, possible: ground  # noqa: E731
+        patch.setattr(solver, "search_theory", whole)
+        patch.setattr(gz, "search_theory", whole)
+        yield
+
+
+def _compare(programs, engines, bounds, baseline=reference_search):
     fast = [[engine(text, bounds) for engine in engines] for text in programs]
-    with reference_search():
+    with baseline():
         reference = [[engine(text, bounds) for engine in engines] for text in programs]
     mismatches = [text for text, a, b in zip(programs, fast, reference) if a != b]
     assert mismatches == []
@@ -99,6 +118,59 @@ def test_fast_search_matches_reference_on_fixed_programs():
     _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS)
     gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
     _compare(gz_programs, (_gz,), FIXED_BOUNDS)
+
+
+def test_restricted_search_matches_whole_on_generated_gz_programs():
+    rng = random.Random(22)
+    programs = [random_gz_program(rng) for _ in range(1000)]
+    _compare(programs, (_eq, _gz), GENERATOR_BOUNDS, unrestricted_search)
+
+
+def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
+    rng = random.Random(23)
+    programs = [random_zero_rank_program(rng) for _ in range(1000)]
+    _compare(programs, (_eq,), ZERO_RANK_BOUNDS, unrestricted_search)
+
+
+def test_restricted_search_matches_whole_on_fixed_programs():
+    _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, unrestricted_search)
+    gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
+    _compare(gz_programs, (_gz,), FIXED_BOUNDS, unrestricted_search)
+
+
+def test_p1_search_keeps_only_what_the_upper_bound_reaches():
+    searched = []
+    with pytest.MonkeyPatch.context() as patch:
+
+        def recorded(ground, possible, original=solver.search_theory):
+            searched.append((ground, original(ground, possible)))
+            return searched[-1][1]
+
+        patch.setattr(solver, "search_theory", recorded)
+        report = find_stable_models(parse_program(P1), DomainBounds(int_min=1, int_max=4))
+    ((whole, search),) = searched
+    assert len(whole.formulas) == 5075
+    assert len(search.formulas) <= 11
+    assert search.universe.intsets is whole.universe.intsets
+    sizes = {str(s): len(c) for s, c in search.universe._intset_cache.items()}
+    assert sizes == {"{X : r(X)}": 2, "{X : q(X)}": 2}
+    assert report.stats.candidates == 32
+    assert report.atom_sets() == [{atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}]
+
+
+def test_viability_cycle_guard_over_approximates():
+    theory = parse_program("p(1).")
+    viability = _Viability(ground_theory(theory, build_universe(theory, FIXED_BOUNDS)))
+    seen = []
+    compute = viability._possible_values
+
+    def reentrant(term):
+        seen.append(viability.possible_values(term))
+        return compute(term)
+
+    viability._possible_values = reentrant
+    assert viability.possible_values(Num(1)) == {1}
+    assert seen == [_TOP_MARK]
 
 
 def _subset_searches(text, bounds):
