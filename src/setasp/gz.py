@@ -198,33 +198,38 @@ def _static_args(atom):
     return tuple(ground_constructor_value(a) for a in atom.args)
 
 
-def cl_satisfies(atoms, phi, universe) -> bool:
-    """Classical single-world satisfaction of a ground GZ formula."""
+def cl_satisfies(atoms, phi, universe, memo=None) -> bool:
+    """Classical single-world satisfaction of a ground GZ formula.
+    ``memo`` keeps aggregate values across calls (see ``_cl_aggregate``)."""
     if isinstance(phi, _Bot):
         return False
     if isinstance(phi, _Top):
         return True
     if isinstance(phi, PredAtom):
         if phi.pred in _GZ_RELS:
-            return _cl_comparison(atoms, phi.pred, phi.args[0], phi.args[1], universe)
+            return _cl_comparison(atoms, phi.pred, phi.args[0], phi.args[1], universe, memo)
         vals = _static_args(phi)
         return (phi.pred, vals) in atoms
     if isinstance(phi, Eq):
-        return _cl_comparison(atoms, "=", phi.left, phi.right, universe)
+        return _cl_comparison(atoms, "=", phi.left, phi.right, universe, memo)
     if isinstance(phi, And):
-        return cl_satisfies(atoms, phi.left, universe) and cl_satisfies(atoms, phi.right, universe)
+        return cl_satisfies(atoms, phi.left, universe, memo) and cl_satisfies(
+            atoms, phi.right, universe, memo
+        )
     if isinstance(phi, Or):
-        return cl_satisfies(atoms, phi.left, universe) or cl_satisfies(atoms, phi.right, universe)
+        return cl_satisfies(atoms, phi.left, universe, memo) or cl_satisfies(
+            atoms, phi.right, universe, memo
+        )
     if isinstance(phi, Implies):
-        return (not cl_satisfies(atoms, phi.left, universe)) or cl_satisfies(
-            atoms, phi.right, universe
+        return (not cl_satisfies(atoms, phi.left, universe, memo)) or cl_satisfies(
+            atoms, phi.right, universe, memo
         )
     raise NotGZError(f"not a ground GZ formula: {pretty(phi)!r}")
 
 
-def _cl_comparison(atoms, rel, left, right, universe):
+def _cl_comparison(atoms, rel, left, right, universe, memo=None):
     if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:
-        k = _cl_aggregate(atoms, left, universe)
+        k = _cl_aggregate(atoms, left, universe, memo)
         if k is UNDEF:
             return False
         n = ground_constructor_value(right)
@@ -240,25 +245,32 @@ def _cl_comparison(atoms, rel, left, right, universe):
     return relation_eval(rel, lv, rv)
 
 
-def _cl_aggregate(atoms, agg, universe):
-    """Aggregate value over the candidate tuples whose body holds in T."""
+def _cl_aggregate(atoms, agg, universe, memo=None):
+    """Aggregate value over the candidate tuples whose body holds in T,
+    read from and stored in ``memo`` under ``(atoms, agg)`` if given."""
+    key = (atoms, agg)
+    if memo is not None and key in memo:
+        return memo[key]
     iset = agg.args[0]
     members = []
     for head, body in universe.intset_candidates(iset):
         if cl_satisfies(atoms, body, universe):
             members.append(tuple(ground_constructor_value(t) for t in head))
-    return aggregate_eval(agg.name, FinSet(members), universe.bounds)
+    value = aggregate_eval(agg.name, FinSet(members), universe.bounds)
+    if memo is not None:
+        memo[key] = value
+    return value
 
 
-def reduct(phi, atoms, universe):
+def reduct(phi, atoms, universe, memo=None):
     """The reduct of a ground GZ formula with respect to a candidate.
 
     Unsatisfied formulas become falsum; predicate atoms pass through;
     satisfied comparisons over fixed values become verum; a satisfied set
     atom becomes the conjunction of the reducts of its satisfied ground
-    body instances; connectives recurse.
+    body instances; connectives recurse.  ``memo`` is ``cl_satisfies``'s.
     """
-    if not cl_satisfies(atoms, phi, universe):
+    if not cl_satisfies(atoms, phi, universe, memo):
         return BOT
     if isinstance(phi, _Top):
         return TOP
@@ -269,8 +281,8 @@ def reduct(phi, atoms, universe):
     if isinstance(phi, Eq):
         return _reduct_comparison(phi.left, atoms, universe)
     if isinstance(phi, (And, Or, Implies)):
-        left = reduct(phi.left, atoms, universe)
-        right = reduct(phi.right, atoms, universe)
+        left = reduct(phi.left, atoms, universe, memo)
+        right = reduct(phi.right, atoms, universe, memo)
         return _fold(type(phi)(left, right))
     raise NotGZError(f"not a ground GZ formula: {pretty(phi)!r}")
 
@@ -420,9 +432,10 @@ def gz_solve_ground(ground: GroundTheory):
     universe = search.universe
     stable = []
     for candidate in there_candidates(upper, lower_bound(search, upper), universe.bounds):
-        if not all(cl_satisfies(candidate, phi, universe) for phi in search.formulas):
+        memo = {}  # the aggregate values of this candidate
+        if not all(cl_satisfies(candidate, phi, universe, memo) for phi in search.formulas):
             continue
-        reduced = [reduct(phi, candidate, universe) for phi in search.formulas]
+        reduced = [reduct(phi, candidate, universe, memo) for phi in search.formulas]
         if _has_smaller_model(candidate, reduced, universe):
             continue
         stable.append(candidate)

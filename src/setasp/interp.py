@@ -96,6 +96,11 @@ class Universe:
             self.register_intsets(body)
         return out
 
+    def fix_candidates(self, iset: IntSet, candidates):
+        """Use ``candidates`` as the instantiations of one set term from
+        now on, such as the ones a binding-driven instantiation made."""
+        self._intset_cache[iset] = tuple(candidates)
+
     def quantifier_instances(self, phi):
         """Instantiated bodies of one ground quantifier, domain order."""
         cached = self._quant_cache.get(phi)

@@ -7,12 +7,15 @@ ground-rule head instances whose bodies are optimistically satisfiable.
 An atom outside it has no support in any rule chain, so dropping it
 always yields a smaller model; enumerating every atom of every predicate
 over the whole domain (the naive alternative) is hopeless even at desk
-scale.  The lower bound holds the atoms that rules with statically
-decidable bodies force into every model.  The search itself runs on a
-copy of the ground theory without the rules and set-term candidates whose
-bodies no candidate inside the upper bound can satisfy.  Minimality is a
-least-model fixpoint where the rules allow it and a subset search
-elsewhere.
+scale.  ``find_stable_models`` grounds the theory inside that fixpoint,
+instantiating each variable from its binding occurrences in a rule body
+(``_Instantiation``); ``ground_theory`` is the full grounding over the
+active domain that ``solve_ground`` takes as a reference.  The lower
+bound holds the atoms that rules with statically decidable bodies force
+into every model.  The search itself runs on a copy of the ground theory
+without the rules and set-term candidates whose bodies no candidate
+inside the upper bound can satisfy.  Minimality is a least-model fixpoint
+where the rules allow it and a subset search elsewhere.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ from .syntax import (
     Exists,
     ExtSet,
     Forall,
+    Formula,
     HApp,
     Implies,
     IntSet,
@@ -61,6 +65,7 @@ from .syntax import (
     _Bot,
     _Top,
     formula_statement,
+    free_vars,
     pretty,
     substitute,
     walk,
@@ -125,11 +130,7 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
     seen = set()
     static = HTInterpretation.total(universe, Assignment(), frozenset())
     for phi in theory.formulas:
-        names = []
-        matrix = phi
-        while isinstance(matrix, Forall):
-            names.append(matrix.var)
-            matrix = matrix.body
+        names, matrix = _closure_prefix(phi)
         count = len(universe.domain) ** len(names)
         if count > universe.bounds.instance_cap:
             raise DomainLimitError(
@@ -148,6 +149,15 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
                 universe.register_intsets(instance)
     facts = {static_atom(g, static) for g in formulas} - {None}
     return GroundTheory(universe, tuple(formulas), provenance, frozenset(facts))
+
+
+def _closure_prefix(phi):
+    """The variables of a closed formula's leading ``forall`` and its matrix."""
+    names = []
+    while isinstance(phi, Forall):
+        names.append(phi.var)
+        phi = phi.body
+    return names, phi
 
 
 def static_atom(phi, static: HTInterpretation):
@@ -271,10 +281,17 @@ class _Viability:
             self._values.clear()
             self._sat.clear()
             before = len(self.atoms)
-            for phi in self.ground.formulas:
+            for phi in self._round():
                 self._collect_heads(phi)
             if len(self.atoms) == before:
                 return frozenset(self.atoms)
+
+    def _round(self):
+        """The formulas whose heads this round collects."""
+        return self.ground.formulas
+
+    def _derive(self, atom):
+        self.atoms.add(atom)
 
     # -- possible values
 
@@ -356,10 +373,14 @@ class _Viability:
             return self._possible_extensions(term)
         raise TypeError(f"unexpected term {term!r}")
 
+    def set_candidates(self, iset):
+        """The ``(head_terms, body)`` instances of a ground set term."""
+        return self.universe.intset_candidates(iset)
+
     def _possible_extensions(self, iset):
         tuples = set()
         has_undef = False
-        for head, body in self.universe.intset_candidates(iset):
+        for head, body in self.set_candidates(iset):
             if not self.possibly_sat(body):
                 continue
             combos = self._combos(head)
@@ -443,7 +464,7 @@ class _Viability:
                 combos = itertools.product(self.universe.domain.values, repeat=arity)
             for combo in combos:
                 if UNDEF not in combo:
-                    self.atoms.add((phi.pred, tuple(combo)))
+                    self._derive((phi.pred, tuple(combo)))
         elif isinstance(phi, (And, Or)):
             self._collect_heads(phi.left)
             self._collect_heads(phi.right)
@@ -455,10 +476,261 @@ class _Viability:
                 self._collect_heads(body)
 
 
-def relevant_atoms(ground: GroundTheory, viability=None):
-    """Atoms that can occur in some stable model: the support fixpoint.
-    A caller that passes its own ``viability`` can query it afterwards."""
-    return (viability or _Viability(ground)).run()
+class _Instantiation(_Viability):
+    """The support fixpoint grounding its theory as it goes.
+
+    Each closed formula ``forall xs (B -> X)`` is instantiated only with
+    the values its binding occurrences allow (see ``_binding_plan``), and
+    each ground set term gets candidates only for the values its body's
+    binding occurrences allow.  An instance left out has a body conjunct
+    that is false at the there-world of every candidate inside the upper
+    bound, so it is vacuous, and so is a set-term candidate left out.
+    Every value is also an active-domain value, so every instance is one
+    that ``ground_theory`` makes as well.
+
+    A round instantiates the substitutions not seen yet, then collects
+    heads.  What a plan enumerates depends only on the atoms of the
+    predicates it reads, so a formula is enumerated again, and a set
+    term's candidates are rebuilt, only once a round starts with more
+    atoms of those predicates than the round that last did so.  A round
+    that adds no atom ends the fixpoint: its instantiation already saw the
+    final atoms.  ``ground`` is then the theory of the instances made, and
+    the universe holds the candidates of every set term they mention.
+    """
+
+    def __init__(self, theory: Theory, universe: Universe):
+        super().__init__(GroundTheory(universe, (), {}))
+        self._static = HTInterpretation.total(universe, Assignment(), frozenset())
+        self._sources = [_Source(phi, *_closure_prefix(phi)) for phi in theory.formulas]
+        self._formulas = []
+        self._provenance = {}
+        self._by_pred = {}
+        self._counts = {}  # atoms per predicate when the round started
+        self._candidates = {}  # set term -> (stamp, candidates)
+        self._set_plans = {}
+        self._set_instances = {}
+
+    def run(self):
+        atoms = super().run()
+        universe = self.universe
+        fixed = set()
+        while pending := universe.intsets - fixed:
+            for iset in pending:
+                universe.fix_candidates(iset, self.set_candidates(iset))
+            fixed |= pending
+        facts = {static_atom(g, self._static) for g in self._formulas} - {None}
+        self.ground = GroundTheory(
+            universe, tuple(self._formulas), self._provenance, frozenset(facts)
+        )
+        return atoms
+
+    def _stamp(self, reads):
+        return tuple(self._counts.get(key, 0) for key in reads)
+
+    def _round(self):
+        self._counts = {key: len(values) for key, values in self._by_pred.items()}
+        for source in self._sources:
+            stamp = self._stamp(source.reads)
+            if stamp == source.stamp:
+                continue
+            source.stamp = stamp
+            names = source.names
+            for sub in self._substitutions(source.plan, source.formula):
+                combo = tuple(map(sub.__getitem__, names))
+                if combo in source.done:
+                    continue
+                source.done.add(combo)
+                instance = simplify(substitute(source.matrix, sub), self._static)
+                if instance == TOP or instance in self._provenance:
+                    continue
+                self._formulas.append(instance)
+                self._provenance[instance] = (
+                    source.formula, {n: v.value for n, v in zip(names, combo)}
+                )
+                self.universe.register_intsets(instance)
+        return self._formulas
+
+    def _derive(self, atom):
+        if atom not in self.atoms:
+            self.atoms.add(atom)
+            pred, values = atom
+            self._by_pred.setdefault((pred, len(values)), []).append(values)
+
+    def set_candidates(self, iset):
+        planned = self._set_plans.get(iset)
+        if planned is None:
+            plan = _binding_plan(iset.bound, iset.body)
+            nested = any(isinstance(n, IntSet) for n in walk(iset) if n is not iset)
+            planned = self._set_plans[iset] = (plan, _reads(plan), nested)
+        plan, reads, nested = planned
+        stamp = self._stamp(reads)
+        cached = self._candidates.get(iset)
+        if cached is not None and cached[0] == stamp:
+            return cached[1]
+        made = self._set_instances.setdefault(iset, {})
+        out = []
+        for sub in self._substitutions(plan, iset):
+            combo = tuple(map(sub.__getitem__, iset.bound))
+            pair = made.get(combo)
+            if pair is None:
+                pair = made[combo] = (
+                    tuple(substitute(t, sub) for t in iset.head),
+                    substitute(iset.body, sub),
+                )
+                if nested:
+                    self.universe.register_intsets(pair[1])
+                    for t in pair[0]:
+                        self.universe.register_intsets(t)
+            out.append(pair)
+        out = tuple(out)
+        self._candidates[iset] = (stamp, out)
+        return out
+
+    def _substitutions(self, plan, source):
+        """The substitutions ``plan`` allows under the current atoms, as
+        name -> ``Val`` maps; more than ``instance_cap`` of them raise,
+        naming ``source``, the formula or set term instantiated."""
+        domain = self.universe.domain
+        cap = self.universe.bounds.instance_cap
+        out = []
+
+        def extend(i, sub):
+            if i == len(plan):
+                out.append(sub)
+                if len(out) > cap:
+                    what = formula_statement(source) if isinstance(source, Formula) else source
+                    raise DomainLimitError(f"more than {cap} instances of {what!r}", "instance_cap")
+                return
+            kind, arg = plan[i]
+            if kind == "atom":
+                for values in self._by_pred.get((arg.pred, len(arg.args)), ()):
+                    bound = _match(arg.args, values, sub, domain)
+                    if bound is not None:
+                        extend(i + 1, bound)
+                return
+            if kind == "eq":
+                name, term = arg
+                values = self.possible_values(substitute(term, sub))
+                if values is _TOP_MARK:
+                    values = domain.values
+                else:
+                    values = [v for v in values if v is not UNDEF and v in domain]
+            else:
+                name, values = arg, domain.values
+            for v in values:
+                extend(i + 1, {**sub, name: Val(v)})
+
+        extend(0, {})
+        return out
+
+
+class _Source:
+    """One closed formula of the theory and its instantiation so far:
+    the plan, the ``(pred, arity)`` keys it reads, their atom counts when
+    it was last enumerated, and the substitutions already made."""
+
+    __slots__ = ("formula", "names", "matrix", "plan", "reads", "stamp", "done")
+
+    def __init__(self, formula, names, matrix):
+        self.formula = formula
+        self.names = names
+        self.matrix = matrix
+        self.plan = _binding_plan(names, matrix.left if isinstance(matrix, Implies) else None)
+        self.reads = _reads(self.plan)
+        self.stamp = None
+        self.done = set()
+
+
+def _binding_plan(names, body):
+    """Steps that give the variables ``names`` their values.
+
+    The binding occurrences are the conjuncts of ``body`` (None when there
+    is none): a positive predicate atom with a variable argument not bound
+    yet matches the atoms of its predicate, binding those variables and
+    checking its other arguments; then an equality ``X = t`` or ``t = X``
+    whose ``t`` is bound by then gives ``X`` the possible values of ``t``.
+    Each name reached by neither ranges over the domain, after which the
+    equalities are tried again.  Steps are ``("atom", atom)``, ``("eq",
+    (name, term))`` and ``("domain", name)``.
+    """
+    conjuncts, todo = [], [body] if body is not None else []
+    while todo:
+        phi = todo.pop()
+        if isinstance(phi, And):
+            todo += [phi.right, phi.left]
+        else:
+            conjuncts.append(phi)
+    steps, bound = [], set()
+    for phi in conjuncts:
+        if isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
+            new = {a.name for a in phi.args if isinstance(a, Var)} - bound
+            if new:
+                steps.append(("atom", phi))
+                bound |= new
+    equalities = [
+        (side.name, other, free_vars(other))
+        for phi in conjuncts
+        if isinstance(phi, Eq)
+        for side, other in ((phi.left, phi.right), (phi.right, phi.left))
+        if isinstance(side, Var)
+    ]
+    for name in names:
+        while True:
+            step = next(
+                ((n, t) for n, t, used in equalities if n not in bound and used <= bound), None
+            )
+            if step is None:
+                break
+            steps.append(("eq", step))
+            bound.add(step[0])
+        if name not in bound:
+            steps.append(("domain", name))
+            bound.add(name)
+    return steps
+
+
+def _reads(plan):
+    """The ``(pred, arity)`` keys of the atoms whose values ``plan``
+    depends on: those its atom steps match and those the terms of its
+    equality steps mention, set bodies included."""
+    keys = set()
+    for kind, arg in plan:
+        nodes = (arg,) if kind == "atom" else walk(arg[1]) if kind == "eq" else ()
+        keys.update(
+            (n.pred, len(n.args))
+            for n in nodes
+            if isinstance(n, PredAtom) and n.pred not in RELATION_PREDS
+        )
+    return tuple(sorted(keys))
+
+
+def _match(args, values, sub, domain):
+    """``sub`` extended so that the atom arguments ``args`` can denote
+    ``values``, or None.  A new variable takes a domain value; an argument
+    that is neither a variable nor a value is not checked."""
+    out = sub
+    for arg, value in zip(args, values):
+        if isinstance(arg, Var):
+            known = out.get(arg.name)
+            if known is None:
+                if value not in domain:
+                    return None
+                if out is sub:
+                    out = dict(sub)
+                out[arg.name] = Val(value)
+            elif known.value != value:
+                return None
+        elif isinstance(arg, (Val, Num)) and arg.value != value:
+            return None
+    return out
+
+
+def relevant_atoms(ground):
+    """Atoms that can occur in some stable model: the support fixpoint of
+    a ground theory, or of a ``_Viability`` the caller keeps to query it
+    afterwards."""
+    viability = ground if isinstance(ground, _Viability) else _Viability(ground)
+    return viability.run()
 
 
 # ---------------------------------------------------------------------------
@@ -860,18 +1132,25 @@ def find_stable_models(theory: Theory, bounds: DomainBounds = None) -> StableMod
             f"no #function range declared for: {', '.join(sorted(missing))}"
         )
     universe = build_universe(theory, bounds)
-    ground = ground_theory(theory, universe)
-    return solve_ground(ground)
+    return _solve(_Instantiation(theory, universe))
 
 
 def solve_ground(ground: GroundTheory) -> StableModelReport:
+    """Search a theory grounded in full, as by ``ground_theory``."""
+    if any(phi == BOT for phi in ground.formulas):
+        return StableModelReport([])
+    return _solve(_Viability(ground))
+
+
+def _solve(viability: _Viability) -> StableModelReport:
     started = time.perf_counter()
+    upper = relevant_atoms(viability)
+    ground = viability.ground
     if any(phi == BOT for phi in ground.formulas):
         return StableModelReport([], SearchStats(0, time.perf_counter() - started))
-    viability = _Viability(ground)
-    upper = relevant_atoms(ground, viability)
-    sigma_space = _sigma_candidates(ground)
     search = search_theory(ground, viability.possibly_sat)
+    # a stored fact that only dropped rules read is in no stable model
+    sigma_space = _sigma_candidates(search)
     universe = search.universe
     candidates = there_candidates(upper, lower_bound(search, upper), universe.bounds)
     found = []

@@ -1,7 +1,8 @@
 """The fast search (lower bound plus least-model minimality check) against
-the reference search (facts-only forcing plus subset search), and the
-search restricted to what the upper bound can reach against the search
-over the whole ground theory."""
+the reference search (facts-only forcing plus subset search), the search
+restricted to what the upper bound can reach against the search over the
+whole ground theory, and the binding-driven instantiation against the
+theory grounded in full."""
 
 import random
 from contextlib import contextmanager
@@ -21,6 +22,7 @@ from setasp.solver import (
     ground_theory,
     lower_bound,
     relevant_atoms,
+    solve_ground,
 )
 from setasp.syntax import Num
 from setasp.values import finset
@@ -29,6 +31,7 @@ from conftest import COUNT0, P1, P2, P3, P4, atom
 
 ZERO_RANK_BOUNDS = DomainBounds(int_min=0, int_max=3, max_herbrand_depth=0)
 FIXED_BOUNDS = DomainBounds(int_min=1, int_max=2, max_herbrand_depth=0)
+CHAIN = "p(0). p(Y) :- p(X), Y = X + 1."
 
 # Each program sends at least one engine's minimality check to the subset
 # search: disjunctive heads, a nested implication in a body, double
@@ -139,23 +142,142 @@ def test_restricted_search_matches_whole_on_fixed_programs():
 
 
 def test_p1_search_keeps_only_what_the_upper_bound_reaches():
-    searched = []
+    theory = parse_program(P1)
+    bounds = DomainBounds(int_min=1, int_max=4)
+    assert len(ground_theory(theory, build_universe(theory, bounds)).formulas) == 5075
+    for max_int in (4, 5):
+        searched = []
+        with pytest.MonkeyPatch.context() as patch:
+
+            def recorded(ground, possible, original=solver.search_theory):
+                searched.append((ground, original(ground, possible)))
+                return searched[-1][1]
+
+            patch.setattr(solver, "search_theory", recorded)
+            report = find_stable_models(theory, bounds.with_(int_max=max_int))
+        ((instances, search),) = searched
+        assert len(instances.formulas) <= 11
+        assert len(search.formulas) <= 11
+        assert search.universe.intsets is instances.universe.intsets
+        sizes = {str(s): len(c) for s, c in search.universe._intset_cache.items()}
+        assert sizes == {"{X : r(X)}": 2, "{X : q(X)}": 2}
+        assert report.stats.candidates == 32
+        assert report.atom_sets() == [
+            {atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}
+        ]
+
+
+def _whole(text, bounds):
+    """``_eq`` over the theory grounded in full by ``ground_theory``."""
+    theory = parse_program(text)
+    report = solve_ground(ground_theory(theory, build_universe(theory, bounds)))
+    return [(m.atoms, m.sigma) for m in report.models]
+
+
+def _compare_instantiations(programs, bounds):
+    mismatches = [text for text in programs if _eq(text, bounds) != _whole(text, bounds)]
+    assert mismatches == []
+
+
+def test_binding_instantiation_matches_whole_on_generated_gz_programs():
+    rng = random.Random(24)
+    _compare_instantiations([random_gz_program(rng) for _ in range(1000)], GENERATOR_BOUNDS)
+
+
+def test_binding_instantiation_matches_whole_on_generated_zero_rank_programs():
+    rng = random.Random(25)
+    programs = [random_zero_rank_program(rng) for _ in range(1000)]
+    _compare_instantiations(programs, ZERO_RANK_BOUNDS)
+
+
+# A variable only under ``not``, only in a head, bound by a chain of
+# equalities, by an equality whose other side needs another binding, or
+# by an atom holding a value outside the domain.
+BINDING_SHAPES = [
+    "p(1). q(X) :- not p(X).",
+    "d(1). p(X) :- d(1).",
+    "d(1). d(2). :- d(X), not p(X). p(X) ; r(X) :- d(X).",
+    CHAIN,
+    "p(1). q(Z) :- p(X), Y = X + 1, Z = Y + Y.",
+    "p(1). q(Y) :- Y = X, p(X).",
+    "p(a). p(f(X)) :- p(X). q(Y) :- p(Y).",
+]
+
+# A count over 13 candidates has too many possible values to list, so
+# ``N`` falls back to the domain.
+WIDE_COUNT = " ".join(f"q({i})." for i in range(13)) + " n(N) :- N = count{X : q(X)}, N > 12."
+
+
+def test_binding_instantiation_matches_whole_on_fixed_programs():
+    _compare_instantiations(FALLBACK + FAST + [P3] + BINDING_SHAPES, FIXED_BOUNDS)
+    _compare_instantiations([CHAIN], DomainBounds(int_min=0, int_max=6, max_herbrand_depth=0))
+    wide = DomainBounds(int_min=0, int_max=13, max_herbrand_depth=0)
+    _compare_instantiations([WIDE_COUNT], wide)
+    ((atoms, _),) = _eq(WIDE_COUNT, wide)
+    assert atom("n", 13) in atoms
+
+
+def test_set_term_with_a_free_variable_keeps_the_reachable_witnesses():
+    text = "r(1). q(2,1). p(Y, N) :- r(Y), N = count{X : q(X, Y)}."
+    ((atoms, sigma),) = _eq(text, FIXED_BOUNDS)
+    ((whole_atoms, whole_sigma),) = _whole(text, FIXED_BOUNDS)
+    assert atoms == whole_atoms
+    assert atom("p", 1, 1) in atoms
+    assert sigma.funcs == whole_sigma.funcs
+    assert {str(s) for s in sigma.sets} == {"{X : q(X, 1)}"}
+    assert sigma.sets == {s: v for s, v in whole_sigma.sets.items() if s in sigma.sets}
+    assert "{X : q(X, 2)}" in {str(s) for s in whole_sigma.sets}
+
+
+def test_instance_cap_counts_the_substitutions_enumerated():
+    bounds = DomainBounds(int_min=1, int_max=4, instance_cap=100)
+    theory = parse_program(P1)
+    with pytest.raises(DomainLimitError) as err:
+        ground_theory(theory, build_universe(theory, bounds))
+    assert err.value.bound == "instance_cap"
+    assert len(find_stable_models(theory, bounds).models) == 1
+    with pytest.raises(DomainLimitError) as err:
+        find_stable_models(parse_program(P1 + "s(X) :- not p(X)."), bounds)
+    assert err.value.bound == "instance_cap"
+    assert "more than 100 instances of" in str(err.value)
+
+
+# Declared-function applications that only dropped rules mention add no
+# assignment candidates.
+DEAD_APPLICATIONS = [
+    "#function f/1 : {a; b}. p(X) :- q(X), f(X) = a. r(1).",
+    "#function f/0 : {a; b}. p(1) :- q(1), f = a. r(1).",
+]
+
+
+@pytest.mark.parametrize("text", DEAD_APPLICATIONS)
+def test_sigma_candidates_come_from_the_search_theory(text):
+    theory = parse_program(text)
+    bounds = DomainBounds(int_min=1, int_max=2, max_herbrand_depth=0)
+    whole = solve_ground(ground_theory(theory, build_universe(theory, bounds)))
+    for report in (whole, find_stable_models(theory, bounds)):
+        assert report.stats.candidates == 1
+        assert [(m.atoms, m.sigma.funcs) for m in report.models] == [({atom("r", 1)}, {})]
+
+
+def test_gz_evaluates_each_aggregate_once_per_candidate():
+    asked, computed = set(), []
     with pytest.MonkeyPatch.context() as patch:
 
-        def recorded(ground, possible, original=solver.search_theory):
-            searched.append((ground, original(ground, possible)))
-            return searched[-1][1]
+        def recorded(atoms, agg, universe, memo=None, original=gz._cl_aggregate):
+            if memo is not None:
+                asked.add((atoms, agg))
+            return original(atoms, agg, universe, memo)
 
-        patch.setattr(solver, "search_theory", recorded)
-        report = find_stable_models(parse_program(P1), DomainBounds(int_min=1, int_max=4))
-    ((whole, search),) = searched
-    assert len(whole.formulas) == 5075
-    assert len(search.formulas) <= 11
-    assert search.universe.intsets is whole.universe.intsets
-    sizes = {str(s): len(c) for s, c in search.universe._intset_cache.items()}
-    assert sizes == {"{X : r(X)}": 2, "{X : q(X)}": 2}
-    assert report.stats.candidates == 32
-    assert report.atom_sets() == [{atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}]
+        def counted(*args, original=gz.aggregate_eval):
+            computed.append(args)
+            return original(*args)
+
+        patch.setattr(gz, "_cl_aggregate", recorded)
+        patch.setattr(gz, "aggregate_eval", counted)
+        assert _gz(P4, FIXED_BOUNDS) == [{atom("p", "a"), atom("p", "b")}]
+    assert asked
+    assert len(computed) == len(asked)
 
 
 def test_viability_cycle_guard_over_approximates():
@@ -198,9 +320,6 @@ def test_fallback_shapes_take_the_subset_search(text):
 @pytest.mark.parametrize("text", FAST)
 def test_rule_shapes_take_the_least_model(text):
     assert _subset_searches(text, FIXED_BOUNDS) == []
-
-
-CHAIN = "p(0). p(Y) :- p(X), Y = X + 1."
 
 
 def test_chain_is_decided_by_the_lower_bound():
