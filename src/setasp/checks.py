@@ -45,6 +45,8 @@ from .syntax import (
     PredAtom,
     Val,
     Var,
+    ground_constructor_value,
+    map_terms,
     neg,
     substitute,
 )
@@ -316,9 +318,6 @@ def random_zero_rank_program(rng: random.Random) -> str:
 
 def _sets_to_constants(theory: Theory):
     """Rewrite every extensional-set value into a fresh opaque constant."""
-    from .domain import ground_constructor_value
-    from .syntax import map_terms
-
     mapping = {}
 
     def fresh_for(value):

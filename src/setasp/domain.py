@@ -34,6 +34,7 @@ from .syntax import (
     SET_OPS,
     Val,
     Var,
+    ground_constructor_value,
     walk,
 )
 from .values import EMPTY_SET, UNDEF, FinSet, HTerm, value_key
@@ -143,28 +144,6 @@ def build_domain_level(sig: Signature, bounds: DomainBounds, i: int):
 
 # ---------------------------------------------------------------------------
 # Active domain
-
-
-def ground_constructor_value(term):
-    """Value of a variable-free constructor term, or None."""
-    if isinstance(term, Num):
-        return term.value
-    if isinstance(term, Val):
-        return term.value
-    if isinstance(term, HApp):
-        args = [ground_constructor_value(a) for a in term.args]
-        if any(a is None for a in args):
-            return None
-        return HTerm(term.name, args)
-    if isinstance(term, ExtSet):
-        rows = []
-        for member in term.members:
-            vals = [ground_constructor_value(t) for t in member]
-            if any(v is None for v in vals):
-                return None
-            rows.append(tuple(vals))
-        return FinSet(rows)
-    return None
 
 
 def _value_components(v, out):

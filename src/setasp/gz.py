@@ -9,6 +9,13 @@ Stable models are defined through a reduct: formulas not satisfied by the
 candidate become falsum, satisfied set atoms become the conjunction of
 their satisfied ground body instances, and the candidate must be the
 unique subset-minimal classical model of what remains.
+
+The search is the equilibrium engine's: its fixpoint driver computes the
+upper bound with a classical "can hold" test (``_GZViability``), and its
+candidate loop (``solver.search_stable``) calls back into
+``cl_satisfies``, ``reduct`` and ``_has_smaller_model``.  The grounding
+stays the full ``ground_theory``, so ``cross_check`` still compares two
+instantiations and two upper bounds.
 """
 
 from __future__ import annotations
@@ -17,22 +24,21 @@ import itertools
 import random
 from dataclasses import dataclass
 
-from .domain import DomainBounds, ground_constructor_value
+from .domain import DomainBounds
 from .errors import NotGZError
 from .interp import aggregate_eval, relation_eval
 from .parser import Theory, parse_program
 from .solver import (
     GroundTheory,
+    _Viability,
     atom_key,
     build_universe,
     find_stable_models,
     format_atom,
     ground_theory,
     least_model,
-    lower_bound,
     rule_view,
-    search_theory,
-    there_candidates,
+    search_stable,
 )
 from .syntax import (
     AGGREGATE_NAMES,
@@ -60,11 +66,12 @@ from .syntax import (
     conj,
     formula_statement,
     free_vars,
+    ground_constructor_value,
     pretty,
     rank,
     walk,
 )
-from .values import UNDEF, FinSet, value_key
+from .values import UNDEF, FinSet
 
 _GZ_RELS = frozenset({"<=", ">=", "<", ">", "!="})
 
@@ -327,90 +334,73 @@ def _reduct_comparison(left, atoms, universe):
 # Stable models via the reduct
 
 
-def _gz_possible_interval(atoms, agg, universe):
-    """Optimistic aggregate bounds over subsets of the viable satisfiers."""
-    iset = agg.args[0]
-    members = []
-    for head, body in universe.intset_candidates(iset):
-        if _gz_possibly(atoms, body, universe):
-            members.append(tuple(ground_constructor_value(t) for t in head))
-    if agg.name == "count":
-        return 0, len(members)
-    if agg.name == "sum":
-        firsts = [m[0] for m in members if isinstance(m[0], int)]
-        low = sum(v for v in firsts if v < 0)
-        high = sum(v for v in firsts if v > 0)
-        return low, high
-    ints = [m[0] for m in members if len(m) == 1 and isinstance(m[0], int)]
-    if not ints:
-        return None
-    return min(ints), max(ints)
+class _GZViability(_Viability):
+    """GZ's upper bound: the shared support fixpoint, where a body can hold
+    when some subset of the fixpoint's atoms satisfies it classically."""
 
-
-def _gz_possibly(atoms, phi, universe) -> bool:
-    """Classical satisfiability by some subset of the viable atoms."""
-    if isinstance(phi, _Bot):
-        return False
-    if isinstance(phi, _Top):
-        return True
-    if isinstance(phi, PredAtom):
-        if phi.pred in _GZ_RELS:
-            return _gz_possible_comparison(atoms, phi.pred, phi.args[0], phi.args[1], universe)
-        return (phi.pred, _static_args(phi)) in atoms
-    if isinstance(phi, Eq):
-        return _gz_possible_comparison(atoms, "=", phi.left, phi.right, universe)
-    if isinstance(phi, And):
-        return _gz_possibly(atoms, phi.left, universe) and _gz_possibly(atoms, phi.right, universe)
-    if isinstance(phi, Or):
-        return _gz_possibly(atoms, phi.left, universe) or _gz_possibly(atoms, phi.right, universe)
-    if isinstance(phi, Implies):
-        return True
-    raise NotGZError(f"not a ground GZ formula: {pretty(phi)!r}")
-
-
-def _gz_possible_comparison(atoms, rel, left, right, universe):
-    if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:
-        interval = _gz_possible_interval(atoms, left, universe)
-        if interval is None:
+    def _possibly_sat(self, phi):
+        if isinstance(phi, _Bot):
             return False
-        low, high = interval
-        bounds = universe.bounds
-        low = max(low, bounds.int_min)
-        high = min(high, bounds.int_max)
-        n = ground_constructor_value(right)
-        if not isinstance(n, int) or low > high:
-            return False
-        if rel == "=":
-            return low <= n <= high
-        if rel in ("<=", "<"):
-            return relation_eval(rel, low, n)
-        if rel in (">=", ">"):
-            return relation_eval(rel, high, n)
-        return not (low == high == n)  # "!=": some value differs unless pinned
-    return _cl_comparison(atoms, rel, left, right, universe)
+        if isinstance(phi, _Top):
+            return True
+        if isinstance(phi, PredAtom):
+            if phi.pred in _GZ_RELS:
+                return self._possible_comparison(phi.pred, phi.args[0], phi.args[1])
+            return (phi.pred, _static_args(phi)) in self.atoms
+        if isinstance(phi, Eq):
+            return self._possible_comparison("=", phi.left, phi.right)
+        if isinstance(phi, And):
+            return self.possibly_sat(phi.left) and self.possibly_sat(phi.right)
+        if isinstance(phi, Or):
+            return self.possibly_sat(phi.left) or self.possibly_sat(phi.right)
+        if isinstance(phi, Implies):
+            return True
+        raise NotGZError(f"not a ground GZ formula: {pretty(phi)!r}")
+
+    def _possible_comparison(self, rel, left, right):
+        if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:
+            interval = self._possible_interval(left)
+            if interval is None:
+                return False
+            low, high = interval
+            bounds = self.universe.bounds
+            low = max(low, bounds.int_min)
+            high = min(high, bounds.int_max)
+            n = ground_constructor_value(right)
+            if not isinstance(n, int) or low > high:
+                return False
+            if rel == "=":
+                return low <= n <= high
+            if rel in ("<=", "<"):
+                return relation_eval(rel, low, n)
+            if rel in (">=", ">"):
+                return relation_eval(rel, high, n)
+            return not (low == high == n)  # "!=": some value differs unless pinned
+        return _cl_comparison(self.atoms, rel, left, right, self.universe)
+
+    def _possible_interval(self, agg):
+        """Optimistic aggregate bounds over subsets of the viable satisfiers."""
+        members = [
+            tuple(ground_constructor_value(t) for t in head)
+            for head, body in self.set_candidates(agg.args[0])
+            if self.possibly_sat(body)
+        ]
+        if agg.name == "count":
+            return 0, len(members)
+        if agg.name == "sum":
+            firsts = [m[0] for m in members if isinstance(m[0], int)]
+            low = sum(v for v in firsts if v < 0)
+            high = sum(v for v in firsts if v > 0)
+            return low, high
+        ints = [m[0] for m in members if len(m) == 1 and isinstance(m[0], int)]
+        if not ints:
+            return None
+        return min(ints), max(ints)
 
 
-def _gz_relevant_atoms(ground: GroundTheory):
+def _gz_relevant_atoms(viability: _GZViability):
     """Head instances reachable from the facts, classical reading."""
-    universe = ground.universe
-    atoms = set(ground.facts)
-
-    def heads(phi):
-        if isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
-            atoms.add((phi.pred, _static_args(phi)))
-        elif isinstance(phi, (And, Or)):
-            heads(phi.left)
-            heads(phi.right)
-        elif isinstance(phi, Implies):
-            if _gz_possibly(atoms, phi.left, universe):
-                heads(phi.right)
-
-    while True:
-        before = len(atoms)
-        for phi in ground.formulas:
-            heads(phi)
-        if len(atoms) == before:
-            return frozenset(atoms)
+    return viability.run()
 
 
 def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
@@ -425,22 +415,22 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
 
 
 def gz_solve_ground(ground: GroundTheory):
-    if any(phi == BOT for phi in ground.formulas):
-        return []
-    upper = _gz_relevant_atoms(ground)
-    search = search_theory(ground, lambda phi: _gz_possibly(upper, phi, ground.universe))
-    universe = search.universe
-    stable = []
-    for candidate in there_candidates(upper, lower_bound(search, upper), universe.bounds):
-        memo = {}  # the aggregate values of this candidate
-        if not all(cl_satisfies(candidate, phi, universe, memo) for phi in search.formulas):
-            continue
-        reduced = [reduct(phi, candidate, universe, memo) for phi in search.formulas]
-        if _has_smaller_model(candidate, reduced, universe):
-            continue
-        stable.append(candidate)
-    stable.sort(key=lambda m: tuple(sorted(atom_key(a) for a in m)))
-    return stable
+    viability = _GZViability(ground)
+    upper = _gz_relevant_atoms(viability)
+
+    def stable_in(search):
+        universe = search.universe
+
+        def stable(candidate):
+            memo = {}  # the aggregate values of this candidate
+            if not all(cl_satisfies(candidate, phi, universe, memo) for phi in search.formulas):
+                return None
+            reduced = [reduct(phi, candidate, universe, memo) for phi in search.formulas]
+            return None if _has_smaller_model(candidate, reduced, universe) else candidate
+
+        return stable
+
+    return search_stable(viability, upper, stable_in)
 
 
 def _gz_key(phi):

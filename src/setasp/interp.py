@@ -210,9 +210,6 @@ class HTInterpretation:
         atoms = frozenset(atoms)
         return cls(universe, sigma, sigma, atoms, atoms, check=False)
 
-    def is_total(self):
-        return self.atoms_h == self.atoms_t and self.sigma_h == self.sigma_t
-
     def sigma(self, w):
         return self.sigma_h if w == H else self.sigma_t
 

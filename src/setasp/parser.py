@@ -44,11 +44,12 @@ from .syntax import (
     Var,
     forall,
     free_vars,
+    ground_constructor_value,
     map_terms,
     neg,
     walk,
 )
-from .values import EMPTY_SET, FinSet, HTerm, value_key
+from .values import FinSet, HTerm, value_key
 
 _TOKEN_RE = re.compile(
     r"""
@@ -125,12 +126,6 @@ class Signature:
     evaluables: dict
     predicates: dict
     func_ranges: dict = field(default_factory=dict)
-
-    def is_aggregate(self, name):
-        return name in AGGREGATE_NAMES
-
-    def is_declared_function(self, name):
-        return name in self.func_ranges
 
 
 @dataclass(frozen=True)
@@ -539,30 +534,10 @@ class _Parser:
     def parse_ground_value(self):
         tok = self.peek()
         term = self.parse_term()
-        value = _static_value(term)
+        value = ground_constructor_value(term)
         if value is None:
             self.fail("function ranges need ground constructor terms", tok)
         return value
-
-
-def _static_value(term):
-    """Evaluate a variable-free constructor term to a value, else None."""
-    if isinstance(term, Num):
-        return term.value
-    if isinstance(term, HApp):
-        args = [_static_value(a) for a in term.args]
-        if any(a is None for a in args):
-            return None
-        return HTerm(term.name, args)
-    if isinstance(term, ExtSet):
-        tuples = []
-        for member in term.members:
-            vals = [_static_value(t) for t in member]
-            if any(v is None for v in vals):
-                return None
-            tuples.append(tuple(vals))
-        return FinSet(tuples) if tuples else EMPTY_SET
-    return None
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ into every model.  The search itself runs on a copy of the ground theory
 without the rules and set-term candidates whose bodies no candidate
 inside the upper bound can satisfy.  Minimality is a least-model fixpoint
 where the rules allow it and a subset search elsewhere.
+
+The fixpoint driver (``_Viability``) and the candidate loop
+(``search_stable``) serve the reduct engine in ``gz`` too: each engine
+supplies only its own "can hold" test, model test and minimality check.
 """
 
 from __future__ import annotations
@@ -254,6 +258,8 @@ def simplify(phi, static: HTInterpretation):
 
 _TOP_MARK = object()
 
+# Not user bounds: past either cap a possible-value set only widens to
+# "any" (``_TOP_MARK``), which stays sound and aborts nothing.
 _VALUE_CAP = 128
 _SUBSET_CAP = 12
 
@@ -457,9 +463,10 @@ class _Viability:
             combos = self._combos(phi.args)
             if combos is _TOP_MARK:
                 arity = len(phi.args)
-                if len(self.universe.domain) ** arity > 4096:
+                count = len(self.universe.domain) ** arity
+                if count > self.universe.bounds.instance_cap:
                     raise DomainLimitError(
-                        f"cannot bound head instances of {pretty(phi)!r}", "atom_cap"
+                        f"{count} head instances of {pretty(phi)!r}", "instance_cap"
                     )
                 combos = itertools.product(self.universe.domain.values, repeat=arity)
             for combo in combos:
@@ -965,6 +972,7 @@ def _declared_applications(ground: GroundTheory):
     if not ranges:
         return []
     apps = set()
+    static = HTInterpretation.total(universe, Assignment(), frozenset())
 
     def scan(node):
         for sub in walk(node):
@@ -972,9 +980,7 @@ def _declared_applications(ground: GroundTheory):
                 static_args = []
                 for a in sub.args:
                     if _independent(a):
-                        static = HTInterpretation.total(universe, Assignment(), frozenset())
-                        v = eval_term(static, T, a)
-                        static_args.append(v)
+                        static_args.append(eval_term(static, T, a))
                     else:
                         static_args.append(None)
                 if all(v is not None and v is not UNDEF for v in static_args):
@@ -1145,30 +1151,50 @@ def solve_ground(ground: GroundTheory) -> StableModelReport:
 def _solve(viability: _Viability) -> StableModelReport:
     started = time.perf_counter()
     upper = relevant_atoms(viability)
-    ground = viability.ground
-    if any(phi == BOT for phi in ground.formulas):
-        return StableModelReport([], SearchStats(0, time.perf_counter() - started))
-    search = search_theory(ground, viability.possibly_sat)
-    # a stored fact that only dropped rules read is in no stable model
-    sigma_space = _sigma_candidates(search)
-    universe = search.universe
-    candidates = there_candidates(upper, lower_bound(search, upper), universe.bounds)
-    found = []
     stats = SearchStats()
-    for t_atoms in candidates:
-        for sigma_t in sigma_space:
-            stats.candidates += 1
-            candidate = HTInterpretation.total(universe, sigma_t, t_atoms)
-            # total interpretations collapse both worlds, so the there-world
-            # check decides modelhood
-            if not all(s_satisfies(candidate, T, phi) for phi in search.formulas):
-                continue
-            if find_countermodel(candidate, search) is None:
-                found.append(StableModel(t_atoms, _witness(candidate)))
-                break
-    found.sort(key=lambda m: tuple(atom_key(a) for a in m.sorted_atoms()))
+
+    def stable_in(search):
+        # a stored fact that only dropped rules read is in no stable model
+        sigma_space = _sigma_candidates(search)
+
+        def stable(t_atoms):
+            for sigma_t in sigma_space:
+                stats.candidates += 1
+                candidate = HTInterpretation.total(search.universe, sigma_t, t_atoms)
+                # total interpretations collapse both worlds, so the there-world
+                # check decides modelhood
+                if not all(s_satisfies(candidate, T, phi) for phi in search.formulas):
+                    continue
+                if find_countermodel(candidate, search) is None:
+                    return StableModel(t_atoms, _witness(candidate))
+            return None
+
+        return stable
+
+    found = search_stable(viability, upper, stable_in)
     stats.elapsed = time.perf_counter() - started
     return StableModelReport(found, stats)
+
+
+def search_stable(viability: _Viability, upper, stable_in) -> list:
+    """The candidate loop both engines share, in canonical order.
+
+    ``viability`` has run its fixpoint, whose atoms are ``upper``; the
+    search theory keeps what its last round judged possible.
+    ``stable_in(search)`` returns the engine's test on that theory, which
+    maps a there-world to its stable model or None.
+    """
+    ground = viability.ground
+    if any(phi == BOT for phi in ground.formulas):
+        return []
+    search = search_theory(ground, viability.possibly_sat)
+    stable = stable_in(search)
+    found = {}
+    for there in there_candidates(upper, lower_bound(search, upper), search.universe.bounds):
+        model = stable(there)
+        if model is not None:
+            found[tuple(sorted(map(atom_key, there)))] = model
+    return [found[key] for key in sorted(found)]
 
 
 def _witness(interp: HTInterpretation) -> Assignment:

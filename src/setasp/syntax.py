@@ -1,4 +1,5 @@
-"""Term and formula ASTs, ranks, variable binding and pretty-printing.
+"""Term and formula ASTs, ranks, variable binding, constant-term values
+and pretty-printing.
 
 Terms and formulas are stratified: a set term ``{xs : taus : phi}`` may only
 carry a body of strictly smaller rank, so evaluation of a set's body never
@@ -8,7 +9,7 @@ is stored as ``phi -> #false``.
 
 from __future__ import annotations
 
-from .values import format_value
+from .values import FinSet, HTerm, format_value
 
 AGGREGATE_NAMES = frozenset({"count", "sum", "max", "min"})
 ARITH_OPS = frozenset({"+", "-", "*", "/"})
@@ -371,6 +372,28 @@ def free_vars(node):
     if isinstance(node, _Quant):
         return free_vars(node.body) - frozenset((node.var,))
     raise TypeError(f"not a term or formula: {node!r}")
+
+
+def ground_constructor_value(term):
+    """Value of a variable-free constructor term, or None."""
+    if isinstance(term, Num):
+        return term.value
+    if isinstance(term, Val):
+        return term.value
+    if isinstance(term, HApp):
+        args = [ground_constructor_value(a) for a in term.args]
+        if any(a is None for a in args):
+            return None
+        return HTerm(term.name, args)
+    if isinstance(term, ExtSet):
+        rows = []
+        for member in term.members:
+            vals = [ground_constructor_value(t) for t in member]
+            if any(v is None for v in vals):
+                return None
+            rows.append(tuple(vals))
+        return FinSet(rows)
+    return None
 
 
 def substitute(node, sub):

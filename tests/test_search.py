@@ -80,7 +80,6 @@ def reference_search():
     with pytest.MonkeyPatch.context() as patch:
         facts_only = lambda ground, upper: ground.facts  # noqa: E731
         patch.setattr(solver, "lower_bound", facts_only)
-        patch.setattr(gz, "lower_bound", facts_only)
         patch.setattr(solver, "find_countermodel", solver._countermodel_search)
         patch.setattr(gz, "_has_smaller_model", gz._smaller_model_search)
         yield
@@ -93,7 +92,6 @@ def unrestricted_search():
     with pytest.MonkeyPatch.context() as patch:
         whole = lambda ground, possible: ground  # noqa: E731
         patch.setattr(solver, "search_theory", whole)
-        patch.setattr(gz, "search_theory", whole)
         yield
 
 
@@ -240,6 +238,22 @@ def test_instance_cap_counts_the_substitutions_enumerated():
         find_stable_models(parse_program(P1 + "s(X) :- not p(X)."), bounds)
     assert err.value.bound == "instance_cap"
     assert "more than 100 instances of" in str(err.value)
+
+
+def test_unbounded_head_instances_are_capped_by_instance_cap():
+    # 13 members overflow the subset cap, so the head ranges over the domain
+    theory = parse_program(
+        " ".join(f"q({i})." for i in range(13)) + " r(S) :- S = {1}. p({X : q(X)})."
+    )
+    bounds = DomainBounds(
+        int_min=0, int_max=12, max_tuple_arity=1, max_set_card=6, max_herbrand_depth=0
+    )
+    with pytest.raises(DomainLimitError) as err:
+        find_stable_models(theory, bounds.with_(instance_cap=4000))
+    assert err.value.bound == "instance_cap"
+    assert "6489 head instances of" in str(err.value)
+    with pytest.raises(DomainLimitError, match=r"6489 undecided atoms .*\(limit: atom_cap\)"):
+        find_stable_models(theory, bounds)
 
 
 # Declared-function applications that only dropped rules mention add no
