@@ -31,7 +31,7 @@ from .interp import (
     s_satisfies,
 )
 from .parser import Theory, parse_program
-from .solver import build_universe, find_stable_models, ground_theory
+from .solver import build_universe, find_stable_models
 from .syntax import (
     And,
     EApp,
@@ -45,12 +45,13 @@ from .syntax import (
     PredAtom,
     Val,
     Var,
+    closure_prefix,
     ground_constructor_value,
     map_terms,
     neg,
     substitute,
 )
-from .values import EMPTY_SET, UNDEF, FinSet, HTerm, finset, format_value, value_key
+from .values import EMPTY_SET, UNDEF, FinSet, HTerm, finset, format_value
 
 # ---------------------------------------------------------------------------
 # Random coherent interpretations and ground formulas
@@ -257,11 +258,7 @@ def definitional_consistency_suite(lo=0, hi=5, max_card=4):
     interp = HTInterpretation.total(universe, Assignment(), frozenset())
     ints = range(lo, hi + 1)
     for phi in theory.formulas:
-        names = []
-        matrix = phi
-        while isinstance(matrix, Forall):
-            names.append(matrix.var)
-            matrix = matrix.body
+        names, matrix = closure_prefix(phi)
         pools = [sets if name == "S" else list(ints) for name in names]
         for combo in itertools.product(*pools):
             instance = substitute(matrix, {n: Val(v) for n, v in zip(names, combo)})

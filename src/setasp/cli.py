@@ -28,7 +28,7 @@ from .gz import (
 from .parser import parse_program, theory_text
 from .solver import atom_key, find_stable_models, format_atom, ground_theory, build_universe
 from .syntax import formula_statement, pretty
-from .values import format_value, value_key, value_to_json
+from .values import format_value, value_to_json
 
 
 def _add_bounds_flags(cmd):
@@ -101,7 +101,7 @@ def _sigma_lines(sigma):
     lines = []
     for iset in sorted(sigma.sets, key=lambda s: pretty(s)):
         lines.append(f"  sigma({pretty(iset)}) = {format_value(sigma.sets[iset])}")
-    for (name, fargs) in sorted(sigma.funcs, key=lambda k: (k[0], tuple(value_key(v) for v in k[1]))):
+    for (name, fargs) in sorted(sigma.funcs, key=atom_key):
         call = name if not fargs else f"{name}({', '.join(format_value(v) for v in fargs)})"
         lines.append(f"  sigma({call}) = {format_value(sigma.funcs[(name, fargs)])}")
     return lines
@@ -119,9 +119,7 @@ def _sigma_json(sigma):
                 "args": [value_to_json(v) for v in fargs],
                 "value": value_to_json(value),
             }
-            for (name, fargs), value in sorted(
-                sigma.funcs.items(), key=lambda kv: (kv[0][0], tuple(value_key(v) for v in kv[0][1]))
-            )
+            for (name, fargs), value in sorted(sigma.funcs.items(), key=lambda kv: atom_key(kv[0]))
         ],
     }
 

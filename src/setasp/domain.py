@@ -209,12 +209,11 @@ def needs_set_layer(theory: Theory):
 class ActiveDomain:
     """The finite instantiation domain: sorted values plus lookup set."""
 
-    __slots__ = ("values", "value_set", "base", "has_set_layer")
+    __slots__ = ("values", "value_set", "has_set_layer")
 
-    def __init__(self, values, base, has_set_layer):
+    def __init__(self, values, has_set_layer):
         self.values = tuple(sorted(values, key=value_key))
         self.value_set = frozenset(values)
-        self.base = frozenset(base)
         self.has_set_layer = has_set_layer
 
     def __len__(self):
@@ -251,4 +250,4 @@ def build_active_domain(theory: Theory, bounds: DomainBounds) -> ActiveDomain:
             layered |= _set_layer(layered, bounds)
     if len(layered) > bounds.domain_cap:
         raise DomainLimitError("active domain exceeds the domain cap", "domain_cap")
-    return ActiveDomain(layered, base, len(layered) > len(base))
+    return ActiveDomain(layered, len(layered) > len(base))

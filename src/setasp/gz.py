@@ -13,9 +13,11 @@ unique subset-minimal classical model of what remains.
 The search is the equilibrium engine's: its fixpoint driver computes the
 upper bound with a classical "can hold" test (``_GZViability``), and its
 candidate loop (``solver.search_stable``) calls back into
-``cl_satisfies``, ``reduct`` and ``_has_smaller_model``.  The grounding
-stays the full ``ground_theory``, so ``cross_check`` still compares two
-instantiations and two upper bounds.
+``cl_satisfies``, ``reduct`` and ``_has_smaller_model``.  Ground atoms are
+read by ``solver.static_atom`` and the reduct's least model is
+``solver.least_model``, as in that engine.  The grounding stays the full
+``ground_theory``, so ``cross_check`` still compares two instantiations
+and two upper bounds.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .solver import (
     least_model,
     rule_view,
     search_stable,
+    static_atom,
 )
 from .syntax import (
     AGGREGATE_NAMES,
@@ -63,6 +66,7 @@ from .syntax import (
     _Bot,
     _Quant,
     _Top,
+    closure_prefix,
     conj,
     formula_statement,
     free_vars,
@@ -188,10 +192,7 @@ def is_gz_theory(theory: Theory):
     if theory.signature.func_ranges:
         return False, "declared evaluable functions are outside the GZ fragment"
     for phi in theory.formulas:
-        matrix = phi
-        while isinstance(matrix, Forall):
-            matrix = matrix.body
-        reason = _gz_formula(matrix)
+        reason = _gz_formula(closure_prefix(phi)[1])
         if reason:
             return False, reason
     return True, None
@@ -199,10 +200,6 @@ def is_gz_theory(theory: Theory):
 
 # ---------------------------------------------------------------------------
 # Classical satisfaction and the reduct
-
-
-def _static_args(atom):
-    return tuple(ground_constructor_value(a) for a in atom.args)
 
 
 def cl_satisfies(atoms, phi, universe, memo=None) -> bool:
@@ -215,8 +212,7 @@ def cl_satisfies(atoms, phi, universe, memo=None) -> bool:
     if isinstance(phi, PredAtom):
         if phi.pred in _GZ_RELS:
             return _cl_comparison(atoms, phi.pred, phi.args[0], phi.args[1], universe, memo)
-        vals = _static_args(phi)
-        return (phi.pred, vals) in atoms
+        return static_atom(phi, universe) in atoms
     if isinstance(phi, Eq):
         return _cl_comparison(atoms, "=", phi.left, phi.right, universe, memo)
     if isinstance(phi, And):
@@ -346,7 +342,7 @@ class _GZViability(_Viability):
         if isinstance(phi, PredAtom):
             if phi.pred in _GZ_RELS:
                 return self._possible_comparison(phi.pred, phi.args[0], phi.args[1])
-            return (phi.pred, _static_args(phi)) in self.atoms
+            return static_atom(phi, self.universe) in self.atoms
         if isinstance(phi, Eq):
             return self._possible_comparison("=", phi.left, phi.right)
         if isinstance(phi, And):
@@ -433,18 +429,11 @@ def gz_solve_ground(ground: GroundTheory):
     return search_stable(viability, upper, stable_in)
 
 
-def _gz_key(phi):
-    if not isinstance(phi, PredAtom) or phi.pred in RELATION_PREDS:
-        return None
-    values = _static_args(phi)
-    return None if None in values else (phi.pred, values)
-
-
 def _positive(phi):
     """Built from atoms with ``,`` and ``;`` only, so classically monotone."""
     if isinstance(phi, (And, Or)):
         return _positive(phi.left) and _positive(phi.right)
-    return isinstance(phi, _Top) or _gz_key(phi) is not None
+    return isinstance(phi, _Top) or isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS
 
 
 def _has_smaller_model(candidate, reduced, universe):
@@ -455,7 +444,7 @@ def _has_smaller_model(candidate, reduced, universe):
     that model.  Other reducts (disjunctive heads, nested implications)
     take the subset search.
     """
-    view = rule_view(reduced, _gz_key, _positive)
+    view = rule_view(reduced, universe, _positive)
     if not view.exact:
         return _smaller_model_search(candidate, reduced, universe)
 
@@ -468,7 +457,7 @@ def _has_smaller_model(candidate, reduced, universe):
 def _smaller_model_search(candidate, reduced, universe):
     """Reference minimality check: subset search below the candidate,
     smallest first, keeping the reduct's facts, which every model holds."""
-    forced = rule_view(reduced, _gz_key, _positive).facts & candidate
+    forced = rule_view(reduced, universe, _positive).facts & candidate
     free = sorted(candidate - forced, key=atom_key)
     for size in range(len(free)):
         for combo in itertools.combinations(free, size):

@@ -43,7 +43,7 @@ from .syntax import (
     substitute,
     walk,
 )
-from .values import EMPTY_SET, UNDEF, FinSet, HTerm, value_key
+from .values import EMPTY_SET, UNDEF, FinSet, HTerm
 
 H = "h"
 T = "t"
@@ -53,14 +53,17 @@ WORLDS = (H, T)
 class Universe:
     """Shared evaluation context: signature, bounds and the instantiation
     domain, plus per-universe caches of instantiated set bodies and
-    quantifier bodies (so equal ground subformulas stay shared objects)."""
+    quantifier bodies (so equal ground subformulas stay shared objects).
+    ``static`` is the empty total interpretation, which evaluates the
+    terms whose value cannot depend on any interpretation."""
 
-    __slots__ = ("signature", "bounds", "domain", "_intset_cache", "_quant_cache", "intsets")
+    __slots__ = ("signature", "bounds", "domain", "static", "_intset_cache", "_quant_cache", "intsets")
 
     def __init__(self, signature: Signature, bounds: DomainBounds, domain: ActiveDomain):
         self.signature = signature
         self.bounds = bounds
         self.domain = domain
+        self.static = HTInterpretation.total(self, Assignment(), frozenset())
         self._intset_cache = {}
         self._quant_cache = {}
         self.intsets = set()

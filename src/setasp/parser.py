@@ -185,6 +185,7 @@ def expand_sugar(rule):
 # Parser
 
 _REL_TOKENS = {"=", "!=", "<=", ">=", "<", ">", "in"}
+_FORMULA_TOKENS = {"->", ";", ",", "not", "exists", "forall", "true", "false"} | _REL_TOKENS
 
 
 class _Parser:
@@ -216,22 +217,21 @@ class _Parser:
         tok = token or self.peek()
         raise ParseError(message, tok.line, tok.column)
 
-    def _scan_for(self, targets, stops):
-        """Look ahead for one of ``targets`` at depth 0 before any stop."""
+    def _level(self, offset=0):
+        """Look ahead: the kinds of the tokens from ``offset`` on that no
+        bracket opened after it encloses, up to the bracket that closes
+        the one the scan started in, or the end of input."""
         depth = 0
-        i = self.pos
-        while i < len(self.tokens):
+        for i in range(self.pos + offset, len(self.tokens)):
             kind = self.tokens[i].kind
             if kind in ("(", "{"):
                 depth += 1
             elif kind in (")", "}"):
+                if depth == 0:
+                    return
                 depth -= 1
-            elif depth == 0 and kind in targets:
-                return True
-            elif depth == 0 and kind in stops or kind == "eof":
-                return False
-            i += 1
-        return False
+            elif depth == 0:
+                yield kind
 
     # -- statements
 
@@ -267,7 +267,8 @@ class _Parser:
             body = self.parse_formula()
             self.expect(".")
             return RawRule(head=None, body=body)
-        if self._scan_for({":="}, {":-", "."}):
+        # an assignment has its ':=' before the statement's ':-' or '.'
+        if next((k for k in self._level() if k in (":=", ":-", ".")), None) == ":=":
             app = self.parse_term()
             if not isinstance(app, (HApp, EApp)):
                 self.fail("left side of ':=' must be a function application")
@@ -332,34 +333,14 @@ class _Parser:
         if self.at("false"):
             self.next()
             return BOT
-        if self.at("(") and self._formula_parens():
+        # '(' opens a formula iff a connective or relation occurs directly
+        # inside it; otherwise it opens a term
+        if self.at("(") and any(k in _FORMULA_TOKENS for k in self._level(1)):
             self.next()
             out = self.parse_formula()
             self.expect(")")
             return out
         return self.parse_comparison()
-
-    def _formula_parens(self):
-        """Heuristic: '(' opens a formula iff a connective or relation occurs
-        at depth 1 before the matching ')'; otherwise it is a term."""
-        depth = 0
-        i = self.pos
-        while i < len(self.tokens):
-            kind = self.tokens[i].kind
-            if kind in ("(", "{"):
-                depth += 1
-            elif kind in (")", "}"):
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif depth == 1 and kind in (
-                {"->", ";", ",", "not", "exists", "forall", "true", "false"} | _REL_TOKENS
-            ):
-                return True
-            elif kind == "eof":
-                return False
-            i += 1
-        return False
 
     def parse_comparison(self):
         start = self.peek()
@@ -436,7 +417,7 @@ class _Parser:
         self.fail(f"expected a term, found {tok.text or 'end of input'!r}")
 
     def parse_term_tuple(self):
-        if self.at("(") and self._tuple_parens():
+        if self.at("(") and "," in self._level(1):
             self.next()
             items = [self.parse_term()]
             while self.at(","):
@@ -446,30 +427,12 @@ class _Parser:
             return tuple(items)
         return (self.parse_term(),)
 
-    def _tuple_parens(self):
-        depth = 0
-        i = self.pos
-        while i < len(self.tokens):
-            kind = self.tokens[i].kind
-            if kind in ("(", "{"):
-                depth += 1
-            elif kind in (")", "}"):
-                depth -= 1
-                if depth == 0:
-                    return False
-            elif depth == 1 and kind == ",":
-                return True
-            elif kind == "eof":
-                return False
-            i += 1
-        return False
-
     def parse_set(self):
         open_tok = self.expect("{")
         if self.at("}"):
             self.next()
             return ExtSet()
-        colons = self._top_level_colons()
+        colons = sum(k == ":" for k in self._level())
         if colons == 0:
             members = [self.parse_term_tuple()]
             while self.at(";"):
@@ -509,25 +472,6 @@ class _Parser:
             return IntSet(tuple(bound), head, body)
         except ValueError as exc:
             self.fail(str(exc), open_tok)
-
-    def _top_level_colons(self):
-        depth = 0
-        count = 0
-        i = self.pos
-        while i < len(self.tokens):
-            kind = self.tokens[i].kind
-            if kind in ("(", "{"):
-                depth += 1
-            elif kind in (")", "}"):
-                if depth == 0:
-                    return count
-                depth -= 1
-            elif depth == 0 and kind == ":":
-                count += 1
-            elif kind == "eof":
-                return count
-            i += 1
-        return count
 
     # -- ground values for #function ranges
 

@@ -17,9 +17,11 @@ without the rules and set-term candidates whose bodies no candidate
 inside the upper bound can satisfy.  Minimality is a least-model fixpoint
 where the rules allow it and a subset search elsewhere.
 
-The fixpoint driver (``_Viability``) and the candidate loop
-(``search_stable``) serve the reduct engine in ``gz`` too: each engine
-supplies only its own "can hold" test, model test and minimality check.
+The fixpoint driver (``_Viability``), the candidate loop
+(``search_stable``), the ground-atom reading (``static_atom``) and the
+rule fixpoint (``least_model``, which also computes the lower bound)
+serve the reduct engine in ``gz`` too: each engine supplies only its own
+"can hold" test, model test and minimality check.
 """
 
 from __future__ import annotations
@@ -68,6 +70,7 @@ from .syntax import (
     Var,
     _Bot,
     _Top,
+    closure_prefix,
     formula_statement,
     free_vars,
     pretty,
@@ -102,15 +105,7 @@ class GroundTheory:
     @cached_property
     def rules(self):
         """The formulas read as facts, rules and constraints; built once."""
-        static = HTInterpretation.total(self.universe, Assignment(), frozenset())
-        keys = {}
-
-        def key(atom):
-            if atom not in keys:
-                keys[atom] = static_atom(atom, static)
-            return keys[atom]
-
-        return rule_view(self.formulas, key, _here_monotone)
+        return rule_view(self.formulas, self.universe, _here_monotone)
 
 
 def build_universe(theory: Theory, bounds: DomainBounds) -> Universe:
@@ -132,9 +127,8 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
     formulas = []
     provenance = {}
     seen = set()
-    static = HTInterpretation.total(universe, Assignment(), frozenset())
     for phi in theory.formulas:
-        names, matrix = _closure_prefix(phi)
+        names, matrix = closure_prefix(phi)
         count = len(universe.domain) ** len(names)
         if count > universe.bounds.instance_cap:
             raise DomainLimitError(
@@ -143,7 +137,7 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
         for combo in itertools.product(universe.domain.values, repeat=len(names)):
             sub = {n: Val(v) for n, v in zip(names, combo)}
             instance = substitute(matrix, sub)
-            instance = simplify(instance, static)
+            instance = simplify(instance, universe)
             if instance is TOP or instance == TOP:
                 continue
             if instance not in seen:
@@ -151,33 +145,29 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
                 formulas.append(instance)
                 provenance[instance] = (phi, {n: v for n, v in zip(names, combo)})
                 universe.register_intsets(instance)
-    facts = {static_atom(g, static) for g in formulas} - {None}
+    facts = {static_atom(g, universe) for g in formulas} - {None}
     return GroundTheory(universe, tuple(formulas), provenance, frozenset(facts))
 
 
-def _closure_prefix(phi):
-    """The variables of a closed formula's leading ``forall`` and its matrix."""
-    names = []
-    while isinstance(phi, Forall):
-        names.append(phi.var)
-        phi = phi.body
-    return names, phi
-
-
-def static_atom(phi, static: HTInterpretation):
-    """``(pred, values)`` of a predicate atom whose arguments cannot depend
-    on the interpretation and are defined, else None."""
-    if not isinstance(phi, PredAtom) or phi.pred in RELATION_PREDS:
+def static_atom(phi, universe: Universe):
+    """The key ``(name, values)`` of a predicate atom, or of a function
+    application, whose arguments cannot depend on the interpretation and
+    are defined, else None.  Both engines read ground atoms through it."""
+    if isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
+        name = phi.pred
+    elif isinstance(phi, EApp):
+        name = phi.name
+    else:
         return None
     values = []
     for a in phi.args:
         if isinstance(a, (Val, Num)):  # what grounding leaves almost everywhere
             values.append(a.value)
-        elif _independent(a):
-            values.append(eval_term(static, T, a))
+        elif _independent(a) and (value := eval_term(universe.static, T, a)) is not UNDEF:
+            values.append(value)
         else:
             return None
-    return None if UNDEF in values else (phi.pred, tuple(values))
+    return (name, tuple(values))
 
 
 def _independent(term):
@@ -190,7 +180,7 @@ def _independent(term):
     return True
 
 
-def simplify(phi, static: HTInterpretation):
+def simplify(phi, universe: Universe):
     """Fold interpretation-independent atoms and propagate constants.
 
     ``top -> phi`` may collapse to ``phi`` because satisfaction is only
@@ -199,19 +189,19 @@ def simplify(phi, static: HTInterpretation):
     """
     if isinstance(phi, PredAtom):
         if phi.pred in RELATION_PREDS and all(_independent(a) for a in phi.args):
-            left = eval_term(static, T, phi.args[0])
-            right = eval_term(static, T, phi.args[1])
+            left = eval_term(universe.static, T, phi.args[0])
+            right = eval_term(universe.static, T, phi.args[1])
             return TOP if relation_eval(phi.pred, left, right) else BOT
         return phi
     if isinstance(phi, Eq):
         if _independent(phi.left) and _independent(phi.right):
-            left = eval_term(static, T, phi.left)
-            right = eval_term(static, T, phi.right)
+            left = eval_term(universe.static, T, phi.left)
+            right = eval_term(universe.static, T, phi.right)
             return TOP if (left is not UNDEF and left == right) else BOT
         return phi
     if isinstance(phi, And):
-        left = simplify(phi.left, static)
-        right = simplify(phi.right, static)
+        left = simplify(phi.left, universe)
+        right = simplify(phi.right, universe)
         if left == BOT or right == BOT:
             return BOT
         if left == TOP:
@@ -222,8 +212,8 @@ def simplify(phi, static: HTInterpretation):
             return phi
         return And(left, right)
     if isinstance(phi, Or):
-        left = simplify(phi.left, static)
-        right = simplify(phi.right, static)
+        left = simplify(phi.left, universe)
+        right = simplify(phi.right, universe)
         if left == TOP or right == TOP:
             return TOP
         if left == BOT:
@@ -234,8 +224,8 @@ def simplify(phi, static: HTInterpretation):
             return phi
         return Or(left, right)
     if isinstance(phi, Implies):
-        left = simplify(phi.left, static)
-        right = simplify(phi.right, static)
+        left = simplify(phi.left, universe)
+        right = simplify(phi.right, universe)
         if left == BOT or right == TOP:
             return TOP
         if left == TOP:
@@ -244,7 +234,7 @@ def simplify(phi, static: HTInterpretation):
             return phi
         return Implies(left, right)
     if isinstance(phi, (Forall, Exists)):
-        body = simplify(phi.body, static)
+        body = simplify(phi.body, universe)
         if body == TOP or body == BOT:
             return body
         if body is phi.body:
@@ -507,8 +497,7 @@ class _Instantiation(_Viability):
 
     def __init__(self, theory: Theory, universe: Universe):
         super().__init__(GroundTheory(universe, (), {}))
-        self._static = HTInterpretation.total(universe, Assignment(), frozenset())
-        self._sources = [_Source(phi, *_closure_prefix(phi)) for phi in theory.formulas]
+        self._sources = [_Source(phi, *closure_prefix(phi)) for phi in theory.formulas]
         self._formulas = []
         self._provenance = {}
         self._by_pred = {}
@@ -525,7 +514,7 @@ class _Instantiation(_Viability):
             for iset in pending:
                 universe.fix_candidates(iset, self.set_candidates(iset))
             fixed |= pending
-        facts = {static_atom(g, self._static) for g in self._formulas} - {None}
+        facts = {static_atom(g, universe) for g in self._formulas} - {None}
         self.ground = GroundTheory(
             universe, tuple(self._formulas), self._provenance, frozenset(facts)
         )
@@ -547,7 +536,7 @@ class _Instantiation(_Viability):
                 if combo in source.done:
                     continue
                 source.done.add(combo)
-                instance = simplify(substitute(source.matrix, sub), self._static)
+                instance = simplify(substitute(source.matrix, sub), self.universe)
                 if instance == TOP or instance in self._provenance:
                     continue
                 self._formulas.append(instance)
@@ -753,50 +742,45 @@ class RuleView:
     heads`` whose head is such a conjunction; constraints ``body -> bot``
     are left out.  ``exact`` holds when no formula has another shape and
     every rule body passes the engine's monotonicity test, so that the
-    least model of the rules decides minimality.  ``key`` is the atom
-    reading the view was built with.
+    least model of the rules decides minimality.
     """
 
     facts: frozenset
     rules: tuple
     exact: bool
-    key: object
 
 
-def _heads(phi, key):
+def _heads(phi, universe):
     """Atom keys of a conjunction of atoms, or None."""
     if isinstance(phi, And):
-        left = _heads(phi.left, key)
-        right = _heads(phi.right, key)
+        left = _heads(phi.left, universe)
+        right = _heads(phi.right, universe)
         return None if left is None or right is None else left | right
-    atom = key(phi)
+    atom = static_atom(phi, universe)
     return None if atom is None else frozenset((atom,))
 
 
-def rule_view(formulas, key, monotone) -> RuleView:
-    """Classify ground formulas in one pass.
-
-    ``key`` maps an atom with interpretation-independent arguments to its
-    ``(pred, values)`` and anything else to None; ``monotone`` tests
-    whether a body's truth can only grow with the atoms of a smaller
-    world below a fixed model.
+def rule_view(formulas, universe, monotone) -> RuleView:
+    """Classify ground formulas in one pass, reading atoms by
+    ``static_atom``; ``monotone`` tests whether a body's truth can only
+    grow with the atoms of a smaller world below a fixed model.
     """
     facts, rules, exact = set(), [], True
     for phi in formulas:
         if isinstance(phi, _Top):
             continue
-        heads = _heads(phi, key)
+        heads = _heads(phi, universe)
         if heads is not None:
             facts |= heads
         elif isinstance(phi, Implies) and phi.right == BOT:
             # a constraint is its body's negation, so it is tested whole
             exact = exact and monotone(phi)
-        elif isinstance(phi, Implies) and (heads := _heads(phi.right, key)) is not None:
+        elif isinstance(phi, Implies) and (heads := _heads(phi.right, universe)) is not None:
             rules.append((phi.left, heads))
             exact = exact and monotone(phi.left)
         else:
             exact = False
-    return RuleView(frozenset(facts), tuple(rules), exact, key)
+    return RuleView(frozenset(facts), tuple(rules), exact)
 
 
 def _here_monotone(phi) -> bool:
@@ -860,30 +844,25 @@ def lower_bound(ground: GroundTheory, upper) -> frozenset:
     """Atoms true in every there-model between the facts and ``upper``.
 
     Starting from the facts, a rule's heads join once its body holds in
-    every world between the bound so far and ``upper``.
+    every world between the bound so far and ``upper``: the least model of
+    the rules under ``_certain``, which only grows with the bound.
     """
-    view = ground.rules
-    bound = set(view.facts)
-    grew = True
-    while grew:
-        grew = False
-        for body, heads in view.rules:
-            if not heads <= bound and _certain(body, view.key, bound, upper):
-                bound |= heads
-                grew = True
-    return frozenset(bound)
+    view, universe = ground.rules, ground.universe
+    return least_model(
+        view.facts, view.rules, lambda lower: lambda body: _certain(body, universe, lower, upper)
+    )
 
 
-def _certain(phi, key, lower, upper) -> bool:
+def _certain(phi, universe, lower, upper) -> bool:
     """Whether ``phi`` holds in every world between ``lower`` and ``upper``,
     judged from static atoms, their negations, ``,`` and ``;``; anything
     else counts as uncertain."""
     if isinstance(phi, And):
-        return _certain(phi.left, key, lower, upper) and _certain(phi.right, key, lower, upper)
+        return _certain(phi.left, universe, lower, upper) and _certain(phi.right, universe, lower, upper)
     if isinstance(phi, Or):
-        return _certain(phi.left, key, lower, upper) or _certain(phi.right, key, lower, upper)
+        return _certain(phi.left, universe, lower, upper) or _certain(phi.right, universe, lower, upper)
     negated = isinstance(phi, Implies) and phi.right == BOT
-    atom = key(phi.left if negated else phi)
+    atom = static_atom(phi.left if negated else phi, universe)
     if atom is None:
         return False
     return atom not in upper if negated else atom in lower
@@ -972,19 +951,13 @@ def _declared_applications(ground: GroundTheory):
     if not ranges:
         return []
     apps = set()
-    static = HTInterpretation.total(universe, Assignment(), frozenset())
 
     def scan(node):
         for sub in walk(node):
             if isinstance(sub, EApp) and sub.name in ranges:
-                static_args = []
-                for a in sub.args:
-                    if _independent(a):
-                        static_args.append(eval_term(static, T, a))
-                    else:
-                        static_args.append(None)
-                if all(v is not None and v is not UNDEF for v in static_args):
-                    apps.add((sub.name, tuple(static_args)))
+                app = static_atom(sub, universe)
+                if app is not None:
+                    apps.add(app)
                 else:
                     # argument value varies: cover the whole domain
                     arity = len(sub.args)
@@ -1002,7 +975,7 @@ def _declared_applications(ground: GroundTheory):
             for t in head:
                 scan(t)
             scan(body)
-    return sorted(apps, key=lambda a: (a[0], tuple(value_key(v) for v in a[1])))
+    return sorted(apps, key=atom_key)
 
 
 def _sigma_candidates(ground: GroundTheory):
@@ -1034,7 +1007,7 @@ def _sigma_candidates(ground: GroundTheory):
 def _sub_assignments(sigma: Assignment):
     """All assignments below ``sigma``: keep-or-drop each stored fact,
     largest first so the search tries the least change first."""
-    items = sorted(sigma.funcs.items(), key=lambda kv: (kv[0][0], tuple(map(value_key, kv[0][1]))))
+    items = sorted(sigma.funcs.items(), key=lambda kv: atom_key(kv[0]))
     n = len(items)
     for dropped in range(n + 1):
         for combo in itertools.combinations(range(n), dropped):

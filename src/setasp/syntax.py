@@ -16,7 +16,6 @@ ARITH_OPS = frozenset({"+", "-", "*", "/"})
 SET_OPS = frozenset({"\\/", "/\\", "\\"})
 BUILTIN_FUNCS = ARITH_OPS | SET_OPS
 RELATION_PREDS = frozenset({"<=", ">=", "<", ">", "!=", "in"})
-RESERVED_WORDS = frozenset({"not", "in", "exists", "forall"}) | AGGREGATE_NAMES
 
 
 class _Node:
@@ -313,6 +312,15 @@ def forall(names, body):
     for name in reversed(list(names)):
         body = Forall(name, body)
     return body
+
+
+def closure_prefix(phi):
+    """The variables of a closed formula's leading ``forall`` and its matrix."""
+    names = []
+    while isinstance(phi, Forall):
+        names.append(phi.var)
+        phi = phi.body
+    return names, phi
 
 
 # ---------------------------------------------------------------------------
@@ -616,8 +624,7 @@ def pretty(node):
 
 def formula_statement(phi):
     """Render a closed formula as one program statement ``head :- body.``"""
-    while isinstance(phi, Forall):
-        phi = phi.body
+    phi = closure_prefix(phi)[1]
     if isinstance(phi, Implies) and not (phi.right is BOT or phi.right == BOT):
         return f"{_formula_str(phi.right)} :- {_formula_str(phi.left)}."
     if isinstance(phi, Implies) and (phi.right is BOT or phi.right == BOT):

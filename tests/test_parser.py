@@ -3,12 +3,16 @@ import pytest
 from setasp.errors import ParseError, SignatureError
 from setasp.parser import parse_program
 from setasp.syntax import (
+    And,
     EApp,
+    ExtSet,
     HApp,
     Eq,
     Forall,
     Implies,
     IntSet,
+    Num,
+    Or,
     PredAtom,
     Var,
 )
@@ -112,3 +116,51 @@ def test_aggregates_cannot_be_redeclared():
 def test_comments_and_whitespace():
     theory = parse_program("% a comment\np(a).  % trailing\n\n% done\n")
     assert len(theory.formulas) == 1
+
+
+def _q(name):
+    return PredAtom("q", (Var(name),))
+
+
+def _set_rule(iset):
+    return Forall("S", Implies(Eq(Var("S"), iset), PredAtom("p", (Var("S"),))))
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        # '(' opens a formula when a connective or relation sits directly inside
+        ("(p(1); q(1)).", Or(PredAtom("p", (Num(1),)), PredAtom("q", (Num(1),)))),
+        ("r :- (1 + 2) = 3.", Implies(Eq(EApp("+", (Num(1), Num(2))), Num(3)), PredAtom("r", ()))),
+        # '(' in a set opens a tuple when a comma sits directly inside
+        ("p({(1, 2); (3, 4)}).", PredAtom("p", (ExtSet([(Num(1), Num(2)), (Num(3), Num(4))]),))),
+        ("p({(1 + 2)}).", PredAtom("p", (ExtSet([(EApp("+", (Num(1), Num(2))),)]),))),
+        # one ':' at the set's own level leaves the bound variables implicit,
+        # two name them, and a nested set's ':' does not count
+        ("p(S) :- S = {X : q(X)}.", _set_rule(IntSet(("X",), (Var("X"),), _q("X")))),
+        ("p(S) :- S = {X : X : q(X)}.", _set_rule(IntSet(("X",), (Var("X"),), _q("X")))),
+        (
+            "p(S) :- S = {N : N = count{X : q(X)}}.",
+            _set_rule(
+                IntSet(
+                    ("N",),
+                    (Var("N"),),
+                    Eq(Var("N"), EApp("count", (IntSet(("X",), (Var("X"),), _q("X")),))),
+                )
+            ),
+        ),
+        # ':=' before the statement's ':-' makes an assignment, set terms and all
+        (
+            "#function f/0 : {1; 2}. f := 1 :- count{X : q(X)} = 1.",
+            Implies(
+                And(
+                    Eq(EApp("count", (IntSet(("X",), (Var("X"),), _q("X")),)), Num(1)),
+                    Eq(Num(1), Num(1)),
+                ),
+                Eq(EApp("f", ()), Num(1)),
+            ),
+        ),
+    ],
+)
+def test_lookahead_decides_brackets_colons_and_assignments(text, expected):
+    assert parse_program(text).formulas == (expected,)

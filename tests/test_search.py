@@ -61,6 +61,7 @@ FAST = [
     "p(1) :- not not p(1). q(1) :- p(1), not r(1). r(1) :- not q(1).",
     "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). :- a(1), a(2).",
     "p(1). p(2) :- p(1) ; q(1). q(X) :- p(X), not r(2). c(N) :- count{X : q(X)} = N.",
+    "p(f(a)). q(f(a)) :- p(f(a)), not r(f(a)). r(f(b)) :- not q(f(a)).",
 ]
 
 
