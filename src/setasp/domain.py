@@ -46,6 +46,8 @@ class DomainBounds:
 
     ``domain_cap``, ``atom_cap`` and ``instance_cap`` are hard guards: they
     abort construction instead of letting an enumeration explode.
+    ``atom_cap`` bounds the atoms the stable-model search decides on one
+    branch, not the number of undecided atoms.
     """
 
     max_herbrand_depth: int = 2
@@ -204,6 +206,27 @@ def needs_set_layer(theory: Theory):
                     sort = "var" if isinstance(arg, Var) else _term_sort(arg, sig)
                     position_sorts.setdefault((node.pred, i), set()).add(sort)
     return any({"var", "set"} <= sorts for sorts in position_sorts.values())
+
+
+def set_argument_functions(theory: Theory):
+    """The declared functions applied to a set-sorted argument, sorted.
+
+    ``needs_set_layer`` does not look at these arguments, so without the
+    set layer a variable in such a position never meets a set.
+    """
+    sig = theory.signature
+    if not sig.func_ranges:
+        return []
+    return sorted(
+        {
+            node.name
+            for phi in theory.formulas
+            for node in walk(phi)
+            if isinstance(node, EApp)
+            and node.name in sig.func_ranges
+            and any(_term_sort(a, sig) == "set" for a in node.args)
+        }
+    )
 
 
 class ActiveDomain:

@@ -11,10 +11,10 @@ their satisfied ground body instances, and the candidate must be the
 unique subset-minimal classical model of what remains.
 
 The search is the equilibrium engine's: its fixpoint driver computes the
-upper bound with a classical "can hold" test (``_GZViability``), and its
-candidate loop (``solver.search_stable``) calls back into
+upper bound with a classical "can hold" test (``_GZViability``), and the
+shared candidate loop (``search.search_stable``) calls back into
 ``cl_satisfies``, ``reduct`` and ``_has_smaller_model``.  Ground atoms are
-read by ``solver.static_atom`` and the reduct's least model is
+read by ``interp.static_atom`` and the reduct's least model is
 ``solver.least_model``, as in that engine.  The grounding stays the full
 ``ground_theory``, so ``cross_check`` still compares two instantiations
 and two upper bounds.
@@ -28,20 +28,18 @@ from dataclasses import dataclass
 
 from .domain import DomainBounds
 from .errors import NotGZError
-from .interp import aggregate_eval, relation_eval
+from .interp import aggregate_eval, atom_key, relation_eval, static_atom
 from .parser import Theory, parse_program
+from .search import search_stable
 from .solver import (
     GroundTheory,
     _Viability,
-    atom_key,
     build_universe,
     find_stable_models,
     format_atom,
     ground_theory,
     least_model,
     rule_view,
-    search_stable,
-    static_atom,
 )
 from .syntax import (
     AGGREGATE_NAMES,

@@ -43,7 +43,7 @@ from .syntax import (
     substitute,
     walk,
 )
-from .values import EMPTY_SET, UNDEF, FinSet, HTerm
+from .values import EMPTY_SET, UNDEF, FinSet, HTerm, value_key
 
 H = "h"
 T = "t"
@@ -55,15 +55,20 @@ class Universe:
     domain, plus per-universe caches of instantiated set bodies and
     quantifier bodies (so equal ground subformulas stay shared objects).
     ``static`` is the empty total interpretation, which evaluates the
-    terms whose value cannot depend on any interpretation."""
+    terms whose value cannot depend on any interpretation, and
+    ``atom_keys`` holds what ``static_atom`` read from each atom."""
 
-    __slots__ = ("signature", "bounds", "domain", "static", "_intset_cache", "_quant_cache", "intsets")
+    __slots__ = (
+        "signature", "bounds", "domain", "static", "atom_keys",
+        "_intset_cache", "_quant_cache", "intsets",
+    )
 
     def __init__(self, signature: Signature, bounds: DomainBounds, domain: ActiveDomain):
         self.signature = signature
         self.bounds = bounds
         self.domain = domain
         self.static = HTInterpretation.total(self, Assignment(), frozenset())
+        self.atom_keys = {}
         self._intset_cache = {}
         self._quant_cache = {}
         self.intsets = set()
@@ -124,6 +129,7 @@ class Universe:
         shared; a set term not instantiated yet is built in full on
         demand."""
         copy = Universe(self.signature, self.bounds, self.domain)
+        copy.atom_keys = self.atom_keys
         copy._quant_cache = self._quant_cache
         copy.intsets = self.intsets
         copy._intset_cache = {
@@ -529,3 +535,50 @@ def interp_leq(i1: HTInterpretation, i2: HTInterpretation) -> bool:
         and i1.atoms_h <= i2.atoms_h
         and i1.sigma_h.leq(i2.sigma_h)
     )
+
+
+# ---------------------------------------------------------------------------
+# Ground atoms
+
+
+def atom_key(atom):
+    pred, args = atom
+    return (pred, tuple(value_key(a) for a in args))
+
+
+def static_atom(phi, universe: Universe):
+    """The key ``(name, values)`` of a predicate atom, or of a function
+    application, whose arguments cannot depend on the interpretation and
+    are defined, else None.  Both engines read ground atoms through it,
+    and each atom is read once per universe."""
+    if isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
+        name = phi.pred
+    elif isinstance(phi, EApp):
+        name = phi.name
+    else:
+        return None
+    keys = universe.atom_keys
+    key = keys.get(phi, keys)  # the dict itself marks an atom not read yet
+    if key is not keys:
+        return key
+    values = []
+    for a in phi.args:
+        if isinstance(a, (Val, Num)):  # what grounding leaves almost everywhere
+            values.append(a.value)
+        elif _independent(a) and (value := eval_term(universe.static, T, a)) is not UNDEF:
+            values.append(value)
+        else:
+            keys[phi] = None
+            return None
+    key = keys[phi] = (name, tuple(values))
+    return key
+
+
+def _independent(term):
+    """True when the term's value cannot depend on the interpretation."""
+    for node in walk(term):
+        if isinstance(node, (Var, IntSet)):
+            return False
+        if isinstance(node, EApp) and node.name not in BUILTIN_FUNCS and node.name not in AGGREGATE_NAMES:
+            return False
+    return True

@@ -1,7 +1,7 @@
 """Grounding, model checking and equilibrium (stable-model) search.
 
-The search enumerates total candidates ``(sigma, T)`` and keeps those with
-no strictly smaller here-world model.  ``T`` ranges between two bounds.
+The search tests total candidates ``(sigma, T)`` and keeps those with no
+strictly smaller here-world model.  ``T`` ranges between two bounds.
 The upper bound is the set of *possibly-true* atoms: a fixpoint of
 ground-rule head instances whose bodies are optimistically satisfiable.
 An atom outside it has no support in any rule chain, so dropping it
@@ -12,45 +12,48 @@ instantiating each variable from its binding occurrences in a rule body
 (``_Instantiation``); ``ground_theory`` is the full grounding over the
 active domain that ``solve_ground`` takes as a reference.  The lower
 bound holds the atoms that rules with statically decidable bodies force
-into every model.  The search itself runs on a copy of the ground theory
-without the rules and set-term candidates whose bodies no candidate
-inside the upper bound can satisfy.  Minimality is a least-model fixpoint
-where the rules allow it and a subset search elsewhere.
+into every model.  The ``search`` module decides the atoms between the
+bounds one at a time and tests only the leaves of that search.
+Minimality is a least-model fixpoint where the rules allow it and a
+subset search elsewhere.
 
-The fixpoint driver (``_Viability``), the candidate loop
-(``search_stable``), the ground-atom reading (``static_atom``) and the
-rule fixpoint (``least_model``, which also computes the lower bound)
-serve the reduct engine in ``gz`` too: each engine supplies only its own
-"can hold" test, model test and minimality check.
+The support fixpoint (``_Viability``), the rule view (``rule_view``) and
+the rule fixpoint (``least_model``) serve the reduct engine in ``gz``
+too, as do the ground-atom reading (``interp.static_atom``) and the
+candidate loop (``search.search_stable``): each engine supplies only its
+own "can hold" test, model test and minimality check.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .domain import DomainBounds, build_active_domain
-from .errors import DomainLimitError, RangeDeclarationError
+from .domain import DomainBounds, build_active_domain, set_argument_functions
+from .errors import DomainLimitError, RangeDeclarationError, SetAspError
 from .interp import (
     H,
     T,
     Assignment,
     HTInterpretation,
     Universe,
+    _independent,
     aggregate_eval,
+    atom_key,
     builtin_func_eval,
     eval_term,
     is_coherent,
     relation_eval,
     s_satisfies,
+    static_atom,
 )
 from .parser import Theory
+from .search import search_stable
 from .syntax import (
     AGGREGATE_NAMES,
     BOT,
-    BUILTIN_FUNCS,
     RELATION_PREDS,
     TOP,
     And,
@@ -78,11 +81,6 @@ from .syntax import (
     walk,
 )
 from .values import UNDEF, FinSet, HTerm, format_value, value_key
-
-
-def atom_key(atom):
-    pred, args = atom
-    return (pred, tuple(value_key(a) for a in args))
 
 
 def format_atom(atom):
@@ -147,37 +145,6 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
                 universe.register_intsets(instance)
     facts = {static_atom(g, universe) for g in formulas} - {None}
     return GroundTheory(universe, tuple(formulas), provenance, frozenset(facts))
-
-
-def static_atom(phi, universe: Universe):
-    """The key ``(name, values)`` of a predicate atom, or of a function
-    application, whose arguments cannot depend on the interpretation and
-    are defined, else None.  Both engines read ground atoms through it."""
-    if isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
-        name = phi.pred
-    elif isinstance(phi, EApp):
-        name = phi.name
-    else:
-        return None
-    values = []
-    for a in phi.args:
-        if isinstance(a, (Val, Num)):  # what grounding leaves almost everywhere
-            values.append(a.value)
-        elif _independent(a) and (value := eval_term(universe.static, T, a)) is not UNDEF:
-            values.append(value)
-        else:
-            return None
-    return (name, tuple(values))
-
-
-def _independent(term):
-    """True when the term's value cannot depend on the interpretation."""
-    for node in walk(term):
-        if isinstance(node, (Var, IntSet)):
-            return False
-        if isinstance(node, EApp) and node.name not in BUILTIN_FUNCS and node.name not in AGGREGATE_NAMES:
-            return False
-    return True
 
 
 def simplify(phi, universe: Universe):
@@ -739,14 +706,17 @@ class RuleView:
 
     ``facts`` are the atoms of the formulas that are conjunctions of
     atoms; ``rules`` holds ``(body, heads)`` for every formula ``body ->
-    heads`` whose head is such a conjunction; constraints ``body -> bot``
-    are left out.  ``exact`` holds when no formula has another shape and
-    every rule body passes the engine's monotonicity test, so that the
-    least model of the rules decides minimality.
+    heads`` whose head is such a conjunction; ``constraints`` holds the
+    body of every formula ``body -> bot``, and ``others`` every formula of
+    another shape.  ``exact`` holds when there are no others and every
+    rule body and constraint passes the engine's monotonicity test, so
+    that the least model of the rules decides minimality.
     """
 
     facts: frozenset
     rules: tuple
+    constraints: tuple
+    others: tuple
     exact: bool
 
 
@@ -765,7 +735,7 @@ def rule_view(formulas, universe, monotone) -> RuleView:
     ``static_atom``; ``monotone`` tests whether a body's truth can only
     grow with the atoms of a smaller world below a fixed model.
     """
-    facts, rules, exact = set(), [], True
+    facts, rules, constraints, others, exact = set(), [], [], [], True
     for phi in formulas:
         if isinstance(phi, _Top):
             continue
@@ -774,13 +744,16 @@ def rule_view(formulas, universe, monotone) -> RuleView:
             facts |= heads
         elif isinstance(phi, Implies) and phi.right == BOT:
             # a constraint is its body's negation, so it is tested whole
+            constraints.append(phi.left)
             exact = exact and monotone(phi)
         elif isinstance(phi, Implies) and (heads := _heads(phi.right, universe)) is not None:
             rules.append((phi.left, heads))
             exact = exact and monotone(phi.left)
         else:
-            exact = False
-    return RuleView(frozenset(facts), tuple(rules), exact)
+            others.append(phi)
+    return RuleView(
+        frozenset(facts), tuple(rules), tuple(constraints), tuple(others), exact and not others
+    )
 
 
 def _here_monotone(phi) -> bool:
@@ -838,66 +811,6 @@ def least_model(facts, rules, here):
         model |= derived
         pending = [rule for rule in waiting if not rule[1] <= model]
     return model
-
-
-def lower_bound(ground: GroundTheory, upper) -> frozenset:
-    """Atoms true in every there-model between the facts and ``upper``.
-
-    Starting from the facts, a rule's heads join once its body holds in
-    every world between the bound so far and ``upper``: the least model of
-    the rules under ``_certain``, which only grows with the bound.
-    """
-    view, universe = ground.rules, ground.universe
-    return least_model(
-        view.facts, view.rules, lambda lower: lambda body: _certain(body, universe, lower, upper)
-    )
-
-
-def _certain(phi, universe, lower, upper) -> bool:
-    """Whether ``phi`` holds in every world between ``lower`` and ``upper``,
-    judged from static atoms, their negations, ``,`` and ``;``; anything
-    else counts as uncertain."""
-    if isinstance(phi, And):
-        return _certain(phi.left, universe, lower, upper) and _certain(phi.right, universe, lower, upper)
-    if isinstance(phi, Or):
-        return _certain(phi.left, universe, lower, upper) or _certain(phi.right, universe, lower, upper)
-    negated = isinstance(phi, Implies) and phi.right == BOT
-    atom = static_atom(phi.left if negated else phi, universe)
-    if atom is None:
-        return False
-    return atom not in upper if negated else atom in lower
-
-
-def search_theory(ground: GroundTheory, possible) -> GroundTheory:
-    """The copy of ``ground`` that the search runs on.
-
-    ``possible(phi)`` must hold whenever ``phi`` is true at the there-world
-    of some candidate inside the engine's upper bound.  A formula ``B ->
-    X`` whose body fails that test is satisfied at both worlds of every
-    candidate, since a body false at the there-world is false at every
-    here-world below it, so it is dropped, constraints included.  The
-    same argument drops a set-term candidate whose body cannot hold: it
-    never contributes a member.  Atoms, bounds and registered set terms
-    are shared, so models and witnesses stay those of ``ground``.
-    """
-    formulas = tuple(
-        phi for phi in ground.formulas if not isinstance(phi, Implies) or possible(phi.left)
-    )
-    return replace(ground, universe=ground.universe.restricted(possible), formulas=formulas)
-
-
-def there_candidates(upper, lower, bounds: DomainBounds):
-    """The there-worlds to try: ``lower`` plus each subset of the
-    undecided atoms ``upper - lower``, which ``atom_cap`` bounds."""
-    undecided = sorted(upper - lower, key=atom_key)
-    if len(undecided) > bounds.atom_cap:
-        raise DomainLimitError(
-            f"{len(undecided)} undecided atoms is too many to enumerate", "atom_cap"
-        )
-    return (
-        lower | frozenset(a for i, a in enumerate(undecided) if mask >> i & 1)
-        for mask in range(1 << len(undecided))
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -1111,6 +1024,13 @@ def find_stable_models(theory: Theory, bounds: DomainBounds = None) -> StableMod
             f"no #function range declared for: {', '.join(sorted(missing))}"
         )
     universe = build_universe(theory, bounds)
+    if not bounds.full_domain and not universe.domain.has_set_layer:
+        narrowed = set_argument_functions(theory)
+        if narrowed:
+            raise SetAspError(
+                f"declared function {', '.join(narrowed)} takes set arguments but the "
+                "active domain has no set layer; pass --full-domain"
+            )
     return _solve(_Instantiation(theory, universe))
 
 
@@ -1147,27 +1067,6 @@ def _solve(viability: _Viability) -> StableModelReport:
     found = search_stable(viability, upper, stable_in)
     stats.elapsed = time.perf_counter() - started
     return StableModelReport(found, stats)
-
-
-def search_stable(viability: _Viability, upper, stable_in) -> list:
-    """The candidate loop both engines share, in canonical order.
-
-    ``viability`` has run its fixpoint, whose atoms are ``upper``; the
-    search theory keeps what its last round judged possible.
-    ``stable_in(search)`` returns the engine's test on that theory, which
-    maps a there-world to its stable model or None.
-    """
-    ground = viability.ground
-    if any(phi == BOT for phi in ground.formulas):
-        return []
-    search = search_theory(ground, viability.possibly_sat)
-    stable = stable_in(search)
-    found = {}
-    for there in there_candidates(upper, lower_bound(search, upper), search.universe.bounds):
-        model = stable(there)
-        if model is not None:
-            found[tuple(sorted(map(atom_key, there)))] = model
-    return [found[key] for key in sorted(found)]
 
 
 def _witness(interp: HTInterpretation) -> Assignment:

@@ -31,6 +31,11 @@ class Undef:
     def __repr__(self):
         return "u"
 
+    def __hash__(self):
+        # constant, so sets holding UNDEF iterate alike in every process;
+        # equality stays identity
+        return 0x0DEF
+
     def __reduce__(self):
         return (Undef, ())
 

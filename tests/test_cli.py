@@ -128,10 +128,10 @@ def test_atom_cap_exits_2(tmp_path, capsys):
     program = tmp_path / "choice.lp"
     program.write_text(
         "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X).\n"
-        + " ".join(f"d({i})." for i in range(10))
+        + " ".join(f"d({i})." for i in range(19))
     )
     for mode in ("equilibrium", "gz"):
-        code, _, err = run(capsys, "solve", str(program), "--mode", mode, "--max-int", "9")
+        code, _, err = run(capsys, "solve", str(program), "--mode", mode, "--max-int", "18")
         assert code == 2
         assert "(limit: atom_cap)" in err
 
@@ -201,3 +201,19 @@ def test_gz_mode_rejects_non_gz_theory(capsys):
     )
     assert code == 2
     assert "set name" in err
+
+
+def test_set_arguments_without_the_set_layer_exit_2(tmp_path, capsys):
+    program = tmp_path / "count.lp"
+    program.write_text(
+        "#function c/1 : {0; 1}. q(1). c({}) := 0.\n"
+        "c(S) := 1 + c(S \\ {Y}) :- Y in S. p(N) :- N = c({X : q(X)}).\n"
+    )
+    flags = ["--min-int", "0", "--max-int", "1", "--max-set-card", "1", "--max-arity", "1"]
+    code, out, err = run(capsys, "solve", str(program), *flags)
+    assert code == 2
+    assert out == ""
+    assert "declared function c" in err and "--full-domain" in err
+    code, out, _ = run(capsys, "solve", str(program), *flags, "--full-domain")
+    assert code == 0
+    assert "{p(1), q(1)}" in out

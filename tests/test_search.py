@@ -1,26 +1,29 @@
-"""The fast search (lower bound plus least-model minimality check) against
-the reference search (facts-only forcing plus subset search), the search
-restricted to what the upper bound can reach against the search over the
-whole ground theory, and the binding-driven instantiation against the
-theory grounded in full."""
+"""The fast search (branching with propagation plus least-model
+minimality check) against the reference search (every subset of the
+atoms between the facts and the upper bound plus subset search), branching
+against the mask enumeration from the root bounds, the search restricted
+to what the upper bound can reach against the search over the whole
+ground theory, and the binding-driven instantiation against the theory
+grounded in full."""
 
 import random
 from contextlib import contextmanager
+from functools import cache
 
 import pytest
 
 from setasp import DomainBounds, parse_program
-from setasp import gz, solver
+from setasp import gz, search, solver
 from setasp.checks import random_zero_rank_program
 from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
+from setasp.search import lower_bound
 from setasp.solver import (
     _TOP_MARK,
     _Viability,
     build_universe,
     find_stable_models,
     ground_theory,
-    lower_bound,
     relevant_atoms,
     solve_ground,
 )
@@ -77,12 +80,23 @@ def _gz(text, bounds):
 
 @contextmanager
 def reference_search():
-    """Both engines on facts-only forcing and the subset search."""
+    """Both engines on every subset between the facts and the upper bound,
+    and the subset search."""
     with pytest.MonkeyPatch.context() as patch:
         facts_only = lambda ground, upper: ground.facts  # noqa: E731
-        patch.setattr(solver, "lower_bound", facts_only)
+        patch.setattr(search, "branch_leaves", search.there_candidates)
+        patch.setattr(search, "lower_bound", facts_only)
         patch.setattr(solver, "find_countermodel", solver._countermodel_search)
         patch.setattr(gz, "_has_smaller_model", gz._smaller_model_search)
+        yield
+
+
+@contextmanager
+def mask_search():
+    """Both engines on every subset between the root bounds instead of
+    branching."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "branch_leaves", search.there_candidates)
         yield
 
 
@@ -92,12 +106,25 @@ def unrestricted_search():
     candidate."""
     with pytest.MonkeyPatch.context() as patch:
         whole = lambda ground, possible: ground  # noqa: E731
-        patch.setattr(solver, "search_theory", whole)
+        patch.setattr(search, "search_theory", whole)
         yield
 
 
+@cache
+def _generated(generator, seed):
+    rng = random.Random(seed)
+    return tuple(generator(rng) for _ in range(1000))
+
+
+@cache
+def _fast(programs, engines, bounds):
+    """The fast search's answers, shared by the comparisons that use the
+    same programs."""
+    return [[engine(text, bounds) for engine in engines] for text in programs]
+
+
 def _compare(programs, engines, bounds, baseline=reference_search):
-    fast = [[engine(text, bounds) for engine in engines] for text in programs]
+    fast = _fast(tuple(programs), engines, bounds)
     with baseline():
         reference = [[engine(text, bounds) for engine in engines] for text in programs]
     mismatches = [text for text, a, b in zip(programs, fast, reference) if a != b]
@@ -105,15 +132,11 @@ def _compare(programs, engines, bounds, baseline=reference_search):
 
 
 def test_fast_search_matches_reference_on_generated_gz_programs():
-    rng = random.Random(20)
-    programs = [random_gz_program(rng) for _ in range(1000)]
-    _compare(programs, (_eq, _gz), GENERATOR_BOUNDS)
+    _compare(_generated(random_gz_program, 20), (_eq, _gz), GENERATOR_BOUNDS)
 
 
 def test_fast_search_matches_reference_on_generated_zero_rank_programs():
-    rng = random.Random(21)
-    programs = [random_zero_rank_program(rng) for _ in range(1000)]
-    _compare(programs, (_eq,), ZERO_RANK_BOUNDS)
+    _compare(_generated(random_zero_rank_program, 21), (_eq,), ZERO_RANK_BOUNDS)
 
 
 def test_fast_search_matches_reference_on_fixed_programs():
@@ -122,15 +145,27 @@ def test_fast_search_matches_reference_on_fixed_programs():
     _compare(gz_programs, (_gz,), FIXED_BOUNDS)
 
 
+def test_branching_matches_masks_on_generated_gz_programs():
+    _compare(_generated(random_gz_program, 20), (_eq, _gz), GENERATOR_BOUNDS, mask_search)
+
+
+def test_branching_matches_masks_on_generated_zero_rank_programs():
+    _compare(_generated(random_zero_rank_program, 21), (_eq,), ZERO_RANK_BOUNDS, mask_search)
+
+
+def test_branching_matches_masks_on_fixed_programs():
+    _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, mask_search)
+    gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
+    _compare(gz_programs, (_gz,), FIXED_BOUNDS, mask_search)
+
+
 def test_restricted_search_matches_whole_on_generated_gz_programs():
-    rng = random.Random(22)
-    programs = [random_gz_program(rng) for _ in range(1000)]
+    programs = _generated(random_gz_program, 22)
     _compare(programs, (_eq, _gz), GENERATOR_BOUNDS, unrestricted_search)
 
 
 def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
-    rng = random.Random(23)
-    programs = [random_zero_rank_program(rng) for _ in range(1000)]
+    programs = _generated(random_zero_rank_program, 23)
     _compare(programs, (_eq,), ZERO_RANK_BOUNDS, unrestricted_search)
 
 
@@ -148,19 +183,21 @@ def test_p1_search_keeps_only_what_the_upper_bound_reaches():
         searched = []
         with pytest.MonkeyPatch.context() as patch:
 
-            def recorded(ground, possible, original=solver.search_theory):
+            def recorded(ground, possible, original=search.search_theory):
                 searched.append((ground, original(ground, possible)))
                 return searched[-1][1]
 
-            patch.setattr(solver, "search_theory", recorded)
+            patch.setattr(search, "search_theory", recorded)
             report = find_stable_models(theory, bounds.with_(int_max=max_int))
-        ((instances, search),) = searched
+        ((instances, restricted),) = searched
         assert len(instances.formulas) <= 11
-        assert len(search.formulas) <= 11
-        assert search.universe.intsets is instances.universe.intsets
-        sizes = {str(s): len(c) for s, c in search.universe._intset_cache.items()}
+        assert len(restricted.formulas) <= 11
+        assert restricted.universe.intsets is instances.universe.intsets
+        sizes = {str(s): len(c) for s, c in restricted.universe._intset_cache.items()}
         assert sizes == {"{X : r(X)}": 2, "{X : q(X)}": 2}
-        assert report.stats.candidates == 32
+        # five undecided atoms, less the branch with no p atom, which
+        # leaves q(2) unsupported
+        assert report.stats.candidates == 31
         assert report.atom_sets() == [
             {atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}
         ]
@@ -353,15 +390,60 @@ def test_lower_bound_holds_what_every_candidate_forces():
     assert lower_bound(ground, relevant_atoms(ground)) == {atom("d", 1), atom("c", 1)}
 
 
-EVEN_CHOICE = "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X).\n" + " ".join(
-    f"d({i})." for i in range(10)
-)
-TEN_INTS = DomainBounds(int_min=0, int_max=9, max_herbrand_depth=0)
+def even_choice(n):
+    """``n`` independent even negation loops: 2^n stable models."""
+    return "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X).\n" + " ".join(
+        f"d({i})." for i in range(n)
+    )
+
+
+def ints(n):
+    return DomainBounds(int_min=0, int_max=n - 1, max_herbrand_depth=0)
 
 
 @pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
 def test_atom_cap_counts_undecided_atoms(engine):
+    # nineteen loops need nineteen decisions on every branch
     with pytest.raises(DomainLimitError) as err:
-        engine(parse_program(EVEN_CHOICE), TEN_INTS)
+        engine(parse_program(even_choice(19)), ints(19))
     assert err.value.bound == "atom_cap"
-    assert "20 undecided atoms" in str(err.value)
+    assert "38 undecided atoms need more than 18 decisions on one branch" in str(err.value)
+
+
+def _leaves(engine, text, bounds):
+    """The answer of ``engine`` and the there-worlds its search tested."""
+    tested = []
+
+    def counted(viability, upper, stable_in, original=search.search_stable):
+        def counting_in(theory):
+            stable = stable_in(theory)
+
+            def count(there):
+                tested.append(there)
+                return stable(there)
+
+            return count
+
+        return original(viability, upper, counting_in)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "search_stable", counted)
+        patch.setattr(gz, "search_stable", counted)
+        answer = engine(parse_program(text), bounds)
+    return answer, tested
+
+
+def test_branching_tests_one_leaf_per_choice_model():
+    report, tested = _leaves(find_stable_models, even_choice(9), ints(9))
+    assert len(report.models) == 512
+    assert report.stats.candidates == len(tested) == 512
+    models, tested = _leaves(gz_stable_models, even_choice(9), ints(9))
+    assert len(models) == len(tested) == 512
+
+
+def test_branching_solves_past_the_old_atom_cap():
+    # twenty undecided atoms aborted the mask enumeration
+    assert len(find_stable_models(parse_program(even_choice(10)), ints(10)).models) == 1024
+    assert len(gz_stable_models(parse_program(even_choice(10)), ints(10))) == 1024
+    with mask_search(), pytest.raises(DomainLimitError, match="20 undecided atoms"):
+        find_stable_models(parse_program(even_choice(10)), ints(10))

@@ -1,7 +1,7 @@
 import pytest
 
 from setasp import DomainBounds, parse_program
-from setasp.errors import RangeDeclarationError
+from setasp.errors import RangeDeclarationError, SetAspError
 from setasp.interp import H, T, Assignment, HTInterpretation, coherence_closure
 from setasp.solver import (
     build_universe,
@@ -329,3 +329,22 @@ def test_double_negation_behaves_like_a_choice():
 
 def test_bare_double_negation_is_unstable():
     assert solved("not not p(a).", **NO_INTS) == []
+
+
+# ``c`` takes sets, but nothing makes the active domain build its set
+# layer, so without it ``S`` would never range over a set.
+SET_ARGUMENT_COUNT = (
+    "#function c/1 : {0; 1}. q(1). c({}) := 0. "
+    "c(S) := 1 + c(S \\ {Y}) :- Y in S. p(N) :- N = c({X : q(X)})."
+)
+
+
+def test_set_arguments_without_the_set_layer_raise():
+    theory = parse_program(SET_ARGUMENT_COUNT)
+    bounds = DomainBounds(
+        int_min=0, int_max=1, max_set_card=1, max_tuple_arity=1, max_herbrand_depth=0
+    )
+    with pytest.raises(SetAspError, match=r"declared function c .*--full-domain"):
+        find_stable_models(theory, bounds)
+    report = find_stable_models(theory, bounds.with_(full_domain=True))
+    assert report.atom_sets() == [{atom("p", 1), atom("q", 1)}]

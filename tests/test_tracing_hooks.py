@@ -24,6 +24,8 @@ def test_tracer_hooks_reach_both_engines(monkeypatch):
         tracer.uninstall()
     totals = tracer.take_pass()
     assert tracer.absent == set()
+    # branching tests one there-world per stable model here
+    assert totals["solver.there_candidates"] == totals["solver.stable_models"] == 4
     for name in (
         "solver.relevant_atoms",
         "gz.relevant_atoms",

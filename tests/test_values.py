@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -79,3 +84,17 @@ def test_json_encoding_tags_sets_and_keeps_tuples_as_arrays():
     assert set(encoded) == {"set"}
     assert encoded["set"] == [["a", 1], ["b", 2]]
     assert value_to_json(HTerm("f", (2,))) == {"fn": "f", "args": [2]}
+
+
+def test_undef_hashes_alike_in_every_process():
+    src = Path(__file__).resolve().parent.parent / "src"
+    script = "from setasp.values import UNDEF; print(hash(UNDEF))"
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", script],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(printed) == 1
