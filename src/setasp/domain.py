@@ -9,13 +9,16 @@ actually reach a variable (bounded integers and Herbrand terms, ground
 values written in the program, declared function ranges), plus one or more
 layers of finite sets over that base when some variable can be compared
 against a set-valued term.  ``full_domain`` replaces this demand-driven
-choice with the literal bounded universe at ``max_set_rank``.
+choice with the literal bounded universe at ``max_set_rank``.  The base is
+built eagerly; the set layers are counted and tested by structure, and
+enumerated only when something ranges over the whole domain.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import BoundsError, DomainLimitError
@@ -46,6 +49,8 @@ class DomainBounds:
 
     ``domain_cap``, ``atom_cap`` and ``instance_cap`` are hard guards: they
     abort construction instead of letting an enumeration explode.
+    ``domain_cap`` bounds the base values when the domain is built, and the
+    whole domain, set layers included, only when something enumerates it.
     ``atom_cap`` bounds the atoms the stable-model search decides on one
     branch, not the number of undecided atoms.
     """
@@ -112,36 +117,33 @@ def _herbrand_depth(v):
 def _set_layer(base, bounds: DomainBounds):
     """All finite sets of tuples over ``base`` within the card/arity bounds."""
     layer = {EMPTY_SET}
-    base_sorted = sorted(base, key=value_key)
-    n = len(base_sorted)
     for arity in range(1, bounds.max_tuple_arity + 1):
-        tuple_count = n**arity
-        expected = sum(
-            math.comb(tuple_count, k) for k in range(1, min(bounds.max_set_card, tuple_count) + 1)
-        )
-        if expected > bounds.domain_cap:
-            raise DomainLimitError(
-                f"set layer over {n} values at arity {arity} has {expected} sets; "
-                "lower max_set_card, max_tuple_arity or the base domain",
-                "domain_cap",
-            )
-        tuples = sorted(itertools.product(base_sorted, repeat=arity), key=value_key)
+        tuples = list(itertools.product(base, repeat=arity))
         for card in range(1, min(bounds.max_set_card, len(tuples)) + 1):
-            for combo in itertools.combinations(tuples, card):
-                layer.add(FinSet(combo))
+            layer.update(map(FinSet, itertools.combinations(tuples, card)))
     return layer
+
+
+def _layer_size(m, bounds: DomainBounds):
+    """How many sets ``_set_layer`` makes over ``m`` values: the empty set
+    plus, per tuple arity ``a``, every nonempty set of at most
+    ``max_set_card`` of the ``m**a`` tuples.  The sum stops once it
+    passes ``sys.maxsize``, the most ``len`` can report."""
+    size = 1
+    for a in range(1, bounds.max_tuple_arity + 1):
+        tuples = m**a
+        for k in range(1, min(bounds.max_set_card, tuples) + 1):
+            size += math.comb(tuples, k)
+            if size > sys.maxsize:
+                return size
+    return size
 
 
 def build_domain_level(sig: Signature, bounds: DomainBounds, i: int):
     """The bounded universe at stratum ``i``: sets of tuples added ``i`` times."""
     if i > bounds.max_set_rank:
         raise ValueError(f"level {i} exceeds max_set_rank={bounds.max_set_rank}")
-    values = _herbrand_terms(sig, bounds)
-    for _ in range(i):
-        values = values | _set_layer(values, bounds)
-        if len(values) > bounds.domain_cap:
-            raise DomainLimitError("bounded universe exceeds the domain cap", "domain_cap")
-    return frozenset(values)
+    return ActiveDomain(_herbrand_terms(sig, bounds), bounds, i).value_set
 
 
 # ---------------------------------------------------------------------------
@@ -230,23 +232,82 @@ def set_argument_functions(theory: Theory):
 
 
 class ActiveDomain:
-    """The finite instantiation domain: sorted values plus lookup set."""
+    """The finite instantiation domain: eager base values plus ``rank``
+    set layers over them, tested by structure and enumerated on demand.
 
-    __slots__ = ("values", "value_set", "has_set_layer")
+    The domain at rank ``k > 0`` is the base plus every set, within
+    ``max_set_card`` and ``max_tuple_arity``, of same-arity tuples over the
+    domain at rank ``k - 1``, which it therefore contains.  ``v in
+    domain`` checks that structure and ``len`` counts it (up to
+    ``sys.maxsize``), neither enumerating a set; ``values`` (in ``value_key`` order) and
+    ``value_set`` build it on first use.  ``has_set_layer`` says whether
+    the layers add a value the base lacks.
+    """
 
-    def __init__(self, values, has_set_layer):
-        self.values = tuple(sorted(values, key=value_key))
-        self.value_set = frozenset(values)
-        self.has_set_layer = has_set_layer
+    __slots__ = ("bounds", "rank", "has_set_layer", "_base", "_size", "_values", "_value_set")
+
+    def __init__(self, base, bounds: DomainBounds, rank):
+        self.bounds = bounds
+        self.rank = rank
+        self._base = frozenset(base)
+        size = len(self._base)
+        for k in range(1, rank + 1):
+            if size > sys.maxsize:
+                break  # a higher rank only adds values
+            size = _layer_size(size, bounds) + sum(not self._in_layer(v, k) for v in self._base)
+        self._size = size
+        self.has_set_layer = size > len(self._base)
+        self._values = self._value_set = None
+
+    def _in_layer(self, v, k):
+        """``v`` is a set over the domain at rank ``k - 1`` within the bounds."""
+        return (
+            isinstance(v, FinSet)
+            and len(v) <= self.bounds.max_set_card
+            and (v.arity or 0) <= self.bounds.max_tuple_arity
+            and all(
+                e in self._base or (k > 1 and self._in_layer(e, k - 1))
+                for t in v.tuples
+                for e in t
+            )
+        )
+
+    def __contains__(self, v):
+        return v in self._base or (self.rank > 0 and self._in_layer(v, self.rank))
+
+    def values_for(self, what):
+        """``values``; when the set layers make them more than ``domain_cap``,
+        raise before enumerating, naming ``what()``, the variable or term
+        that ranges over them."""
+        if self._values is None:
+            if self._size > self.bounds.domain_cap:
+                size = self._size if self._size <= sys.maxsize else f"more than {sys.maxsize}"
+                raise DomainLimitError(
+                    f"{what()} needs {size} domain values, set layers included; "
+                    "lower max_set_card, max_tuple_arity or the base domain",
+                    "domain_cap",
+                )
+            values = set(self._base)
+            for _ in range(self.rank):
+                values |= _set_layer(values, self.bounds)
+            self._values = tuple(sorted(values, key=value_key))
+        return self._values
+
+    @property
+    def values(self):
+        return self.values_for(lambda: "enumerating the domain")
+
+    @property
+    def value_set(self):
+        if self._value_set is None:
+            self._value_set = frozenset(self.values)
+        return self._value_set
 
     def __len__(self):
-        return len(self.values)
+        return min(self._size, sys.maxsize)
 
     def __iter__(self):
         return iter(self.values)
-
-    def __contains__(self, v):
-        return v in self.value_set
 
 
 def build_active_domain(theory: Theory, bounds: DomainBounds) -> ActiveDomain:
@@ -267,10 +328,7 @@ def build_active_domain(theory: Theory, bounds: DomainBounds) -> ActiveDomain:
         for v in values:
             _value_components(v, base)
 
-    layered = set(base)
-    if bounds.max_set_rank > 0 and (bounds.full_domain or needs_set_layer(theory)):
-        for _ in range(bounds.max_set_rank):
-            layered |= _set_layer(layered, bounds)
-    if len(layered) > bounds.domain_cap:
+    if len(base) > bounds.domain_cap:
         raise DomainLimitError("active domain exceeds the domain cap", "domain_cap")
-    return ActiveDomain(layered, len(layered) > len(base))
+    layered = bounds.full_domain or needs_set_layer(theory)
+    return ActiveDomain(base, bounds, bounds.max_set_rank if layered else 0)

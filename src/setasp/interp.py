@@ -40,6 +40,7 @@ from .syntax import (
     Var,
     _Bot,
     _Top,
+    pretty,
     substitute,
     walk,
 )
@@ -85,13 +86,14 @@ class Universe:
         if cached is not None:
             return cached
         n = len(iset.bound)
-        if len(self.domain) ** n > self.bounds.instance_cap:
+        values = self.domain.values_for(lambda: f"variable {', '.join(iset.bound)} of {iset!r}")
+        if len(values) ** n > self.bounds.instance_cap:
             raise DomainLimitError(
-                f"set term {iset!r} has {len(self.domain)}^{n} candidate tuples",
+                f"set term {iset!r} has {len(values)}^{n} candidate tuples",
                 "instance_cap",
             )
         out = []
-        for combo in itertools.product(self.domain.values, repeat=n):
+        for combo in itertools.product(values, repeat=n):
             sub = {name: Val(v) for name, v in zip(iset.bound, combo)}
             head = tuple(substitute(t, sub) for t in iset.head)
             body = substitute(iset.body, sub)
@@ -114,9 +116,8 @@ class Universe:
         cached = self._quant_cache.get(phi)
         if cached is not None:
             return cached
-        out = tuple(
-            substitute(phi.body, {phi.var: Val(v)}) for v in self.domain.values
-        )
+        values = self.domain.values_for(lambda: f"variable {phi.var} of {pretty(phi)!r}")
+        out = tuple(substitute(phi.body, {phi.var: Val(v)}) for v in values)
         self._quant_cache[phi] = out
         for body in out:
             self.register_intsets(body)

@@ -127,12 +127,13 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
     seen = set()
     for phi in theory.formulas:
         names, matrix = closure_prefix(phi)
-        count = len(universe.domain) ** len(names)
+        values = universe.domain.values_for(lambda: _ranging(names, phi)) if names else ()
+        count = len(values) ** len(names)
         if count > universe.bounds.instance_cap:
             raise DomainLimitError(
                 f"{count} instances for {formula_statement(phi)!r}", "instance_cap"
             )
-        for combo in itertools.product(universe.domain.values, repeat=len(names)):
+        for combo in itertools.product(values, repeat=len(names)):
             sub = {n: Val(v) for n, v in zip(names, combo)}
             instance = substitute(matrix, sub)
             instance = simplify(instance, universe)
@@ -420,12 +421,13 @@ class _Viability:
             combos = self._combos(phi.args)
             if combos is _TOP_MARK:
                 arity = len(phi.args)
-                count = len(self.universe.domain) ** arity
+                values = self.universe.domain.values_for(lambda: f"head {pretty(phi)!r}")
+                count = len(values) ** arity
                 if count > self.universe.bounds.instance_cap:
                     raise DomainLimitError(
                         f"{count} head instances of {pretty(phi)!r}", "instance_cap"
                     )
-                combos = itertools.product(self.universe.domain.values, repeat=arity)
+                combos = itertools.product(values, repeat=arity)
             for combo in combos:
                 if UNDEF not in combo:
                     self._derive((phi.pred, tuple(combo)))
@@ -561,8 +563,9 @@ class _Instantiation(_Viability):
             if i == len(plan):
                 out.append(sub)
                 if len(out) > cap:
-                    what = formula_statement(source) if isinstance(source, Formula) else source
-                    raise DomainLimitError(f"more than {cap} instances of {what!r}", "instance_cap")
+                    raise DomainLimitError(
+                        f"more than {cap} instances of {_text(source)!r}", "instance_cap"
+                    )
                 return
             kind, arg = plan[i]
             if kind == "atom":
@@ -575,16 +578,27 @@ class _Instantiation(_Viability):
                 name, term = arg
                 values = self.possible_values(substitute(term, sub))
                 if values is _TOP_MARK:
-                    values = domain.values
+                    values = domain.values_for(lambda: _ranging((name,), source))
                 else:
                     values = [v for v in values if v is not UNDEF and v in domain]
             else:
-                name, values = arg, domain.values
+                name, values = arg, domain.values_for(lambda: _ranging((arg,), source))
             for v in values:
                 extend(i + 1, {**sub, name: Val(v)})
 
         extend(0, {})
         return out
+
+
+def _text(source):
+    """A formula as its program statement; a set term as itself."""
+    return formula_statement(source) if isinstance(source, Formula) else source
+
+
+def _ranging(names, source):
+    """The variables ``names`` of ``source``, a formula or set term, named
+    as what ranges over the whole domain."""
+    return f"variable {', '.join(names)} of {_text(source)!r}"
 
 
 class _Source:
@@ -874,11 +888,12 @@ def _declared_applications(ground: GroundTheory):
                 else:
                     # argument value varies: cover the whole domain
                     arity = len(sub.args)
-                    if len(universe.domain) ** arity > universe.bounds.instance_cap:
+                    values = universe.domain.values_for(lambda: f"application {pretty(sub)!r}")
+                    if len(values) ** arity > universe.bounds.instance_cap:
                         raise DomainLimitError(
                             f"cannot enumerate applications of {sub.name}", "instance_cap"
                         )
-                    for combo in itertools.product(universe.domain.values, repeat=arity):
+                    for combo in itertools.product(values, repeat=arity):
                         apps.add((sub.name, combo))
 
     for phi in ground.formulas:

@@ -136,6 +136,23 @@ def test_atom_cap_exits_2(tmp_path, capsys):
         assert "(limit: atom_cap)" in err
 
 
+def test_p1_solves_at_the_default_bounds(capsys):
+    code, out, _ = run(capsys, "solve", str(PROGRAMS / "p1.lp"))
+    golden = (PROGRAMS / "expected" / "p1.solve.txt").read_text().splitlines(keepends=True)
+    assert code == 0
+    assert out == "".join(line for line in golden if not line.lstrip().startswith("sigma"))
+
+
+def test_set_layer_too_large_to_enumerate_exits_2_naming_the_variable(tmp_path, capsys):
+    program = tmp_path / "q.lp"
+    program.write_text("q({1}). p(S) :- not q(S).\n")
+    code, out, err = run(capsys, "solve", str(program))
+    assert code == 2
+    assert out == ""
+    assert "variable S of 'p(S) :- not q(S).'" in err
+    assert err.rstrip().endswith("(limit: domain_cap)")
+
+
 def test_transform_command(capsys):
     code, out, _ = run(capsys, "transform", str(PROGRAMS / "p2.lp"), "--position", "0")
     assert code == 0

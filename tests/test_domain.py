@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from setasp.domain import (
+    ActiveDomain,
     DomainBounds,
     build_active_domain,
     build_domain_level,
@@ -10,7 +11,7 @@ from setasp.domain import (
 )
 from setasp.errors import BoundsError, DomainLimitError, SetAspError
 from setasp.parser import parse_program
-from setasp.values import EMPTY_SET, FinSet, HTerm, finset
+from setasp.values import EMPTY_SET, FinSet, HTerm, finset, value_key
 
 from conftest import P1, P3
 
@@ -142,3 +143,58 @@ def test_active_domain_includes_components_of_written_values():
     active = build_active_domain(theory, bounds)
     assert finset([7, 9]) in active.value_set
     assert 7 in active.value_set and 9 in active.value_set
+
+
+# ---------------------------------------------------------------------------
+# the lazy set layer against its own enumeration
+
+# Grid bases are prefixes of this list: a written set first, then its
+# member and a constant, so {1} is written and, from two values on, also
+# a layer member that ``len`` must count once.
+GRID_BASE = [finset([1]), 1, HTerm("a")]
+GRID_LIMIT = 5000
+
+
+def test_lazy_domain_agrees_with_its_enumeration():
+    checked = 0
+    for rank, card, arity, n in itertools.product(range(3), range(3), range(3), range(4)):
+        bounds = DomainBounds(max_set_rank=3, max_set_card=card, max_tuple_arity=arity)
+        domain = ActiveDomain(GRID_BASE[:n], bounds, rank)
+        if len(domain) > GRID_LIMIT:
+            continue
+        values = domain.values
+        assert list(values) == sorted(values, key=value_key)
+        assert len(domain) == len(domain.value_set) == len(values)
+        # the next rank, and the same rank one card and one arity wider
+        probes = set(values)
+        for wider in (bounds, bounds.with_(max_set_card=card + 1, max_tuple_arity=arity + 1)):
+            universe = ActiveDomain(GRID_BASE[:n], wider, rank + 1 - (wider is not bounds))
+            if len(universe) <= GRID_LIMIT:
+                probes.update(universe.values)
+        assert [v for v in probes if (v in domain) != (v in domain.value_set)] == []
+        checked += len(probes) > len(values)
+    assert checked >= 90
+
+
+def test_set_layer_is_counted_and_tested_without_enumerating():
+    # p1 at the default bounds: millions of sets, none of them built
+    domain = build_active_domain(parse_program(P1), DomainBounds())
+    assert domain.has_set_layer
+    assert len(domain) > DomainBounds().domain_cap
+    assert finset([1, 2]) in domain and FinSet([(1, 2), (3, 4)]) in domain
+    assert finset([1, 2, 3, 4, 5]) not in domain  # above max_set_card
+    assert FinSet([(1, 2, 3)]) not in domain  # above max_tuple_arity
+    assert finset([finset([1])]) not in domain  # above max_set_rank
+    assert domain._values is None
+    with pytest.raises(DomainLimitError, match=r"\(limit: domain_cap\)"):
+        domain.values
+
+
+def test_set_layer_that_adds_no_value_is_no_set_layer():
+    # with no members allowed the layer is {}, which P3 already writes
+    bounds = DomainBounds(int_min=0, int_max=2, max_herbrand_depth=0, full_domain=True)
+    theory = parse_program(P3)
+    empty_only = build_active_domain(theory, bounds.with_(max_set_card=0))
+    assert not empty_only.has_set_layer
+    assert len(empty_only) == 5  # 0..3 and {}
+    assert build_active_domain(theory, bounds.with_(max_set_card=1)).has_set_layer

@@ -13,7 +13,7 @@ from functools import cache
 import pytest
 
 from setasp import DomainBounds, parse_program
-from setasp import gz, search, solver
+from setasp import domain, gz, search, solver
 from setasp.checks import random_zero_rank_program
 from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
@@ -198,6 +198,19 @@ def test_p1_search_keeps_only_what_the_upper_bound_reaches():
         # five undecided atoms, less the branch with no p atom, which
         # leaves q(2) unsupported
         assert report.stats.candidates == 31
+        assert report.atom_sets() == [
+            {atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}
+        ]
+
+
+def test_p1_solve_never_builds_the_set_layer(monkeypatch):
+    def refuse(base, bounds):
+        raise AssertionError("the solve enumerated the set layer")
+
+    monkeypatch.setattr(domain, "_set_layer", refuse)
+    theory = parse_program(P1)
+    for bounds in (DomainBounds(int_min=1, int_max=5), DomainBounds(int_max=5), DomainBounds()):
+        report = find_stable_models(theory, bounds)
         assert report.atom_sets() == [
             {atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}
         ]

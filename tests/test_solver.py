@@ -1,7 +1,7 @@
 import pytest
 
 from setasp import DomainBounds, parse_program
-from setasp.errors import RangeDeclarationError, SetAspError
+from setasp.errors import DomainLimitError, RangeDeclarationError, SetAspError
 from setasp.interp import H, T, Assignment, HTInterpretation, coherence_closure
 from setasp.solver import (
     build_universe,
@@ -348,3 +348,35 @@ def test_set_arguments_without_the_set_layer_raise():
         find_stable_models(theory, bounds)
     report = find_stable_models(theory, bounds.with_(full_domain=True))
     assert report.atom_sets() == [{atom("p", 1), atom("q", 1)}]
+
+
+# At the default bounds ``q({1})`` and ``r(S) :- q(S)`` bring in a set
+# layer of millions of sets.  Whatever has to range over all of it fails
+# on ``domain_cap``, naming itself, before enumerating a set.
+SET_LAYER = "q({1}). r(S) :- q(S). " + " ".join(f"c({i})." for i in range(13)) + " "
+WHOLE_DOMAIN = [
+    ("p(S) :- not q(S).", "variable S of 'p(S) :- not q(S).'"),
+    ("s(S) :- S = {X : c(X)}.", "variable S of 's(S) :- S = {X : c(X)}.'"),
+    ("p({X : c(X)}).", "head 'p({X : c(X)})'"),
+    ("p(1) :- exists Y (q(Y)).", "variable Y of 'exists Y (q(Y))'"),
+    ("#function f/1 : {0; 1}. p(1) :- f({X : r(X)}) = 1.", "application 'f({X : r(X)})'"),
+]
+
+
+@pytest.mark.parametrize("text,named", WHOLE_DOMAIN)
+def test_enumerating_too_large_a_set_layer_names_what_needed_it(text, named):
+    with pytest.raises(DomainLimitError) as err:
+        find_stable_models(parse_program(SET_LAYER + text), DomainBounds())
+    assert err.value.bound == "domain_cap"
+    assert str(err.value).startswith(f"{named} needs ")
+
+
+def test_set_term_over_too_large_a_set_layer_names_its_variable():
+    theory = parse_program(SET_LAYER)
+    universe = build_universe(theory, DomainBounds())
+    iset = IntSet(("X",), (Var("X"),), PredAtom("q", (Var("X"),)))
+    with pytest.raises(DomainLimitError, match=r"^variable X of \{X : q\(X\)\} needs "):
+        universe.intset_candidates(iset)
+    theory = parse_program("q({1}). p(S, T) :- q(S), q(T).")
+    with pytest.raises(DomainLimitError, match=r"^variable S, T of 'p\(S, T\) :- "):
+        ground_theory(theory, build_universe(theory, DomainBounds()))
