@@ -244,7 +244,9 @@ class ActiveDomain:
     the layers add a value the base lacks.
     """
 
-    __slots__ = ("bounds", "rank", "has_set_layer", "_base", "_size", "_values", "_value_set")
+    __slots__ = (
+        "bounds", "rank", "has_set_layer", "_base", "_size", "_values", "_value_set", "_ints"
+    )
 
     def __init__(self, base, bounds: DomainBounds, rank):
         self.bounds = bounds
@@ -257,7 +259,7 @@ class ActiveDomain:
             size = _layer_size(size, bounds) + sum(not self._in_layer(v, k) for v in self._base)
         self._size = size
         self.has_set_layer = size > len(self._base)
-        self._values = self._value_set = None
+        self._values = self._value_set = self._ints = None
 
     def _in_layer(self, v, k):
         """``v`` is a set over the domain at rank ``k - 1`` within the bounds."""
@@ -296,6 +298,14 @@ class ActiveDomain:
     @property
     def values(self):
         return self.values_for(lambda: "enumerating the domain")
+
+    @property
+    def ints(self):
+        """The integers of the domain, in order: every value that a term
+        ``_term_sort`` calls "int" can take, other than undefined."""
+        if self._ints is None:
+            self._ints = tuple(sorted(v for v in self._base if isinstance(v, int)))
+        return self._ints
 
     @property
     def value_set(self):

@@ -15,7 +15,7 @@ upper bound with a classical "can hold" test (``_GZViability``), and the
 shared candidate loop (``search.search_stable``) calls back into
 ``cl_satisfies``, ``reduct`` and ``_has_smaller_model``.  Ground atoms are
 read by ``interp.static_atom`` and the reduct's least model is
-``solver.least_model``, as in that engine.  The grounding stays the full
+``rules.least_model``, as in that engine.  The grounding stays the full
 ``ground_theory``, so ``cross_check`` still compares two instantiations
 and two upper bounds.
 """
@@ -30,6 +30,7 @@ from .domain import DomainBounds
 from .errors import NotGZError
 from .interp import aggregate_eval, atom_key, relation_eval, static_atom
 from .parser import Theory, parse_program
+from .rules import least_model, rule_view
 from .search import search_stable
 from .solver import (
     GroundTheory,
@@ -38,8 +39,6 @@ from .solver import (
     find_stable_models,
     format_atom,
     ground_theory,
-    least_model,
-    rule_view,
 )
 from .syntax import (
     AGGREGATE_NAMES,
@@ -449,7 +448,7 @@ def _has_smaller_model(candidate, reduced, universe):
     def here(atoms):
         return lambda body: cl_satisfies(atoms, body, universe)
 
-    return least_model(view.facts, view.rules, here) != candidate
+    return least_model(view.facts, view.rules, here, universe) != candidate
 
 
 def _smaller_model_search(candidate, reduced, universe):

@@ -17,11 +17,11 @@ bounds one at a time and tests only the leaves of that search.
 Minimality is a least-model fixpoint where the rules allow it and a
 subset search elsewhere.
 
-The support fixpoint (``_Viability``), the rule view (``rule_view``) and
-the rule fixpoint (``least_model``) serve the reduct engine in ``gz``
-too, as do the ground-atom reading (``interp.static_atom``) and the
-candidate loop (``search.search_stable``): each engine supplies only its
-own "can hold" test, model test and minimality check.
+The support fixpoint (``_Viability``) serves the reduct engine in ``gz``
+too, as do the rule view and rule fixpoint (``rules``), the ground-atom
+reading (``interp.static_atom``) and the candidate loop
+(``search.search_stable``): each engine supplies only its own "can hold"
+test, model test and minimality check.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .domain import DomainBounds, build_active_domain, set_argument_functions
+from .domain import DomainBounds, _term_sort, build_active_domain, set_argument_functions
 from .errors import DomainLimitError, RangeDeclarationError, SetAspError
 from .interp import (
     H,
@@ -50,6 +50,7 @@ from .interp import (
     static_atom,
 )
 from .parser import Theory
+from .rules import least_model, rule_view
 from .search import search_stable
 from .syntax import (
     AGGREGATE_NAMES,
@@ -237,22 +238,34 @@ class _Viability:
         self.atoms = set(ground.facts)
         self._values = {}
         self._sat = {}
+        self._fresh = ground.formulas
 
     def run(self):
-        """The fixpoint.  The caches stay filled in its last round, which
-        added nothing, so later queries read the final atoms."""
+        """The fixpoint.  A round collects heads from the instances it
+        makes (``_round``) and from those still pending.  An instance
+        retires once ``_collect_heads`` has collected all it ever will:
+        every body on the way to its heads has passed ``possibly_sat`` and
+        every head is a static atom.  This is sound because
+        ``possibly_sat`` and ``possible_values`` only grow as the atoms
+        grow, so a body that passed once passes in every later round.
+
+        The caches are emptied at the start of each round.  The last
+        round adds no atom and judges only the pending bodies; later
+        queries, such as ``search_theory`` asking about the rest, are
+        answered on demand against the final atoms."""
+        pending = ()
         while True:
             self._values.clear()
             self._sat.clear()
             before = len(self.atoms)
-            for phi in self._round():
-                self._collect_heads(phi)
+            pending = [phi for phi in (*pending, *self._round()) if not self._collect_heads(phi)]
             if len(self.atoms) == before:
                 return frozenset(self.atoms)
 
     def _round(self):
-        """The formulas whose heads this round collects."""
-        return self.ground.formulas
+        """The instances new this round: the whole ground theory, once."""
+        fresh, self._fresh = self._fresh, ()
+        return fresh
 
     def _derive(self, atom):
         self.atoms.add(atom)
@@ -415,9 +428,16 @@ class _Viability:
     # -- head collection
 
     def _collect_heads(self, phi):
+        """Derive the heads of ``phi`` whose bodies can hold; return
+        whether no later round can derive more from it: every body on the
+        way passed and every head is a static atom."""
         if isinstance(phi, PredAtom):
             if phi.pred in RELATION_PREDS:
-                return
+                return True
+            atom = static_atom(phi, self.universe)
+            if atom is not None:
+                self._derive(atom)
+                return True
             combos = self._combos(phi.args)
             if combos is _TOP_MARK:
                 arity = len(phi.args)
@@ -431,15 +451,16 @@ class _Viability:
             for combo in combos:
                 if UNDEF not in combo:
                     self._derive((phi.pred, tuple(combo)))
-        elif isinstance(phi, (And, Or)):
-            self._collect_heads(phi.left)
-            self._collect_heads(phi.right)
-        elif isinstance(phi, Implies):
-            if self.possibly_sat(phi.left):
-                self._collect_heads(phi.right)
-        elif isinstance(phi, (Forall, Exists)):
-            for body in self.universe.quantifier_instances(phi):
-                self._collect_heads(body)
+            return False
+        if isinstance(phi, (And, Or)):
+            left = self._collect_heads(phi.left)
+            return self._collect_heads(phi.right) and left
+        if isinstance(phi, Implies):
+            return self.possibly_sat(phi.left) and self._collect_heads(phi.right)
+        if isinstance(phi, (Forall, Exists)):
+            bodies = self.universe.quantifier_instances(phi)
+            return all([self._collect_heads(body) for body in bodies])
+        return True
 
 
 class _Instantiation(_Viability):
@@ -454,26 +475,30 @@ class _Instantiation(_Viability):
     Every value is also an active-domain value, so every instance is one
     that ``ground_theory`` makes as well.
 
-    A round instantiates the substitutions not seen yet, then collects
-    heads.  What a plan enumerates depends only on the atoms of the
-    predicates it reads, so a formula is enumerated again, and a set
-    term's candidates are rebuilt, only once a round starts with more
-    atoms of those predicates than the round that last did so.  A round
-    that adds no atom ends the fixpoint: its instantiation already saw the
-    final atoms.  ``ground`` is then the theory of the instances made, and
-    the universe holds the candidates of every set term they mention.
+    The rounds are semi-naive.  A round enumerates, for each formula,
+    only the substitutions that use an atom derived since the formula was
+    last enumerated (``_new_substitutions``), and collects heads from the
+    instances it makes and from those still pending.  A set term's
+    candidates grow the same way when it is next asked for them.  A round
+    that adds no atom ends the fixpoint: every substitution that the
+    final atoms allow has been made.  ``ground`` is then the theory of the
+    instances made, and the universe holds the candidates of every set
+    term they mention.
     """
 
     def __init__(self, theory: Theory, universe: Universe):
         super().__init__(GroundTheory(universe, (), {}))
-        self._sources = [_Source(phi, *closure_prefix(phi)) for phi in theory.formulas]
+        self._sources = []
+        for phi in theory.formulas:
+            names, matrix = closure_prefix(phi)
+            body = matrix.left if isinstance(matrix, Implies) else None
+            sets = any(isinstance(node, IntSet) for node in walk(matrix))
+            self._sources.append((_Source(phi, names, body), matrix, sets))
         self._formulas = []
         self._provenance = {}
         self._by_pred = {}
-        self._counts = {}  # atoms per predicate when the round started
-        self._candidates = {}  # set term -> (stamp, candidates)
-        self._set_plans = {}
-        self._set_instances = {}
+        self._set_sources = {}  # set term -> (source, whether it nests set terms)
+        self._candidates = {}  # set term -> its candidates so far
 
     def run(self):
         atoms = super().run()
@@ -489,31 +514,26 @@ class _Instantiation(_Viability):
         )
         return atoms
 
-    def _stamp(self, reads):
-        return tuple(self._counts.get(key, 0) for key in reads)
-
     def _round(self):
-        self._counts = {key: len(values) for key, values in self._by_pred.items()}
-        for source in self._sources:
-            stamp = self._stamp(source.reads)
-            if stamp == source.stamp:
-                continue
-            source.stamp = stamp
+        """Instantiate the new substitutions; the instances made."""
+        start = len(self._formulas)
+        for source, matrix, sets in self._sources:
             names = source.names
-            for sub in self._substitutions(source.plan, source.formula):
+            for sub in self._new_substitutions(source)[0]:
                 combo = tuple(map(sub.__getitem__, names))
                 if combo in source.done:
                     continue
-                source.done.add(combo)
-                instance = simplify(substitute(source.matrix, sub), self.universe)
+                source.done[combo] = None
+                instance = simplify(substitute(matrix, sub), self.universe)
                 if instance == TOP or instance in self._provenance:
                     continue
                 self._formulas.append(instance)
                 self._provenance[instance] = (
-                    source.formula, {n: v.value for n, v in zip(names, combo)}
+                    source.subject, {n: v.value for n, v in zip(names, combo)}
                 )
-                self.universe.register_intsets(instance)
-        return self._formulas
+                if sets:
+                    self.universe.register_intsets(instance)
+        return self._formulas[start:]
 
     def _derive(self, atom):
         if atom not in self.atoms:
@@ -522,19 +542,17 @@ class _Instantiation(_Viability):
             self._by_pred.setdefault((pred, len(values)), []).append(values)
 
     def set_candidates(self, iset):
-        planned = self._set_plans.get(iset)
+        planned = self._set_sources.get(iset)
         if planned is None:
-            plan = _binding_plan(iset.bound, iset.body)
             nested = any(isinstance(n, IntSet) for n in walk(iset) if n is not iset)
-            planned = self._set_plans[iset] = (plan, _reads(plan), nested)
-        plan, reads, nested = planned
-        stamp = self._stamp(reads)
-        cached = self._candidates.get(iset)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        made = self._set_instances.setdefault(iset, {})
-        out = []
-        for sub in self._substitutions(plan, iset):
+            planned = self._set_sources[iset] = (_Source(iset, iset.bound, iset.body), nested)
+        source, nested = planned
+        subs, whole = self._new_substitutions(source)
+        if not subs and not whole:
+            return self._candidates[iset]
+        made = source.done
+        out = [] if whole else list(self._candidates[iset])
+        for sub in subs:
             combo = tuple(map(sub.__getitem__, iset.bound))
             pair = made.get(combo)
             if pair is None:
@@ -547,30 +565,80 @@ class _Instantiation(_Viability):
                     for t in pair[0]:
                         self.universe.register_intsets(t)
             out.append(pair)
-        out = tuple(out)
-        self._candidates[iset] = (stamp, out)
+        out = self._candidates[iset] = tuple(out)
         return out
 
-    def _substitutions(self, plan, source):
-        """The substitutions ``plan`` allows under the current atoms, as
-        name -> ``Val`` maps; more than ``instance_cap`` of them raise,
-        naming ``source``, the formula or set term instantiated."""
+    def _new_substitutions(self, source):
+        """The substitutions of ``source`` that the atoms derived since its
+        last enumeration allow, and whether they are all that the current
+        atoms allow.
+
+        ``_by_pred`` lists only grow at their ends, so the atoms a key had
+        then are a prefix of its list.  While only keys that atom steps
+        read have grown, a new substitution uses at least one atom past
+        its prefix (``_substitutions`` with ``since``).  Once a key that
+        an equality step's term reads grows, say through a set term or an
+        aggregate, a term's possible values may have grown too, and every
+        substitution is enumerated again; ``done`` keeps what was made.
+        ``count`` holds the substitutions that ``instance_cap`` counts:
+        those of every enumeration since the last full one."""
+        counts = {key: len(self._by_pred.get(key, ())) for key in source.reads}
+        if counts == source.stamp:
+            return (), False
+        since = source.stamp
+        if since is not None and any(since[key] != counts[key] for key in source.eq_reads):
+            since = None
+        if since is None:
+            source.count = 0
+        source.stamp = counts
+        subs = self._substitutions(source, since, source.count)
+        source.count += len(subs)
+        return subs, since is None
+
+    def _substitutions(self, source, since=None, counted=0):
+        """The substitutions ``source``'s plan allows under the current
+        atoms, as name -> ``Val`` maps; with ``since``, the atom count of
+        each key at an earlier enumeration, only those that use an atom
+        past that count.  Those are, for each atom step with such atoms,
+        the substitutions where the earlier atom steps match old atoms,
+        the step itself a new one and the later steps any.  More than
+        ``instance_cap`` substitutions, ``counted`` earlier ones included,
+        raise, naming the formula or set term instantiated."""
+        plan = source.plan
         domain = self.universe.domain
         cap = self.universe.bounds.instance_cap
+        left = cap - counted
+        lists = {
+            i: self._by_pred.get(_key(arg), ()) for i, (kind, arg) in enumerate(plan)
+            if kind == "atom"
+        }
+        everything = {i: (0, len(atoms)) for i, atoms in lists.items()}
+        if since is None:
+            windows = [everything]
+        else:
+            old = {i: since[_key(plan[i][1])] for i in lists}
+            windows = [
+                {i: (0, old[i]) if i < j else (old[j], end) if i == j else everything[i]
+                 for i in lists}
+                for j, (_, end) in everything.items()
+                if old[j] < end
+            ]
         out = []
 
         def extend(i, sub):
             if i == len(plan):
                 out.append(sub)
-                if len(out) > cap:
+                if len(out) > left:
                     raise DomainLimitError(
-                        f"more than {cap} instances of {_text(source)!r}", "instance_cap"
+                        f"more than {cap} instances of {_text(source.subject)!r}",
+                        "instance_cap",
                     )
                 return
             kind, arg = plan[i]
             if kind == "atom":
-                for values in self._by_pred.get((arg.pred, len(arg.args)), ()):
-                    bound = _match(arg.args, values, sub, domain)
+                atoms = lists[i]
+                for k in range(*window[i]):
+                    bound = _match(arg.args, atoms[k], sub, domain)
                     if bound is not None:
                         extend(i + 1, bound)
                 return
@@ -578,16 +646,27 @@ class _Instantiation(_Viability):
                 name, term = arg
                 values = self.possible_values(substitute(term, sub))
                 if values is _TOP_MARK:
-                    values = domain.values_for(lambda: _ranging((name,), source))
+                    # an integer-sorted term takes no set or Herbrand value
+                    values = (
+                        domain.ints
+                        if _term_sort(term, self.universe.signature) == "int"
+                        else domain.values_for(lambda: _ranging((name,), source.subject))
+                    )
                 else:
                     values = [v for v in values if v is not UNDEF and v in domain]
             else:
-                name, values = arg, domain.values_for(lambda: _ranging((arg,), source))
+                name = arg
+                values = domain.values_for(lambda: _ranging((name,), source.subject))
             for v in values:
                 extend(i + 1, {**sub, name: Val(v)})
 
-        extend(0, {})
+        for window in windows:
+            extend(0, {})
         return out
+
+
+def _key(atom):
+    return atom.pred, len(atom.args)
 
 
 def _text(source):
@@ -602,20 +681,23 @@ def _ranging(names, source):
 
 
 class _Source:
-    """One closed formula of the theory and its instantiation so far:
-    the plan, the ``(pred, arity)`` keys it reads, their atom counts when
-    it was last enumerated, and the substitutions already made."""
+    """One closed formula or ground set term and its instantiation so far:
+    the binding plan for its variables ``names``, the ``(pred, arity)``
+    keys the plan reads and those its equality steps read, their atom
+    counts at the last enumeration (``stamp``), the substitutions that
+    ``instance_cap`` counts, and the variable values already made
+    (``done``, for a set term mapped to its candidate)."""
 
-    __slots__ = ("formula", "names", "matrix", "plan", "reads", "stamp", "done")
+    __slots__ = ("subject", "names", "plan", "reads", "eq_reads", "stamp", "count", "done")
 
-    def __init__(self, formula, names, matrix):
-        self.formula = formula
+    def __init__(self, subject, names, body):
+        self.subject = subject
         self.names = names
-        self.matrix = matrix
-        self.plan = _binding_plan(names, matrix.left if isinstance(matrix, Implies) else None)
-        self.reads = _reads(self.plan)
+        self.plan = _binding_plan(names, body)
+        self.reads, self.eq_reads = _reads(self.plan)
         self.stamp = None
-        self.done = set()
+        self.count = 0
+        self.done = {}
 
 
 def _binding_plan(names, body):
@@ -668,17 +750,18 @@ def _binding_plan(names, body):
 
 def _reads(plan):
     """The ``(pred, arity)`` keys of the atoms whose values ``plan``
-    depends on: those its atom steps match and those the terms of its
-    equality steps mention, set bodies included."""
-    keys = set()
+    depends on, and those of them that the terms of its equality steps
+    mention, set bodies included."""
+    keys, eq_keys = set(), set()
     for kind, arg in plan:
-        nodes = (arg,) if kind == "atom" else walk(arg[1]) if kind == "eq" else ()
-        keys.update(
-            (n.pred, len(n.args))
-            for n in nodes
-            if isinstance(n, PredAtom) and n.pred not in RELATION_PREDS
-        )
-    return tuple(sorted(keys))
+        if kind == "atom":
+            keys.add(_key(arg))
+        elif kind == "eq":
+            eq_keys.update(
+                _key(n) for n in walk(arg[1])
+                if isinstance(n, PredAtom) and n.pred not in RELATION_PREDS
+            )
+    return tuple(sorted(keys | eq_keys)), tuple(sorted(eq_keys))
 
 
 def _match(args, values, sub, domain):
@@ -711,63 +794,7 @@ def relevant_atoms(ground):
 
 
 # ---------------------------------------------------------------------------
-# Rules, the lower bound and least models
-
-
-@dataclass(frozen=True)
-class RuleView:
-    """Ground formulas read as rules ``body -> heads`` over atom keys.
-
-    ``facts`` are the atoms of the formulas that are conjunctions of
-    atoms; ``rules`` holds ``(body, heads)`` for every formula ``body ->
-    heads`` whose head is such a conjunction; ``constraints`` holds the
-    body of every formula ``body -> bot``, and ``others`` every formula of
-    another shape.  ``exact`` holds when there are no others and every
-    rule body and constraint passes the engine's monotonicity test, so
-    that the least model of the rules decides minimality.
-    """
-
-    facts: frozenset
-    rules: tuple
-    constraints: tuple
-    others: tuple
-    exact: bool
-
-
-def _heads(phi, universe):
-    """Atom keys of a conjunction of atoms, or None."""
-    if isinstance(phi, And):
-        left = _heads(phi.left, universe)
-        right = _heads(phi.right, universe)
-        return None if left is None or right is None else left | right
-    atom = static_atom(phi, universe)
-    return None if atom is None else frozenset((atom,))
-
-
-def rule_view(formulas, universe, monotone) -> RuleView:
-    """Classify ground formulas in one pass, reading atoms by
-    ``static_atom``; ``monotone`` tests whether a body's truth can only
-    grow with the atoms of a smaller world below a fixed model.
-    """
-    facts, rules, constraints, others, exact = set(), [], [], [], True
-    for phi in formulas:
-        if isinstance(phi, _Top):
-            continue
-        heads = _heads(phi, universe)
-        if heads is not None:
-            facts |= heads
-        elif isinstance(phi, Implies) and phi.right == BOT:
-            # a constraint is its body's negation, so it is tested whole
-            constraints.append(phi.left)
-            exact = exact and monotone(phi)
-        elif isinstance(phi, Implies) and (heads := _heads(phi.right, universe)) is not None:
-            rules.append((phi.left, heads))
-            exact = exact and monotone(phi.left)
-        else:
-            others.append(phi)
-    return RuleView(
-        frozenset(facts), tuple(rules), tuple(constraints), tuple(others), exact and not others
-    )
+# Monotone rule bodies
 
 
 def _here_monotone(phi) -> bool:
@@ -802,29 +829,6 @@ def _monotone_term(term) -> bool:
     if isinstance(term, ExtSet):
         return all(_monotone_term(t) for m in term.members for t in m)
     return True
-
-
-def least_model(facts, rules, here):
-    """Least atom set that holds ``facts`` and is closed under ``rules``.
-
-    ``here(atoms)`` returns the body test at the world ``atoms``; bodies
-    must be monotone in the atoms, so a rule that fired stays fired.
-    """
-    model = frozenset(facts)
-    pending = [rule for rule in rules if not rule[1] <= model]
-    while pending:
-        holds = here(model)
-        waiting, derived = [], set()
-        for rule in pending:
-            if holds(rule[0]):
-                derived |= rule[1]
-            else:
-                waiting.append(rule)
-        if not derived:
-            break
-        model |= derived
-        pending = [rule for rule in waiting if not rule[1] <= model]
-    return model
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +972,7 @@ def find_countermodel(interp: HTInterpretation, ground: GroundTheory):
         world = HTInterpretation(universe, sigma, sigma, atoms, atoms_t, check=False)
         return lambda body: s_satisfies(world, H, body)
 
-    least = least_model(view.facts, rules, here)
+    least = least_model(view.facts, rules, here, universe)
     if least == atoms_t:
         return None
     return HTInterpretation(universe, sigma, sigma, least, atoms_t, check=False)

@@ -3,10 +3,11 @@ minimality check) against the reference search (every subset of the
 atoms between the facts and the upper bound plus subset search), branching
 against the mask enumeration from the root bounds, the search restricted
 to what the upper bound can reach against the search over the whole
-ground theory, and the binding-driven instantiation against the theory
-grounded in full."""
+ground theory, the binding-driven instantiation against the theory
+grounded in full, and its semi-naive fixpoint against one naive round."""
 
 import random
+from collections import Counter
 from contextlib import contextmanager
 from functools import cache
 
@@ -252,18 +253,127 @@ BINDING_SHAPES = [
     "p(a). p(f(X)) :- p(X). q(Y) :- p(Y).",
 ]
 
+# Joins whose atom steps gain atoms in the same round, in a rule body and
+# in a set term.
+JOINS = [
+    "e(1,2). e(2,3). e(3,4). t(X,Y) :- e(X,Y). t(X,Z) :- t(X,Y), t(Y,Z).",
+    "p(1). q(1). p(Y) :- p(X), Y = X + 1. q(Y) :- q(X), Y = X + 1. r(X, Y) :- p(X), q(Y). "
+    "n(N) :- N = count{(X, Y) : p(X), q(Y)}.",
+]
+JOIN_BOUNDS = DomainBounds(int_min=1, int_max=4, max_herbrand_depth=0)
+
 # A count over 13 candidates has too many possible values to list, so
 # ``N`` falls back to the domain.
 WIDE_COUNT = " ".join(f"q({i})." for i in range(13)) + " n(N) :- N = count{X : q(X)}, N > 12."
+
+# ``N`` falls back to the domain again, but ``count`` only takes integers,
+# so it ranges over them and not over the set layer ``q({1})`` calls for.
+WIDE_COUNT_WITH_SETS = (
+    "q({1}). r(S) :- q(S). "
+    + " ".join(f"c({i})." for i in range(13))
+    + " n(N) :- N = count{X : c(X)}, N > 12."
+)
 
 
 def test_binding_instantiation_matches_whole_on_fixed_programs():
     _compare_instantiations(FALLBACK + FAST + [P3] + BINDING_SHAPES, FIXED_BOUNDS)
     _compare_instantiations([CHAIN], DomainBounds(int_min=0, int_max=6, max_herbrand_depth=0))
+    _compare_instantiations(JOINS, JOIN_BOUNDS)
     wide = DomainBounds(int_min=0, int_max=13, max_herbrand_depth=0)
     _compare_instantiations([WIDE_COUNT], wide)
     ((atoms, _),) = _eq(WIDE_COUNT, wide)
     assert atom("n", 13) in atoms
+    _compare_instantiations([WIDE_COUNT_WITH_SETS], DomainBounds(int_max=13, max_set_card=1))
+    ((atoms, _),) = _eq(WIDE_COUNT_WITH_SETS, DomainBounds(int_max=13))
+    assert atom("n", 13) in atoms
+    ((atoms, _),) = _eq(WIDE_COUNT_WITH_SETS, DomainBounds())
+    assert atom("r", finset([1])) in atoms
+    assert not any(pred == "n" for pred, _ in atoms)  # 13 is past int_max
+
+
+def _assert_closed(text, bounds):
+    """One naive round after the semi-naive fixpoint adds no atom and no
+    instance, and each set term's candidates are those of a full
+    enumeration."""
+    theory = parse_program(text)
+    instantiation = solver._Instantiation(theory, build_universe(theory, bounds))
+    atoms = instantiation.run()
+    instantiation._values.clear()
+    instantiation._sat.clear()
+    for phi in instantiation.ground.formulas:
+        instantiation._collect_heads(phi)
+    assert instantiation.atoms == atoms, text
+    for source, *_ in instantiation._sources:
+        for sub in instantiation._substitutions(source):
+            assert tuple(sub[n] for n in source.names) in source.done, text
+    for iset, (source, _) in instantiation._set_sources.items():
+        subs = instantiation._substitutions(source)
+        full = [source.done[tuple(sub[n] for n in iset.bound)] for sub in subs]
+        assert Counter(full) == Counter(instantiation.set_candidates(iset)), text
+
+
+def test_semi_naive_fixpoint_is_closed_on_generated_gz_programs():
+    for text in _generated(random_gz_program, 20):
+        _assert_closed(text, GENERATOR_BOUNDS)
+
+
+def test_semi_naive_fixpoint_is_closed_on_generated_zero_rank_programs():
+    for text in _generated(random_zero_rank_program, 21):
+        _assert_closed(text, ZERO_RANK_BOUNDS)
+
+
+def test_semi_naive_fixpoint_is_closed_on_fixed_programs():
+    for text in FALLBACK + FAST + BINDING_SHAPES:
+        _assert_closed(text, FIXED_BOUNDS)
+    for text in JOINS:
+        _assert_closed(text, JOIN_BOUNDS)
+
+
+def test_chain_fixpoints_do_each_piece_of_work_once():
+    """On a chain of 101 atoms: 100 substitutions of the rule, heads
+    collected and least-model bodies tested about once per atom."""
+    substitutions, collected, tested, depth = [], [], [], [0]
+    rule = parse_program(CHAIN).formulas[1]
+
+    def enumerated(self, source, *args, original=solver._Instantiation._substitutions):
+        out = original(self, source, *args)
+        if source.subject == rule:
+            substitutions.extend(out)
+        return out
+
+    def collect(self, phi, original=solver._Viability._collect_heads):
+        if not depth[0]:
+            collected.append(phi)
+        depth[0] += 1
+        try:
+            return original(self, phi)
+        finally:
+            depth[0] -= 1
+
+    def least(facts, rules, here, universe, original=solver.least_model):
+        def counting(atoms):
+            holds = here(atoms)
+            return lambda body: tested.append(body) or holds(body)
+
+        return original(facts, rules, counting, universe)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver._Instantiation, "_substitutions", enumerated)
+        patch.setattr(solver._Viability, "_collect_heads", collect)
+        patch.setattr(solver, "least_model", least)
+        report = find_stable_models(parse_program(CHAIN), ints(101))
+    assert report.atom_sets() == [frozenset(atom("p", i) for i in range(101))]
+    assert len(substitutions) == 100
+    assert len(collected) <= 2 * 101
+    assert 0 < len(tested) <= 2 * 101
+
+
+def test_instance_cap_counts_substitutions_across_rounds():
+    # one substitution per round, 60 in all
+    with pytest.raises(DomainLimitError) as err:
+        find_stable_models(parse_program(CHAIN), ints(61).with_(instance_cap=20))
+    assert err.value.bound == "instance_cap"
+    assert "more than 20 instances of 'p(Y) :- p(X), Y = X + 1.'" in str(err.value)
 
 
 def test_set_term_with_a_free_variable_keeps_the_reachable_witnesses():
