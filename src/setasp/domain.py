@@ -16,6 +16,7 @@ enumerated only when something ranges over the whole domain.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import sys
@@ -52,7 +53,10 @@ class DomainBounds:
     ``domain_cap`` bounds the base values when the domain is built, and the
     whole domain, set layers included, only when something enumerates it.
     ``atom_cap`` bounds the atoms the stable-model search decides on one
-    branch, not the number of undecided atoms.
+    branch, not the number of undecided atoms.  ``instance_cap`` bounds the
+    substitutions that one formula or set term enumerates, counting only
+    those a grounding actually makes, not the domain size to the power of
+    the variables.
     """
 
     max_herbrand_depth: int = 2
@@ -115,13 +119,28 @@ def _herbrand_depth(v):
 
 
 def _set_layer(base, bounds: DomainBounds):
-    """All finite sets of tuples over ``base`` within the card/arity bounds."""
-    layer = {EMPTY_SET}
-    for arity in range(1, bounds.max_tuple_arity + 1):
-        tuples = list(itertools.product(base, repeat=arity))
-        for card in range(1, min(bounds.max_set_card, len(tuples)) + 1):
-            layer.update(map(FinSet, itertools.combinations(tuples, card)))
-    return layer
+    """All finite sets of tuples over ``base`` within the card/arity
+    bounds.  Over a ``base`` in ``value_key`` order they come in that order
+    too: by cardinality, then by tuple arity, then by member tuples."""
+    yield EMPTY_SET
+    rows = [list(itertools.product(base, repeat=a)) for a in range(1, bounds.max_tuple_arity + 1)]
+    for card in range(1, min(bounds.max_set_card, max(map(len, rows), default=0)) + 1):
+        for row in rows:
+            yield from map(FinSet, itertools.combinations(row, card))
+
+
+def _merged(base, layer):
+    """The values of ``base`` and ``layer``, both in ``value_key`` order,
+    in that order, each once."""
+    out, start = [], 0
+    for v in base:
+        i = bisect.bisect_left(layer, value_key(v), start, key=value_key)
+        out += layer[start:i]
+        start = i
+        if i == len(layer) or layer[i] != v:
+            out.append(v)
+    out += layer[start:]
+    return out
 
 
 def _layer_size(m, bounds: DomainBounds):
@@ -289,10 +308,11 @@ class ActiveDomain:
                     "lower max_set_card, max_tuple_arity or the base domain",
                     "domain_cap",
                 )
-            values = set(self._base)
+            # each layer holds the one below, so only the base is merged in
+            base = values = sorted(self._base, key=value_key)
             for _ in range(self.rank):
-                values |= _set_layer(values, self.bounds)
-            self._values = tuple(sorted(values, key=value_key))
+                values = _merged(base, list(_set_layer(values, self.bounds)))
+            self._values = tuple(values)
         return self._values
 
     @property

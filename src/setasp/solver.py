@@ -55,6 +55,7 @@ from .search import search_stable
 from .syntax import (
     AGGREGATE_NAMES,
     BOT,
+    BUILTIN_FUNCS,
     RELATION_PREDS,
     TOP,
     And,
@@ -122,19 +123,38 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
     inner quantifiers survive; satisfaction sweeps the domain for them.
     Instances decided by interpretation-independent parts alone are folded
     away, so e.g. a rule guarded by a false membership test vanishes.
+
+    A formula whose body has a guard (``_guard_plan``) enumerates only the
+    substitutions that no guard folds to false: a variable that an
+    equality defines from earlier ones takes that one value, and a
+    substitution prefix is cut once a guard fails.  Each instance cut has
+    a false body, so it would fold to true and vanish; the instances,
+    their order and their provenance are those of every substitution over
+    the domain.  The plan prunes by evaluation alone, never by atoms, so
+    this grounding stays independent of ``_Instantiation``, whose
+    reference it is.  More than ``instance_cap`` substitutions enumerated
+    for one formula raise.
     """
     formulas = []
     provenance = {}
     seen = set()
+    cap = universe.bounds.instance_cap
+    own = None  # a domain value -> the domain's own object, built on first use
     for phi in theory.formulas:
         names, matrix = closure_prefix(phi)
         values = universe.domain.values_for(lambda: _ranging(names, phi)) if names else ()
-        count = len(values) ** len(names)
-        if count > universe.bounds.instance_cap:
-            raise DomainLimitError(
-                f"{count} instances for {formula_statement(phi)!r}", "instance_cap"
-            )
-        for combo in itertools.product(values, repeat=len(names)):
+        plan = _guard_plan(names, matrix)
+        if plan is None:
+            combos = itertools.product(values, repeat=len(names))
+        else:
+            if own is None and any(term is not None for term, _ in plan):
+                own = {v: v for v in values}
+            combos = _guarded(names, plan, values, own, universe)
+        for count, combo in enumerate(combos, 1):
+            if count > cap:
+                raise DomainLimitError(
+                    f"more than {cap} instances of {formula_statement(phi)!r}", "instance_cap"
+                )
             sub = {n: Val(v) for n, v in zip(names, combo)}
             instance = substitute(matrix, sub)
             instance = simplify(instance, universe)
@@ -147,6 +167,87 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
                 universe.register_intsets(instance)
     facts = {static_atom(g, universe) for g in formulas} - {None}
     return GroundTheory(universe, tuple(formulas), provenance, frozenset(facts))
+
+
+def _guard_plan(names, matrix):
+    """Per variable of ``names``, the term that alone defines it or None,
+    and the guards to test once it is bound; None when the formula ``B ->
+    X`` has no guard.
+
+    A guard is a conjunct of ``B``'s top-level ``And`` chain that reads
+    nothing of an interpretation but the variables: an equality or a
+    comparison with no set term and no declared function, which folds to
+    true or false once its variables are bound.  An equality ``V = t`` or
+    ``t = V`` whose ``t`` reads only variables before ``V`` defines ``V``;
+    any other guard is tested at its last variable.
+    """
+    if not names or not isinstance(matrix, Implies):
+        return None
+    where = {n: i for i, n in enumerate(names)}
+    plan = None
+    todo = [matrix.left]
+    while todo:
+        part = todo.pop()
+        if isinstance(part, And):
+            todo += (part.right, part.left)
+            continue
+        if not (isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS):
+            continue
+        used = _variables(part)
+        if used is None or not used <= where.keys():
+            continue
+        plan = plan or [[None, []] for _ in names]
+        step = plan[max(map(where.__getitem__, used), default=0)]
+        sides = ((part.left, part.right), (part.right, part.left)) if isinstance(part, Eq) else ()
+        for var, term in sides:
+            if isinstance(var, Var) and all(where[n] < where[var.name] for n in free_vars(term)):
+                if step[0] is None:
+                    step[0] = term
+                    break
+        else:
+            step[1].append(part)
+    return plan
+
+
+def _variables(node):
+    """The variables ``node`` reads, or None when it has a set term or a
+    declared function, whose values depend on the interpretation."""
+    used = set()
+    for n in walk(node):
+        if isinstance(n, Var):
+            used.add(n.name)
+        elif isinstance(n, IntSet) or (
+            isinstance(n, EApp) and n.name not in BUILTIN_FUNCS and n.name not in AGGREGATE_NAMES
+        ):
+            return None
+    return used
+
+
+def _guarded(names, plan, values, own, universe):
+    """The substitutions of ``names`` over ``values`` that ``plan`` keeps,
+    as value tuples in ``itertools.product`` order.  A defined variable
+    takes the value of its term if that is a domain value ``own`` maps to
+    the domain's object, else none."""
+    sub, combo, last = {}, [None] * len(names), len(names) - 1
+
+    def extend(i):
+        term, tests = plan[i]
+        if term is None:
+            choices = values
+        else:
+            value = own.get(eval_term(universe.static, T, substitute(term, sub)))
+            choices = () if value is None else (value,)
+        for value in choices:
+            sub[names[i]] = Val(value)
+            if any(simplify(substitute(g, sub), universe) == BOT for g in tests):
+                continue
+            combo[i] = value
+            if i == last:
+                yield tuple(combo)
+            else:
+                yield from extend(i + 1)
+
+    return extend(0)
 
 
 def simplify(phi, universe: Universe):

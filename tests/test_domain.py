@@ -176,6 +176,14 @@ def test_lazy_domain_agrees_with_its_enumeration():
     assert checked >= 90
 
 
+def test_set_card_bound_past_the_tuples_enumerates_each_set_once():
+    # three 1-tuples make at most 3-element sets, however high the bound
+    wide = DomainBounds(max_set_card=10**9, max_tuple_arity=1)
+    values = ActiveDomain(GRID_BASE, wide, 1).values
+    assert values == ActiveDomain(GRID_BASE, wide.with_(max_set_card=3), 1).values
+    assert len(values) == 2 + 2**3
+
+
 def test_set_layer_is_counted_and_tested_without_enumerating():
     # p1 at the default bounds: millions of sets, none of them built
     domain = build_active_domain(parse_program(P1), DomainBounds())

@@ -4,8 +4,10 @@ atoms between the facts and the upper bound plus subset search), branching
 against the mask enumeration from the root bounds, the search restricted
 to what the upper bound can reach against the search over the whole
 ground theory, the binding-driven instantiation against the theory
-grounded in full, and its semi-naive fixpoint against one naive round."""
+grounded in full, its semi-naive fixpoint against one naive round, and
+the full grounding's guarded enumeration against every substitution."""
 
+import itertools
 import random
 from collections import Counter
 from contextlib import contextmanager
@@ -26,12 +28,13 @@ from setasp.solver import (
     find_stable_models,
     ground_theory,
     relevant_atoms,
+    simplify,
     solve_ground,
 )
-from setasp.syntax import Num
+from setasp.syntax import TOP, Num, Val, closure_prefix, substitute
 from setasp.values import finset
 
-from conftest import COUNT0, P1, P2, P3, P4, atom
+from conftest import COUNT0, P1, P2, P3, P4, PROGRAMS, atom
 
 ZERO_RANK_BOUNDS = DomainBounds(int_min=0, int_max=3, max_herbrand_depth=0)
 FIXED_BOUNDS = DomainBounds(int_min=1, int_max=2, max_herbrand_depth=0)
@@ -289,6 +292,113 @@ def test_binding_instantiation_matches_whole_on_fixed_programs():
     ((atoms, _),) = _eq(WIDE_COUNT_WITH_SETS, DomainBounds())
     assert atom("r", finset([1])) in atoms
     assert not any(pred == "n" for pred, _ in atoms)  # 13 is past int_max
+
+
+def _every_substitution(theory, universe):
+    """Reference for ``ground_theory``: every substitution over the domain
+    is folded, with nothing pruned."""
+    formulas, provenance = [], {}
+    for phi in theory.formulas:
+        names, matrix = closure_prefix(phi)
+        values = universe.domain.values if names else ()
+        for combo in itertools.product(values, repeat=len(names)):
+            sub = {n: Val(v) for n, v in zip(names, combo)}
+            instance = simplify(substitute(matrix, sub), universe)
+            if instance == TOP or instance in provenance:
+                continue
+            formulas.append(instance)
+            provenance[instance] = (phi, dict(zip(names, combo)))
+            universe.register_intsets(instance)
+    return tuple(formulas), provenance
+
+
+def _compare_groundings(programs, bounds):
+    mismatches = []
+    for text in programs:
+        theory = parse_program(text)
+        ground = ground_theory(theory, build_universe(theory, bounds))
+        universe = build_universe(theory, bounds)
+        formulas, provenance = _every_substitution(theory, universe)
+        if (ground.formulas, ground.provenance, ground.universe.intsets) != (
+            formulas, provenance, universe.intsets
+        ):
+            mismatches.append(text)
+    assert mismatches == []
+
+
+# Guards that define a variable, only prune, or are no guards at all: a
+# value outside the domain, a variable defined before the one its term
+# reads, an equality under ``not``, in a ``;`` and in a head, a Herbrand
+# term, a set term, a comparison, a constraint and an undefined value.
+GUARD_SHAPES = [
+    "p(1). p(2). q(Y) :- p(X), Y = X + 1.",
+    "p(1). p(2). q(X) :- p(Y), X = Y + 1.",
+    "p(1). p(2). q(Y) :- p(X), not Y = X + 1.",
+    "p(1). p(2). q(Y) :- p(X), (Y = X + 1 ; Y = X).",
+    "p(1). p(2). q(2). Y = X + 1 :- p(X), q(Y).",
+    "p(a). p(f(a)). q(Y) :- p(X), Y = f(X).",
+    "r(1). q(S) :- S = {X : r(X)}, p(S).",
+    "p(1). p(2). q(X, Y) :- p(X), p(Y), X < Y.",
+    "p(1). p(2). q(1). :- p(X), q(Y), X = Y + 1.",
+    "p(1). p(2). q(Y) :- p(X), Y = X / 0.",
+]
+
+
+def test_guarded_grounding_matches_every_substitution_on_generated_programs():
+    _compare_groundings(_generated(random_gz_program, 26), GENERATOR_BOUNDS)
+    _compare_groundings(_generated(random_zero_rank_program, 27), ZERO_RANK_BOUNDS)
+
+
+def test_guarded_grounding_matches_every_substitution_on_fixed_programs():
+    _compare_groundings(FALLBACK + FAST + BINDING_SHAPES + GUARD_SHAPES, FIXED_BOUNDS)
+    _compare_groundings(JOINS, JOIN_BOUNDS)
+    _compare_groundings(
+        ["p(a). p(f(a)). q(Y) :- p(X), Y = f(X)."], FIXED_BOUNDS.with_(max_herbrand_depth=1)
+    )
+    _compare_groundings([p.read_text() for p in sorted(PROGRAMS.glob("*.lp"))], FIXED_BOUNDS)
+
+
+def _chain_matrix_substitutions(text, bounds):
+    """The models ``gz_stable_models`` gives ``text`` and how many times
+    ``ground_theory`` substituted its rule's matrix."""
+    _, matrix = closure_prefix(parse_program(text).formulas[1])
+    calls = []
+
+    def counted(node, sub, original=solver.substitute):
+        if node == matrix:
+            calls.append(sub)
+        return original(node, sub)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver, "substitute", counted)
+        models = _gz(text, bounds)
+    return models, len(calls)
+
+
+# at 800, the 641,601 pairs of X and Y are past the default instance_cap
+@pytest.mark.parametrize("n", [200, 400, 800])
+def test_gz_grounds_the_chain_in_linear_substitutions(n):
+    models, substituted = _chain_matrix_substitutions(CHAIN, ints(n + 1))
+    assert models == [{atom("p", i) for i in range(n + 1)}]
+    assert substituted <= 2 * (n + 1)
+
+
+def test_bounds_propagation_is_linear_on_the_descending_chain():
+    def entailed_calls(text):
+        calls = []
+
+        def counted(*args, original=search._entailed):
+            calls.append(args)
+            return original(*args)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(search, "_entailed", counted)
+            assert len(_gz(text, ints(61))) == 1
+        return len(calls)
+
+    ascending = entailed_calls(CHAIN)
+    descending = entailed_calls("p(60). p(Y) :- p(X), Y = X - 1.")
+    assert 0 < descending <= 2 * ascending
 
 
 def _assert_closed(text, bounds):
