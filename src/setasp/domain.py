@@ -56,7 +56,8 @@ class DomainBounds:
     branch, not the number of undecided atoms.  ``instance_cap`` bounds the
     substitutions that one formula or set term enumerates, counting only
     those a grounding actually makes, not the domain size to the power of
-    the variables.
+    the variables; the full grounding counts each value it tries for a
+    variable, also where a guard then cuts the substitution.
     """
 
     max_herbrand_depth: int = 2

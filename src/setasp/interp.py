@@ -577,9 +577,13 @@ def static_atom(phi, universe: Universe):
 
 def _independent(term):
     """True when the term's value cannot depend on the interpretation."""
-    for node in walk(term):
-        if isinstance(node, (Var, IntSet)):
-            return False
-        if isinstance(node, EApp) and node.name not in BUILTIN_FUNCS and node.name not in AGGREGATE_NAMES:
-            return False
-    return True
+    return not any(isinstance(node, Var) or reads_interpretation(node) for node in walk(term))
+
+
+def reads_interpretation(node):
+    """True when ``node`` itself, whatever its variables are bound to, may
+    take its value from the interpretation: a set term, or an application
+    of a declared function."""
+    return isinstance(node, IntSet) or (
+        isinstance(node, EApp) and node.name not in BUILTIN_FUNCS and node.name not in AGGREGATE_NAMES
+    )

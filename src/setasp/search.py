@@ -14,7 +14,6 @@ stable: each leaf still takes the engine's model and minimality checks.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cached_property
 from itertools import compress
 
 from .errors import DomainLimitError
@@ -155,7 +154,6 @@ class _Propagation:
         self.outside = 1 << len(self.order)
         self.facts = self.mask(view.facts)
         self.read = 0  # the atoms some body reads, filled in by _compile
-        self.positive = 0  # the atoms some body reads positively, likewise
         self.rules = tuple(
             (self._compile(body, universe), self.mask(heads)) for body, heads in view.rules
         )
@@ -172,16 +170,6 @@ class _Propagation:
         if preds:
             atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
         self.kept = self.mask(atoms & upper)
-
-    @cached_property
-    def watch(self):
-        """A bit -> the rules whose positive atoms, those of their ``;``
-        alternatives included, hold it."""
-        watch = {}
-        for i, (body, _) in enumerate(self.rules):
-            for bit in _bits(_positive(body)):
-                watch.setdefault(bit, []).append(i)
-        return watch
 
     def mask(self, atoms):
         out = 0
@@ -220,7 +208,6 @@ class _Propagation:
                 else:
                     pos |= self.bits.get(atom, self.outside)
         self.read |= pos | neg
-        self.positive |= pos
         return pos, neg, opaque, tuple(alts)
 
     def root(self):
@@ -242,58 +229,36 @@ class _Propagation:
         body holds throughout.
         """
         while True:
-            lower = _grow(lower, self, upper, True, -1)
+            lower = _grow(lower, self.rules, upper, True, -1)
             if lower & ~upper or self.constraints and any(
                 _entailed(body, lower, upper, True) for body in self.constraints
             ):
                 return None
-            support = _grow(self.facts | self.kept & upper, self, lower, False, upper)
+            support = _grow(self.facts | self.kept & upper, self.rules, lower, False, upper)
             if support == upper:
                 return lower, upper
             upper = support
 
 
-def _grow(model, propagation, other, strict, cap):
+def _grow(model, rules, other, strict, cap):
     """The least mask above ``model`` that holds the heads, within
-    ``cap``, of every rule of ``propagation`` whose body ``_entailed(body,
-    model, other, strict)`` accepts.
-
-    Both uses are monotone in ``model``: a body accepted stays accepted as
-    ``model`` grows, and only its positive atoms, those of its ``;``
-    alternatives included, read ``model``.  So after the first pass only
-    the rules that ``watch`` lists under a bit the last pass added are
-    tested again, and none once no body reads such a bit positively."""
-    rules = propagation.rules
-    pending = range(len(rules))
-    while True:
-        before = model
-        for i in pending:
-            body, heads = rules[i]
-            heads &= cap
-            if heads & ~model and _entailed(body, model, other, strict):
+    ``cap``, of every rule whose body ``_entailed(body, model, other,
+    strict)`` accepts."""
+    pending = rules
+    while pending:
+        waiting, before = [], model
+        for rule in pending:
+            heads = rule[1] & cap
+            if not heads & ~model:
+                continue  # nothing left to add
+            if _entailed(rule[0], model, other, strict):
                 model |= heads
-        added = model & ~before & propagation.positive
-        if not added:
-            return model
-        watch = propagation.watch
-        pending = {i for bit in _bits(added) for i in watch.get(bit, ())}
-
-
-def _bits(mask):
-    """The one-bit masks of ``mask``, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low
-        mask ^= low
-
-
-def _positive(body):
-    """The positive atoms of a compiled body and of its ``;``
-    alternatives."""
-    pos, _, _, alts = body
-    for left, right in alts:
-        pos |= _positive(left) | _positive(right)
-    return pos
+            else:
+                waiting.append(rule)
+        if model == before:
+            break
+        pending = waiting
+    return model
 
 
 def _entailed(body, lo, hi, strict) -> bool:

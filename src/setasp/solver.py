@@ -45,6 +45,7 @@ from .interp import (
     builtin_func_eval,
     eval_term,
     is_coherent,
+    reads_interpretation,
     relation_eval,
     s_satisfies,
     static_atom,
@@ -55,7 +56,6 @@ from .search import search_stable
 from .syntax import (
     AGGREGATE_NAMES,
     BOT,
-    BUILTIN_FUNCS,
     RELATION_PREDS,
     TOP,
     And,
@@ -126,35 +126,33 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
 
     A formula whose body has a guard (``_guard_plan``) enumerates only the
     substitutions that no guard folds to false: a variable that an
-    equality defines from earlier ones takes that one value, and a
-    substitution prefix is cut once a guard fails.  Each instance cut has
-    a false body, so it would fold to true and vanish; the instances,
-    their order and their provenance are those of every substitution over
-    the domain.  The plan prunes by evaluation alone, never by atoms, so
-    this grounding stays independent of ``_Instantiation``, whose
-    reference it is.  More than ``instance_cap`` substitutions enumerated
-    for one formula raise.
+    equality defines from others takes that one value once they are bound,
+    and a partial substitution is cut once a guard fails.  Each instance
+    cut has a false body, so it would fold to true and vanish; the
+    instances, their order and their provenance are those of every
+    substitution over the domain.  The plan prunes by evaluation alone,
+    never by atoms, so this grounding stays independent of
+    ``_Instantiation``, whose reference it is.  More than ``instance_cap``
+    values tried for one formula, a value per variable per substitution
+    or partial substitution, raise.
     """
     formulas = []
     provenance = {}
     seen = set()
-    cap = universe.bounds.instance_cap
-    own = None  # a domain value -> the domain's own object, built on first use
+    index = None  # a domain value -> its position in the domain, built on first use
     for phi in theory.formulas:
         names, matrix = closure_prefix(phi)
         values = universe.domain.values_for(lambda: _ranging(names, phi)) if names else ()
+        spend = _budget(universe.bounds.instance_cap, phi)
         plan = _guard_plan(names, matrix)
         if plan is None:
             combos = itertools.product(values, repeat=len(names))
         else:
-            if own is None and any(term is not None for term, _ in plan):
-                own = {v: v for v in values}
-            combos = _guarded(names, plan, values, own, universe)
-        for count, combo in enumerate(combos, 1):
-            if count > cap:
-                raise DomainLimitError(
-                    f"more than {cap} instances of {formula_statement(phi)!r}", "instance_cap"
-                )
+            index = index or {v: i for i, v in enumerate(values)}
+            combos = _guarded(names, plan, values, index, universe, spend)
+        for combo in combos:
+            if plan is None:
+                spend()
             sub = {n: Val(v) for n, v in zip(names, combo)}
             instance = substitute(matrix, sub)
             instance = simplify(instance, universe)
@@ -169,85 +167,90 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
     return GroundTheory(universe, tuple(formulas), provenance, frozenset(facts))
 
 
+def _budget(cap, phi):
+    """A counter of the values tried for ``phi`` that raises past ``cap``."""
+    tried = itertools.count(1)
+
+    def spend():
+        if next(tried) > cap:
+            raise DomainLimitError(f"more than {cap} instances of {formula_statement(phi)!r}", "instance_cap")
+
+    return spend
+
+
 def _guard_plan(names, matrix):
-    """Per variable of ``names``, the term that alone defines it or None,
-    and the guards to test once it is bound; None when the formula ``B ->
-    X`` has no guard.
+    """The steps that bind ``names`` one at a time, each ``(position,
+    term, guards)``: the variable's position in ``names``, the term that
+    alone defines it or None, and the guards to test once it is bound;
+    None when the formula ``B -> X`` has no guard.
 
     A guard is a conjunct of ``B``'s top-level ``And`` chain that reads
     nothing of an interpretation but the variables: an equality or a
-    comparison with no set term and no declared function, which folds to
+    comparison with no node that ``reads_interpretation``, which folds to
     true or false once its variables are bound.  An equality ``V = t`` or
-    ``t = V`` whose ``t`` reads only variables before ``V`` defines ``V``;
-    any other guard is tested at its last variable.
+    ``t = V`` whose ``t`` reads only bound variables defines ``V``, so
+    ``V`` is bound as soon as ``t``'s variables are, whatever the names;
+    the other variables are bound in name order, those that no equality
+    could define first.  Any other guard is tested at its last variable.
     """
     if not names or not isinstance(matrix, Implies):
         return None
-    where = {n: i for i, n in enumerate(names)}
-    plan = None
-    todo = [matrix.left]
+    guards, todo = [], [matrix.left]
     while todo:
         part = todo.pop()
         if isinstance(part, And):
             todo += (part.right, part.left)
-            continue
-        if not (isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS):
-            continue
-        used = _variables(part)
-        if used is None or not used <= where.keys():
-            continue
-        plan = plan or [[None, []] for _ in names]
-        step = plan[max(map(where.__getitem__, used), default=0)]
-        sides = ((part.left, part.right), (part.right, part.left)) if isinstance(part, Eq) else ()
-        for var, term in sides:
-            if isinstance(var, Var) and all(where[n] < where[var.name] for n in free_vars(term)):
-                if step[0] is None:
-                    step[0] = term
-                    break
-        else:
-            step[1].append(part)
-    return plan
+        elif isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
+            if free_vars(part) <= set(names) and not any(map(reads_interpretation, walk(part))):
+                guards.append((part, free_vars(part)))
+    if not guards:
+        return None
+    defines = [  # (variable, term, the equality)
+        (var.name, term, part)
+        for part, _ in guards
+        if isinstance(part, Eq)
+        for var, term in ((part.left, part.right), (part.right, part.left))
+        if isinstance(var, Var) and var.name not in free_vars(term)
+    ]
+    steps, bound = [], set()
+    while len(bound) < len(names):
+        step = next(((v, t, g) for v, t, g in defines if v not in bound and free_vars(t) <= bound), None)
+        if step is None:
+            free = [n for n in names if n not in bound]
+            step = (next((n for n in free if all(v != n for v, _, _ in defines)), free[0]), None, None)
+        bound.add(step[0])
+        tests = [g for g, used in guards if g is not step[2] and step[0] in used and used <= bound]
+        steps.append((names.index(step[0]), step[1], tests))
+    return steps
 
 
-def _variables(node):
-    """The variables ``node`` reads, or None when it has a set term or a
-    declared function, whose values depend on the interpretation."""
-    used = set()
-    for n in walk(node):
-        if isinstance(n, Var):
-            used.add(n.name)
-        elif isinstance(n, IntSet) or (
-            isinstance(n, EApp) and n.name not in BUILTIN_FUNCS and n.name not in AGGREGATE_NAMES
-        ):
-            return None
-    return used
-
-
-def _guarded(names, plan, values, own, universe):
+def _guarded(names, plan, values, index, universe, spend):
     """The substitutions of ``names`` over ``values`` that ``plan`` keeps,
     as value tuples in ``itertools.product`` order.  A defined variable
-    takes the value of its term if that is a domain value ``own`` maps to
-    the domain's object, else none."""
-    sub, combo, last = {}, [None] * len(names), len(names) - 1
+    takes the value of its term if ``index`` places it in the domain, else
+    none; each value tried is ``spend``-t."""
+    sub, at, kept = {}, [0] * len(names), []
 
-    def extend(i):
-        term, tests = plan[i]
+    def extend(k):
+        if k == len(plan):
+            kept.append(tuple(at))
+            return
+        i, term, tests = plan[k]
         if term is None:
-            choices = values
+            choices = range(len(values))
         else:
-            value = own.get(eval_term(universe.static, T, substitute(term, sub)))
-            choices = () if value is None else (value,)
-        for value in choices:
-            sub[names[i]] = Val(value)
-            if any(simplify(substitute(g, sub), universe) == BOT for g in tests):
-                continue
-            combo[i] = value
-            if i == last:
-                yield tuple(combo)
-            else:
-                yield from extend(i + 1)
+            j = index.get(eval_term(universe.static, T, substitute(term, sub)))
+            choices = () if j is None else (j,)
+        for j in choices:
+            spend()
+            sub[names[i]] = Val(values[j])
+            if not any(simplify(substitute(g, sub), universe) == BOT for g in tests):
+                at[i] = j
+                extend(k + 1)
 
-    return extend(0)
+    extend(0)
+    kept.sort()  # the binding order may differ from the names'
+    return [tuple(values[j] for j in combo) for combo in kept]
 
 
 def simplify(phi, universe: Universe):

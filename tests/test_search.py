@@ -327,12 +327,18 @@ def _compare_groundings(programs, bounds):
 
 
 # Guards that define a variable, only prune, or are no guards at all: a
-# value outside the domain, a variable defined before the one its term
-# reads, an equality under ``not``, in a ``;`` and in a head, a Herbrand
-# term, a set term, a comparison, a constraint and an undefined value.
+# value outside the domain, a variable named before the one its term
+# reads, defined variables out of name order, two equalities that could
+# each define the other variable, an equality with no variable side, an
+# equality under ``not``, in a ``;`` and in a head, a Herbrand term, a set
+# term, a comparison, a constraint and an undefined value.
 GUARD_SHAPES = [
     "p(1). p(2). q(Y) :- p(X), Y = X + 1.",
     "p(1). p(2). q(X) :- p(Y), X = Y + 1.",
+    "p(1). p(2). q(A, B, C) :- p(C), p(B), A = B + C.",
+    "p(1). p(2). q(A, B) :- p(B), A = 3 - B.",
+    "p(1). p(2). q(X, Y) :- p(X), p(Y), X = Y + 1, Y = X - 1.",
+    "p(1). p(2). q(X, Y) :- p(X), p(Y), X + Y = 3.",
     "p(1). p(2). q(Y) :- p(X), not Y = X + 1.",
     "p(1). p(2). q(Y) :- p(X), (Y = X + 1 ; Y = X).",
     "p(1). p(2). q(2). Y = X + 1 :- p(X), q(Y).",
@@ -383,22 +389,23 @@ def test_gz_grounds_the_chain_in_linear_substitutions(n):
     assert substituted <= 2 * (n + 1)
 
 
-def test_bounds_propagation_is_linear_on_the_descending_chain():
-    def entailed_calls(text):
-        calls = []
+@pytest.mark.parametrize(
+    "text", ["p(0). p(X) :- p(Y), X = Y + 1.", "p(0). p(A) :- p(B), A = B + 1."]
+)
+def test_the_chain_grounds_in_linear_substitutions_whatever_its_names(text):
+    models, substituted = _chain_matrix_substitutions(text, ints(201))
+    assert models == [{atom("p", i) for i in range(201)}]
+    assert substituted <= 2 * 201
 
-        def counted(*args, original=search._entailed):
-            calls.append(args)
-            return original(*args)
 
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(search, "_entailed", counted)
-            assert len(_gz(text, ints(61))) == 1
-        return len(calls)
-
-    ascending = entailed_calls(CHAIN)
-    descending = entailed_calls("p(60). p(Y) :- p(X), Y = X - 1.")
-    assert 0 < descending <= 2 * ascending
+def test_instance_cap_counts_the_values_a_pruning_guard_tries():
+    # one substitution survives the guard, but 21 + 21 * 21 values are tried
+    theory = parse_program("p(0). q(X, Y) :- p(X), p(Y), X + Y = 40.")
+    with pytest.raises(DomainLimitError, match="more than 300 instances of") as err:
+        ground_theory(theory, build_universe(theory, ints(21).with_(instance_cap=300)))
+    assert err.value.bound == "instance_cap"
+    ground = ground_theory(theory, build_universe(theory, ints(21)))
+    assert ground.formulas == _every_substitution(theory, build_universe(theory, ints(21)))[0]
 
 
 def _assert_closed(text, bounds):
