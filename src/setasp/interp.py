@@ -577,7 +577,10 @@ def static_atom(phi, universe: Universe):
 
 def _independent(term):
     """True when the term's value cannot depend on the interpretation."""
-    return not any(isinstance(node, Var) or reads_interpretation(node) for node in walk(term))
+    for node in walk(term):
+        if isinstance(node, Var) or reads_interpretation(node):
+            return False
+    return True
 
 
 def reads_interpretation(node):

@@ -201,7 +201,7 @@ def _guard_plan(names, matrix):
         if isinstance(part, And):
             todo += (part.right, part.left)
         elif isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
-            if free_vars(part) <= set(names) and not any(map(reads_interpretation, walk(part))):
+            if not any(map(reads_interpretation, walk(part))) and free_vars(part) <= set(names):
                 guards.append((part, free_vars(part)))
     if not guards:
         return None

@@ -381,21 +381,22 @@ def _chain_matrix_substitutions(text, bounds):
     return models, len(calls)
 
 
-# at 800, the 641,601 pairs of X and Y are past the default instance_cap
-@pytest.mark.parametrize("n", [200, 400, 800])
-def test_gz_grounds_the_chain_in_linear_substitutions(n):
-    models, substituted = _chain_matrix_substitutions(CHAIN, ints(n + 1))
+# at 800, the 641,601 pairs of X and Y are past the default instance_cap;
+# a defined variable named before the one its term reads binds all the same
+@pytest.mark.parametrize(
+    "text, n",
+    [
+        (CHAIN, 200),
+        (CHAIN, 400),
+        (CHAIN, 800),
+        ("p(0). p(X) :- p(Y), X = Y + 1.", 200),
+        ("p(0). p(A) :- p(B), A = B + 1.", 200),
+    ],
+)
+def test_gz_grounds_the_chain_in_linear_substitutions(text, n):
+    models, substituted = _chain_matrix_substitutions(text, ints(n + 1))
     assert models == [{atom("p", i) for i in range(n + 1)}]
     assert substituted <= 2 * (n + 1)
-
-
-@pytest.mark.parametrize(
-    "text", ["p(0). p(X) :- p(Y), X = Y + 1.", "p(0). p(A) :- p(B), A = B + 1."]
-)
-def test_the_chain_grounds_in_linear_substitutions_whatever_its_names(text):
-    models, substituted = _chain_matrix_substitutions(text, ints(201))
-    assert models == [{atom("p", i) for i in range(201)}]
-    assert substituted <= 2 * 201
 
 
 def test_instance_cap_counts_the_values_a_pruning_guard_tries():
