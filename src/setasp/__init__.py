@@ -16,6 +16,7 @@ from .errors import (
     SetAspError,
     SignatureError,
 )
+from .ground import GroundTheory, ground_theory, relevant_atoms
 from .gz import (
     cl_satisfies,
     cross_check,
@@ -42,15 +43,12 @@ from .interp import (
 )
 from .parser import Signature, Theory, expand_sugar, parse_program
 from .solver import (
-    GroundTheory,
     StableModel,
     StableModelReport,
     build_universe,
     check_equilibrium,
     find_stable_models,
-    ground_theory,
     models,
-    relevant_atoms,
     satisfies,
 )
 from .syntax import Formula, Term, free_vars, pretty, rank

@@ -30,7 +30,7 @@ from .interp import (
     interp_leq,
     s_satisfies,
 )
-from .parser import Theory, parse_program
+from .parser import Signature, Theory, parse_program
 from .solver import build_universe, find_stable_models
 from .syntax import (
     And,
@@ -338,8 +338,6 @@ def _sets_to_constants(theory: Theory):
     constructors = dict(theory.signature.constructors)
     for value, const in mapping.items():
         constructors[const.name] = 0
-    from .parser import Signature
-
     signature = Signature(constructors, theory.signature.evaluables, theory.signature.predicates, ranges)
     return Theory(signature, tuple(formulas), theory.source), mapping
 

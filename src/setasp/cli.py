@@ -17,6 +17,7 @@ import sys
 from . import checks
 from .domain import DomainBounds
 from .errors import SetAspError
+from .ground import ground_theory
 from .gz import (
     GENERATOR_BOUNDS,
     cross_check,
@@ -26,7 +27,7 @@ from .gz import (
     gz_stable_models,
 )
 from .parser import parse_program, theory_text
-from .solver import atom_key, find_stable_models, format_atom, ground_theory, build_universe
+from .solver import atom_key, build_universe, find_stable_models, format_atom
 from .syntax import formula_statement, pretty
 from .values import format_value, value_to_json
 

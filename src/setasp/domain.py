@@ -316,6 +316,17 @@ class ActiveDomain:
             self._values = tuple(values)
         return self._values
 
+    def product(self, arity, what):
+        """Every ``arity``-tuple of ``values_for(what)``, as
+        ``itertools.product`` makes them; when there are more than
+        ``instance_cap``, raise before enumerating, naming the count and
+        ``what()``."""
+        values = self.values_for(what)
+        count = len(values) ** arity
+        if count > self.bounds.instance_cap:
+            raise DomainLimitError(f"{what()} ranges over {count} value tuples", "instance_cap")
+        return itertools.product(values, repeat=arity)
+
     @property
     def values(self):
         return self.values_for(lambda: "enumerating the domain")

@@ -1,0 +1,540 @@
+"""The reference grounding and the support fixpoint of both engines.
+
+``ground_theory`` instantiates every closed formula over the active
+domain, folding what no interpretation can change (``simplify``); the GZ
+engine, ``setasp ground`` and ``solve_ground`` read it, and it is the
+reference of the binding-driven instantiation in ``instantiate``, which
+this module never imports.  ``_Viability`` computes the upper bound of
+the search: the atoms that some rule chain can support, over-approximated
+by the possible values of each term (``relevant_atoms``).
+"""
+
+from __future__ import annotations
+
+import itertools
+from dataclasses import dataclass
+from functools import cached_property
+
+from .errors import DomainLimitError
+from .interp import (
+    T,
+    Universe,
+    _independent,
+    aggregate_eval,
+    builtin_func_eval,
+    eval_term,
+    reads_interpretation,
+    relation_eval,
+    static_atom,
+)
+from .parser import Theory
+from .rules import rule_view
+from .syntax import (
+    AGGREGATE_NAMES,
+    BOT,
+    RELATION_PREDS,
+    TOP,
+    And,
+    EApp,
+    Eq,
+    Exists,
+    ExtSet,
+    Forall,
+    Formula,
+    HApp,
+    Implies,
+    IntSet,
+    Num,
+    Or,
+    PredAtom,
+    Val,
+    Var,
+    _BinConn,
+    _Bot,
+    _Top,
+    closure_prefix,
+    fold,
+    formula_statement,
+    free_vars,
+    pretty,
+    substitute,
+    walk,
+)
+from .values import UNDEF, FinSet, HTerm, value_key
+
+
+@dataclass
+class GroundTheory:
+    universe: Universe
+    formulas: tuple
+    provenance: dict
+
+    def __iter__(self):
+        return iter(self.formulas)
+
+    @cached_property
+    def facts(self):
+        """The ground atoms among the formulas; built once."""
+        return frozenset({static_atom(g, self.universe) for g in self.formulas} - {None})
+
+    @cached_property
+    def rules(self):
+        """The formulas read as facts, rules and constraints; built once."""
+        return rule_view(self.formulas, self.universe, _here_monotone)
+
+
+# ---------------------------------------------------------------------------
+# Grounding
+
+
+def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
+    """Instantiate the universal closures over the active domain.
+
+    Set-term bound variables are left alone (they are bound, not free) and
+    inner quantifiers survive; satisfaction sweeps the domain for them.
+    Instances decided by interpretation-independent parts alone are folded
+    away, so e.g. a rule guarded by a false membership test vanishes.
+
+    A formula whose body has a guard (``_guard_plan``) enumerates only the
+    substitutions that no guard folds to false: a variable that an
+    equality defines from others takes that one value once they are bound,
+    and a partial substitution is cut once a guard fails.  Each instance
+    cut has a false body, so it would fold to true and vanish; the
+    instances, their order and their provenance are those of every
+    substitution over the domain.  The plan prunes by evaluation alone,
+    never by atoms, so this grounding stays independent of
+    ``instantiate._Instantiation``, whose reference it is.  More than
+    ``instance_cap`` values tried for one formula, a value per variable
+    per substitution or partial substitution, raise.
+    """
+    formulas = []
+    provenance = {}
+    seen = set()
+    index = None  # a domain value -> its position in the domain, built on first use
+    for phi in theory.formulas:
+        names, matrix = closure_prefix(phi)
+        values = universe.domain.values_for(lambda: _ranging(names, phi)) if names else ()
+        spend = _budget(universe.bounds.instance_cap, phi)
+        plan = _guard_plan(names, matrix)
+        if plan is None:
+            combos = itertools.product(values, repeat=len(names))
+        else:
+            index = index or {v: i for i, v in enumerate(values)}
+            combos = _guarded(names, plan, values, index, universe, spend)
+        for combo in combos:
+            if plan is None:
+                spend()
+            sub = {n: Val(v) for n, v in zip(names, combo)}
+            instance = substitute(matrix, sub)
+            instance = simplify(instance, universe)
+            if instance is TOP or instance == TOP:
+                continue
+            if instance not in seen:
+                seen.add(instance)
+                formulas.append(instance)
+                provenance[instance] = (phi, {n: v for n, v in zip(names, combo)})
+                universe.register_intsets(instance)
+    return GroundTheory(universe, tuple(formulas), provenance)
+
+
+def _budget(cap, phi):
+    """A counter of the values tried for ``phi`` that raises past ``cap``."""
+    tried = itertools.count(1)
+
+    def spend():
+        if next(tried) > cap:
+            raise DomainLimitError(f"more than {cap} instances of {formula_statement(phi)!r}", "instance_cap")
+
+    return spend
+
+
+def _guard_plan(names, matrix):
+    """The steps that bind ``names`` one at a time, each ``(position,
+    term, guards)``: the variable's position in ``names``, the term that
+    alone defines it or None, and the guards to test once it is bound;
+    None when the formula ``B -> X`` has no guard.
+
+    A guard is a conjunct of ``B``'s top-level ``And`` chain that reads
+    nothing of an interpretation but the variables: an equality or a
+    comparison with no node that ``reads_interpretation``, which folds to
+    true or false once its variables are bound.  An equality ``V = t`` or
+    ``t = V`` whose ``t`` reads only bound variables defines ``V``, so
+    ``V`` is bound as soon as ``t``'s variables are, whatever the names;
+    the other variables are bound in name order, those that no equality
+    could define first.  Any other guard is tested at its last variable.
+    """
+    if not names or not isinstance(matrix, Implies):
+        return None
+    guards, todo = [], [matrix.left]
+    while todo:
+        part = todo.pop()
+        if isinstance(part, And):
+            todo += (part.right, part.left)
+        elif isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
+            if not any(map(reads_interpretation, walk(part))) and free_vars(part) <= set(names):
+                guards.append((part, free_vars(part)))
+    if not guards:
+        return None
+    defines = [  # (variable, term, the equality)
+        (var.name, term, part)
+        for part, _ in guards
+        if isinstance(part, Eq)
+        for var, term in ((part.left, part.right), (part.right, part.left))
+        if isinstance(var, Var) and var.name not in free_vars(term)
+    ]
+    steps, bound = [], set()
+    while len(bound) < len(names):
+        step = next(((v, t, g) for v, t, g in defines if v not in bound and free_vars(t) <= bound), None)
+        if step is None:
+            free = [n for n in names if n not in bound]
+            step = (next((n for n in free if all(v != n for v, _, _ in defines)), free[0]), None, None)
+        bound.add(step[0])
+        tests = [g for g, used in guards if g is not step[2] and step[0] in used and used <= bound]
+        steps.append((names.index(step[0]), step[1], tests))
+    return steps
+
+
+def _guarded(names, plan, values, index, universe, spend):
+    """The substitutions of ``names`` over ``values`` that ``plan`` keeps,
+    as value tuples in ``itertools.product`` order.  A defined variable
+    takes the value of its term if ``index`` places it in the domain, else
+    none; each value tried is ``spend``-t."""
+    sub, at, kept = {}, [0] * len(names), []
+
+    def extend(k):
+        if k == len(plan):
+            kept.append(tuple(at))
+            return
+        i, term, tests = plan[k]
+        if term is None:
+            choices = range(len(values))
+        else:
+            j = index.get(eval_term(universe.static, T, substitute(term, sub)))
+            choices = () if j is None else (j,)
+        for j in choices:
+            spend()
+            sub[names[i]] = Val(values[j])
+            if not any(simplify(substitute(g, sub), universe) == BOT for g in tests):
+                at[i] = j
+                extend(k + 1)
+
+    extend(0)
+    kept.sort()  # the binding order may differ from the names'
+    return [tuple(values[j] for j in combo) for combo in kept]
+
+
+def simplify(phi, universe: Universe):
+    """Fold interpretation-independent atoms and propagate constants.
+
+    ``top -> phi`` may collapse to ``phi`` because satisfaction is only
+    ever queried on coherent interpretations, where here-truth persists
+    to there.
+    """
+    if isinstance(phi, PredAtom):
+        if phi.pred in RELATION_PREDS and all(_independent(a) for a in phi.args):
+            left = eval_term(universe.static, T, phi.args[0])
+            right = eval_term(universe.static, T, phi.args[1])
+            return TOP if relation_eval(phi.pred, left, right) else BOT
+        return phi
+    if isinstance(phi, Eq):
+        if _independent(phi.left) and _independent(phi.right):
+            left = eval_term(universe.static, T, phi.left)
+            right = eval_term(universe.static, T, phi.right)
+            return TOP if (left is not UNDEF and left == right) else BOT
+        return phi
+    if isinstance(phi, _BinConn):
+        left = simplify(phi.left, universe)
+        right = simplify(phi.right, universe)
+        if left is not phi.left or right is not phi.right:
+            phi = type(phi)(left, right)
+        return fold(phi)
+    if isinstance(phi, (Forall, Exists)):
+        body = simplify(phi.body, universe)
+        if body == TOP or body == BOT:
+            return body
+        if body is phi.body:
+            return phi
+        return type(phi)(phi.var, body)
+    return phi
+
+
+def _text(source):
+    """A formula as its program statement; a set term as itself."""
+    return formula_statement(source) if isinstance(source, Formula) else source
+
+
+def _ranging(names, source):
+    """The variables ``names`` of ``source``, a formula or set term, named
+    as what ranges over the whole domain."""
+    return f"variable {', '.join(names)} of {_text(source)!r}"
+
+
+# ---------------------------------------------------------------------------
+# Monotone rule bodies
+
+
+def _here_monotone(phi) -> bool:
+    """Here-truth only grows with the here-atoms below a fixed there-world.
+
+    Negation reads only the there-world, so any other implication breaks
+    the property.  A set term stays undefined at the here-world until its
+    here-extension reaches its there-extension, which happens once and
+    for good provided its body is monotone and its head terms hold no set
+    term (whose undefinedness would make the extension undefined again).
+    """
+    if isinstance(phi, Implies):
+        return phi.right == BOT
+    if isinstance(phi, (And, Or)):
+        return _here_monotone(phi.left) and _here_monotone(phi.right)
+    if isinstance(phi, (Forall, Exists)):
+        return _here_monotone(phi.body)
+    if isinstance(phi, PredAtom):
+        return all(_monotone_term(a) for a in phi.args)
+    if isinstance(phi, Eq):
+        return _monotone_term(phi.left) and _monotone_term(phi.right)
+    return True
+
+
+def _monotone_term(term) -> bool:
+    if isinstance(term, IntSet):
+        return _here_monotone(term.body) and not any(
+            isinstance(node, IntSet) for t in term.head for node in walk(t)
+        )
+    if isinstance(term, (HApp, EApp)):
+        return all(_monotone_term(a) for a in term.args)
+    if isinstance(term, ExtSet):
+        return all(_monotone_term(t) for m in term.members for t in m)
+    return True
+
+
+# ---------------------------------------------------------------------------
+# Possibly-true atoms
+
+_TOP_MARK = object()
+
+# Not user bounds: past either cap a possible-value set only widens to
+# "any" (``_TOP_MARK``), which stays sound and aborts nothing.
+_VALUE_CAP = 128
+_SUBSET_CAP = 12
+
+
+class _Viability:
+    """Optimistic fixpoint of derivable atoms over a ground theory.
+
+    ``possible_values`` over-approximates a term's values across all
+    candidate interpretations whose atoms stay inside the current fixpoint;
+    ``possibly_sat`` over-approximates there-world satisfiability.  Heads
+    whose antecedents are possibly satisfiable enter the fixpoint.
+    """
+
+    def __init__(self, ground: GroundTheory):
+        self.ground = ground
+        self.universe = ground.universe
+        self.atoms = set(ground.facts)
+        self._values = {}
+        self._sat = {}
+        self._fresh = ground.formulas
+
+    def run(self):
+        """The fixpoint.  A round collects heads from the instances it
+        makes (``_round``) and from those still pending.  An instance
+        retires once ``_collect_heads`` has collected all it ever will:
+        every body on the way to its heads has passed ``possibly_sat`` and
+        every head is a static atom.  This is sound because
+        ``possibly_sat`` and ``possible_values`` only grow as the atoms
+        grow, so a body that passed once passes in every later round.
+
+        The caches are emptied at the start of each round.  The last
+        round adds no atom and judges only the pending bodies; later
+        queries, such as ``search_theory`` asking about the rest, are
+        answered on demand against the final atoms."""
+        pending = ()
+        while True:
+            self._values.clear()
+            self._sat.clear()
+            before = len(self.atoms)
+            pending = [phi for phi in (*pending, *self._round()) if not self._collect_heads(phi)]
+            if len(self.atoms) == before:
+                return frozenset(self.atoms)
+
+    def _round(self):
+        """The instances new this round: the whole ground theory, once."""
+        fresh, self._fresh = self._fresh, ()
+        return fresh
+
+    def _derive(self, atom):
+        self.atoms.add(atom)
+
+    # -- possible values
+
+    def possible_values(self, term):
+        cached = self._values.get(term)
+        if cached is not None:
+            return cached
+        self._values[term] = _TOP_MARK  # cut accidental cycles conservatively
+        out = self._possible_values(term)
+        self._values[term] = out
+        return out
+
+    def _combos(self, terms):
+        """Cartesian product of the argument possibility sets, capped."""
+        sets = []
+        for t in terms:
+            vals = self.possible_values(t)
+            if vals is _TOP_MARK:
+                return _TOP_MARK
+            sets.append(vals)
+        total = 1
+        for s in sets:
+            total *= len(s)
+            if total > _VALUE_CAP:
+                return _TOP_MARK
+        return list(itertools.product(*sets))
+
+    def _lift(self, terms, build):
+        """What ``build`` makes of each combination of the possible values
+        of ``terms``, undefined where one of them is; ``_TOP_MARK`` past
+        the cap."""
+        combos = self._combos(terms)
+        if combos is _TOP_MARK:
+            return _TOP_MARK
+        return frozenset(UNDEF if UNDEF in combo else build(combo) for combo in combos)
+
+    def _possible_values(self, term):
+        bounds = self.universe.bounds
+        if isinstance(term, (Val, Num)):
+            return frozenset((term.value,))
+        if isinstance(term, HApp):
+            return self._lift(term.args, lambda combo: HTerm(term.name, combo))
+        if isinstance(term, EApp):
+            name = term.name
+            if name in self.universe.signature.func_ranges:
+                return frozenset(self.universe.signature.func_ranges[name]) | {UNDEF}
+            if name in AGGREGATE_NAMES:
+                return self._lift(term.args, lambda combo: aggregate_eval(name, combo[0], bounds))
+            return self._lift(term.args, lambda combo: builtin_func_eval(name, combo, bounds))
+        if isinstance(term, ExtSet):
+            flat = [t for m in term.members for t in m]
+            arity = len(term.members[0]) if term.members else 0
+            rows = range(len(term.members))
+            return self._lift(
+                flat, lambda combo: FinSet(combo[i * arity : (i + 1) * arity] for i in rows)
+            )
+        if isinstance(term, IntSet):
+            return self._possible_extensions(term)
+        raise TypeError(f"unexpected term {term!r}")
+
+    def set_candidates(self, iset):
+        """The ``(head_terms, body)`` instances of a ground set term."""
+        return self.universe.intset_candidates(iset)
+
+    def _possible_extensions(self, iset):
+        tuples = set()
+        has_undef = False
+        for head, body in self.set_candidates(iset):
+            if not self.possibly_sat(body):
+                continue
+            combos = self._combos(head)
+            if combos is _TOP_MARK:
+                return _TOP_MARK
+            for combo in combos:
+                if UNDEF in combo:
+                    has_undef = True
+                else:
+                    tuples.add(combo)
+            if len(tuples) > _SUBSET_CAP:
+                return _TOP_MARK
+        out = set()
+        pool = sorted(tuples, key=value_key)
+        for size in range(len(pool) + 1):
+            for combo in itertools.combinations(pool, size):
+                out.add(FinSet(combo))
+        if has_undef:
+            out.add(UNDEF)
+        return frozenset(out)
+
+    # -- optimistic satisfiability at the there-world
+
+    def possibly_sat(self, phi):
+        cached = self._sat.get(phi)
+        if cached is not None:
+            return cached
+        self._sat[phi] = True
+        out = self._possibly_sat(phi)
+        self._sat[phi] = out
+        return out
+
+    def _possibly_sat(self, phi):
+        if isinstance(phi, _Top):
+            return True
+        if isinstance(phi, _Bot):
+            return False
+        if isinstance(phi, PredAtom):
+            combos = self._combos(phi.args)
+            if combos is _TOP_MARK:
+                return True
+            if phi.pred in RELATION_PREDS:
+                return any(
+                    UNDEF not in combo and relation_eval(phi.pred, combo[0], combo[1])
+                    for combo in combos
+                )
+            return any(
+                UNDEF not in combo and (phi.pred, combo) in self.atoms for combo in combos
+            )
+        if isinstance(phi, Eq):
+            left = self.possible_values(phi.left)
+            right = self.possible_values(phi.right)
+            if left is _TOP_MARK or right is _TOP_MARK:
+                return True
+            return any(v is not UNDEF for v in left & right)
+        if isinstance(phi, And):
+            return self.possibly_sat(phi.left) and self.possibly_sat(phi.right)
+        if isinstance(phi, Or):
+            return self.possibly_sat(phi.left) or self.possibly_sat(phi.right)
+        if isinstance(phi, Implies):
+            return True  # can always hold vacuously for some candidate
+        if isinstance(phi, Forall):
+            return all(self.possibly_sat(b) for b in self.universe.quantifier_instances(phi))
+        if isinstance(phi, Exists):
+            return any(self.possibly_sat(b) for b in self.universe.quantifier_instances(phi))
+        raise TypeError(f"unexpected formula {phi!r}")
+
+    # -- head collection
+
+    def _collect_heads(self, phi):
+        """Derive the heads of ``phi`` whose bodies can hold; return
+        whether no later round can derive more from it: every body on the
+        way passed and every head is a static atom."""
+        if isinstance(phi, PredAtom):
+            if phi.pred in RELATION_PREDS:
+                return True
+            atom = static_atom(phi, self.universe)
+            if atom is not None:
+                self._derive(atom)
+                return True
+            combos = self._combos(phi.args)
+            if combos is _TOP_MARK:
+                combos = self.universe.domain.product(
+                    len(phi.args), lambda: f"head {pretty(phi)!r}"
+                )
+            for combo in combos:
+                if UNDEF not in combo:
+                    self._derive((phi.pred, tuple(combo)))
+            return False
+        if isinstance(phi, (And, Or)):
+            left = self._collect_heads(phi.left)
+            return self._collect_heads(phi.right) and left
+        if isinstance(phi, Implies):
+            return self.possibly_sat(phi.left) and self._collect_heads(phi.right)
+        if isinstance(phi, (Forall, Exists)):
+            bodies = self.universe.quantifier_instances(phi)
+            return all([self._collect_heads(body) for body in bodies])
+        return True
+
+
+def relevant_atoms(ground):
+    """Atoms that can occur in some stable model: the support fixpoint of
+    a ground theory, or of a ``_Viability`` the caller keeps to query it
+    afterwards."""
+    viability = ground if isinstance(ground, _Viability) else _Viability(ground)
+    return viability.run()

@@ -10,14 +10,16 @@ candidate become falsum, satisfied set atoms become the conjunction of
 their satisfied ground body instances, and the candidate must be the
 unique subset-minimal classical model of what remains.
 
-The search is the equilibrium engine's: its fixpoint driver computes the
-upper bound with a classical "can hold" test (``_GZViability``), and the
-shared candidate loop (``search.search_stable``) calls back into
-``cl_satisfies``, ``reduct`` and ``_has_smaller_model``.  Ground atoms are
-read by ``interp.static_atom`` and the reduct's least model is
-``rules.least_model``, as in that engine.  The grounding stays the full
-``ground_theory``, so ``cross_check`` still compares two instantiations
-and two upper bounds.
+The search is the equilibrium engine's: the support fixpoint of
+``ground`` computes the upper bound with a classical "can hold" test
+(``_GZViability``), and the shared candidate loop
+(``search.search_stable``) calls back into ``cl_satisfies``, ``reduct``
+and ``_has_smaller_model``.  Ground atoms are read by
+``interp.static_atom``, the reduct's least model is ``rules.least_model``
+and constants fold by ``syntax.fold``, as in that engine.  The grounding
+stays the full ``ground.ground_theory``, never the binding-driven one of
+``instantiate``, so ``cross_check`` still compares two instantiations and
+two upper bounds.
 """
 
 from __future__ import annotations
@@ -28,18 +30,12 @@ from dataclasses import dataclass
 
 from .domain import DomainBounds
 from .errors import NotGZError
+from .ground import GroundTheory, _Viability, ground_theory
 from .interp import aggregate_eval, atom_key, relation_eval, static_atom
 from .parser import Theory, parse_program
 from .rules import least_model, rule_view
 from .search import search_stable
-from .solver import (
-    GroundTheory,
-    _Viability,
-    build_universe,
-    find_stable_models,
-    format_atom,
-    ground_theory,
-)
+from .solver import build_universe, find_stable_models, format_atom
 from .syntax import (
     AGGREGATE_NAMES,
     ARITH_OPS,
@@ -65,6 +61,7 @@ from .syntax import (
     _Top,
     closure_prefix,
     conj,
+    fold,
     formula_statement,
     free_vars,
     ground_constructor_value,
@@ -283,33 +280,8 @@ def reduct(phi, atoms, universe, memo=None):
     if isinstance(phi, (And, Or, Implies)):
         left = reduct(phi.left, atoms, universe, memo)
         right = reduct(phi.right, atoms, universe, memo)
-        return _fold(type(phi)(left, right))
+        return fold(type(phi)(left, right))  # keeps printed reducts free of verum
     raise NotGZError(f"not a ground GZ formula: {pretty(phi)!r}")
-
-
-def _fold(phi):
-    """Classical constant folding; keeps printed reducts free of verum."""
-    left, right = phi.left, phi.right
-    if isinstance(phi, And):
-        if left == TOP:
-            return right
-        if right == TOP:
-            return left
-        if BOT in (left, right):
-            return BOT
-    elif isinstance(phi, Or):
-        if TOP in (left, right):
-            return TOP
-        if left == BOT:
-            return right
-        if right == BOT:
-            return left
-    elif isinstance(phi, Implies):
-        if left == BOT or right == TOP:
-            return TOP
-        if left == TOP:
-            return right
-    return phi
 
 
 def _reduct_comparison(left, atoms, universe):

@@ -14,10 +14,7 @@ set value, never stored.
 
 from __future__ import annotations
 
-import itertools
-
 from .domain import ActiveDomain, DomainBounds
-from .errors import DomainLimitError
 from .parser import Signature
 from .syntax import (
     AGGREGATE_NAMES,
@@ -85,15 +82,11 @@ class Universe:
         cached = self._intset_cache.get(iset)
         if cached is not None:
             return cached
-        n = len(iset.bound)
-        values = self.domain.values_for(lambda: f"variable {', '.join(iset.bound)} of {iset!r}")
-        if len(values) ** n > self.bounds.instance_cap:
-            raise DomainLimitError(
-                f"set term {iset!r} has {len(values)}^{n} candidate tuples",
-                "instance_cap",
-            )
+        combos = self.domain.product(
+            len(iset.bound), lambda: f"variable {', '.join(iset.bound)} of {iset!r}"
+        )
         out = []
-        for combo in itertools.product(values, repeat=n):
+        for combo in combos:
             sub = {name: Val(v) for name, v in zip(iset.bound, combo)}
             head = tuple(substitute(t, sub) for t in iset.head)
             body = substitute(iset.body, sub)

@@ -43,13 +43,14 @@ from .syntax import (
     PredAtom,
     Var,
     forall,
+    formula_statement,
     free_vars,
     ground_constructor_value,
     map_terms,
     neg,
     walk,
 )
-from .values import FinSet, HTerm, value_key
+from .values import FinSet, HTerm, format_value, value_key
 
 _TOKEN_RE = re.compile(
     r"""
@@ -140,9 +141,6 @@ class Theory:
 
 def theory_text(theory: Theory) -> str:
     """Render a theory back into program text, declarations included."""
-    from .syntax import formula_statement
-    from .values import format_value
-
     lines = []
     for name in sorted(theory.signature.func_ranges):
         arity = theory.signature.evaluables[name]

@@ -308,6 +308,31 @@ def conj(parts):
     return out
 
 
+def fold(phi):
+    """A binary connective with its ``TOP`` and ``BOT`` parts folded away
+    classically; ``phi`` itself when nothing folds."""
+    left, right = phi.left, phi.right
+    if isinstance(phi, And):
+        if left == BOT or right == BOT:
+            return BOT
+        if left == TOP:
+            return right
+        if right == TOP:
+            return left
+    elif isinstance(phi, Or):
+        if left == TOP or right == TOP:
+            return TOP
+        if left == BOT:
+            return right
+        if right == BOT:
+            return left
+    elif left == BOT or right == TOP:
+        return TOP
+    elif left == TOP:
+        return right
+    return phi
+
+
 def forall(names, body):
     for name in reversed(list(names)):
         body = Forall(name, body)

@@ -1,10 +1,15 @@
-"""Every module of the package reads each name it imports.  ``__init__``
-only re-exports, so it is left out."""
+"""Every module of the package reads each name it imports, and the
+package's imports run one way.  ``__init__`` only re-exports, so it is
+left out."""
 
 import ast
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "setasp"
+
+
+def _modules():
+    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def _unread_imports(path):
@@ -24,7 +29,62 @@ def _unread_imports(path):
 
 
 def test_every_module_reads_the_names_it_imports():
-    modules = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    modules = _modules()
     assert modules
     unread = {p.name: names for p in modules if (names := _unread_imports(p))}
     assert unread == {}
+
+
+def _package_imports(path):
+    """The sibling modules ``path`` imports, at any depth of its code:
+    ``from .x import ...`` and ``from . import x``."""
+    out = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            out.update([node.module] if node.module else [a.name for a in node.names])
+    return out
+
+
+def _cycle(graph):
+    """One import cycle of ``graph`` as a list of modules, or None."""
+    state = {}
+
+    def visit(name, path):
+        state[name] = "open"
+        for nxt in sorted(graph.get(name, ())):
+            if state.get(nxt) == "open":
+                return path[path.index(nxt):] + [nxt]
+            if nxt not in state and (found := visit(nxt, path + [nxt])):
+                return found
+        state[name] = "done"
+        return None
+
+    for name in sorted(graph):
+        if name not in state and (found := visit(name, [name])):
+            return found
+    return None
+
+
+def test_package_imports_have_no_cycle():
+    graph = {p.stem: _package_imports(p) for p in _modules()}
+    assert _cycle(graph) is None
+    assert _cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_the_reference_grounding_is_independent_of_the_instantiation():
+    graph = {p.stem: _package_imports(p) for p in _modules()}
+    assert "instantiate" not in graph["ground"]
+    assert "solver" not in graph["ground"] | graph["instantiate"]
+
+
+def test_no_module_imports_inside_a_function():
+    """A sibling module imported at top level is not imported again lower
+    down; a function-level import only breaks a cycle, and there is none."""
+    nested = {}
+    for path in _modules():
+        tree = ast.parse(path.read_text(), filename=str(path))
+        top = {id(node) for node in tree.body}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and id(node) not in top:
+                nested.setdefault(path.name, []).append(node.module)
+    assert nested == {}

@@ -16,19 +16,17 @@ from functools import cache
 import pytest
 
 from setasp import DomainBounds, parse_program
-from setasp import domain, gz, search, solver
+from setasp import domain, ground, gz, search, solver
 from setasp.checks import random_zero_rank_program
 from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
+from setasp.ground import _TOP_MARK, _Viability, simplify
 from setasp.search import lower_bound
 from setasp.solver import (
-    _TOP_MARK,
-    _Viability,
     build_universe,
     find_stable_models,
     ground_theory,
     relevant_atoms,
-    simplify,
     solve_ground,
 )
 from setasp.syntax import TOP, Num, Val, closure_prefix, substitute
@@ -370,13 +368,13 @@ def _chain_matrix_substitutions(text, bounds):
     _, matrix = closure_prefix(parse_program(text).formulas[1])
     calls = []
 
-    def counted(node, sub, original=solver.substitute):
+    def counted(node, sub, original=ground.substitute):
         if node == matrix:
             calls.append(sub)
         return original(node, sub)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "substitute", counted)
+        patch.setattr(ground, "substitute", counted)
         models = _gz(text, bounds)
     return models, len(calls)
 
@@ -530,9 +528,23 @@ def test_unbounded_head_instances_are_capped_by_instance_cap():
     with pytest.raises(DomainLimitError) as err:
         find_stable_models(theory, bounds.with_(instance_cap=4000))
     assert err.value.bound == "instance_cap"
-    assert "6489 head instances of" in str(err.value)
+    assert "head 'p({X : q(X)})' ranges over 6489 value tuples" in str(err.value)
     with pytest.raises(DomainLimitError, match=r"6489 undecided atoms .*\(limit: atom_cap\)"):
         find_stable_models(theory, bounds)
+    # the whole-domain candidates of a set term and applications of a
+    # declared function to a value that varies, capped the same way
+    pair_set = parse_program("q(1, 2). p :- count{(X, Y) : q(X, Y)} >= 1.")
+    with pytest.raises(DomainLimitError) as err:
+        gz_stable_models(pair_set, bounds.with_(instance_cap=100))
+    assert str(err.value) == (
+        "variable X, Y of {(X, Y) : q(X, Y)} ranges over 169 value tuples (limit: instance_cap)"
+    )
+    applied = parse_program("#function f/1 : {a; b}. q(1). p :- f(count{X : q(X)}) = a.")
+    with pytest.raises(DomainLimitError) as err:
+        find_stable_models(applied, bounds.with_(instance_cap=10))
+    assert str(err.value) == (
+        "application 'f(count{X : q(X)})' ranges over 15 value tuples (limit: instance_cap)"
+    )
 
 
 # Declared-function applications that only dropped rules mention add no
