@@ -273,7 +273,7 @@ def _ranging(names, source):
 # Monotone rule bodies
 
 
-def _here_monotone(phi) -> bool:
+def _here_monotone(node) -> bool:
     """Here-truth only grows with the here-atoms below a fixed there-world.
 
     Negation reads only the there-world, so any other implication breaks
@@ -282,29 +282,13 @@ def _here_monotone(phi) -> bool:
     for good provided its body is monotone and its head terms hold no set
     term (whose undefinedness would make the extension undefined again).
     """
-    if isinstance(phi, Implies):
-        return phi.right == BOT
-    if isinstance(phi, (And, Or)):
-        return _here_monotone(phi.left) and _here_monotone(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return _here_monotone(phi.body)
-    if isinstance(phi, PredAtom):
-        return all(_monotone_term(a) for a in phi.args)
-    if isinstance(phi, Eq):
-        return _monotone_term(phi.left) and _monotone_term(phi.right)
-    return True
-
-
-def _monotone_term(term) -> bool:
-    if isinstance(term, IntSet):
-        return _here_monotone(term.body) and not any(
-            isinstance(node, IntSet) for t in term.head for node in walk(t)
+    if isinstance(node, Implies):
+        return node.right == BOT
+    if isinstance(node, IntSet):
+        return _here_monotone(node.body) and not any(
+            isinstance(sub, IntSet) for t in node.head for sub in walk(t)
         )
-    if isinstance(term, (HApp, EApp)):
-        return all(_monotone_term(a) for a in term.args)
-    if isinstance(term, ExtSet):
-        return all(_monotone_term(t) for m in term.members for t in m)
-    return True
+    return all(map(_here_monotone, node.children))
 
 
 # ---------------------------------------------------------------------------
@@ -414,11 +398,11 @@ class _Viability:
                 return self._lift(term.args, lambda combo: aggregate_eval(name, combo[0], bounds))
             return self._lift(term.args, lambda combo: builtin_func_eval(name, combo, bounds))
         if isinstance(term, ExtSet):
-            flat = [t for m in term.members for t in m]
             arity = len(term.members[0]) if term.members else 0
             rows = range(len(term.members))
             return self._lift(
-                flat, lambda combo: FinSet(combo[i * arity : (i + 1) * arity] for i in rows)
+                term.children,
+                lambda combo: FinSet(combo[i * arity : (i + 1) * arity] for i in rows),
             )
         if isinstance(term, IntSet):
             return self._possible_extensions(term)

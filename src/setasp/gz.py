@@ -1,6 +1,7 @@
 """The aggregate-comparison fragment: classical satisfaction, the reduct,
-subset-minimal stable models, and the differential harness against the
-equilibrium engine.
+subset-minimal stable models, the differential harness against the
+equilibrium engine, and the existential variable introduction that
+``setasp transform`` applies.
 
 The fragment allows predicate atoms over ground constructor terms plus
 comparisons ``f{xs : body} <rel> n`` where ``f`` is an aggregate, the set
@@ -46,7 +47,6 @@ from .syntax import (
     EApp,
     Eq,
     Exists,
-    ExtSet,
     Forall,
     HApp,
     Implies,
@@ -67,6 +67,7 @@ from .syntax import (
     ground_constructor_value,
     pretty,
     rank,
+    rebuilt,
     walk,
 )
 from .values import UNDEF, FinSet
@@ -549,96 +550,18 @@ def eligible_positions(theory: Theory):
     """Every argument position of every atom, set bodies included."""
     out = []
     for fi, phi in enumerate(theory.formulas):
-        for oi, atom in enumerate(_atom_occurrences(phi)):
-            arity = 2 if isinstance(atom, Eq) else len(atom.args)
-            for ai in range(arity):
-                out.append((fi, oi, ai))
+        atoms = [node for node in walk(phi) if isinstance(node, (Eq, PredAtom))]
+        for oi, atom in enumerate(atoms):
+            out.extend((fi, oi, ai) for ai in range(len(atom.children)))
     return out
-
-
-def _atom_occurrences(phi):
-    """Atoms in pre-order, an atom before the atoms nested in its args."""
-    for node in walk(phi):
-        if isinstance(node, (Eq, PredAtom)):
-            yield node
-
-
-class _AtomRewriter:
-    """Replaces the ``oi``-th atom occurrence (same order as ``walk``)."""
-
-    def __init__(self, oi, ai, fresh):
-        self.oi = oi
-        self.ai = ai
-        self.fresh = fresh
-        self.seen = -1
-        self.done = False
-
-    def formula(self, node):
-        if self.done:
-            return node
-        if isinstance(node, (Eq, PredAtom)):
-            self.seen += 1
-            args = (node.left, node.right) if isinstance(node, Eq) else node.args
-            if self.seen == self.oi:
-                self.done = True
-                if self.ai >= len(args):
-                    raise IndexError("argument index out of range")
-                target = args[self.ai]
-                new_args = tuple(
-                    Var(self.fresh) if i == self.ai else a for i, a in enumerate(args)
-                )
-                inner = (
-                    Eq(new_args[0], new_args[1])
-                    if isinstance(node, Eq)
-                    else PredAtom(node.pred, new_args)
-                )
-                return Exists(self.fresh, And(Eq(Var(self.fresh), target), inner))
-            new_args = tuple(self.term(a) for a in args)
-            if all(a is b for a, b in zip(new_args, args)):
-                return node
-            if isinstance(node, Eq):
-                return Eq(new_args[0], new_args[1])
-            return PredAtom(node.pred, new_args)
-        if isinstance(node, (_Bot, _Top)):
-            return node
-        if isinstance(node, (And, Or, Implies)):
-            left = self.formula(node.left)
-            right = self.formula(node.right)
-            if left is node.left and right is node.right:
-                return node
-            return type(node)(left, right)
-        if isinstance(node, _Quant):
-            body = self.formula(node.body)
-            return node if body is node.body else type(node)(node.var, body)
-        raise TypeError(f"not a formula: {node!r}")
-
-    def term(self, node):
-        if self.done or isinstance(node, (Var, Num, Val)):
-            return node
-        if isinstance(node, (HApp, EApp)):
-            args = tuple(self.term(a) for a in node.args)
-            if all(a is b for a, b in zip(args, node.args)):
-                return node
-            return type(node)(node.name, args)
-        if isinstance(node, ExtSet):
-            members = tuple(tuple(self.term(t) for t in m) for m in node.members)
-            if all(t is u for m, n in zip(members, node.members) for t, u in zip(m, n)):
-                return node
-            return ExtSet(members)
-        if isinstance(node, IntSet):
-            head = tuple(self.term(t) for t in node.head)
-            body = self.formula(node.body)
-            if body is node.body and all(t is u for t, u in zip(head, node.head)):
-                return node
-            return IntSet(node.bound, head, body)
-        raise TypeError(f"not a term: {node!r}")
 
 
 def existential_intro_transform(theory: Theory, selector) -> Theory:
     """Replace one atom argument by an existentially bound equal variable.
 
     ``p(..., tau, ...)`` turns into ``exists V (V = tau, p(..., V, ...))``;
-    stable models are preserved.
+    stable models are preserved.  ``selector`` is ``(formula, atom, arg)``,
+    the atom counted in ``walk`` order.
     """
     fi, oi, ai = selector
     if fi >= len(theory.formulas):
@@ -646,16 +569,29 @@ def existential_intro_transform(theory: Theory, selector) -> Theory:
     used = set()
     for phi in theory.formulas:
         for node in walk(phi):
-            if isinstance(node, Var):
-                used.add(node.name)
-            elif isinstance(node, IntSet):
-                used.update(node.bound)
-            elif isinstance(node, _Quant):
-                used.add(node.var)
+            used.update((node.name,) if isinstance(node, Var) else node.binds)
     fresh = next(f"V{n}" for n in itertools.count() if f"V{n}" not in used)
-    rewriter = _AtomRewriter(oi, ai, fresh)
-    new_formula = rewriter.formula(theory.formulas[fi])
-    if not rewriter.done:
+    seen, done = -1, False
+
+    def rewrite(node):
+        nonlocal seen, done
+        if done:
+            return node
+        if isinstance(node, (Eq, PredAtom)):
+            seen += 1
+            if seen == oi:
+                done = True
+                args = node.children
+                if ai >= len(args):
+                    raise IndexError("argument index out of range")
+                inner = node.rebuild(
+                    tuple(Var(fresh) if i == ai else a for i, a in enumerate(args))
+                )
+                return Exists(fresh, And(Eq(Var(fresh), args[ai]), inner))
+        return rebuilt(node, tuple(rewrite(child) for child in node.children))
+
+    new_formula = rewrite(theory.formulas[fi])
+    if not done:
         raise IndexError("atom occurrence index out of range")
     formulas = list(theory.formulas)
     formulas[fi] = new_formula

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 from .domain import DomainBounds, build_active_domain, set_argument_functions
 from .errors import DomainLimitError, RangeDeclarationError, SetAspError
-from .ground import GroundTheory, _Viability, ground_theory, relevant_atoms
+from .ground import _TOP_MARK, GroundTheory, _Viability, ground_theory, relevant_atoms
 from .instantiate import _Instantiation
 from .interp import (
     H,
@@ -45,7 +45,7 @@ from .interp import (
 from .parser import Theory
 from .rules import least_model
 from .search import search_stable
-from .syntax import AGGREGATE_NAMES, BOT, EApp, pretty, walk
+from .syntax import AGGREGATE_NAMES, BOT, EApp, free_vars, pretty, walk
 from .values import UNDEF, format_value
 
 
@@ -104,8 +104,12 @@ class StableModelReport:
         return [m.atoms for m in self.models]
 
 
-def _declared_applications(ground: GroundTheory):
-    """Declared-function applications whose values the theory can observe."""
+def _declared_applications(ground: GroundTheory, viability: _Viability):
+    """Declared-function applications whose values the theory can observe.
+
+    An application whose argument is not static covers the argument
+    values ``viability`` finds possible, or the whole domain past its cap.
+    """
     universe = ground.universe
     ranges = universe.signature.func_ranges
     if not ranges:
@@ -118,12 +122,13 @@ def _declared_applications(ground: GroundTheory):
                 app = static_atom(sub, universe)
                 if app is not None:
                     apps.add(app)
-                else:
-                    # argument value varies: cover the whole domain
+                    continue
+                combos = _TOP_MARK if free_vars(sub) else viability._combos(sub.args)
+                if combos is _TOP_MARK:
                     combos = universe.domain.product(
                         len(sub.args), lambda: f"application {pretty(sub)!r}"
                     )
-                    apps.update((sub.name, combo) for combo in combos)
+                apps.update((sub.name, tuple(c)) for c in combos if UNDEF not in c)
 
     for phi in ground.formulas:
         scan(phi)
@@ -135,9 +140,9 @@ def _declared_applications(ground: GroundTheory):
     return sorted(apps, key=atom_key)
 
 
-def _sigma_candidates(ground: GroundTheory):
+def _sigma_candidates(ground: GroundTheory, viability: _Viability):
     """Every total assignment of declared applications to range values."""
-    apps = _declared_applications(ground)
+    apps = _declared_applications(ground, viability)
     if not apps:
         return [Assignment()]
     ranges = ground.universe.signature.func_ranges
@@ -292,7 +297,7 @@ def _solve(viability: _Viability) -> StableModelReport:
 
     def stable_in(search):
         # a stored fact that only dropped rules read is in no stable model
-        sigma_space = _sigma_candidates(search)
+        sigma_space = _sigma_candidates(search, viability)
 
         def stable(t_atoms):
             for sigma_t in sigma_space:

@@ -5,9 +5,28 @@ Terms and formulas are stratified: a set term ``{xs : taus : phi}`` may only
 carry a body of strictly smaller rank, so evaluation of a set's body never
 sees the set itself.  Negation is not a connective of its own: ``not phi``
 is stored as ``phi -> #false``.
+
+Every node states its shape once, and the structural traversals
+(``walk``, ``rank``, ``free_vars``, ``substitute``, ``map_terms``) are
+derived from it:
+
+- ``children`` holds the direct subterms and subformulas, in order: an
+  application's or atom's args; an extensional set's members row by row;
+  an intensional set's head terms, then its body; ``left``, ``right``; a
+  quantifier's body.  Leaves have none.
+- ``rebuild(children)`` is the same node over new children; ``rebuilt``
+  returns the node itself when no child changed, so rewrites share
+  unchanged subtrees.
+- ``binds`` names the variables the node binds in its children: an
+  intensional set's ``bound``, a quantifier's ``(var,)``, otherwise none.
+
+``walk`` visits a node before its children, in that order; the atoms it
+meets number the positions ``setasp transform`` takes.
 """
 
 from __future__ import annotations
+
+from operator import is_
 
 from .values import FinSet, HTerm, format_value
 
@@ -20,12 +39,25 @@ RELATION_PREDS = frozenset({"<=", ">=", "<", ">", "!=", "in"})
 
 class _Node:
     __slots__ = ("_hash",)
+    children = ()
+    binds = ()
+
+    def rebuild(self, children):
+        return self
 
     def __hash__(self):
         return self._hash
 
     def __repr__(self):
         return pretty(self)
+
+
+def rebuilt(node, children):
+    """``node`` over ``children``; ``node`` itself when each child is the
+    same object as before."""
+    if all(map(is_, children, node.children)):
+        return node
+    return node.rebuild(children)
 
 
 # ---------------------------------------------------------------------------
@@ -77,46 +109,44 @@ class Val(Term):
     __hash__ = _Node.__hash__
 
 
-class HApp(Term):
+class _App(Term):
+    __slots__ = ("name", "args", "children")
+    _tag = ""
+
+    def __init__(self, name, args=()):
+        self.name = name
+        self.args = self.children = tuple(args)
+        self._hash = hash((self._tag, name, self.args))
+
+    def rebuild(self, children):
+        return type(self)(self.name, children)
+
+    def __eq__(self, other):
+        return self is other or (
+            type(other) is type(self) and self.name == other.name and self.args == other.args
+        )
+
+    __hash__ = _Node.__hash__
+
+
+class HApp(_App):
     """Application of a Herbrand constructor (constants have no args)."""
 
-    __slots__ = ("name", "args")
-
-    def __init__(self, name, args=()):
-        self.name = name
-        self.args = tuple(args)
-        self._hash = hash(("happ", name, self.args))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, HApp) and self.name == other.name and self.args == other.args
-        )
-
-    __hash__ = _Node.__hash__
+    __slots__ = ()
+    _tag = "happ"
 
 
-class EApp(Term):
+class EApp(_App):
     """Application of an evaluable function: declared, aggregate or builtin."""
 
-    __slots__ = ("name", "args")
-
-    def __init__(self, name, args=()):
-        self.name = name
-        self.args = tuple(args)
-        self._hash = hash(("eapp", name, self.args))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, EApp) and self.name == other.name and self.args == other.args
-        )
-
-    __hash__ = _Node.__hash__
+    __slots__ = ()
+    _tag = "eapp"
 
 
 class ExtSet(Term):
     """Extensional set literal: a listed collection of same-arity term tuples."""
 
-    __slots__ = ("members",)
+    __slots__ = ("members", "children")
 
     def __init__(self, members=()):
         members = tuple(tuple(m) for m in members)
@@ -126,7 +156,12 @@ class ExtSet(Term):
         if arities and 0 in arities:
             raise ValueError("empty tuple in extensional set")
         self.members = members
+        self.children = tuple(t for m in members for t in m)
         self._hash = hash(("extset", members))
+
+    def rebuild(self, children):
+        k = len(self.members[0]) if self.members else 1
+        return ExtSet(children[i : i + k] for i in range(0, len(children), k))
 
     def __eq__(self, other):
         return self is other or (isinstance(other, ExtSet) and self.members == other.members)
@@ -142,17 +177,21 @@ class IntSet(Term):
     rank than the set itself.
     """
 
-    __slots__ = ("bound", "head", "body")
+    __slots__ = ("bound", "head", "body", "children", "binds")
 
     def __init__(self, bound, head, body):
-        self.bound = tuple(bound)
+        self.bound = self.binds = tuple(bound)
         if len(set(self.bound)) != len(self.bound):
             raise ValueError("duplicate bound variable in intensional set")
         self.head = tuple(head)
         if not self.head:
             raise ValueError("intensional set needs a nonempty head tuple")
         self.body = body
+        self.children = (*self.head, body)
         self._hash = hash(("intset", self.bound, self.head, body))
+
+    def rebuild(self, children):
+        return IntSet(self.bound, children[:-1], children[-1])
 
     def __eq__(self, other):
         return self is other or (
@@ -204,12 +243,15 @@ TOP = _Top()
 class PredAtom(Formula):
     """Predicate atom; ``pred`` may also be a builtin relation symbol."""
 
-    __slots__ = ("pred", "args")
+    __slots__ = ("pred", "args", "children")
 
     def __init__(self, pred, args=()):
         self.pred = pred
-        self.args = tuple(args)
+        self.args = self.children = tuple(args)
         self._hash = hash(("atom", pred, self.args))
+
+    def rebuild(self, children):
+        return PredAtom(self.pred, children)
 
     def __eq__(self, other):
         return self is other or (
@@ -219,30 +261,18 @@ class PredAtom(Formula):
     __hash__ = _Node.__hash__
 
 
-class Eq(Formula):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self._hash = hash(("eq", left, right))
-
-    def __eq__(self, other):
-        return self is other or (
-            isinstance(other, Eq) and self.left == other.left and self.right == other.right
-        )
-
-    __hash__ = _Node.__hash__
-
-
-class _BinConn(Formula):
-    __slots__ = ("left", "right")
+class _Pair(Formula):
+    __slots__ = ("left", "right", "children")
     _tag = ""
 
     def __init__(self, left, right):
         self.left = left
         self.right = right
+        self.children = (left, right)
         self._hash = hash((self._tag, left, right))
+
+    def rebuild(self, children):
+        return type(self)(*children)
 
     def __eq__(self, other):
         return self is other or (
@@ -250,6 +280,15 @@ class _BinConn(Formula):
         )
 
     __hash__ = _Node.__hash__
+
+
+class Eq(_Pair):
+    __slots__ = ()
+    _tag = "eq"
+
+
+class _BinConn(_Pair):
+    __slots__ = ()
 
 
 class And(_BinConn):
@@ -268,13 +307,18 @@ class Implies(_BinConn):
 
 
 class _Quant(Formula):
-    __slots__ = ("var", "body")
+    __slots__ = ("var", "body", "children", "binds")
     _tag = ""
 
     def __init__(self, var, body):
         self.var = var
         self.body = body
+        self.children = (body,)
+        self.binds = (var,)
         self._hash = hash((self._tag, var, body))
+
+    def rebuild(self, children):
+        return type(self)(self.var, children[0])
 
     def __eq__(self, other):
         return self is other or (
@@ -354,57 +398,18 @@ def closure_prefix(phi):
 
 def rank(node):
     """Smallest stratum the expression lives in; set bodies sit one below."""
-    if isinstance(node, (Var, Num, Val)):
-        return 0
-    if isinstance(node, (HApp, EApp)):
-        return max((rank(a) for a in node.args), default=0)
-    if isinstance(node, ExtSet):
-        return max((rank(t) for m in node.members for t in m), default=0)
     if isinstance(node, IntSet):
-        head_rank = max(rank(t) for t in node.head)
-        return max(head_rank, rank(node.body) + 1)
-    if isinstance(node, (_Bot, _Top)):
-        return 0
-    if isinstance(node, PredAtom):
-        return max((rank(a) for a in node.args), default=0)
-    if isinstance(node, Eq):
-        return max(rank(node.left), rank(node.right))
-    if isinstance(node, _BinConn):
-        return max(rank(node.left), rank(node.right))
-    if isinstance(node, _Quant):
-        return rank(node.body)
-    raise TypeError(f"not a term or formula: {node!r}")
+        return max(max(map(rank, node.head)), rank(node.body) + 1)
+    return max(map(rank, node.children), default=0)
 
 
 def free_vars(node):
     if isinstance(node, Var):
         return frozenset((node.name,))
-    if isinstance(node, (Num, Val, _Bot, _Top)):
-        return frozenset()
-    if isinstance(node, (HApp, EApp, PredAtom)):
-        out = frozenset()
-        for a in node.args:
-            out |= free_vars(a)
-        return out
-    if isinstance(node, ExtSet):
-        out = frozenset()
-        for m in node.members:
-            for t in m:
-                out |= free_vars(t)
-        return out
-    if isinstance(node, IntSet):
-        out = frozenset()
-        for t in node.head:
-            out |= free_vars(t)
-        out |= free_vars(node.body)
-        return out - frozenset(node.bound)
-    if isinstance(node, Eq):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, _BinConn):
-        return free_vars(node.left) | free_vars(node.right)
-    if isinstance(node, _Quant):
-        return free_vars(node.body) - frozenset((node.var,))
-    raise TypeError(f"not a term or formula: {node!r}")
+    out = frozenset()
+    for child in node.children:
+        out |= free_vars(child)
+    return out.difference(node.binds) if node.binds else out
 
 
 def ground_constructor_value(term):
@@ -439,122 +444,25 @@ def substitute(node, sub):
         return node
     if isinstance(node, Var):
         return sub.get(node.name, node)
-    if isinstance(node, (Num, Val, _Bot, _Top)):
-        return node
-    if isinstance(node, (HApp, EApp, PredAtom)):
-        args = tuple(substitute(a, sub) for a in node.args)
-        if all(a is b for a, b in zip(args, node.args)):
+    if node.binds:
+        sub = {k: v for k, v in sub.items() if k not in node.binds}
+        if not sub:
             return node
-        return type(node)(node.pred if isinstance(node, PredAtom) else node.name, args)
-    if isinstance(node, ExtSet):
-        members = tuple(tuple(substitute(t, sub) for t in m) for m in node.members)
-        if all(t is u for m, n in zip(members, node.members) for t, u in zip(m, n)):
-            return node
-        return ExtSet(members)
-    if isinstance(node, IntSet):
-        inner = {k: v for k, v in sub.items() if k not in node.bound}
-        if not inner:
-            return node
-        head = tuple(substitute(t, inner) for t in node.head)
-        body = substitute(node.body, inner)
-        if body is node.body and all(t is u for t, u in zip(head, node.head)):
-            return node
-        return IntSet(node.bound, head, body)
-    if isinstance(node, Eq):
-        left = substitute(node.left, sub)
-        right = substitute(node.right, sub)
-        if left is node.left and right is node.right:
-            return node
-        return Eq(left, right)
-    if isinstance(node, _BinConn):
-        left = substitute(node.left, sub)
-        right = substitute(node.right, sub)
-        if left is node.left and right is node.right:
-            return node
-        return type(node)(left, right)
-    if isinstance(node, _Quant):
-        inner = {k: v for k, v in sub.items() if k != node.var}
-        if not inner:
-            return node
-        body = substitute(node.body, inner)
-        if body is node.body:
-            return node
-        return type(node)(node.var, body)
-    raise TypeError(f"not a term or formula: {node!r}")
+    return rebuilt(node, tuple([substitute(child, sub) for child in node.children]))
 
 
 def map_terms(node, fn):
     """Rebuild bottom-up, passing every term through ``fn`` after its
     children have been rewritten.  Shares unchanged nodes."""
-    if isinstance(node, Term):
-        if isinstance(node, (Var, Num, Val)):
-            return fn(node)
-        if isinstance(node, (HApp, EApp)):
-            args = tuple(map_terms(a, fn) for a in node.args)
-            if any(a is not b for a, b in zip(args, node.args)):
-                node = type(node)(node.name, args)
-            return fn(node)
-        if isinstance(node, ExtSet):
-            members = tuple(tuple(map_terms(t, fn) for t in m) for m in node.members)
-            if any(t is not u for m, n in zip(members, node.members) for t, u in zip(m, n)):
-                node = ExtSet(members)
-            return fn(node)
-        if isinstance(node, IntSet):
-            head = tuple(map_terms(t, fn) for t in node.head)
-            body = map_terms(node.body, fn)
-            if body is not node.body or any(t is not u for t, u in zip(head, node.head)):
-                node = IntSet(node.bound, head, body)
-            return fn(node)
-        raise TypeError(f"not a term: {node!r}")
-    if isinstance(node, (_Bot, _Top)):
-        return node
-    if isinstance(node, PredAtom):
-        args = tuple(map_terms(a, fn) for a in node.args)
-        if all(a is b for a, b in zip(args, node.args)):
-            return node
-        return PredAtom(node.pred, args)
-    if isinstance(node, Eq):
-        left = map_terms(node.left, fn)
-        right = map_terms(node.right, fn)
-        if left is node.left and right is node.right:
-            return node
-        return Eq(left, right)
-    if isinstance(node, _BinConn):
-        left = map_terms(node.left, fn)
-        right = map_terms(node.right, fn)
-        if left is node.left and right is node.right:
-            return node
-        return type(node)(left, right)
-    if isinstance(node, _Quant):
-        body = map_terms(node.body, fn)
-        if body is node.body:
-            return node
-        return type(node)(node.var, body)
-    raise TypeError(f"not a term or formula: {node!r}")
+    node = rebuilt(node, tuple(map_terms(child, fn) for child in node.children))
+    return fn(node) if isinstance(node, Term) else node
 
 
 def walk(node):
-    """Yield the node and all descendants (set bodies included)."""
+    """Yield the node and all descendants (set bodies included), pre-order."""
     yield node
-    if isinstance(node, (HApp, EApp, PredAtom)):
-        for a in node.args:
-            yield from walk(a)
-    elif isinstance(node, ExtSet):
-        for m in node.members:
-            for t in m:
-                yield from walk(t)
-    elif isinstance(node, IntSet):
-        for t in node.head:
-            yield from walk(t)
-        yield from walk(node.body)
-    elif isinstance(node, Eq):
-        yield from walk(node.left)
-        yield from walk(node.right)
-    elif isinstance(node, _BinConn):
-        yield from walk(node.left)
-        yield from walk(node.right)
-    elif isinstance(node, _Quant):
-        yield from walk(node.body)
+    for child in node.children:
+        yield from walk(child)
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,12 @@
-"""Every module of the package reads each name it imports, and the
-package's imports run one way.  ``__init__`` only re-exports, so it is
-left out."""
+"""Every module of the package reads each name it imports, the package's
+imports run one way, and no private helper is dead: each private function,
+class and method is named somewhere in the package besides its own
+definition.  ``__init__`` only re-exports, so it is left out of the import
+checks."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "setasp"
@@ -88,3 +92,29 @@ def test_no_module_imports_inside_a_function():
             if isinstance(node, ast.ImportFrom) and node.level == 1 and id(node) not in top:
                 nested.setdefault(path.name, []).append(node.module)
     assert nested == {}
+
+
+def _private_definitions(tree):
+    """Names of the private module-level functions and classes of a module
+    and of the private methods of its classes (dunders are not private)."""
+    out = []
+    for node in tree.body:
+        scopes = [node, *node.body] if isinstance(node, ast.ClassDef) else [node]
+        for defn in scopes:
+            if isinstance(defn, (ast.FunctionDef, ast.ClassDef)):
+                name = defn.name
+                if name.startswith("_") and not name.endswith("__"):
+                    out.append(name)
+    return out
+
+
+def test_every_private_helper_is_used():
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
+    defined = Counter(name for text in sources for name in _private_definitions(ast.parse(text)))
+    assert defined
+    unused = sorted(
+        name
+        for name, count in defined.items()
+        if sum(len(re.findall(rf"\b{name}\b", text)) for text in sources) <= count
+    )
+    assert unused == []

@@ -532,16 +532,22 @@ def test_unbounded_head_instances_are_capped_by_instance_cap():
     with pytest.raises(DomainLimitError, match=r"6489 undecided atoms .*\(limit: atom_cap\)"):
         find_stable_models(theory, bounds)
     # the whole-domain candidates of a set term and applications of a
-    # declared function to a value that varies, capped the same way
+    # declared function to a value that varies, capped the same way; 13
+    # members widen the count past the subset cap, so the application
+    # covers the domain (15 values) while its set term makes 13 instances
     pair_set = parse_program("q(1, 2). p :- count{(X, Y) : q(X, Y)} >= 1.")
     with pytest.raises(DomainLimitError) as err:
         gz_stable_models(pair_set, bounds.with_(instance_cap=100))
     assert str(err.value) == (
         "variable X, Y of {(X, Y) : q(X, Y)} ranges over 169 value tuples (limit: instance_cap)"
     )
-    applied = parse_program("#function f/1 : {a; b}. q(1). p :- f(count{X : q(X)}) = a.")
+    applied = parse_program(
+        "#function f/1 : {a; b}. "
+        + " ".join(f"q({i})." for i in range(13))
+        + " p :- f(count{X : q(X)}) = a."
+    )
     with pytest.raises(DomainLimitError) as err:
-        find_stable_models(applied, bounds.with_(instance_cap=10))
+        find_stable_models(applied, bounds.with_(instance_cap=14))
     assert str(err.value) == (
         "application 'f(count{X : q(X)})' ranges over 15 value tuples (limit: instance_cap)"
     )
@@ -563,6 +569,39 @@ def test_sigma_candidates_come_from_the_search_theory(text):
     for report in (whole, find_stable_models(theory, bounds)):
         assert report.stats.candidates == 1
         assert [(m.atoms, m.sigma.funcs) for m in report.models] == [({atom("r", 1)}, {})]
+
+
+APPLIED_COUNT = "#function f/1 : {a; b}. q(1). p :- f(count{X : q(X)}) = a."
+
+
+def _models_and_candidates(theory, bounds):
+    whole = solve_ground(ground_theory(theory, build_universe(theory, bounds)))
+    return [
+        ([(m.atoms, m.sigma.funcs, m.sigma.sets) for m in r.models], r.stats.candidates)
+        for r in (whole, find_stable_models(theory, bounds))
+    ]
+
+
+def test_an_application_covers_the_values_its_argument_can_take():
+    # count{X : q(X)} is 0 or 1, so f gets 2 applications, not one per
+    # domain value (13 at the defaults: 3^13 assignments)
+    theory = parse_program(APPLIED_COUNT)
+    for models, candidates in _models_and_candidates(theory, DomainBounds(max_herbrand_depth=0)):
+        assert [(atoms, funcs) for atoms, funcs, _ in models] == [({atom("q", 1)}, {})]
+        assert candidates == 2 * 3**2
+
+
+def test_the_application_cover_keeps_the_whole_domain_models():
+    theory = parse_program(APPLIED_COUNT)
+    bounds = DomainBounds(int_max=2, max_herbrand_depth=0)
+    narrow = _models_and_candidates(theory, bounds)
+    with pytest.MonkeyPatch.context() as patch:
+        # every possible-value product widened: the whole-domain cover
+        patch.setattr(_Viability, "_combos", lambda self, terms: _TOP_MARK)
+        wide = _models_and_candidates(theory, bounds)
+    assert [models for models, _ in narrow] == [models for models, _ in wide]
+    assert [candidates for _, candidates in wide] == [2 * 3**5] * 2
+    assert [candidates for _, candidates in narrow] == [2 * 3**2] * 2
 
 
 def test_gz_evaluates_each_aggregate_once_per_candidate():

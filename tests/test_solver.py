@@ -359,7 +359,8 @@ WHOLE_DOMAIN = [
     ("s(S) :- S = {X : c(X)}.", "variable S of 's(S) :- S = {X : c(X)}.'"),
     ("p({X : c(X)}).", "head 'p({X : c(X)})'"),
     ("p(1) :- exists Y (q(Y)).", "variable Y of 'exists Y (q(Y))'"),
-    ("#function f/1 : {0; 1}. p(1) :- f({X : r(X)}) = 1.", "application 'f({X : r(X)})'"),
+    # 13 members widen the argument past the subset cap
+    ("#function f/1 : {0; 1}. p(1) :- f({X : c(X)}) = 1.", "application 'f({X : c(X)})'"),
 ]
 
 

@@ -1,13 +1,20 @@
+import random
+
 import pytest
 
+from setasp.checks import _random_formula, _semantics_universe
 from setasp.parser import RawRule, _Parser, expand_sugar, parse_program, theory_text, tokenize
 from setasp.syntax import (
     BOT,
     And,
     Eq,
+    Exists,
+    Forall,
     Implies,
     IntSet,
     Num,
+    Val,
+    closure_prefix,
     free_vars,
     neg,
     rank,
@@ -15,6 +22,8 @@ from setasp.syntax import (
     walk,
 )
 from setasp.values import HTerm
+
+from conftest import PROGRAMS
 
 
 def term(text):
@@ -170,3 +179,71 @@ def test_bound_variables_occur_in_every_parsed_set():
                 for name in node.bound:
                     covered = any(name in free_vars(t) for t in node.head)
                     assert covered or name in free_vars(node.body)
+
+
+# ---------------------------------------------------------------------------
+# node shapes: ``children``, ``rebuild`` and ``binds``
+
+EVERY_NODE = (
+    "#function f/1 : {a; b}. "
+    "p(X, g(a)) :- q({(1, X); (2, a)}), r({A, B : (A, 1) : s(A, B), A < B}); "
+    "count{Y : t(Y)} = X + 1, (forall Z (u(Z) -> #true); exists W (v(W), not #false)), f(X) = b."
+)
+
+EVERY_NODE_ORDER = (
+    "Forall Implies Or And PredAtom ExtSet Num Var Num HApp PredAtom IntSet Var Num And PredAtom "
+    "Var Var PredAtom Var Var And And Eq EApp IntSet Var PredAtom Var EApp Var Num Or Forall "
+    "Implies PredAtom Var _Top Exists And PredAtom Var Implies _Bot _Bot Eq EApp Var HApp "
+    "PredAtom Var HApp HApp"
+)
+
+
+def _every_node():
+    (phi,) = parse_program(EVERY_NODE).formulas
+    # instantiation is the only maker of ``Val``
+    return And(phi, Eq(Val(1), Num(1)))
+
+
+def test_every_node_rebuilds_over_its_own_children():
+    for node in walk(_every_node()):
+        copy = node.rebuild(node.children)
+        assert copy == node and hash(copy) == hash(node)
+        if hasattr(node, "args"):
+            assert node.children is node.args
+
+
+def test_walk_is_pre_order_over_children():
+    phi = _every_node()
+    assert " ".join(type(n).__name__ for n in walk(phi)) == f"And {EVERY_NODE_ORDER} Eq Val Num"
+
+
+def test_binders_name_the_variables_they_bind():
+    nodes = list(walk(_every_node()))
+    assert [n.binds for n in nodes if n.binds] == [("X",), ("A", "B"), ("Y",), ("Z",), ("W",)]
+    assert all(n.binds == () for n in nodes if not isinstance(n, (IntSet, Forall, Exists)))
+
+
+def _binder_cases():
+    rng = random.Random(5)
+    universe = _semantics_universe()
+    # set terms bind X, quantifiers Y
+    yield from (_random_formula(rng, universe, 3) for _ in range(200))
+    for path in sorted(PROGRAMS.glob("*.lp")):
+        yield from (closure_prefix(phi)[1] for phi in parse_program(path.read_text()).formulas)
+
+
+def test_substitute_removes_exactly_the_name_it_binds():
+    replaced = kept = 0
+    for phi in _binder_cases():
+        for node in walk(phi):
+            free = free_vars(node)
+            assert substitute(node, {}) is node
+            for name in free | {"X", "Y", "Q"}:
+                out = substitute(node, {name: Val(1)})
+                assert free_vars(out) == free - {name}
+                if name in free:
+                    replaced += 1
+                else:
+                    assert out is node
+                    kept += 1
+    assert min(replaced, kept) > 500
