@@ -309,6 +309,8 @@ class _Viability:
     candidate interpretations whose atoms stay inside the current fixpoint;
     ``possibly_sat`` over-approximates there-world satisfiability.  Heads
     whose antecedents are possibly satisfiable enter the fixpoint.
+    ``possibly_sat`` asks ``_possibly_atom`` about atoms and equalities,
+    the one method an engine overrides with its own semantics (``gz``).
     """
 
     def __init__(self, ground: GroundTheory):
@@ -453,24 +455,8 @@ class _Viability:
             return True
         if isinstance(phi, _Bot):
             return False
-        if isinstance(phi, PredAtom):
-            combos = self._combos(phi.args)
-            if combos is _TOP_MARK:
-                return True
-            if phi.pred in RELATION_PREDS:
-                return any(
-                    UNDEF not in combo and relation_eval(phi.pred, combo[0], combo[1])
-                    for combo in combos
-                )
-            return any(
-                UNDEF not in combo and (phi.pred, combo) in self.atoms for combo in combos
-            )
-        if isinstance(phi, Eq):
-            left = self.possible_values(phi.left)
-            right = self.possible_values(phi.right)
-            if left is _TOP_MARK or right is _TOP_MARK:
-                return True
-            return any(v is not UNDEF for v in left & right)
+        if isinstance(phi, (PredAtom, Eq)):
+            return self._possibly_atom(phi)
         if isinstance(phi, And):
             return self.possibly_sat(phi.left) and self.possibly_sat(phi.right)
         if isinstance(phi, Or):
@@ -482,6 +468,24 @@ class _Viability:
         if isinstance(phi, Exists):
             return any(self.possibly_sat(b) for b in self.universe.quantifier_instances(phi))
         raise TypeError(f"unexpected formula {phi!r}")
+
+    def _possibly_atom(self, phi):
+        """Whether an atom or an equality can hold inside the fixpoint."""
+        if isinstance(phi, Eq):
+            left = self.possible_values(phi.left)
+            right = self.possible_values(phi.right)
+            if left is _TOP_MARK or right is _TOP_MARK:
+                return True
+            return any(v is not UNDEF for v in left & right)
+        combos = self._combos(phi.args)
+        if combos is _TOP_MARK:
+            return True
+        if phi.pred in RELATION_PREDS:
+            return any(
+                UNDEF not in combo and relation_eval(phi.pred, combo[0], combo[1])
+                for combo in combos
+            )
+        return any(UNDEF not in combo and (phi.pred, combo) in self.atoms for combo in combos)
 
     # -- head collection
 

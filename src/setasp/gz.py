@@ -11,16 +11,18 @@ candidate become falsum, satisfied set atoms become the conjunction of
 their satisfied ground body instances, and the candidate must be the
 unique subset-minimal classical model of what remains.
 
-The search is the equilibrium engine's: the support fixpoint of
-``ground`` computes the upper bound with a classical "can hold" test
-(``_GZViability``), and the shared candidate loop
-(``search.search_stable``) calls back into ``cl_satisfies``, ``reduct``
-and ``_has_smaller_model``.  Ground atoms are read by
-``interp.static_atom``, the reduct's least model is ``rules.least_model``
-and constants fold by ``syntax.fold``, as in that engine.  The grounding
-stays the full ``ground.ground_theory``, never the binding-driven one of
-``instantiate``, so ``cross_check`` still compares two instantiations and
-two upper bounds.
+The engine supplies only its semantics: the fragment grammar
+(``_gz_formula``), classical satisfaction (``cl_satisfies``), the reduct
+(``reduct``) and which atoms can hold (``_GZViability._possibly_atom``);
+``_comparison`` is their one reading of a comparison.  The rest is the
+equilibrium engine's: the support fixpoint of ``ground`` computes the
+upper bound, the shared candidate loop (``search.search_stable``) calls
+back into ``cl_satisfies``, ``reduct`` and ``_has_smaller_model``, ground
+atoms are read by ``interp.static_atom``, the reduct's least model is
+``rules.least_model`` and constants fold by ``syntax.fold``.  The
+grounding stays the full ``ground.ground_theory``, never the
+binding-driven one of ``instantiate``, so ``cross_check`` still compares
+two instantiations and two upper bounds.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 from .domain import DomainBounds
 from .errors import NotGZError
-from .ground import GroundTheory, _Viability, ground_theory
+from .ground import _Viability, ground_theory
 from .interp import aggregate_eval, atom_key, relation_eval, static_atom
 from .parser import Theory, parse_program
 from .rules import least_model, rule_view
@@ -47,7 +49,6 @@ from .syntax import (
     EApp,
     Eq,
     Exists,
-    Forall,
     HApp,
     Implies,
     IntSet,
@@ -62,7 +63,6 @@ from .syntax import (
     closure_prefix,
     conj,
     fold,
-    formula_statement,
     free_vars,
     ground_constructor_value,
     pretty,
@@ -101,9 +101,7 @@ def _is_set_name(term):
 
 
 def _gz_pred_arg(term):
-    if isinstance(term, Var):
-        return True
-    if isinstance(term, Num):
+    if isinstance(term, (Var, Num)):
         return True
     if isinstance(term, Val):
         return not isinstance(term.value, FinSet)
@@ -112,74 +110,64 @@ def _gz_pred_arg(term):
     return False
 
 
-def _gz_zero_formula(phi):
-    """Quantifier-free rank-0 formula over fragment-shaped atoms."""
-    if isinstance(phi, (_Bot, _Top)):
-        return None
-    if isinstance(phi, PredAtom):
-        if phi.pred in RELATION_PREDS:
-            for side in phi.args:
-                if not (_is_arith(side) or _gz_pred_arg(side)):
-                    return f"comparison over non-arithmetic term {pretty(side)!r}"
-            return None
-        for a in phi.args:
-            if not _gz_pred_arg(a):
-                return f"predicate argument {pretty(a)!r} is not a ground constructor term"
-        return None
+def _is_aggregate(term):
+    return isinstance(term, EApp) and term.name in AGGREGATE_NAMES
+
+
+def _comparison(phi):
+    """``(rel, left, right)`` of an equality or a GZ comparison, else None."""
     if isinstance(phi, Eq):
-        for side in (phi.left, phi.right):
-            if not (_is_arith(side) or _gz_pred_arg(side)):
-                return f"equality over {pretty(side)!r} is not a GZ atom"
-        return None
-    if isinstance(phi, (And, Or, Implies)):
-        return _gz_zero_formula(phi.left) or _gz_zero_formula(phi.right)
-    return f"construct {pretty(phi)!r} not allowed in a set body"
+        return "=", phi.left, phi.right
+    if isinstance(phi, PredAtom) and phi.pred in _GZ_RELS:
+        return (phi.pred, *phi.args)
+    return None
 
 
-def _gz_atom(phi):
-    """None when ``phi`` fits the fragment's atom grammar, else a reason."""
+def _gz_formula(phi, in_set=False):
+    """None when ``phi`` fits the fragment's grammar, else a reason.
+
+    Connectives recurse.  An atom is a predicate atom or a comparison, an
+    aggregate one over a set name included.  A set name's body
+    (``in_set``) compares only fixed values, where every relation, ``in``
+    included, reads as a comparison."""
     if isinstance(phi, (_Bot, _Top)):
         return None
-    if isinstance(phi, Eq) or (
-        isinstance(phi, PredAtom) and phi.pred in _GZ_RELS and len(phi.args) == 2
-    ):
-        left, right = (phi.left, phi.right) if isinstance(phi, Eq) else phi.args
-        if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:
-            inner = left.args[0]
-            if not _is_set_name(inner):
-                return f"aggregate argument {pretty(inner)!r} is not a set name"
-            body_reason = _gz_zero_formula(inner.body)
-            if body_reason:
-                return body_reason
-            # a non-arithmetic ground value on the right just makes the
-            # atom false, so instantiated comparisons stay in the fragment
-            if not (_is_arith(right) or _gz_pred_arg(right)):
-                return f"aggregate compared against non-arithmetic term {pretty(right)!r}"
-            return None
-        if isinstance(right, EApp) and right.name in AGGREGATE_NAMES:
-            return "aggregate must appear on the left of the comparison"
-        for side in (left, right):
-            if isinstance(side, IntSet):
-                return (
-                    f"equality with set name {pretty(side)!r} is not a GZ set atom"
-                )
+    if isinstance(phi, (And, Or, Implies)):
+        return _gz_formula(phi.left, in_set) or _gz_formula(phi.right, in_set)
+    if isinstance(phi, _Quant):  # a set name's body has none
+        return f"quantifier inside a GZ formula: {pretty(phi)!r}"
+    if in_set and (isinstance(phi, Eq) or phi.pred in RELATION_PREDS):
+        for side in phi.children:
             if not (_is_arith(side) or _gz_pred_arg(side)):
-                return f"term {pretty(side)!r} not allowed in a GZ atom"
+                if isinstance(phi, Eq):
+                    return f"equality over {pretty(side)!r} is not a GZ atom"
+                return f"comparison over non-arithmetic term {pretty(side)!r}"
         return None
-    if isinstance(phi, PredAtom):
+    comparison = _comparison(phi)
+    if comparison is None:
         for a in phi.args:
             if not _gz_pred_arg(a):
                 return f"predicate argument {pretty(a)!r} is not a ground constructor term"
         return None
-    return f"construct {formula_statement(phi)!r} is not a GZ formula"
-
-
-def _gz_formula(phi):
-    if isinstance(phi, (And, Or, Implies)):
-        return _gz_formula(phi.left) or _gz_formula(phi.right)
-    if isinstance(phi, (Forall, Exists)):
-        return f"quantifier inside a GZ formula: {pretty(phi)!r}"
-    return _gz_atom(phi)
+    _, left, right = comparison
+    if _is_aggregate(left):
+        inner = left.args[0]
+        if not _is_set_name(inner):
+            return f"aggregate argument {pretty(inner)!r} is not a set name"
+        reason = _gz_formula(inner.body, in_set=True)
+        # a non-arithmetic ground value on the right just makes the
+        # atom false, so instantiated comparisons stay in the fragment
+        if reason or _is_arith(right) or _gz_pred_arg(right):
+            return reason
+        return f"aggregate compared against non-arithmetic term {pretty(right)!r}"
+    if _is_aggregate(right):
+        return "aggregate must appear on the left of the comparison"
+    for side in (left, right):
+        if isinstance(side, IntSet):
+            return f"equality with set name {pretty(side)!r} is not a GZ set atom"
+        if not (_is_arith(side) or _gz_pred_arg(side)):
+            return f"term {pretty(side)!r} not allowed in a GZ atom"
+    return None
 
 
 def is_gz_theory(theory: Theory):
@@ -226,7 +214,7 @@ def cl_satisfies(atoms, phi, universe, memo=None) -> bool:
 
 
 def _cl_comparison(atoms, rel, left, right, universe, memo=None):
-    if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:
+    if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:  # _is_aggregate, kept inline
         k = _cl_aggregate(atoms, left, universe, memo)
         if k is UNDEF:
             return False
@@ -238,9 +226,7 @@ def _cl_comparison(atoms, rel, left, right, universe, memo=None):
     rv = ground_constructor_value(right)
     if lv is None or rv is None:
         raise NotGZError(f"cannot evaluate comparison {pretty(left)} {rel} {pretty(right)}")
-    if rel == "=":
-        return lv == rv
-    return relation_eval(rel, lv, rv)
+    return lv == rv if rel == "=" else relation_eval(rel, lv, rv)
 
 
 def _cl_aggregate(atoms, agg, universe, memo=None):
@@ -266,34 +252,26 @@ def reduct(phi, atoms, universe, memo=None):
     Unsatisfied formulas become falsum; predicate atoms pass through;
     satisfied comparisons over fixed values become verum; a satisfied set
     atom becomes the conjunction of the reducts of its satisfied ground
-    body instances; connectives recurse.  ``memo`` is ``cl_satisfies``'s.
+    body instances; connectives recurse.  ``memo`` is ``cl_satisfies``'s,
+    which also refuses every formula outside the fragment.
     """
     if not cl_satisfies(atoms, phi, universe, memo):
         return BOT
-    if isinstance(phi, _Top):
-        return TOP
-    if isinstance(phi, PredAtom):
-        if phi.pred in _GZ_RELS:
-            return _reduct_comparison(phi.args[0], atoms, universe)
-        return phi
-    if isinstance(phi, Eq):
-        return _reduct_comparison(phi.left, atoms, universe)
     if isinstance(phi, (And, Or, Implies)):
         left = reduct(phi.left, atoms, universe, memo)
         right = reduct(phi.right, atoms, universe, memo)
         return fold(type(phi)(left, right))  # keeps printed reducts free of verum
-    raise NotGZError(f"not a ground GZ formula: {pretty(phi)!r}")
-
-
-def _reduct_comparison(left, atoms, universe):
-    if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:
-        iset = left.args[0]
-        parts = []
-        for head, body in universe.intset_candidates(iset):
-            if cl_satisfies(atoms, body, universe):
-                parts.append(reduct(body, atoms, universe))
-        return conj(parts)
-    return TOP  # satisfied comparison over fixed values
+    comparison = _comparison(phi)
+    if comparison is None:
+        return phi  # verum or a predicate atom
+    left = comparison[1]
+    if not _is_aggregate(left):
+        return TOP  # satisfied comparison over fixed values
+    parts = []
+    for _, body in universe.intset_candidates(left.args[0]):
+        if cl_satisfies(atoms, body, universe):
+            parts.append(reduct(body, atoms, universe))
+    return conj(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -304,45 +282,27 @@ class _GZViability(_Viability):
     """GZ's upper bound: the shared support fixpoint, where a body can hold
     when some subset of the fixpoint's atoms satisfies it classically."""
 
-    def _possibly_sat(self, phi):
-        if isinstance(phi, _Bot):
-            return False
-        if isinstance(phi, _Top):
-            return True
-        if isinstance(phi, PredAtom):
-            if phi.pred in _GZ_RELS:
-                return self._possible_comparison(phi.pred, phi.args[0], phi.args[1])
+    def _possibly_atom(self, phi):
+        comparison = _comparison(phi)
+        if comparison is None:
             return static_atom(phi, self.universe) in self.atoms
-        if isinstance(phi, Eq):
-            return self._possible_comparison("=", phi.left, phi.right)
-        if isinstance(phi, And):
-            return self.possibly_sat(phi.left) and self.possibly_sat(phi.right)
-        if isinstance(phi, Or):
-            return self.possibly_sat(phi.left) or self.possibly_sat(phi.right)
-        if isinstance(phi, Implies):
-            return True
-        raise NotGZError(f"not a ground GZ formula: {pretty(phi)!r}")
-
-    def _possible_comparison(self, rel, left, right):
-        if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:
-            interval = self._possible_interval(left)
-            if interval is None:
-                return False
-            low, high = interval
-            bounds = self.universe.bounds
-            low = max(low, bounds.int_min)
-            high = min(high, bounds.int_max)
-            n = ground_constructor_value(right)
-            if not isinstance(n, int) or low > high:
-                return False
-            if rel == "=":
-                return low <= n <= high
-            if rel in ("<=", "<"):
-                return relation_eval(rel, low, n)
-            if rel in (">=", ">"):
-                return relation_eval(rel, high, n)
-            return not (low == high == n)  # "!=": some value differs unless pinned
-        return _cl_comparison(self.atoms, rel, left, right, self.universe)
+        rel, left, right = comparison
+        if not _is_aggregate(left):
+            return _cl_comparison(self.atoms, rel, left, right, self.universe)
+        interval = self._possible_interval(left)
+        if interval is None:
+            return False
+        bounds = self.universe.bounds
+        low = max(interval[0], bounds.int_min)
+        high = min(interval[1], bounds.int_max)
+        n = ground_constructor_value(right)
+        if not isinstance(n, int) or low > high:
+            return False
+        if rel == "=":
+            return low <= n <= high
+        if rel == "!=":
+            return not (low == high == n)  # some value differs unless pinned
+        return relation_eval(rel, low if rel in ("<=", "<") else high, n)
 
     def _possible_interval(self, agg):
         """Optimistic aggregate bounds over subsets of the viable satisfiers."""
@@ -359,9 +319,7 @@ class _GZViability(_Viability):
             high = sum(v for v in firsts if v > 0)
             return low, high
         ints = [m[0] for m in members if len(m) == 1 and isinstance(m[0], int)]
-        if not ints:
-            return None
-        return min(ints), max(ints)
+        return (min(ints), max(ints)) if ints else None
 
 
 def _gz_relevant_atoms(viability: _GZViability):
@@ -374,14 +332,8 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
     ok, reason = is_gz_theory(theory)
     if not ok:
         raise NotGZError(reason)
-    bounds = bounds or DomainBounds()
-    universe = build_universe(theory, bounds)
-    ground = ground_theory(theory, universe)
-    return gz_solve_ground(ground)
-
-
-def gz_solve_ground(ground: GroundTheory):
-    viability = _GZViability(ground)
+    universe = build_universe(theory, bounds or DomainBounds())
+    viability = _GZViability(ground_theory(theory, universe))
     upper = _gz_relevant_atoms(viability)
 
     def stable_in(search):
@@ -456,10 +408,8 @@ class CrossCheckResult:
 
 
 def cross_check(theory: Theory, bounds: DomainBounds = None) -> CrossCheckResult:
-    """Run both engines on one theory and compare the stable-model sets."""
-    ok, reason = is_gz_theory(theory)
-    if not ok:
-        raise NotGZError(reason)
+    """Run both engines on one theory and compare the stable-model sets;
+    ``gz_stable_models`` refuses a theory outside the fragment."""
     bounds = bounds or DomainBounds()
     gz_models = gz_stable_models(theory, bounds)
     eq_report = find_stable_models(theory, bounds)
@@ -531,10 +481,9 @@ def differential_trials(trials: int, seed: int, bounds: DomainBounds = None):
         if result.agree:
             agreements += 1
         else:
-            entry = {"program": program}
-            entry.update(result.to_json())
-            del entry["agree"]
-            disagreements.append(entry)
+            report = result.to_json()
+            del report["agree"]
+            disagreements.append({"program": program, **report})
     return {
         "trials": trials,
         "agreements": agreements,

@@ -45,7 +45,7 @@ from .interp import (
 from .parser import Theory
 from .rules import least_model
 from .search import search_stable
-from .syntax import AGGREGATE_NAMES, BOT, EApp, free_vars, pretty, walk
+from .syntax import AGGREGATE_NAMES, EApp, IntSet, free_vars, pretty
 from .values import UNDEF, format_value
 
 
@@ -109,6 +109,8 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
 
     An application whose argument is not static covers the argument
     values ``viability`` finds possible, or the whole domain past its cap.
+    A set term is read through its instances, nested ones included, so a
+    variable it binds never reaches an application.
     """
     universe = ground.universe
     ranges = universe.signature.func_ranges
@@ -117,26 +119,31 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
     apps = set()
 
     def scan(node):
-        for sub in walk(node):
-            if isinstance(sub, EApp) and sub.name in ranges:
-                app = static_atom(sub, universe)
-                if app is not None:
-                    apps.add(app)
-                    continue
-                combos = _TOP_MARK if free_vars(sub) else viability._combos(sub.args)
+        if isinstance(node, IntSet):
+            return  # read through its instances below
+        if isinstance(node, EApp) and node.name in ranges:
+            app = static_atom(node, universe)
+            if app is not None:
+                apps.add(app)
+            else:
+                combos = _TOP_MARK if free_vars(node) else viability._combos(node.args)
                 if combos is _TOP_MARK:
                     combos = universe.domain.product(
-                        len(sub.args), lambda: f"application {pretty(sub)!r}"
+                        len(node.args), lambda: f"application {pretty(node)!r}"
                     )
-                apps.update((sub.name, tuple(c)) for c in combos if UNDEF not in c)
+                apps.update((node.name, tuple(c)) for c in combos if UNDEF not in c)
+        for child in node.children:
+            scan(child)
 
     for phi in ground.formulas:
         scan(phi)
-    for iset in list(universe.intsets):
-        for head, body in universe.intset_candidates(iset):
-            for t in head:
-                scan(t)
-            scan(body)
+    scanned = set()
+    while pending := universe.intsets - scanned:
+        for iset in pending:
+            for head, body in universe.intset_candidates(iset):
+                for node in (*head, body):
+                    scan(node)
+        scanned |= pending
     return sorted(apps, key=atom_key)
 
 
@@ -285,8 +292,6 @@ def find_stable_models(theory: Theory, bounds: DomainBounds = None) -> StableMod
 
 def solve_ground(ground: GroundTheory) -> StableModelReport:
     """Search a theory grounded in full, as by ``ground_theory``."""
-    if any(phi == BOT for phi in ground.formulas):
-        return StableModelReport([])
     return _solve(_Viability(ground))
 
 

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ from setasp import DomainBounds, parse_program
 from setasp.errors import NotGZError
 from setasp.gz import (
     GENERATOR_BOUNDS,
+    _GZViability,
     cl_satisfies,
     cross_check,
     differential_trials,
@@ -22,11 +24,11 @@ from setasp.solver import (
     relevant_atoms,
     satisfies,
 )
-from setasp.syntax import BOT, formula_statement
+from setasp.syntax import BOT, Implies, formula_statement, pretty
 from setasp.parser import Theory
 from setasp.values import HTerm
 
-from conftest import COUNT0, P2, P4, atom
+from conftest import COUNT0, P2, P4, PROGRAMS, atom
 
 BOUNDS = DomainBounds(int_min=0, int_max=3, max_herbrand_depth=0)
 
@@ -67,6 +69,68 @@ def test_declared_functions_are_outside_the_fragment():
     theory = parse_program("#function f/0 : {a}. p(a) :- f = a.")
     ok, reason = is_gz_theory(theory)
     assert not ok
+
+
+def _program(name, ok, reason):
+    return pytest.param((PROGRAMS / name).read_text(), ok, reason, id=name)
+
+
+_NOT_SET_NAME = "aggregate argument '{}' is not a set name"
+
+# each verdict as ``is_gz_theory`` gives it, message for message
+FRAGMENT_VERDICTS = [
+    _program("aggregates.lp", False, _NOT_SET_NAME),
+    _program("count0.lp", True, None),
+    _program("p1.lp", False, "equality with set name '{X : r(X)}' is not a GZ set atom"),
+    _program("p2.lp", True, None),
+    _program("p3.lp", False, _NOT_SET_NAME),
+    _program("p4.lp", True, None),
+    # ``in`` is a predicate outside a set body and a comparison inside one
+    ("p :- 1 in {1}.", False, "predicate argument '{1}' is not a ground constructor term"),
+    (
+        "p :- count{X : q(X), X in {1}} >= 1.",
+        False,
+        "comparison over non-arithmetic term '{1}'",
+    ),
+    (
+        "p :- count{X : q(X)} >= {1}.",
+        False,
+        "aggregate compared against non-arithmetic term '{1}'",
+    ),
+    ("p :- 2 <= count{X : q(X)}.", False, "aggregate must appear on the left of the comparison"),
+    (
+        "p(Z) :- Z = {X : q(X)}.",
+        False,
+        "equality with set name '{X : q(X)}' is not a GZ set atom",
+    ),
+    (
+        "p :- count{X : q(X), count{Y : r(Y)} >= 1} >= 1.",
+        False,
+        "aggregate argument '{X : q(X), count{Y : r(Y)} >= 1}' is not a set name",
+    ),
+    ("p :- exists X (q(X)).", False, "quantifier inside a GZ formula: 'exists X (q(X))'"),
+    ("p(f(X)) :- q(X).", False, "predicate argument 'f(X)' is not a ground constructor term"),
+    ("q({1}).", False, "predicate argument '{1}' is not a ground constructor term"),
+    (
+        "p :- count{X : Y : q(X, Y)} >= 1.",
+        False,
+        "aggregate argument '{X : Y : q(X, Y)}' is not a set name",
+    ),
+    ("p :- q(X), X + 1 = {1}.", False, "term '{1}' not allowed in a GZ atom"),
+    ("p :- max{X : q(X)} = a.", True, None),
+    (":- not p, #true.", True, None),
+]
+
+
+@pytest.mark.parametrize("text, ok, reason", FRAGMENT_VERDICTS)
+def test_fragment_diagnostics_are_pinned(text, ok, reason):
+    assert is_gz_theory(parse_program(text)) == (ok, reason)
+
+
+def test_classical_satisfaction_refuses_a_quantifier():
+    body = parse_program("p :- exists X (q(X)).").formulas[0].left
+    with pytest.raises(NotGZError):
+        cl_satisfies(frozenset(), body, gz_ground("q(1).").universe)
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +225,35 @@ def test_gz_zero_threshold_has_no_stable_model():
 def test_non_gz_theory_is_refused(p1_theory):
     with pytest.raises(NotGZError):
         gz_stable_models(p1_theory, BOUNDS)
+
+
+def test_the_can_hold_test_admits_every_classically_satisfied_body():
+    """Whatever body some subset of the GZ upper bound satisfies
+    classically, ``possibly_sat`` lets through: rule bodies and set-term
+    bodies alike, over programs whose upper bound has at most 10 atoms."""
+    rng = random.Random(17)
+    checks, violations = 0, []
+    for _ in range(300):
+        program = random_gz_program(rng)
+        ground = gz_ground(program, GENERATOR_BOUNDS)
+        viability = _GZViability(ground)
+        upper = sorted(viability.run(), key=atom_key)
+        if len(upper) > 10:
+            continue
+        universe = ground.universe
+        bodies = [phi.left for phi in ground.formulas if isinstance(phi, Implies)]
+        for iset in list(universe.intsets):
+            bodies.extend(body for _, body in universe.intset_candidates(iset))
+        bodies = list(dict.fromkeys(bodies))
+        for size in range(len(upper) + 1):
+            for subset in itertools.combinations(upper, size):
+                atoms = frozenset(subset)
+                for body in bodies:
+                    checks += 1
+                    if cl_satisfies(atoms, body, universe) and not viability.possibly_sat(body):
+                        violations.append((program, sorted(atoms), pretty(body)))
+    assert checks > 60_000
+    assert violations == []
 
 
 def test_grounding_invariance():

@@ -1,8 +1,8 @@
 """Every module of the package reads each name it imports, the package's
 imports run one way, and no private helper is dead: each private function,
-class and method is named somewhere in the package besides its own
-definition.  ``__init__`` only re-exports, so it is left out of the import
-checks."""
+class, method and module-level constant is named somewhere in the package
+besides its own definition.  ``__init__`` only re-exports, so it is left
+out of the import checks."""
 
 import ast
 import re
@@ -95,23 +95,24 @@ def test_no_module_imports_inside_a_function():
 
 
 def _private_definitions(tree):
-    """Names of the private module-level functions and classes of a module
-    and of the private methods of its classes (dunders are not private)."""
-    out = []
+    """Names of the private module-level functions, classes and constants
+    of a module and of the private methods of its classes (dunders are not
+    private)."""
+    names = []
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            names.extend(n.id for t in node.targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, ast.AnnAssign):
+            names.append(node.target.id)
         scopes = [node, *node.body] if isinstance(node, ast.ClassDef) else [node]
-        for defn in scopes:
-            if isinstance(defn, (ast.FunctionDef, ast.ClassDef)):
-                name = defn.name
-                if name.startswith("_") and not name.endswith("__"):
-                    out.append(name)
-    return out
+        names.extend(d.name for d in scopes if isinstance(d, (ast.FunctionDef, ast.ClassDef)))
+    return [name for name in names if name.startswith("_") and not name.endswith("__")]
 
 
 def test_every_private_helper_is_used():
     sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py"))]
     defined = Counter(name for text in sources for name in _private_definitions(ast.parse(text)))
-    assert defined
+    assert {"_GZ_RELS", "_TOP_MARK", "_VALUE_CAP"} <= set(defined)
     unused = sorted(
         name
         for name, count in defined.items()

@@ -604,6 +604,31 @@ def test_the_application_cover_keeps_the_whole_domain_models():
     assert [candidates for _, candidates in narrow] == [2 * 3**2] * 2
 
 
+APPLIED_IN_SET = "#function f/1 : {a; b}. q(1). p :- count{X : q(X), f(X) = a} >= 1."
+
+
+def test_an_application_in_a_set_term_covers_only_its_instances():
+    # f(X) under the set term's X is read through the instances, here the
+    # one application f(1), not one per domain value (3^13 assignments)
+    theory = parse_program(APPLIED_IN_SET)
+    for models, candidates in _models_and_candidates(theory, DomainBounds(max_herbrand_depth=0)):
+        assert [(atoms, funcs) for atoms, funcs, _ in models] == [({atom("q", 1)}, {})]
+        assert candidates == 2 * 3
+
+
+def test_the_set_term_instances_keep_the_whole_domain_models():
+    theory = parse_program(APPLIED_IN_SET)
+    bounds = DomainBounds(int_max=2, max_herbrand_depth=0)
+    narrow = _models_and_candidates(theory, bounds)
+    with pytest.MonkeyPatch.context() as patch:
+        # the scan walks into set terms and covers f(X) over the whole domain
+        patch.setattr(solver, "IntSet", type("NoSetTerm", (), {}))
+        wide = _models_and_candidates(theory, bounds)
+    assert [models for models, _ in narrow] == [models for models, _ in wide]
+    assert [candidates for _, candidates in wide] == [2 * 3**5] * 2
+    assert [candidates for _, candidates in narrow] == [2 * 3] * 2
+
+
 def test_gz_evaluates_each_aggregate_once_per_candidate():
     asked, computed = set(), []
     with pytest.MonkeyPatch.context() as patch:
