@@ -240,7 +240,7 @@ def simplify(phi, universe: Universe):
         if _independent(phi.left) and _independent(phi.right):
             left = eval_term(universe.static, T, phi.left)
             right = eval_term(universe.static, T, phi.right)
-            return TOP if (left is not UNDEF and left == right) else BOT
+            return TOP if relation_eval("=", left, right) else BOT
         return phi
     if isinstance(phi, _BinConn):
         left = simplify(phi.left, universe)

@@ -221,12 +221,12 @@ def _cl_comparison(atoms, rel, left, right, universe, memo=None):
         n = ground_constructor_value(right)
         if not isinstance(n, int):
             return False
-        return k == n if rel == "=" else relation_eval(rel, k, n)
+        return relation_eval(rel, k, n)
     lv = ground_constructor_value(left)
     rv = ground_constructor_value(right)
     if lv is None or rv is None:
         raise NotGZError(f"cannot evaluate comparison {pretty(left)} {rel} {pretty(right)}")
-    return lv == rv if rel == "=" else relation_eval(rel, lv, rv)
+    return relation_eval(rel, lv, rv)
 
 
 def _cl_aggregate(atoms, agg, universe, memo=None):
@@ -342,9 +342,10 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
         def stable(candidate):
             memo = {}  # the aggregate values of this candidate
             if not all(cl_satisfies(candidate, phi, universe, memo) for phi in search.formulas):
-                return None
+                return
             reduced = [reduct(phi, candidate, universe, memo) for phi in search.formulas]
-            return None if _has_smaller_model(candidate, reduced, universe) else candidate
+            if not _has_smaller_model(candidate, reduced, universe):
+                yield {}, candidate
 
         return stable
 

@@ -286,9 +286,12 @@ def builtin_func_eval(name, args, bounds: DomainBounds):
 
 
 def relation_eval(name, left, right):
-    """Builtin relation atoms; false whenever a side is undefined."""
+    """Builtin relation atoms and ``=``; false whenever a side is
+    undefined."""
     if left is UNDEF or right is UNDEF:
         return False
+    if name == "=":
+        return left == right
     if name == "!=":
         return left != right
     if name == "in":

@@ -9,6 +9,11 @@ root is the lower bound (``lower_bound``).  ``there_candidates``, every
 subset of the atoms between the root bounds, is the reference the tests
 swap in for it.  Propagation only ever drops candidates that cannot be
 stable: each leaf still takes the engine's model and minimality checks.
+
+A rule body or constraint compiles to bit masks of its static atoms and
+negated static atoms, plus one bounds test per ``count`` or ``sum``
+comparison with a ground value: the aggregate lies between its members
+certain under the lower bound and those possible under the upper one.
 """
 
 from __future__ import annotations
@@ -17,8 +22,10 @@ from dataclasses import replace
 from itertools import compress
 
 from .errors import DomainLimitError
-from .interp import atom_key, static_atom
-from .syntax import BOT, RELATION_PREDS, And, Implies, Or, PredAtom, walk
+from .ground import simplify
+from .interp import T, _independent, atom_key, eval_term, relation_eval, static_atom
+from .syntax import BOT, RELATION_PREDS, And, EApp, Eq, Implies, IntSet, Or, PredAtom, _Top, walk
+from .values import UNDEF, value_key
 
 
 def search_stable(viability, upper, stable_in) -> list:
@@ -27,7 +34,9 @@ def search_stable(viability, upper, stable_in) -> list:
     ``viability`` has run its fixpoint, whose atoms are ``upper``; the
     search theory keeps what its last round judged possible.
     ``stable_in(search)`` returns the engine's test on that theory, which
-    maps a there-world to its stable model or None.
+    maps a there-world to the stable models it carries, as ``(funcs,
+    model)`` pairs whose ``funcs`` are the model's declared-function
+    facts; models sort by their atoms, then by those facts.
     """
     ground = viability.ground
     if any(phi == BOT for phi in ground.formulas):
@@ -36,9 +45,9 @@ def search_stable(viability, upper, stable_in) -> list:
     stable = stable_in(search)
     found = {}
     for there in branch_leaves(search, upper):
-        model = stable(there)
-        if model is not None:
-            found[tuple(sorted(map(atom_key, there)))] = model
+        for funcs, model in stable(there):
+            facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
+            found[tuple(sorted(map(atom_key, there))), tuple(facts)] = model
     return [found[key] for key in sorted(found)]
 
 
@@ -142,27 +151,28 @@ class _Propagation:
     them is an ``int`` bit mask; one bit past them stands for every atom
     outside.  Each rule body and constraint of the theory's rule view is
     compiled once (``_compile``), so tightening a pair of bounds takes
-    only bit operations.  ``kept`` holds the atoms that a formula outside
-    the view mentions (every atom of a predicate it reads through a
-    non-static argument), which support never drops.
+    only bit operations, plus a pass over the members of each aggregate
+    test.  ``kept`` holds the atoms that a formula outside the view
+    mentions (every atom of a predicate it reads through a non-static
+    argument), which support never drops.
     """
 
     def __init__(self, ground, upper):
-        view, universe = ground.rules, ground.universe
+        view = ground.rules
+        self.universe = ground.universe
         self.order = tuple(upper)
         self.bits = {a: 1 << i for i, a in enumerate(self.order)}
         self.outside = 1 << len(self.order)
         self.facts = self.mask(view.facts)
         self.read = 0  # the atoms some body reads, filled in by _compile
-        self.rules = tuple(
-            (self._compile(body, universe), self.mask(heads)) for body, heads in view.rules
-        )
-        self.constraints = tuple(self._compile(body, universe) for body in view.constraints)
+        self._members = {}  # an aggregate term -> its members (``_set_members``)
+        self.rules = tuple((self._compile(body), self.mask(heads)) for body, heads in view.rules)
+        self.constraints = tuple(self._compile(body) for body in view.constraints)
         atoms, preds = set(), set()
         for phi in view.others:
             for node in walk(phi):
                 if isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
-                    key = static_atom(node, universe)
+                    key = static_atom(node, self.universe)
                     if key is None:
                         preds.add((node.pred, len(node.args)))
                     else:
@@ -182,33 +192,118 @@ class _Propagation:
         digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
         return frozenset(compress(self.order, digits))
 
-    def _compile(self, phi, universe):
-        """A rule body as ``(pos, neg, opaque, alts)``: the masks of its
+    def _compile(self, phi):
+        """A rule body as ``(pos, neg, opaque, parts)``: the masks of its
         static atoms and of the static atoms under its ``not``, whether it
-        has a conjunct of any other shape, and a pair of compiled bodies
-        per ``;``.  A ``not`` of an atom outside the upper bound always
-        holds, so it is left out."""
-        pos, neg, alts, opaque = 0, 0, [], False
+        has a conjunct of any other shape, and its other conjuncts: a pair
+        of compiled bodies per ``;`` and a test (``_aggregate``) per
+        comparison of a ``count`` or ``sum`` with a ground value, under
+        ``not`` or not.  A ``not`` of an atom outside the upper bound
+        always holds, so it is left out."""
+        pos, neg, parts, opaque = 0, 0, [], False
         todo = [phi]
         while todo:
             part = todo.pop()
             if isinstance(part, And):
                 todo += (part.left, part.right)
             elif isinstance(part, Or):
-                alts.append(
-                    (self._compile(part.left, universe), self._compile(part.right, universe))
-                )
-            else:
+                parts.append((self._compile(part.left), self._compile(part.right)))
+            elif not isinstance(part, _Top):
                 negated = isinstance(part, Implies) and part.right == BOT
-                atom = static_atom(part.left if negated else part, universe)
-                if atom is None:
-                    opaque = True
-                elif negated:
-                    neg |= self.bits.get(atom, 0)
+                node = part.left if negated else part
+                atom = static_atom(node, self.universe)
+                if atom is not None:
+                    if negated:
+                        neg |= self.bits.get(atom, 0)
+                    else:
+                        pos |= self.bits.get(atom, self.outside)
+                elif (test := self._aggregate(node, negated)) is not None:
+                    parts.append(test)
                 else:
-                    pos |= self.bits.get(atom, self.outside)
+                    opaque = True
         self.read |= pos | neg
-        return pos, neg, opaque, tuple(alts)
+        return pos, neg, opaque, tuple(parts)
+
+    def _aggregate(self, part, negated):
+        """The test ``(negated, members, accept, undefined, first, last)``
+        of ``part``, a comparison between a ``count`` or ``sum`` of a set
+        term and a ground value, or None.
+
+        ``members`` come from ``_set_members``.  ``[first, last]`` holds
+        the values the aggregate can take inside the integer bounds; any
+        other value it can take is undefined, as ``clip_int`` reads it,
+        and ``relation_eval`` decides the comparison, so the aggregate is
+        read as ``interp`` reads it.  ``accept`` has bit ``v - first`` set
+        when ``part``, its ``not`` applied, holds at the value ``v``, and
+        ``undefined`` tells whether it holds at an undefined one."""
+        if isinstance(part, Eq):
+            rel = "="
+        elif isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
+            rel = part.pred
+        else:
+            return None
+        left, right = part.children
+        flip = not _summed(left)
+        agg, other = (right, left) if flip else (left, right)
+        if not _summed(agg) or not _independent(other):
+            return None
+        members = self._members.get(agg, self)  # ``self`` marks one not compiled yet
+        if members is self:
+            members = self._members[agg] = self._set_members(agg)
+        if members is None:
+            return None
+        bounds = self.universe.bounds
+        value = eval_term(self.universe.static, T, other)
+
+        def holds(v):  # ``part`` at the aggregate value ``v``
+            return relation_eval(rel, *((value, v) if flip else (v, value))) != negated
+
+        first = max(bounds.int_min, sum(w for _, _, w in members if w < 0))
+        last = min(bounds.int_max, sum(w for _, _, w in members if w > 0))
+        accept = sum(1 << (v - first) for v in range(first, last + 1) if holds(v))
+        undefined = holds(bounds.clip_int(bounds.int_max + 1))  # any value past the bounds
+        return negated, members, accept, undefined, first, last
+
+    def _set_members(self, agg):
+        """The members of the set term of ``agg``, each ``(pos, neg,
+        weight)``: the masks of its body, as ``_compile`` makes them, and
+        its weight; None when the aggregate stays opaque.
+
+        The members are the set term's instances in the search universe
+        that ``simplify`` does not fold to false and whose body's atoms
+        the root upper bound holds; a ``count`` weighs each 1 and a
+        ``sum`` its first value, and a weight of 0 changes nothing.  The
+        aggregate stays opaque when a member's body is not built from
+        static atoms with ``,`` and ``not``, its head has a value that
+        can vary or is undefined, two members share a head, a ``sum``
+        weight is not an integer, or the set term nests another."""
+        iset = agg.args[0]
+        if any(isinstance(node, IntSet) for node in walk(iset) if node is not iset):
+            return None
+        universe, read = self.universe, self.read
+        members, heads = [], set()
+        for head, body in universe.intset_candidates(iset):
+            body = simplify(body, universe)
+            if body == BOT:
+                continue
+            pos, neg, opaque, parts = self._compile(body)
+            if pos & self.outside:
+                continue  # false in every world inside the root upper bound
+            values = tuple(
+                eval_term(universe.static, T, t) if _independent(t) else UNDEF for t in head
+            )
+            weight = 1 if agg.name == "count" else values[0]
+            if (
+                opaque or parts or values in heads
+                or any(v is UNDEF for v in values)
+                or isinstance(weight, bool) or not isinstance(weight, int)
+            ):
+                self.read = read
+                return None
+            heads.add(values)
+            if weight:
+                members.append((pos, neg, weight))
+        return tuple(members)
 
     def root(self):
         """The bounds from the facts and the root upper bound, tightened."""
@@ -219,19 +314,33 @@ class _Propagation:
         when no stable model lies between them.
 
         The lower bound gains the heads of every rule whose body holds in
-        each world between the bounds.  The upper bound shrinks to the
-        support fixpoint inside it: the facts, the kept atoms and the
-        heads of rules whose body holds in some world between the lower
-        bound and the support so far.  Every stable model between the
-        bounds stays between the tightened ones, since dropping its
-        unsupported atoms would leave a smaller model.  The bounds
-        conflict when the lower one leaves the upper one or a constraint
-        body holds throughout.
+        each world between the bounds, and the bounds conflict when the
+        lower one leaves the upper one or a constraint body holds
+        throughout.  This is sound in both engines because a stable model
+        is a model at its there-world, and there both read a set term's
+        extension classically, as the members whose body holds.
+
+        The upper bound shrinks to the support fixpoint ``S`` inside it:
+        the facts, the kept atoms and the heads of rules whose body can
+        hold at a here-world inside ``S`` whose there-world lies between
+        the bounds.  A stable model ``T`` between the bounds stays inside
+        ``S``: every rule whose body holds at the here-world ``T & S``
+        has its heads in ``S``, so ``T & S`` would be a smaller model of
+        the equilibrium engine's here-world reading, and of the GZ
+        reduct, were it not ``T``.  A ``not`` reads the there-world, so a
+        negated atom fails only in the lower bound and a negated
+        aggregate ranges over the there-worlds between the bounds.  A
+        positive aggregate holds at ``T & S`` only when every member of
+        its there-extension holds there too (the equilibrium engine
+        leaves the set undefined otherwise, and the reduct keeps each
+        such member's body), so it counts at least the members certain
+        in every there-world, their negated atoms tested against the
+        upper bound, and at most those possible inside ``S``.
         """
         while True:
             lower = _grow(lower, self.rules, upper, True, -1)
             if lower & ~upper or self.constraints and any(
-                _entailed(body, lower, upper, True) for body in self.constraints
+                _entailed(body, lower, upper, True, -1) for body in self.constraints
             ):
                 return None
             support = _grow(self.facts | self.kept & upper, self.rules, lower, False, upper)
@@ -240,10 +349,17 @@ class _Propagation:
             upper = support
 
 
+def _summed(term):
+    """Whether ``term`` is a ``count`` or a ``sum`` of a set term."""
+    return (
+        isinstance(term, EApp) and term.name in ("count", "sum") and isinstance(term.args[0], IntSet)
+    )
+
+
 def _grow(model, rules, other, strict, cap):
     """The least mask above ``model`` that holds the heads, within
     ``cap``, of every rule whose body ``_entailed(body, model, other,
-    strict)`` accepts."""
+    strict, cap)`` accepts."""
     pending = rules
     while pending:
         waiting, before = [], model
@@ -251,7 +367,7 @@ def _grow(model, rules, other, strict, cap):
             heads = rule[1] & cap
             if not heads & ~model:
                 continue  # nothing left to add
-            if _entailed(rule[0], model, other, strict):
+            if _entailed(rule[0], model, other, strict, cap):
                 model |= heads
             else:
                 waiting.append(rule)
@@ -261,15 +377,48 @@ def _grow(model, rules, other, strict, cap):
     return model
 
 
-def _entailed(body, lo, hi, strict) -> bool:
+def _entailed(body, lo, hi, strict, cap) -> bool:
     """Whether a compiled body holds in every world between the masks
-    ``lo`` and ``hi``.  Swapping the bounds and passing ``strict=False``,
-    under which a conjunct of another shape counts as true rather than
-    false, asks instead whether it holds in some world between them."""
-    pos, neg, opaque, alts = body
+    ``lo`` and ``hi`` (``strict``).  Given the support so far as ``lo``,
+    the lower bound as ``hi``, the upper bound as ``cap`` and ``strict``
+    False, whether it can hold at a here-world inside the support whose
+    there-world lies between the bounds, a conjunct of another shape
+    counting as true rather than false (see ``_Propagation.bounds``)."""
+    pos, neg, opaque, parts = body
     if strict and opaque or pos & ~lo or neg & hi:
         return False
-    return not alts or all(
-        _entailed(left, lo, hi, strict) or _entailed(right, lo, hi, strict)
-        for left, right in alts
-    )
+    for part in parts:  # a loop, not a generator, keeps the arguments local
+        if len(part) == 2:  # a ``;``
+            if not (
+                _entailed(part[0], lo, hi, strict, cap) or _entailed(part[1], lo, hi, strict, cap)
+            ):
+                return False
+        elif not _admits(part, lo, hi, strict, cap):
+            return False
+    return True
+
+
+def _admits(test, lo, hi, strict, cap):
+    """``_entailed`` for one aggregate test: the aggregate lies between
+    the weights of its members certain in every world between the bounds
+    and those possible in some, split by sign.  A positive aggregate's
+    possible members lie inside the support when ``strict`` is False."""
+    lower, upper = (lo, hi) if strict else (hi, cap)
+    negated, members, accept, undefined, first, last = test
+    reach = upper if strict or negated else lo
+    low = high = 0
+    for pos, neg, weight in members:
+        certain = 0 if pos & ~lower or neg & upper else weight
+        possible = 0 if pos & ~reach or neg & lower else weight
+        if weight > 0:
+            low, high = low + certain, high + possible
+        else:
+            low, high = low + possible, high + certain
+    if low > high:  # no value: vacuous in every world, or it cannot hold
+        return strict
+    outside = low < first or high > last  # some value is undefined
+    low, high = max(low, first), min(high, last)
+    inside = ((2 << (high - low)) - 1) << (low - first) if low <= high else 0
+    if strict:
+        return (undefined or not outside) and not inside & ~accept
+    return undefined and outside or bool(inside & accept)

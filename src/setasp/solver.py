@@ -11,7 +11,7 @@ The lower bound holds the atoms that rules with statically decidable
 bodies force into every model.  The ``search`` module decides the atoms
 between the bounds one at a time and tests only the leaves of that
 search, each against every assignment of the declared functions (the
-sigma loop).  Minimality is a least-model fixpoint (``rules``) where the
+sigma loop); each assignment that passes is a stable model.  Minimality is a least-model fixpoint (``rules``) where the
 rules allow it and a subset search elsewhere.
 
 The GZ engine (``gz``) shares the support fixpoint, the rule view and
@@ -313,8 +313,7 @@ def _solve(viability: _Viability) -> StableModelReport:
                 if not all(s_satisfies(candidate, T, phi) for phi in search.formulas):
                     continue
                 if find_countermodel(candidate, search) is None:
-                    return StableModel(t_atoms, _witness(candidate))
-            return None
+                    yield sigma_t.funcs, StableModel(t_atoms, _witness(candidate))
 
         return stable
 

@@ -55,6 +55,14 @@ FALLBACK = [
     "q(1). q(2) :- c(1). c(N) :- N = count{{Y : q(Y)} : q(1)}.",
 ]
 
+# A count past int_max is undefined, so no comparison holds of it and its
+# ``not`` does: propagation that read a count of 4 as ``>= 2`` would drop
+# the model with charlie(kilo) at ints 0..3.
+UNDEFINED_COUNT = (
+    "charlie(kilo) :- not count{V : charlie(V)} >= 2. "
+    "charlie(0) :- charlie(golf). charlie(3). charlie(golf)."
+)
+
 # Rule shapes that stay on the fast path, set terms and double negation in
 # bodies included.
 FAST = [
@@ -67,6 +75,7 @@ FAST = [
     "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). :- a(1), a(2).",
     "p(1). p(2) :- p(1) ; q(1). q(X) :- p(X), not r(2). c(N) :- count{X : q(X)} = N.",
     "p(f(a)). q(f(a)) :- p(f(a)), not r(f(a)). r(f(b)) :- not q(f(a)).",
+    UNDEFINED_COUNT,
 ]
 
 
@@ -159,6 +168,79 @@ def test_branching_matches_masks_on_fixed_programs():
     _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, mask_search)
     gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
     _compare(gz_programs, (_gz,), FIXED_BOUNDS, mask_search)
+
+
+def aggregate_gz_program(rng):
+    """``random_gz_program`` widened for the aggregate tests: every
+    relation, thresholds up to 4 (past ``GENERATOR_BOUNDS``' int_max, so
+    undefined), set bodies with ``not``, negated aggregates in more rule
+    bodies, and aggregate constraints ``:- count{V : p(V)} != k.``"""
+    consts = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
+    preds = sorted(rng.sample(["p", "q", "r"], rng.randint(1, 3)))
+
+    def const_or_int():
+        return rng.choice(consts) if rng.random() < 0.6 else str(rng.randint(0, 3))
+
+    def set_atom():
+        pred = rng.choice(preds)
+        roll = rng.random()
+        if roll < 0.2:
+            body = f"{pred}(V), V != {rng.choice(consts)}"
+        elif roll < 0.4:
+            body = f"{pred}(V), not {rng.choice(preds)}(V)"
+        else:
+            body = f"{pred}(V)"
+        rel = rng.choice([">=", "=", "<=", "!=", "<", ">"])
+        return f"{rng.choice(['count', 'sum'])}{{V : {body}}} {rel} {rng.randint(0, 4)}"
+
+    def literal():
+        roll = rng.random()
+        if roll < 0.3:
+            return f"{rng.choice(preds)}({const_or_int()})"
+        if roll < 0.5:
+            return f"not {rng.choice(preds)}({const_or_int()})"
+        if roll < 0.75:
+            return set_atom()
+        return f"not {set_atom()}"
+
+    lines = [f"{rng.choice(preds)}({const_or_int()})." for _ in range(rng.randint(1, 3))]
+    for _ in range(rng.randint(0, 4)):
+        body = ", ".join(literal() for _ in range(rng.randint(1, 2)))
+        if rng.random() < 0.15:
+            lines.append(f":- {body}.")
+        else:
+            lines.append(f"{rng.choice(preds)}({const_or_int()}) :- {body}.")
+    if rng.random() < 0.5:
+        lines.append(f":- count{{V : {rng.choice(preds)}(V)}} != {rng.randint(0, 4)}.")
+    return "\n".join(lines)
+
+
+def test_fast_search_matches_reference_on_generated_aggregate_programs():
+    _compare(_generated(aggregate_gz_program, 28), (_eq, _gz), GENERATOR_BOUNDS)
+
+
+def test_branching_matches_masks_on_generated_aggregate_programs():
+    _compare(_generated(aggregate_gz_program, 28), (_eq, _gz), GENERATOR_BOUNDS, mask_search)
+
+
+# Sums with negative weights, aggregates on the right of a comparison and
+# under ``not`` in a constraint, at ints -2..2.
+SIGNED_SUMS = [
+    "p(-2). p(1) :- not q(1). q(1) :- not p(1). r :- sum{X : p(X)} < 0.",
+    "p(-2) :- not q. q :- not p(-2). p(2) :- not s. s :- not p(2). r :- sum{X : p(X)} = 0.",
+    "p(-1) :- not q. q :- not p(-1). p(2) :- not s. s :- not p(2). :- not 1 <= sum{X : p(X)}.",
+    "d(-1). d(1). d(2). a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). "
+    ":- sum{X : a(X)} != 1. c :- 2 = count{X : b(X)}.",
+]
+
+
+def test_signed_sums_match_the_reference():
+    bounds = DomainBounds(int_min=-2, int_max=2, max_herbrand_depth=0)
+    gz_programs = [t for t in SIGNED_SUMS if gz.is_gz_theory(parse_program(t))[0]]
+    assert len(gz_programs) == 2
+    for baseline in (reference_search, mask_search):
+        _compare(SIGNED_SUMS, (_eq,), bounds, baseline)
+        _compare(gz_programs, (_gz,), bounds, baseline)
 
 
 def test_restricted_search_matches_whole_on_generated_gz_programs():
@@ -764,3 +846,55 @@ def test_branching_solves_past_the_old_atom_cap():
     assert len(gz_stable_models(parse_program(even_choice(10)), ints(10))) == 1024
     with mask_search(), pytest.raises(DomainLimitError, match="20 undecided atoms"):
         find_stable_models(parse_program(even_choice(10)), ints(10))
+
+
+def _models(answer):
+    return getattr(answer, "models", answer)
+
+
+# perfbench's ``sets`` twin for the constants 1 and 2
+COUNT_TWIN = "r(1). r(2). q(1). q(2) :- count{X : r(X)} = C, pc(C). pc(C) :- count{X : q(X)} = C."
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_count_twin_takes_one_leaf(engine):
+    answer, tested = _leaves(engine, COUNT_TWIN, DomainBounds(int_min=1, int_max=4))
+    model = {atom("r", 1), atom("r", 2), atom("q", 1), atom("pc", 1)}
+    assert [getattr(m, "atoms", m) for m in _models(answer)] == [model]
+    assert tested == [model]
+
+
+def exactly_two(n):
+    """Even negation loops over ``d(1..n)`` of which exactly two ``a`` hold."""
+    facts = " ".join(f"d({i})." for i in range(1, n + 1))
+    return f"a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). {facts} :- count{{X : a(X)}} != 2."
+
+
+@pytest.mark.parametrize("n", [8, 10, 12])
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_exactly_two_visits_at_most_twice_its_models(engine, n):
+    answer, tested = _leaves(engine, exactly_two(n), DomainBounds(int_min=0, int_max=n))
+    assert len(_models(answer)) == n * (n - 1) // 2
+    assert len(tested) <= 2 * len(_models(answer))
+
+
+@pytest.mark.parametrize("text", [P2, COUNT0], ids=["p2", "count0"])
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_support_settles_a_circular_count_without_a_leaf(engine, text):
+    # p(a) is forced at the there-world, but the count then needs p(a) as
+    # a member at a here-world that holds only what has other support
+    answer, tested = _leaves(engine, text, ZERO_RANK_BOUNDS)
+    assert _models(answer) == [] and tested == []
+
+
+def test_a_count_past_int_max_is_undefined():
+    base = {atom("charlie", 0), atom("charlie", 3), atom("charlie", "golf")}
+    expected = [base, base | {atom("charlie", "kilo")}]
+    assert [atoms for atoms, _ in _eq(UNDEFINED_COUNT, ZERO_RANK_BOUNDS)] == expected
+    assert _gz(UNDEFINED_COUNT, ZERO_RANK_BOUNDS) == expected
+
+
+def test_lower_bound_holds_what_an_aggregate_forces():
+    theory = parse_program("d(1). d(2). p :- count{X : d(X)} >= 2.")
+    ground = ground_theory(theory, build_universe(theory, FIXED_BOUNDS))
+    assert lower_bound(ground, relevant_atoms(ground)) == {atom("d", 1), atom("d", 2), atom("p")}

@@ -225,6 +225,28 @@ def test_unforced_function_value_is_forgotten_at_the_here_world():
     assert solved(text) == [frozenset()]
 
 
+def _function_models(text):
+    theory = parse_program(text)
+    report = find_stable_models(theory, DomainBounds(int_min=0, int_max=2, max_herbrand_depth=0))
+    return [(m.atoms, m.sigma.funcs) for m in report.models]
+
+
+def test_every_function_choice_is_a_model():
+    # two models on one atom set, told apart only by their function
+    # values; ordered by atoms, then by the function facts
+    d = {atom("d", 1), atom("d", 2)}
+    assert _function_models(
+        "#function f/1 : {0; 1}. d(1). d(2). "
+        "f(X) := 0 :- d(X), not f(X) = 1. f(X) := 1 :- d(X), not f(X) = 0."
+    ) == [
+        (d, {("f", (1,)): a, ("f", (2,)): b}) for a in (0, 1) for b in (0, 1)
+    ]
+    assert _function_models("#function f/0 : {a; b}. f = a ; f = b.") == [
+        (set(), {("f", ()): HTerm("a")}),
+        (set(), {("f", ()): HTerm("b")}),
+    ]
+
+
 def test_full_domain_agrees_with_active_domain_here():
     shrunk = dict(max_set_card=2, max_tuple_arity=1)
     cases = (
@@ -284,7 +306,8 @@ def test_non_model_is_not_equilibrium():
 
 
 def test_search_stats_are_populated():
-    theory = parse_program(P2)
+    # p4, since the search proves that p2 has no candidate to test
+    theory = parse_program(P4)
     report = find_stable_models(theory, DomainBounds(int_min=0, int_max=3, max_herbrand_depth=0))
     assert report.stats.candidates > 0
     assert report.stats.elapsed >= 0
