@@ -12,7 +12,7 @@ stable: each leaf still takes the engine's model and minimality checks.
 
 A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one bounds test per ``count`` or ``sum``
-comparison with a ground value: the aggregate lies between its members
+comparison with a ground integer: the aggregate lies between its members
 certain under the lower bound and those possible under the upper one.
 """
 
@@ -24,7 +24,20 @@ from itertools import compress
 from .errors import DomainLimitError
 from .ground import simplify
 from .interp import T, _independent, atom_key, eval_term, relation_eval, static_atom
-from .syntax import BOT, RELATION_PREDS, And, EApp, Eq, Implies, IntSet, Or, PredAtom, _Top, walk
+from .syntax import (
+    BOT,
+    RELATION_PREDS,
+    And,
+    EApp,
+    Eq,
+    Implies,
+    IntSet,
+    Or,
+    PredAtom,
+    _Top,
+    ground_constructor_value,
+    walk,
+)
 from .values import UNDEF, value_key
 
 
@@ -197,7 +210,7 @@ class _Propagation:
         static atoms and of the static atoms under its ``not``, whether it
         has a conjunct of any other shape, and its other conjuncts: a pair
         of compiled bodies per ``;`` and a test (``_aggregate``) per
-        comparison of a ``count`` or ``sum`` with a ground value, under
+        comparison of a ``count`` or ``sum`` with a ground integer, under
         ``not`` or not.  A ``not`` of an atom outside the upper bound
         always holds, so it is left out."""
         pos, neg, parts, opaque = 0, 0, [], False
@@ -225,17 +238,19 @@ class _Propagation:
         return pos, neg, opaque, tuple(parts)
 
     def _aggregate(self, part, negated):
-        """The test ``(negated, members, accept, undefined, first, last)``
-        of ``part``, a comparison between a ``count`` or ``sum`` of a set
-        term and a ground value, or None.
+        """The test ``(negated, members, accept, first, last)`` of
+        ``part``, a comparison between a ``count`` or ``sum`` of a set
+        term and a ground integer, or None.
 
         ``members`` come from ``_set_members``.  ``[first, last]`` holds
         the values the aggregate can take inside the integer bounds; any
-        other value it can take is undefined, as ``clip_int`` reads it,
-        and ``relation_eval`` decides the comparison, so the aggregate is
-        read as ``interp`` reads it.  ``accept`` has bit ``v - first`` set
-        when ``part``, its ``not`` applied, holds at the value ``v``, and
-        ``undefined`` tells whether it holds at an undefined one."""
+        other value it can take is undefined.  ``accept`` has bit ``v -
+        first`` set when ``part``, its ``not`` applied, holds at the value
+        ``v``, as ``relation_eval`` decides it.  An undefined value fails
+        every comparison, so only its ``not`` holds there.  Any other
+        ground value leaves the comparison opaque: the GZ engine reads an
+        aggregate compared with a constant or an arithmetic term as false
+        whatever the relation, where the equilibrium engine evaluates it."""
         if isinstance(part, Eq):
             rel = "="
         elif isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
@@ -245,7 +260,8 @@ class _Propagation:
         left, right = part.children
         flip = not _summed(left)
         agg, other = (right, left) if flip else (left, right)
-        if not _summed(agg) or not _independent(other):
+        value = ground_constructor_value(other)
+        if not _summed(agg) or isinstance(value, bool) or not isinstance(value, int):
             return None
         members = self._members.get(agg, self)  # ``self`` marks one not compiled yet
         if members is self:
@@ -253,7 +269,6 @@ class _Propagation:
         if members is None:
             return None
         bounds = self.universe.bounds
-        value = eval_term(self.universe.static, T, other)
 
         def holds(v):  # ``part`` at the aggregate value ``v``
             return relation_eval(rel, *((value, v) if flip else (v, value))) != negated
@@ -261,8 +276,7 @@ class _Propagation:
         first = max(bounds.int_min, sum(w for _, _, w in members if w < 0))
         last = min(bounds.int_max, sum(w for _, _, w in members if w > 0))
         accept = sum(1 << (v - first) for v in range(first, last + 1) if holds(v))
-        undefined = holds(bounds.clip_int(bounds.int_max + 1))  # any value past the bounds
-        return negated, members, accept, undefined, first, last
+        return negated, members, accept, first, last
 
     def _set_members(self, agg):
         """The members of the set term of ``agg``, each ``(pos, neg,
@@ -404,7 +418,7 @@ def _admits(test, lo, hi, strict, cap):
     and those possible in some, split by sign.  A positive aggregate's
     possible members lie inside the support when ``strict`` is False."""
     lower, upper = (lo, hi) if strict else (hi, cap)
-    negated, members, accept, undefined, first, last = test
+    negated, members, accept, first, last = test
     reach = upper if strict or negated else lo
     low = high = 0
     for pos, neg, weight in members:
@@ -420,5 +434,5 @@ def _admits(test, lo, hi, strict, cap):
     low, high = max(low, first), min(high, last)
     inside = ((2 << (high - low)) - 1) << (low - first) if low <= high else 0
     if strict:
-        return (undefined or not outside) and not inside & ~accept
-    return undefined and outside or bool(inside & accept)
+        return (negated or not outside) and not inside & ~accept
+    return negated and outside or bool(inside & accept)

@@ -63,6 +63,14 @@ UNDEFINED_COUNT = (
     "charlie(0) :- charlie(golf). charlie(3). charlie(golf)."
 )
 
+# The GZ engine reads an aggregate compared with a constant or an
+# arithmetic term as false under every relation, ``!=`` included, so ``q``
+# holds there; the equilibrium engine evaluates both comparisons.
+NON_INTEGER_THRESHOLDS = [
+    "p(1). q :- not count{X : p(X)} != a.",
+    "p(1). q :- not count{X : p(X)} < 1+1.",
+]
+
 # Rule shapes that stay on the fast path, set terms and double negation in
 # bodies included.
 FAST = [
@@ -76,6 +84,7 @@ FAST = [
     "p(1). p(2) :- p(1) ; q(1). q(X) :- p(X), not r(2). c(N) :- count{X : q(X)} = N.",
     "p(f(a)). q(f(a)) :- p(f(a)), not r(f(a)). r(f(b)) :- not q(f(a)).",
     UNDEFINED_COUNT,
+    *NON_INTEGER_THRESHOLDS,
 ]
 
 
@@ -173,8 +182,9 @@ def test_branching_matches_masks_on_fixed_programs():
 def aggregate_gz_program(rng):
     """``random_gz_program`` widened for the aggregate tests: every
     relation, thresholds up to 4 (past ``GENERATOR_BOUNDS``' int_max, so
-    undefined), set bodies with ``not``, negated aggregates in more rule
-    bodies, and aggregate constraints ``:- count{V : p(V)} != k.``"""
+    undefined) and now and then a constant, set bodies with ``not``,
+    negated aggregates in more rule bodies, and aggregate constraints
+    ``:- count{V : p(V)} != k.``"""
     consts = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
     preds = sorted(rng.sample(["p", "q", "r"], rng.randint(1, 3)))
 
@@ -191,7 +201,8 @@ def aggregate_gz_program(rng):
         else:
             body = f"{pred}(V)"
         rel = rng.choice([">=", "=", "<=", "!=", "<", ">"])
-        return f"{rng.choice(['count', 'sum'])}{{V : {body}}} {rel} {rng.randint(0, 4)}"
+        k = rng.choice(consts) if rng.random() < 0.1 else rng.randint(0, 4)
+        return f"{rng.choice(['count', 'sum'])}{{V : {body}}} {rel} {k}"
 
     def literal():
         roll = rng.random()
