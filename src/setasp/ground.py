@@ -109,7 +109,6 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
     """
     formulas = []
     provenance = {}
-    seen = set()
     index = None  # a domain value -> its position in the domain, built on first use
     for phi in theory.formulas:
         names, matrix = closure_prefix(phi)
@@ -129,8 +128,7 @@ def ground_theory(theory: Theory, universe: Universe) -> GroundTheory:
             instance = simplify(instance, universe)
             if instance is TOP or instance == TOP:
                 continue
-            if instance not in seen:
-                seen.add(instance)
+            if instance not in provenance:
                 formulas.append(instance)
                 provenance[instance] = (phi, {n: v for n, v in zip(names, combo)})
                 universe.register_intsets(instance)

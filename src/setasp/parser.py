@@ -1,4 +1,4 @@
-"""Surface syntax: tokenizer, recursive-descent parser and sugar expansion.
+"""Surface syntax: tokenizer, precedence-climbing parser and sugar expansion.
 
 Programs are ASP-flavoured::
 
@@ -27,7 +27,9 @@ from .syntax import (
     AGGREGATE_NAMES,
     BOT,
     BUILTIN_FUNCS,
+    CONNECTIVES,
     RELATION_PREDS,
+    TERM_OPS,
     TOP,
     And,
     EApp,
@@ -39,7 +41,6 @@ from .syntax import (
     Implies,
     IntSet,
     Num,
-    Or,
     PredAtom,
     Var,
     forall,
@@ -52,10 +53,14 @@ from .syntax import (
 )
 from .values import FinSet, HTerm, format_value, value_key
 
+_REL_TOKENS = RELATION_PREDS | {"="}
+# the operators of the table plus the rest of the punctuation, matched
+# longest first, so that ``->`` is one token and not ``-`` then ``>``
+_PUNCT = {*TERM_OPS, *CONNECTIVES, *(_REL_TOKENS - {"in"}), ":-", ":=", ":", ".", "(", ")", "{", "}"}
 _TOKEN_RE = re.compile(
-    r"""
+    rf"""
     (?P<ws>\s+|%[^\n]*)
-  | (?P<punct>:-|:=|!=|<=|>=|->|\\/|/\\|[:.,;(){}=<>+\-*/\\])
+  | (?P<punct>{"|".join(map(re.escape, sorted(_PUNCT, key=lambda t: (-len(t), t))))})
   | (?P<hash>\#[a-z]+)
   | (?P<int>\d+)
   | (?P<ident>[a-z][A-Za-z0-9_]*)
@@ -182,8 +187,7 @@ def expand_sugar(rule):
 # ---------------------------------------------------------------------------
 # Parser
 
-_REL_TOKENS = {"=", "!=", "<=", ">=", "<", ">", "in"}
-_FORMULA_TOKENS = {"->", ";", ",", "not", "exists", "forall", "true", "false"} | _REL_TOKENS
+_FORMULA_TOKENS = {*CONNECTIVES, "not", "exists", "forall", "true", "false"} | _REL_TOKENS
 
 
 class _Parser:
@@ -193,8 +197,8 @@ class _Parser:
 
     # -- token helpers
 
-    def peek(self, offset=0):
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def next(self):
         tok = self.tokens[self.pos]
@@ -214,6 +218,14 @@ class _Parser:
     def fail(self, message, token=None):
         tok = token or self.peek()
         raise ParseError(message, tok.line, tok.column)
+
+    def parse_list(self, item, sep):
+        """One or more of what ``item`` parses, separated by ``sep``."""
+        items = [item()]
+        while self.at(sep):
+            self.next()
+            items.append(item())
+        return items
 
     def _level(self, offset=0):
         """Look ahead: the kinds of the tokens from ``offset`` on that no
@@ -249,10 +261,7 @@ class _Parser:
         arity = int(self.expect("int").text)
         self.expect(":")
         self.expect("{")
-        values = [self.parse_ground_value()]
-        while self.at(";"):
-            self.next()
-            values.append(self.parse_ground_value())
+        values = self.parse_list(self.parse_ground_value, ";")
         self.expect("}")
         self.expect(".")
         if name_tok.text in AGGREGATE_NAMES:
@@ -261,10 +270,7 @@ class _Parser:
 
     def parse_rule(self):
         if self.at(":-"):
-            self.next()
-            body = self.parse_formula()
-            self.expect(".")
-            return RawRule(head=None, body=body)
+            return RawRule(head=None, body=self.parse_body())
         # an assignment has its ':=' before the statement's ':-' or '.'
         if next((k for k in self._level() if k in (":=", ":-", ".")), None) == ":=":
             app = self.parse_term()
@@ -272,42 +278,28 @@ class _Parser:
                 self.fail("left side of ':=' must be a function application")
             self.expect(":=")
             value = self.parse_term()
-            body = None
-            if self.at(":-"):
-                self.next()
-                body = self.parse_formula()
-            self.expect(".")
-            return RawRule(head=None, body=body, assign=(app, value))
+            return RawRule(head=None, body=self.parse_body(), assign=(app, value))
         head = self.parse_formula()
+        return RawRule(head=head, body=self.parse_body())
+
+    def parse_body(self):
+        """A statement's ``:- body``, or None without one, then its ``.``."""
         body = None
         if self.at(":-"):
             self.next()
             body = self.parse_formula()
         self.expect(".")
-        return RawRule(head=head, body=body)
+        return body
 
     # -- formulas
 
-    def parse_formula(self):
-        left = self.parse_disjunction()
-        if self.at("->"):
-            self.next()
-            right = self.parse_formula()
-            return Implies(left, right)
-        return left
-
-    def parse_disjunction(self):
-        out = self.parse_conjunction()
-        while self.at(";"):
-            self.next()
-            out = Or(out, self.parse_conjunction())
-        return out
-
-    def parse_conjunction(self):
+    def parse_formula(self, level=0):
+        """A formula whose connectives have precedence ``level`` or more."""
         out = self.parse_unary()
-        while self.at(","):
+        while (conn := CONNECTIVES.get(self.peek().kind)) and conn[1] >= level:
+            node, prec, right, _ = conn
             self.next()
-            out = And(out, self.parse_unary())
+            out = node(out, self.parse_formula(prec if right else prec + 1))
         return out
 
     def parse_unary(self):
@@ -325,12 +317,8 @@ class _Parser:
             for name in reversed(names):
                 body = Exists(name, body) if quant == "exists" else Forall(name, body)
             return body
-        if self.at("true"):
-            self.next()
-            return TOP
-        if self.at("false"):
-            self.next()
-            return BOT
+        if self.at("true") or self.at("false"):
+            return TOP if self.next().kind == "true" else BOT
         # '(' opens a formula iff a connective or relation occurs directly
         # inside it; otherwise it opens a term
         if self.at("(") and any(k in _FORMULA_TOKENS for k in self._level(1)):
@@ -356,17 +344,12 @@ class _Parser:
 
     # -- terms
 
-    _BINOPS = (("\\/",), ("\\",), ("/\\",), ("+", "-"), ("*", "/"))
-
     def parse_term(self, level=0):
-        if level == len(self._BINOPS):
-            return self.parse_primary()
-        out = self.parse_term(level + 1)
-        ops = self._BINOPS[level]
-        while self.peek().kind in ops:
+        """A term whose operators have precedence ``level`` or more."""
+        out = self.parse_primary()
+        while TERM_OPS.get(self.peek().kind, -1) >= level:
             op = self.next().kind
-            right = self.parse_term(level + 1)
-            out = EApp(op, (out, right))
+            out = EApp(op, (out, self.parse_term(TERM_OPS[op] + 1)))
         return out
 
     def parse_primary(self):
@@ -392,10 +375,7 @@ class _Parser:
                 return EApp(name, (self.parse_set(),))
             if self.at("("):
                 self.next()
-                args = [self.parse_term()]
-                while self.at(","):
-                    self.next()
-                    args.append(self.parse_term())
+                args = self.parse_list(self.parse_term, ",")
                 self.expect(")")
                 if name in AGGREGATE_NAMES:
                     if len(args) != 1:
@@ -417,10 +397,7 @@ class _Parser:
     def parse_term_tuple(self):
         if self.at("(") and "," in self._level(1):
             self.next()
-            items = [self.parse_term()]
-            while self.at(","):
-                self.next()
-                items.append(self.parse_term())
+            items = self.parse_list(self.parse_term, ",")
             self.expect(")")
             return tuple(items)
         return (self.parse_term(),)
@@ -432,10 +409,7 @@ class _Parser:
             return ExtSet()
         colons = sum(k == ":" for k in self._level())
         if colons == 0:
-            members = [self.parse_term_tuple()]
-            while self.at(";"):
-                self.next()
-                members.append(self.parse_term_tuple())
+            members = self.parse_list(self.parse_term_tuple, ";")
             self.expect("}")
             try:
                 return ExtSet(members)
@@ -445,10 +419,7 @@ class _Parser:
             self.fail("too many ':' in set", open_tok)
         bound = None
         if colons == 2:
-            bound = [self.expect("var").text]
-            while self.at(","):
-                self.next()
-                bound.append(self.expect("var").text)
+            bound = self.parse_list(lambda: self.expect("var").text, ",")
             self.expect(":")
         head = self.parse_term_tuple()
         self.expect(":")
@@ -507,45 +478,30 @@ def parse_program(text):
 
     formulas = []
     for rule in rules:
-        phi = expand_sugar(
-            RawRule(
-                head=_resolve(rule.head, func_ranges),
-                body=_resolve(rule.body, func_ranges),
-                assign=None
-                if rule.assign is None
-                else (
-                    _resolve_assign_target(rule.assign[0], func_ranges),
-                    _resolve(rule.assign[1], func_ranges),
-                ),
+        target = rule.assign and rule.assign[0]
+        if isinstance(target, HApp) and target.name not in func_ranges:
+            raise SignatureError(
+                f"':=' assigns to {target.name}, which is neither an aggregate nor "
+                f"declared with #function"
             )
-        )
+        phi = _resolve(expand_sugar(rule), func_ranges)
         formulas.append(forall(sorted(free_vars(phi)), phi))
 
     signature = _infer_signature(formulas, func_ranges, func_arities)
     return Theory(signature, tuple(formulas), source=text)
 
 
-def _resolve(node, func_ranges):
+def _resolve(phi, func_ranges):
     """Rewrite constructor applications of declared function names."""
-    if node is None or not func_ranges:
-        return node
+    if not func_ranges:
+        return phi
 
     def fix(term):
         if isinstance(term, HApp) and term.name in func_ranges:
             return EApp(term.name, term.args)
         return term
 
-    return map_terms(node, fix)
-
-
-def _resolve_assign_target(app, func_ranges):
-    app = _resolve(app, func_ranges)
-    if isinstance(app, HApp):
-        raise SignatureError(
-            f"':=' assigns to {app.name}, which is neither an aggregate nor "
-            f"declared with #function"
-        )
-    return app
+    return map_terms(phi, fix)
 
 
 def _infer_signature(formulas, func_ranges, func_arities):

@@ -11,8 +11,9 @@ The lower bound holds the atoms that rules with statically decidable
 bodies force into every model.  The ``search`` module decides the atoms
 between the bounds one at a time and tests only the leaves of that
 search, each against every assignment of the declared functions (the
-sigma loop); each assignment that passes is a stable model.  Minimality is a least-model fixpoint (``rules``) where the
-rules allow it and a subset search elsewhere.
+sigma loop); each assignment that passes is a stable model.
+Minimality is a least-model fixpoint (``rules``) where the rules allow
+it and a subset search elsewhere.
 
 The GZ engine (``gz``) shares the support fixpoint, the rule view and
 fixpoint, the ground-atom reading (``interp.static_atom``) and the
@@ -45,7 +46,7 @@ from .interp import (
 from .parser import Theory
 from .rules import least_model
 from .search import search_stable
-from .syntax import AGGREGATE_NAMES, EApp, IntSet, free_vars, pretty
+from .syntax import AGGREGATE_NAMES, EApp, Exists, Forall, Implies, IntSet, free_vars, pretty
 from .values import UNDEF, format_value
 
 
@@ -109,8 +110,11 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
 
     An application whose argument is not static covers the argument
     values ``viability`` finds possible, or the whole domain past its cap.
-    A set term is read through its instances, nested ones included, so a
-    variable it binds never reaches an application.
+    A set term or a quantifier is read through its instances, nested ones
+    included; an application that still holds a variable covers the whole
+    domain.  An ``exists`` instance whose body ``viability`` rejects, and an
+    implication whose antecedent it rejects, are skipped: either one holds
+    or fails at both worlds, whatever its applications denote.
     """
     universe = ground.universe
     ranges = universe.signature.func_ranges
@@ -121,6 +125,13 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
     def scan(node):
         if isinstance(node, IntSet):
             return  # read through its instances below
+        if isinstance(node, Implies) and not viability.possibly_sat(node.left):
+            return
+        if isinstance(node, (Forall, Exists)):
+            for body in universe.quantifier_instances(node):
+                if isinstance(node, Forall) or viability.possibly_sat(body):
+                    scan(body)
+            return
         if isinstance(node, EApp) and node.name in ranges:
             app = static_atom(node, universe)
             if app is not None:

@@ -36,6 +36,12 @@ SET_OPS = frozenset({"\\/", "/\\", "\\"})
 BUILTIN_FUNCS = ARITH_OPS | SET_OPS
 RELATION_PREDS = frozenset({"<=", ">=", "<", ">", "!=", "in"})
 
+# The operator table, ``TERM_OPS`` here and ``CONNECTIVES`` after the
+# formula classes, is the one statement of how operators group; the
+# tokenizer, the parser and the printer read it.  A higher precedence
+# binds tighter, and every term operator groups to the left.
+TERM_OPS = {"\\/": 1, "\\": 2, "/\\": 3, "+": 4, "-": 4, "*": 5, "/": 5}
+
 
 class _Node:
     __slots__ = ("_hash",)
@@ -338,6 +344,15 @@ class Exists(_Quant):
     _tag = "exists"
 
 
+# connective token -> (node class, precedence, groups to the right, printed
+# form); ``not`` and the quantifiers bind tighter than any of them
+CONNECTIVES = {
+    "->": (Implies, 1, True, " -> "),
+    ";": (Or, 2, False, "; "),
+    ",": (And, 3, False, ", "),
+}
+
+
 def neg(phi):
     return Implies(phi, BOT)
 
@@ -468,9 +483,6 @@ def walk(node):
 # ---------------------------------------------------------------------------
 # Pretty-printing (kept parseable; see parser.parse_program)
 
-_TERM_PREC = {"\\/": 1, "\\": 2, "/\\": 3, "+": 4, "-": 4, "*": 5, "/": 5}
-
-
 def _term_str(term, parent_prec=0):
     if isinstance(term, Var):
         return term.name
@@ -483,8 +495,8 @@ def _term_str(term, parent_prec=0):
             return term.name
         return f"{term.name}({', '.join(_term_str(a) for a in term.args)})"
     if isinstance(term, EApp):
-        if term.name in _TERM_PREC and len(term.args) == 2:
-            prec = _TERM_PREC[term.name]
+        if term.name in TERM_OPS and len(term.args) == 2:
+            prec = TERM_OPS[term.name]
             left = _term_str(term.args[0], prec)
             right = _term_str(term.args[1], prec + 1)
             text = f"{left} {term.name} {right}"
@@ -512,7 +524,8 @@ def _tuple_str(terms):
     return f"({', '.join(_term_str(t) for t in terms)})"
 
 
-_CONN_PREC = {"implies": 1, "or": 2, "and": 3}
+_PRINTED = {node: (prec, right, printed) for node, prec, right, printed in CONNECTIVES.values()}
+_NOT_PREC = 1 + max(prec for prec, _, _ in _PRINTED.values())
 
 
 def _formula_str(phi, parent_prec=0):
@@ -528,19 +541,12 @@ def _formula_str(phi, parent_prec=0):
         return f"{phi.pred}({', '.join(_term_str(a) for a in phi.args)})"
     if isinstance(phi, Eq):
         return f"{_term_str(phi.left)} = {_term_str(phi.right)}"
-    if isinstance(phi, Implies):
-        if phi.right is BOT or phi.right == BOT:
-            return f"not {_formula_str(phi.left, 4)}"
-        prec = _CONN_PREC["implies"]
-        text = f"{_formula_str(phi.left, prec + 1)} -> {_formula_str(phi.right, prec)}"
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(phi, Or):
-        prec = _CONN_PREC["or"]
-        text = f"{_formula_str(phi.left, prec)}; {_formula_str(phi.right, prec + 1)}"
-        return f"({text})" if prec < parent_prec else text
-    if isinstance(phi, And):
-        prec = _CONN_PREC["and"]
-        text = f"{_formula_str(phi.left, prec)}, {_formula_str(phi.right, prec + 1)}"
+    if isinstance(phi, Implies) and phi.right == BOT:
+        return f"not {_formula_str(phi.left, _NOT_PREC)}"
+    if isinstance(phi, _BinConn):
+        prec, right, printed = _PRINTED[type(phi)]
+        left_text = _formula_str(phi.left, prec + right)
+        text = f"{left_text}{printed}{_formula_str(phi.right, prec + (not right))}"
         return f"({text})" if prec < parent_prec else text
     if isinstance(phi, Forall):
         return f"forall {phi.var} ({_formula_str(phi.body)})"
@@ -558,8 +564,7 @@ def pretty(node):
 def formula_statement(phi):
     """Render a closed formula as one program statement ``head :- body.``"""
     phi = closure_prefix(phi)[1]
-    if isinstance(phi, Implies) and not (phi.right is BOT or phi.right == BOT):
-        return f"{_formula_str(phi.right)} :- {_formula_str(phi.left)}."
-    if isinstance(phi, Implies) and (phi.right is BOT or phi.right == BOT):
-        return f":- {_formula_str(phi.left)}."
-    return f"{_formula_str(phi)}."
+    if not isinstance(phi, Implies):
+        return f"{_formula_str(phi)}."
+    head = "" if phi.right == BOT else f"{_formula_str(phi.right)} "
+    return f"{head}:- {_formula_str(phi.left)}."

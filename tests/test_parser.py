@@ -1,13 +1,16 @@
+from collections import Counter
+
 import pytest
 
 from setasp.errors import ParseError, SignatureError
-from setasp.parser import parse_program
+from setasp.parser import _Parser, parse_program, tokenize
 from setasp.syntax import (
     And,
     EApp,
     ExtSet,
     HApp,
     Eq,
+    Exists,
     Forall,
     Implies,
     IntSet,
@@ -15,6 +18,7 @@ from setasp.syntax import (
     Or,
     PredAtom,
     Var,
+    neg,
 )
 from setasp.values import EMPTY_SET, FinSet, HTerm
 
@@ -164,3 +168,84 @@ def _set_rule(iset):
 )
 def test_lookahead_decides_brackets_colons_and_assignments(text, expected):
     assert parse_program(text).formulas == (expected,)
+
+
+# ---------------------------------------------------------------------------
+# grammar pins, stated here rather than read from the operator table
+
+
+def _term(text):
+    return _Parser(tokenize(text)).parse_term()
+
+
+def _formula(text):
+    return _Parser(tokenize(text)).parse_formula()
+
+
+def _op(name, left, right):
+    return EApp(name, (left, right))
+
+
+A, B, C = (HApp(name) for name in "abc")
+
+# term operators, loosest first; the operators of a level group to the left
+TERM_LEVELS = [["\\/"], ["\\"], ["/\\"], ["+", "-"], ["*", "/"]]
+
+
+@pytest.mark.parametrize(
+    "loose, tight",
+    [
+        (lo, hi)
+        for i, looser in enumerate(TERM_LEVELS)
+        for tighter in TERM_LEVELS[i + 1 :]
+        for lo in looser
+        for hi in tighter
+    ],
+)
+def test_the_tighter_term_operator_groups_first(loose, tight):
+    assert _term(f"a {loose} b {tight} c") == _op(loose, A, _op(tight, B, C))
+    assert _term(f"a {tight} b {loose} c") == _op(loose, _op(tight, A, B), C)
+
+
+@pytest.mark.parametrize("name", ["-", "/", "\\"])
+def test_term_operators_group_to_the_left(name):
+    assert _term(f"a {name} b {name} c") == _op(name, _op(name, A, B), C)
+    assert _term(f"a {name} (b {name} c)") == _op(name, A, _op(name, B, C))
+
+
+def _atoms(names):
+    return [PredAtom(name) for name in names.split()]
+
+
+def test_connectives_group_by_precedence():
+    a, b, c, d, e = _atoms("a b c d e")
+    assert _formula("a, b ; c -> d ; e") == Implies(Or(And(a, b), c), Or(d, e))
+
+
+def test_implication_groups_to_the_right():
+    a, b, c = _atoms("a b c")
+    assert _formula("a -> b -> c") == Implies(a, Implies(b, c))
+    assert _formula("(a -> b) -> c") == Implies(Implies(a, b), c)
+
+
+def test_negation_and_quantifiers_bind_tighter_than_conjunction():
+    a, b = _atoms("a b")
+    assert _formula("not a, b") == And(neg(a), b)
+    q = PredAtom("q", (Var("X"),))
+    assert _formula("exists X (q(X)), b") == And(Exists("X", q), b)
+    assert _formula("not exists X (q(X)), b") == And(neg(Exists("X", q)), b)
+
+
+def test_precedence_climbing_parses_each_term_once():
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for name in ("parse_term", "parse_primary"):
+            original = getattr(_Parser, name)
+
+            def counted(self, *args, _original=original, _name=name):
+                calls[_name] += 1
+                return _original(self, *args)
+
+            patch.setattr(_Parser, name, counted)
+        parse_program("sum(S) := sum(S \\ {Y}) + Y :- Y in S. q(Y) :- Y = 1 + 2 * 3 - 4 / 2.")
+    assert 0 < calls["parse_term"] <= calls["parse_primary"]

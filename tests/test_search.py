@@ -30,7 +30,7 @@ from setasp.solver import (
     solve_ground,
 )
 from setasp.syntax import TOP, Num, Val, closure_prefix, substitute
-from setasp.values import finset
+from setasp.values import HTerm, finset
 
 from conftest import COUNT0, P1, P2, P3, P4, PROGRAMS, atom
 
@@ -707,6 +707,55 @@ def test_an_application_in_a_set_term_covers_only_its_instances():
     for models, candidates in _models_and_candidates(theory, DomainBounds(max_herbrand_depth=0)):
         assert [(atoms, funcs) for atoms, funcs, _ in models] == [({atom("q", 1)}, {})]
         assert candidates == 2 * 3
+
+
+APPLIED_UNDER_QUANTIFIER = [
+    "#function f/1 : {a; b}. q(1). p :- exists X (q(X), f(X) = a).",
+    "#function f/1 : {a; b}. q(1). p :- forall X (q(X) -> f(X) = a).",
+]
+QUANTIFIER_BOUNDS = [
+    DomainBounds(max_herbrand_depth=0),
+    DomainBounds(int_max=2, max_herbrand_depth=0),
+]
+
+
+@pytest.mark.parametrize("text", APPLIED_UNDER_QUANTIFIER)
+def test_an_application_under_a_quantifier_covers_only_its_possible_instances(text):
+    # f(X) under the quantifier's X is read through the instances, and only
+    # q(1) can hold, so f(1) is the one application (3^13 assignments at
+    # the defaults, 3^5 at ints 0..2, if f(X) covered the domain)
+    theory = parse_program(text)
+    for bounds in QUANTIFIER_BOUNDS:
+        for models, candidates in _models_and_candidates(theory, bounds):
+            assert [(atoms, funcs) for atoms, funcs, _ in models] == [({atom("q", 1)}, {})]
+            assert candidates == 2 * 3
+
+
+def test_an_application_under_a_quantifier_keeps_the_function_choice_models():
+    theory = parse_program(APPLIED_UNDER_QUANTIFIER[0] + " f(1) = a ; f(1) = b.")
+    f1 = ("f", (1,))
+    for bounds in QUANTIFIER_BOUNDS:
+        for models, candidates in _models_and_candidates(theory, bounds):
+            assert [(atoms, funcs) for atoms, funcs, _ in models] == [
+                ({atom("p"), atom("q", 1)}, {f1: HTerm("a")}),
+                ({atom("q", 1)}, {f1: HTerm("b")}),
+            ]
+            assert candidates == 2 * 3
+
+
+def test_the_quantifier_instances_keep_the_whole_domain_models():
+    theory = parse_program(APPLIED_UNDER_QUANTIFIER[0] + " f(1) = a ; f(1) = b.")
+    bounds = DomainBounds(int_max=2, max_herbrand_depth=0)
+    narrow = _models_and_candidates(theory, bounds)
+    with pytest.MonkeyPatch.context() as patch:
+        # the scan walks into quantifiers and implications, skips nothing
+        # and covers f(X) over the whole domain
+        for name in ("Forall", "Exists", "Implies"):
+            patch.setattr(solver, name, type("NotRead", (), {}))
+        wide = _models_and_candidates(theory, bounds)
+    assert [models for models, _ in narrow] == [models for models, _ in wide]
+    assert [candidates for _, candidates in wide] == [2 * 3**5] * 2
+    assert [candidates for _, candidates in narrow] == [2 * 3] * 2
 
 
 def test_the_set_term_instances_keep_the_whole_domain_models():

@@ -148,10 +148,15 @@ ROUND_TRIP_PROGRAMS = [
     "a :- b; c, not d. :- e. p(1 + 2 * 3). q((1 \\/ 2) /\\ 3) :- #true.",
     "p(a) :- exists Y (count{X : p(X)} = Y, Y >= 1).",
     "#function f/1 : {a; {1; 2}}. d(X) :- f(X) = a.",
+    "p(A - (B - C)) :- q(A, B, C). (a -> b) -> c. d :- (a ; b), c.",
 ]
 
 
-@pytest.mark.parametrize("program", ROUND_TRIP_PROGRAMS)
+@pytest.mark.parametrize(
+    "program",
+    ROUND_TRIP_PROGRAMS
+    + [pytest.param(path.read_text(), id=path.name) for path in sorted(PROGRAMS.glob("*.lp"))],
+)
 def test_pretty_parse_round_trip(program):
     first = parse_program(program)
     printed = theory_text(first)
