@@ -17,8 +17,10 @@ The engine supplies only its semantics: the fragment grammar
 ``_comparison`` is their one reading of a comparison.  The rest is the
 equilibrium engine's: the support fixpoint of ``ground`` computes the
 upper bound, the shared candidate loop (``search.search_stable``) calls
-back into ``cl_satisfies``, ``reduct`` and ``_has_smaller_model``, ground
-atoms are read by ``interp.static_atom``, the reduct's least model is
+back into ``cl_satisfies``, ``reduct`` and ``_has_smaller_model``, and
+``search.LeafMemo`` reuses a formula's ``cl_satisfies`` and ``reduct``
+at the leaves that agree on the atoms it reads; ground atoms are read by
+``interp.static_atom``, the reduct's least model is
 ``rules.least_model`` and constants fold by ``syntax.fold``.  The
 grounding stays the full ``ground.ground_theory``, never the
 binding-driven one of ``instantiate``, so ``cross_check`` still compares
@@ -37,7 +39,7 @@ from .ground import _Viability, ground_theory
 from .interp import aggregate_eval, atom_key, relation_eval, static_atom
 from .parser import Theory, parse_program
 from .rules import least_model, rule_view
-from .search import search_stable
+from .search import LeafMemo, search_stable
 from .solver import build_universe, find_stable_models, format_atom
 from .syntax import (
     AGGREGATE_NAMES,
@@ -289,7 +291,10 @@ class _GZViability(_Viability):
         rel, left, right = comparison
         if not _is_aggregate(left):
             return _cl_comparison(self.atoms, rel, left, right, self.universe)
-        interval = self._possible_interval(left)
+        key = ("interval", left)  # kept for the round with the possible values
+        interval = self._values.get(key, key)
+        if interval is key:
+            interval = self._values[key] = self._possible_interval(left)
         if interval is None:
             return False
         bounds = self.universe.bounds
@@ -338,12 +343,20 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
 
     def stable_in(search):
         universe = search.universe
+        verdicts = LeafMemo(universe)
 
         def stable(candidate):
             memo = {}  # the aggregate values of this candidate
-            if not all(cl_satisfies(candidate, phi, universe, memo) for phi in search.formulas):
+            verdicts.leaf()
+            holds = verdicts.memoized(
+                "holds", lambda phi: cl_satisfies(candidate, phi, universe, memo), candidate
+            )
+            if not all(map(holds, search.formulas)):
                 return
-            reduced = [reduct(phi, candidate, universe, memo) for phi in search.formulas]
+            reducts = verdicts.memoized(
+                "reduct", lambda phi: reduct(phi, candidate, universe, memo), candidate
+            )
+            reduced = list(map(reducts, search.formulas))
             if not _has_smaller_model(candidate, reduced, universe):
                 yield {}, candidate
 

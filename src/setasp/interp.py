@@ -37,6 +37,7 @@ from .syntax import (
     Var,
     _Bot,
     _Top,
+    free_vars,
     pretty,
     substitute,
     walk,
@@ -72,9 +73,24 @@ class Universe:
         self.intsets = set()
 
     def register_intsets(self, node):
-        for sub in walk(node):
+        """Record the set terms of ``node``, a closed formula or term.  A
+        set term under a quantifier or another set term is recorded only
+        when it is closed: one that holds the variable bound there has no
+        value, and its instances are recorded as they are made."""
+        intsets, todo = self.intsets, [node]
+        while todo:
+            sub = todo.pop()
             if isinstance(sub, IntSet):
-                self.intsets.add(sub)
+                if sub in intsets:
+                    continue  # and so is each closed set term inside it
+                intsets.add(sub)
+            if sub.binds:
+                intsets.update(
+                    inner for inner in walk(sub)
+                    if isinstance(inner, IntSet) and inner not in intsets and not free_vars(inner)
+                )
+            else:
+                todo += sub.children
 
     def intset_candidates(self, iset: IntSet):
         """Instantiations of one ground set term over the domain: a list of
@@ -98,6 +114,11 @@ class Universe:
                 self.register_intsets(t)
             self.register_intsets(body)
         return out
+
+    def built_candidates(self, iset: IntSet):
+        """The instantiations of one set term if they are built, else None;
+        building them registers the set terms they hold."""
+        return self._intset_cache.get(iset)
 
     def fix_candidates(self, iset: IntSet, candidates):
         """Use ``candidates`` as the instantiations of one set term from

@@ -14,6 +14,11 @@ A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one bounds test per ``count`` or ``sum``
 comparison with a ground integer: the aggregate lies between its members
 certain under the lower bound and those possible under the upper one.
+
+An engine's per-formula leaf tests depend only on the atoms each formula
+reads (``read_set``), so from a search's second leaf on ``LeafMemo``
+reuses a verdict the engine already computed at a world that agrees with
+the leaf's on those atoms.
 """
 
 from __future__ import annotations
@@ -23,7 +28,15 @@ from itertools import compress
 
 from .errors import DomainLimitError
 from .ground import simplify
-from .interp import T, _independent, atom_key, eval_term, relation_eval, static_atom
+from .interp import (
+    T,
+    _independent,
+    atom_key,
+    eval_term,
+    reads_interpretation,
+    relation_eval,
+    static_atom,
+)
 from .syntax import (
     BOT,
     RELATION_PREDS,
@@ -34,6 +47,7 @@ from .syntax import (
     IntSet,
     Or,
     PredAtom,
+    _Quant,
     _Top,
     ground_constructor_value,
     walk,
@@ -144,6 +158,94 @@ def there_candidates(search, upper):
         )
     for mask in range(1 << len(undecided)):
         yield lower | frozenset(a for i, a in enumerate(undecided) if mask >> i & 1)
+
+
+class LeafMemo:
+    """An engine's per-formula leaf tests over one search, reused where a
+    formula reads the same atoms.
+
+    ``memoized(kind, test, there, here)`` turns ``test(phi)``, the
+    engine's ``kind`` of test at the there-world atoms ``there`` (and the
+    here-world atoms ``here``, if given), into one that computes a verdict
+    once per ``(kind, phi)`` and projection of the worlds onto ``phi``'s
+    ``read_set``; a formula with no read set is always tested.  The engine
+    calls ``leaf()`` as each leaf starts.  The first leaf takes the plain
+    path, so a search with one leaf computes no read set.
+    """
+
+    def __init__(self, universe):
+        self.universe = universe
+        self._leaves = 0
+        self._reads = {}  # a formula or set term -> its read set, or None
+        self._tables = {}  # a kind -> a formula -> (its read set, its verdicts)
+
+    def leaf(self):
+        self._leaves += 1
+
+    def memoized(self, kind, test, there, here=None):
+        if self._leaves < 2:
+            return test
+        universe, reads = self.universe, self._reads
+        table = self._tables.setdefault(kind, {})
+
+        def known(phi):
+            entry = table.get(phi)
+            if entry is None:
+                entry = table[phi] = (read_set(phi, universe, reads), {})
+            atoms, verdicts = entry
+            if atoms is None:
+                return test(phi)
+            key = atoms & there if here is None else (atoms & there, atoms & here)
+            verdict = verdicts.get(key, verdicts)  # the dict itself marks no verdict yet
+            if verdict is verdicts:
+                verdict = verdicts[key] = test(phi)
+            return verdict
+
+        return known
+
+
+def read_set(node, universe, reads):
+    """The atoms whose truth at the worlds of an interpretation decides a
+    ground formula or set term there, or None when they are not known: it
+    has a quantifier, a declared-function application, an atom that
+    ``static_atom`` cannot read or a set term whose candidates in
+    ``universe`` are not built yet.  A set term reads the atoms of the
+    heads and bodies of its candidates, nested set terms included.
+    ``reads`` keeps each answer, so a set term is read once."""
+    atoms = reads.get(node, reads)  # the dict itself marks a node not read yet
+    if atoms is reads:
+        atoms = reads[node] = _read_set(node, universe, reads)
+    return atoms
+
+
+def _read_set(node, universe, reads):
+    if isinstance(node, IntSet):
+        # building candidates here would register set terms the engine
+        # never read, and so widen the reported witnesses
+        candidates = universe.built_candidates(node)
+        if candidates is None:
+            return None
+        todo = [part for head, body in candidates for part in (*head, body)]
+    else:
+        todo = [node]
+    atoms = set()
+    while todo:
+        node = todo.pop()
+        if isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
+            atom = static_atom(node, universe)
+            if atom is None:
+                return None
+            atoms.add(atom)
+        elif isinstance(node, IntSet):
+            inner = read_set(node, universe, reads)
+            if inner is None:
+                return None
+            atoms |= inner
+        elif isinstance(node, _Quant) or isinstance(node, EApp) and reads_interpretation(node):
+            return None
+        else:
+            todo += node.children
+    return frozenset(atoms)
 
 
 def lower_bound(ground, upper):

@@ -13,7 +13,10 @@ between the bounds one at a time and tests only the leaves of that
 search, each against every assignment of the declared functions (the
 sigma loop); each assignment that passes is a stable model.
 Minimality is a least-model fixpoint (``rules``) where the rules allow
-it and a subset search elsewhere.
+it and a subset search elsewhere.  Where the assignment stores nothing,
+the there-world model check and the least model's body tests go through
+the search's ``search.LeafMemo``, which reuses a formula's verdict at
+the leaves that agree on the atoms it reads.
 
 The GZ engine (``gz``) shares the support fixpoint, the rule view and
 fixpoint, the ground-atom reading (``interp.static_atom``) and the
@@ -26,6 +29,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .domain import DomainBounds, build_active_domain, set_argument_functions
 from .errors import DomainLimitError, RangeDeclarationError, SetAspError
@@ -45,7 +49,7 @@ from .interp import (
 )
 from .parser import Theory
 from .rules import least_model
-from .search import search_stable
+from .search import LeafMemo, search_stable
 from .syntax import AGGREGATE_NAMES, EApp, Exists, Forall, Implies, IntSet, free_vars, pretty
 from .values import UNDEF, format_value
 
@@ -197,7 +201,7 @@ def _sub_assignments(sigma: Assignment):
             yield Assignment(keep)
 
 
-def find_countermodel(interp: HTInterpretation, ground: GroundTheory):
+def find_countermodel(interp: HTInterpretation, ground: GroundTheory, verdicts=None):
     """A strictly smaller here-world model below a total model, or None.
 
     With an exact rule view and a there-assignment that stores nothing (no
@@ -205,7 +209,8 @@ def find_countermodel(interp: HTInterpretation, ground: GroundTheory):
     with the here-atoms, so the least here-model is the least model of the
     rules: the candidate is stable iff it is that model, which is otherwise
     the countermodel of least cardinality.  Every other case takes the
-    subset search.
+    subset search.  The least model's body tests go through ``verdicts``,
+    a search's ``LeafMemo``, when one is given.
     """
     view = ground.rules
     if not view.exact or interp.sigma_t.funcs or interp.sigma_t.sets:
@@ -213,12 +218,14 @@ def find_countermodel(interp: HTInterpretation, ground: GroundTheory):
     universe = ground.universe
     atoms_t = interp.atoms_t
     sigma = Assignment()
+    verdicts = verdicts or LeafMemo(universe)  # a memo at no leaf reuses nothing
     # a body false at the there-world is false at every here-world below
-    rules = [rule for rule in view.rules if s_satisfies(interp, T, rule[0])]
+    there = verdicts.memoized("there", partial(s_satisfies, interp, T), atoms_t)
+    rules = [rule for rule in view.rules if there(rule[0])]
 
     def here(atoms):
         world = HTInterpretation(universe, sigma, sigma, atoms, atoms_t, check=False)
-        return lambda body: s_satisfies(world, H, body)
+        return verdicts.memoized("here", partial(s_satisfies, world, H), atoms_t, atoms)
 
     least = least_model(view.facts, rules, here, universe)
     if least == atoms_t:
@@ -314,16 +321,21 @@ def _solve(viability: _Viability) -> StableModelReport:
     def stable_in(search):
         # a stored fact that only dropped rules read is in no stable model
         sigma_space = _sigma_candidates(search, viability)
+        verdicts = LeafMemo(search.universe)
 
         def stable(t_atoms):
+            verdicts.leaf()
             for sigma_t in sigma_space:
                 stats.candidates += 1
                 candidate = HTInterpretation.total(search.universe, sigma_t, t_atoms)
                 # total interpretations collapse both worlds, so the there-world
                 # check decides modelhood
-                if not all(s_satisfies(candidate, T, phi) for phi in search.formulas):
+                there = partial(s_satisfies, candidate, T)
+                if not sigma_t.funcs:
+                    there = verdicts.memoized("there", there, t_atoms)
+                if not all(map(there, search.formulas)):
                     continue
-                if find_countermodel(candidate, search) is None:
+                if find_countermodel(candidate, search, verdicts) is None:
                     yield sigma_t.funcs, StableModel(t_atoms, _witness(candidate))
 
         return stable

@@ -3,7 +3,8 @@ minimality check) against the reference search (every subset of the
 atoms between the facts and the upper bound plus subset search), branching
 against the mask enumeration from the root bounds, the search restricted
 to what the upper bound can reach against the search over the whole
-ground theory, the binding-driven instantiation against the theory
+ground theory, the leaf checks memoized by read set against plain ones,
+the binding-driven instantiation against the theory
 grounded in full, its semi-naive fixpoint against one naive round, and
 the full grounding's guarded enumeration against every substitution."""
 
@@ -21,6 +22,7 @@ from setasp.checks import random_zero_rank_program
 from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
 from setasp.ground import _TOP_MARK, _Viability, simplify
+from setasp.interp import T
 from setasp.search import lower_bound
 from setasp.solver import (
     build_universe,
@@ -104,9 +106,13 @@ def reference_search():
     and the subset search."""
     with pytest.MonkeyPatch.context() as patch:
         facts_only = lambda ground, upper: ground.facts  # noqa: E731
+
+        def subset_search(interp, ground, verdicts=None):
+            return solver._countermodel_search(interp, ground)
+
         patch.setattr(search, "branch_leaves", search.there_candidates)
         patch.setattr(search, "lower_bound", facts_only)
-        patch.setattr(solver, "find_countermodel", solver._countermodel_search)
+        patch.setattr(solver, "find_countermodel", subset_search)
         patch.setattr(gz, "_has_smaller_model", gz._smaller_model_search)
         yield
 
@@ -127,6 +133,15 @@ def unrestricted_search():
     with pytest.MonkeyPatch.context() as patch:
         whole = lambda ground, possible: ground  # noqa: E731
         patch.setattr(search, "search_theory", whole)
+        yield
+
+
+@contextmanager
+def unmemoized_search():
+    """Both engines test every formula at every leaf: no formula has a
+    read set, so ``LeafMemo`` reuses no verdict."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "read_set", lambda node, universe, reads: None)
         yield
 
 
@@ -252,6 +267,37 @@ def test_signed_sums_match_the_reference():
     for baseline in (reference_search, mask_search):
         _compare(SIGNED_SUMS, (_eq,), bounds, baseline)
         _compare(gz_programs, (_gz,), bounds, baseline)
+
+
+def test_memoized_leaf_checks_match_plain_on_generated_gz_programs():
+    _compare(_generated(random_gz_program, 20), (_eq, _gz), GENERATOR_BOUNDS, unmemoized_search)
+
+
+def test_memoized_leaf_checks_match_plain_on_generated_zero_rank_programs():
+    _compare(_generated(random_zero_rank_program, 21), (_eq,), ZERO_RANK_BOUNDS, unmemoized_search)
+
+
+def test_memoized_leaf_checks_match_plain_on_generated_aggregate_programs():
+    programs = _generated(aggregate_gz_program, 28)
+    _compare(programs, (_eq, _gz), GENERATOR_BOUNDS, unmemoized_search)
+
+
+# The count rule's verdict and its reduct change between leaves only
+# through the members of its set term: a read set without them reuses
+# them where they differ, and both engines lose models.
+MEMBER_READS = (
+    "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). d(3). "
+    "c :- count{X : a(X)} >= 2. :- c, b(1)."
+)
+
+
+def test_memoized_leaf_checks_match_plain_on_fixed_programs():
+    _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, unmemoized_search)
+    gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
+    _compare(gz_programs, (_gz,), FIXED_BOUNDS, unmemoized_search)
+    _compare([MEMBER_READS], (_eq, _gz), ZERO_RANK_BOUNDS, unmemoized_search)
+    # every choice but the one with a(2), a(3) and b(1)
+    assert len(_eq(MEMBER_READS, ZERO_RANK_BOUNDS)) == len(_gz(MEMBER_READS, ZERO_RANK_BOUNDS)) == 7
 
 
 def test_restricted_search_matches_whole_on_generated_gz_programs():
@@ -898,6 +944,46 @@ def test_branching_tests_one_leaf_per_choice_model():
     assert report.stats.candidates == len(tested) == 512
     models, tested = _leaves(gz_stable_models, even_choice(9), ints(9))
     assert len(models) == len(tested) == 512
+
+
+def _leaf_checks(engine, n):
+    """How many times ``engine`` tests a formula at a leaf of
+    ``even_choice(n)``: the GZ engine's ``cl_satisfies`` and ``reduct``
+    calls outside one another and its minimality check, or the
+    equilibrium engine's there-world ``s_satisfies`` calls."""
+    calls, depth = [0], [0]
+
+    def wrapped(original, counts):
+        def call(*args):
+            calls[0] += not depth[0] and counts(args)
+            depth[0] += 1
+            try:
+                return original(*args)
+            finally:
+                depth[0] -= 1
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        if engine is gz_stable_models:
+            for name in ("cl_satisfies", "reduct"):
+                patch.setattr(gz, name, wrapped(getattr(gz, name), lambda args: True))
+            minimality = wrapped(gz._has_smaller_model, lambda args: False)
+            patch.setattr(gz, "_has_smaller_model", minimality)
+        else:
+            there = wrapped(solver.s_satisfies, lambda args: args[1] == T)
+            patch.setattr(solver, "s_satisfies", there)
+        assert len(_models(engine(parse_program(even_choice(n)), ints(n)))) == 2**n
+    return calls[0]
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_leaf_checks_grow_linearly_on_choice(engine):
+    # each formula reads at most three atoms, which take at most two
+    # values across the 2^n leaves; testing every formula at every leaf
+    # made 6n * 2^n GZ and 5n * 2^n equilibrium checks
+    six, nine = _leaf_checks(engine, 6), _leaf_checks(engine, 9)
+    assert nine * 6 <= six * 9 and nine < 20 * 9
 
 
 def test_branching_solves_past_the_old_atom_cap():

@@ -11,6 +11,7 @@ from setasp.solver import (
     models,
     relevant_atoms,
     satisfies,
+    solve_ground,
 )
 from setasp.syntax import (
     BOT,
@@ -404,3 +405,14 @@ def test_set_term_over_too_large_a_set_layer_names_its_variable():
     theory = parse_program("q({1}). p(S, T) :- q(S), q(T).")
     with pytest.raises(DomainLimitError, match=r"^variable S, T of 'p\(S, T\) :- "):
         ground_theory(theory, build_universe(theory, DomainBounds()))
+
+
+def test_a_set_term_under_a_quantifier_is_solved_alike_from_the_full_grounding():
+    # the set term holds the quantifier's X until the quantifier is
+    # instantiated, so it has no value of its own to report
+    theory = parse_program("q(1). r(1). p :- exists X (q(X), count{Y : r(Y), Y = X} >= 1).")
+    bounds = DomainBounds(int_max=2, max_herbrand_depth=0)
+    found = find_stable_models(theory, bounds).models
+    grounded = solve_ground(ground_theory(theory, build_universe(theory, bounds))).models
+    assert [m.atoms for m in found] == [{atom("p"), atom("q", 1), atom("r", 1)}]
+    assert [(m.atoms, m.sigma) for m in grounded] == [(m.atoms, m.sigma) for m in found]
