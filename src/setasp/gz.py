@@ -19,8 +19,10 @@ equilibrium engine's: the support fixpoint of ``ground`` computes the
 upper bound, the shared candidate loop (``search.search_stable``) calls
 back into ``cl_satisfies``, ``reduct`` and ``_has_smaller_model``, and
 ``search.LeafMemo`` reuses a formula's ``cl_satisfies`` and ``reduct``
-at the leaves that agree on the atoms it reads; ground atoms are read by
-``interp.static_atom``, the reduct's least model is
+at the leaves that agree on the atoms it reads.  So the same reduced
+formulas come back leaf after leaf, and ``_has_smaller_model`` places
+each in the reduct's rule view once per search.  Ground atoms are read
+by ``interp.static_atom``, the reduct's least model is
 ``rules.least_model`` and constants fold by ``syntax.fold``.  The
 grounding stays the full ``ground.ground_theory``, never the
 binding-driven one of ``instantiate``, so ``cross_check`` still compares
@@ -36,10 +38,10 @@ from dataclasses import dataclass
 from .domain import DomainBounds
 from .errors import NotGZError
 from .ground import _Viability, ground_theory
-from .interp import aggregate_eval, atom_key, relation_eval, static_atom
+from .interp import T, aggregate_eval, atom_key, eval_term, relation_eval, static_atom
 from .parser import Theory, parse_program
 from .rules import least_model, rule_view
-from .search import LeafMemo, search_stable
+from .search import search_stable
 from .solver import build_universe, find_stable_models, format_atom
 from .syntax import (
     AGGREGATE_NAMES,
@@ -157,8 +159,9 @@ def _gz_formula(phi, in_set=False):
         if not _is_set_name(inner):
             return f"aggregate argument {pretty(inner)!r} is not a set name"
         reason = _gz_formula(inner.body, in_set=True)
-        # a non-arithmetic ground value on the right just makes the
-        # atom false, so instantiated comparisons stay in the fragment
+        # a non-arithmetic ground value on the right is compared as the
+        # equilibrium engine compares it, so instantiated comparisons
+        # stay in the fragment
         if reason or _is_arith(right) or _gz_pred_arg(right):
             return reason
         return f"aggregate compared against non-arithmetic term {pretty(right)!r}"
@@ -216,19 +219,14 @@ def cl_satisfies(atoms, phi, universe, memo=None) -> bool:
 
 
 def _cl_comparison(atoms, rel, left, right, universe, memo=None):
+    # each side but an aggregate reads as in the equilibrium engine, in
+    # the static interpretation: arithmetic folds, and past the integer
+    # bounds a value is undefined
     if isinstance(left, EApp) and left.name in AGGREGATE_NAMES:  # _is_aggregate, kept inline
-        k = _cl_aggregate(atoms, left, universe, memo)
-        if k is UNDEF:
-            return False
-        n = ground_constructor_value(right)
-        if not isinstance(n, int):
-            return False
-        return relation_eval(rel, k, n)
-    lv = ground_constructor_value(left)
-    rv = ground_constructor_value(right)
-    if lv is None or rv is None:
-        raise NotGZError(f"cannot evaluate comparison {pretty(left)} {rel} {pretty(right)}")
-    return relation_eval(rel, lv, rv)
+        value = _cl_aggregate(atoms, left, universe, memo)
+    else:
+        value = eval_term(universe.static, T, left)
+    return value is not UNDEF and relation_eval(rel, value, eval_term(universe.static, T, right))
 
 
 def _cl_aggregate(atoms, agg, universe, memo=None):
@@ -300,9 +298,11 @@ class _GZViability(_Viability):
         bounds = self.universe.bounds
         low = max(interval[0], bounds.int_min)
         high = min(interval[1], bounds.int_max)
-        n = ground_constructor_value(right)
-        if not isinstance(n, int) or low > high:
+        n = eval_term(self.universe.static, T, right)  # as ``_cl_comparison`` reads it
+        if low > high:
             return False
+        if not isinstance(n, int):
+            return relation_eval(rel, low, n)  # the same at every integer
         if rel == "=":
             return low <= n <= high
         if rel == "!=":
@@ -341,24 +341,19 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
     viability = _GZViability(ground_theory(theory, universe))
     upper = _gz_relevant_atoms(viability)
 
-    def stable_in(search):
+    def stable_in(search, verdicts):
         universe = search.universe
-        verdicts = LeafMemo(universe)
+        places = {}  # a reduced formula -> its place in a rule view
 
-        def stable(candidate):
+        def stable(there):
             memo = {}  # the aggregate values of this candidate
-            verdicts.leaf()
-            holds = verdicts.memoized(
-                "holds", lambda phi: cl_satisfies(candidate, phi, universe, memo), candidate
-            )
+            holds = verdicts.memoized("holds", lambda phi: cl_satisfies(there, phi, universe, memo))
             if not all(map(holds, search.formulas)):
                 return
-            reducts = verdicts.memoized(
-                "reduct", lambda phi: reduct(phi, candidate, universe, memo), candidate
-            )
+            reducts = verdicts.memoized("reduct", lambda phi: reduct(phi, there, universe, memo))
             reduced = list(map(reducts, search.formulas))
-            if not _has_smaller_model(candidate, reduced, universe):
-                yield {}, candidate
+            if not _has_smaller_model(there, reduced, universe, places):
+                yield {}, there
 
         return stable
 
@@ -372,17 +367,18 @@ def _positive(phi):
     return isinstance(phi, _Top) or isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS
 
 
-def _has_smaller_model(candidate, reduced, universe):
+def _has_smaller_model(candidate, reduced, universe, places=None):
     """Whether the reduct has a classical model strictly inside the candidate.
 
     When every reduced formula is a fact or a rule with a positive body,
     the reduct's least model decides: the candidate is stable iff it is
     that model.  Other reducts (disjunctive heads, nested implications)
-    take the subset search.
+    take the subset search.  ``places`` keeps each reduced formula's place
+    in the rule view across a search's leaves (``rules.rule_view``).
     """
-    view = rule_view(reduced, universe, _positive)
+    view = rule_view(reduced, universe, _positive, places)
     if not view.exact:
-        return _smaller_model_search(candidate, reduced, universe)
+        return _smaller_model_search(candidate, reduced, universe, places)
 
     def here(atoms):
         return lambda body: cl_satisfies(atoms, body, universe)
@@ -390,10 +386,10 @@ def _has_smaller_model(candidate, reduced, universe):
     return least_model(view.facts, view.rules, here, universe) != candidate
 
 
-def _smaller_model_search(candidate, reduced, universe):
+def _smaller_model_search(candidate, reduced, universe, places=None):
     """Reference minimality check: subset search below the candidate,
     smallest first, keeping the reduct's facts, which every model holds."""
-    forced = rule_view(reduced, universe, _positive).facts & candidate
+    forced = rule_view(reduced, universe, _positive, places).facts & candidate
     free = sorted(candidate - forced, key=atom_key)
     for size in range(len(free)):
         for combo in itertools.combinations(free, size):

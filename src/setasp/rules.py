@@ -2,9 +2,11 @@
 
 Both engines read their ground theories through ``rule_view``: the
 equilibrium engine once per ground theory (``GroundTheory.rules``), the
-reduct engine once per candidate's reduct.  ``least_model`` is the rule
-fixpoint of both minimality checks, and ``search`` compiles the same view
-for its propagation.  Ground atoms are read by ``interp.static_atom``.
+reduct engine once per candidate's reduct, where each reduced formula is
+classified once per search and looked up at every later leaf.
+``least_model`` is the rule fixpoint of both minimality checks, and
+``search`` compiles the same view for its propagation.  Ground atoms are
+read by ``interp.static_atom``.
 """
 
 from __future__ import annotations
@@ -45,30 +47,41 @@ def _heads(phi, universe):
     return None if atom is None else frozenset((atom,))
 
 
-def rule_view(formulas, universe, monotone) -> RuleView:
+def rule_view(formulas, universe, monotone, places=None) -> RuleView:
     """Classify ground formulas in one pass, reading atoms by
     ``static_atom``; ``monotone`` tests whether a body's truth can only
     grow with the atoms of a smaller world below a fixed model.
+    ``places`` keeps each formula's ``_place`` across calls with one
+    ``monotone``, so a formula met again is looked up, not classified.
     """
-    facts, rules, constraints, others, exact = set(), [], [], [], True
+    parts, exact = ([], [], [], []), True
     for phi in formulas:
-        if isinstance(phi, _Top):
-            continue
-        heads = _heads(phi, universe)
-        if heads is not None:
-            facts |= heads
-        elif isinstance(phi, Implies) and phi.right == BOT:
-            # a constraint is its body's negation, so it is tested whole
-            constraints.append(phi.left)
-            exact = exact and monotone(phi)
-        elif isinstance(phi, Implies) and (heads := _heads(phi.right, universe)) is not None:
-            rules.append((phi.left, heads))
-            exact = exact and monotone(phi.left)
-        else:
-            others.append(phi)
-    return RuleView(
-        frozenset(facts), tuple(rules), tuple(constraints), tuple(others), exact and not others
-    )
+        place = None if places is None else places.get(phi)
+        if place is None:
+            place = _place(phi, universe, monotone)
+            if places is not None:
+                places[phi] = place
+        slot, item, ok = place
+        parts[slot].append(item)
+        exact = exact and ok
+    rules, constraints, others, facts = map(tuple, parts)
+    return RuleView(frozenset().union(*facts), rules, constraints, others, exact and not others)
+
+
+def _place(phi, universe, monotone):
+    """Where ``phi`` goes in a rule view, as ``(slot, item, ok)``: slots 0
+    to 3 are the rules, constraints, others and facts, where a fact's item
+    is its atom keys and verum is a fact with none; ``ok`` is False when a
+    rule body or constraint fails ``monotone``."""
+    heads = frozenset() if isinstance(phi, _Top) else _heads(phi, universe)
+    if heads is not None:
+        return 3, heads, True
+    if isinstance(phi, Implies) and phi.right == BOT:
+        # a constraint is its body's negation, so it is tested whole
+        return 1, phi.left, monotone(phi)
+    if isinstance(phi, Implies) and (heads := _heads(phi.right, universe)) is not None:
+        return 0, (phi.left, heads), monotone(phi.left)
+    return 2, phi, True
 
 
 def least_model(facts, rules, here, universe):

@@ -9,22 +9,26 @@ root is the lower bound (``lower_bound``).  ``there_candidates``, every
 subset of the atoms between the root bounds, is the reference the tests
 swap in for it.  Propagation only ever drops candidates that cannot be
 stable: each leaf still takes the engine's model and minimality checks.
+A leaf is a bit mask over the root upper bound's atoms (``_Numbering``)
+from its last decision to the end of its checks; the atoms are sorted by
+``atom_key`` once per search, and only when it can have two leaves.
 
 A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one bounds test per ``count`` or ``sum``
-comparison with a ground integer: the aggregate lies between its members
+comparison with a ground value: the aggregate lies between its members
 certain under the lower bound and those possible under the upper one.
 
 An engine's per-formula leaf tests depend only on the atoms each formula
 reads (``read_set``), so from a search's second leaf on ``LeafMemo``
 reuses a verdict the engine already computed at a world that agrees with
-the leaf's on those atoms.
+the leaf's on those atoms, looked up by the leaf's mask cut to them.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
-from itertools import compress
+from functools import cached_property
+from itertools import compress, count
 
 from .errors import DomainLimitError
 from .ground import simplify
@@ -60,22 +64,26 @@ def search_stable(viability, upper, stable_in) -> list:
 
     ``viability`` has run its fixpoint, whose atoms are ``upper``; the
     search theory keeps what its last round judged possible.
-    ``stable_in(search)`` returns the engine's test on that theory, which
-    maps a there-world to the stable models it carries, as ``(funcs,
-    model)`` pairs whose ``funcs`` are the model's declared-function
-    facts; models sort by their atoms, then by those facts.
+    ``stable_in(search, verdicts)``, given the search's ``LeafMemo``,
+    returns the engine's test on that theory, which maps a there-world to
+    the stable models it carries, as ``(funcs, model)`` pairs whose
+    ``funcs`` are the model's declared-function facts; models sort by
+    their atoms (``_Numbering.key``), then by those facts.
     """
     ground = viability.ground
     if any(phi == BOT for phi in ground.formulas):
         return []
     search = search_theory(ground, viability.possibly_sat)
-    stable = stable_in(search)
+    verdicts = LeafMemo(search.universe)
+    stable = stable_in(search, verdicts)
     found = {}
-    for there in branch_leaves(search, upper):
-        for funcs, model in stable(there):
+    for numbering, mask in branch_leaves(search, upper):
+        verdicts.leaf(numbering, mask)
+        for funcs, model in stable(numbering.atoms(mask)):
             facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
-            found[tuple(sorted(map(atom_key, there))), tuple(facts)] = model
-    return [found[key] for key in sorted(found)]
+            found[mask, tuple(facts)] = model
+    keys = sorted(found, key=lambda k: (numbering.key(k[0]), k[1])) if len(found) > 1 else found
+    return [found[key] for key in keys]
 
 
 def search_theory(ground, possible):
@@ -97,24 +105,25 @@ def search_theory(ground, possible):
 
 
 def branch_leaves(search, upper):
-    """The there-worlds the search tests: the leaves of a depth-first
-    search that decides one undecided atom at a time, in ``atom_key``
-    order, and tightens both bounds after each decision
-    (``_Propagation.bounds``), cutting a branch whose bounds conflict.
-    ``atom_cap`` bounds the decisions on one branch."""
+    """The there-worlds the search tests, each as ``(numbering, mask)``:
+    the leaves of a depth-first search that decides one undecided atom at
+    a time, in ``atom_key`` order, and tightens both bounds after each
+    decision (``_Propagation.bounds``), cutting a branch whose bounds
+    conflict.  ``atom_cap`` bounds the decisions on one branch."""
     if upper <= search.rules.facts:
-        yield upper  # nothing to decide
+        numbering = _Numbering(upper)
+        yield numbering, numbering.outside - 1  # nothing to decide
         return
     propagation = _Propagation(search, upper)
     root = propagation.root()
     if root is None:
         return
-    bits, read = propagation.bits, propagation.read
-    order = [bits[a] for a in sorted(propagation.atoms(root[1] & ~root[0]), key=atom_key)]
-    cap = search.universe.bounds.atom_cap
-    stack = [(*root, 0)]
+    undecided = root[1] & ~root[0]
+    order = [1 << i for i in propagation.by_key if undecided >> i & 1] if undecided else ()
+    read, cap = propagation.read, search.universe.bounds.atom_cap
+    stack = [(*root, 0, 0)]  # and where in ``order`` the branch's undecided atoms start
     while stack:
-        lower, upper, depth = stack.pop()
+        lower, upper, depth, start = stack.pop()
         undecided = upper & ~lower
         # deciding an atom that no body reads tightens nothing else, so
         # once only such atoms are left, each subset of them is a leaf
@@ -124,14 +133,11 @@ def branch_leaves(search, upper):
                 "atom_cap",
             )
         if not undecided & read:
-            subset = undecided
-            while True:
-                yield propagation.atoms(lower | subset)
-                if not subset:
-                    break
-                subset = (subset - 1) & undecided
+            yield from _subsets(propagation, lower, undecided)
             continue
-        first = next(bit for bit in order if bit & undecided)
+        while not order[start] & undecided:
+            start += 1
+        first = order[start]
         if first & read:
             children = (
                 propagation.bounds(lower | first, upper),
@@ -141,7 +147,7 @@ def branch_leaves(search, upper):
             children = ((lower | first, upper), (lower, upper & ~first))
         for child in children:
             if child is not None:
-                stack.append((*child, depth + 1))
+                stack.append((*child, depth + 1, start + 1))
 
 
 def there_candidates(search, upper):
@@ -151,51 +157,68 @@ def there_candidates(search, upper):
     lower = lower_bound(search, upper)
     if lower is None:
         return
-    undecided = sorted(upper - lower, key=atom_key)
+    undecided = upper - lower
     if len(undecided) > search.universe.bounds.atom_cap:
         raise DomainLimitError(
             f"{len(undecided)} undecided atoms is too many to enumerate", "atom_cap"
         )
-    for mask in range(1 << len(undecided)):
-        yield lower | frozenset(a for i, a in enumerate(undecided) if mask >> i & 1)
+    numbering = _Numbering(upper | lower)
+    yield from _subsets(numbering, numbering.mask(lower), numbering.mask(undecided))
+
+
+def _subsets(numbering, lower, undecided):
+    """The leaves ``lower`` plus each subset of ``undecided``."""
+    subset = undecided
+    while True:
+        yield numbering, lower | subset
+        if not subset:
+            return
+        subset = (subset - 1) & undecided
 
 
 class LeafMemo:
     """An engine's per-formula leaf tests over one search, reused where a
     formula reads the same atoms.
 
-    ``memoized(kind, test, there, here)`` turns ``test(phi)``, the
-    engine's ``kind`` of test at the there-world atoms ``there`` (and the
-    here-world atoms ``here``, if given), into one that computes a verdict
-    once per ``(kind, phi)`` and projection of the worlds onto ``phi``'s
-    ``read_set``; a formula with no read set is always tested.  The engine
-    calls ``leaf()`` as each leaf starts.  The first leaf takes the plain
-    path, so a search with one leaf computes no read set.
+    ``search_stable`` calls ``leaf(numbering, mask)`` as each leaf
+    starts.  ``memoized(kind, test, here)`` turns ``test(phi)``, the
+    engine's ``kind`` of test at the leaf (and at the here-world atoms
+    ``here``, if given), into one that computes a verdict once per ``(kind,
+    phi)`` and projection of the worlds onto ``phi``'s read mask: its
+    ``read_set`` in the leaf's numbering.  A formula with no read set is
+    always tested.  The first leaf takes the plain path, so a search with
+    one leaf computes no read set.
     """
 
     def __init__(self, universe):
         self.universe = universe
-        self._leaves = 0
+        self._leaves, self._numbering, self._mask = 0, None, 0
         self._reads = {}  # a formula or set term -> its read set, or None
-        self._tables = {}  # a kind -> a formula -> (its read set, its verdicts)
+        self._tables = {}  # a kind -> a formula -> (its read mask, its verdicts)
 
-    def leaf(self):
+    def leaf(self, numbering, mask):
         self._leaves += 1
+        self._numbering, self._mask = numbering, mask
 
-    def memoized(self, kind, test, there, here=None):
+    def memoized(self, kind, test, here=None):
         if self._leaves < 2:
             return test
-        universe, reads = self.universe, self._reads
-        table = self._tables.setdefault(kind, {})
+        universe, reads, there = self.universe, self._reads, self._mask
+        numbering, table = self._numbering, self._tables.setdefault(kind, {})
+        if here is not None:
+            here = numbering.mask(here)
 
         def known(phi):
             entry = table.get(phi)
             if entry is None:
-                entry = table[phi] = (read_set(phi, universe, reads), {})
-            atoms, verdicts = entry
-            if atoms is None:
+                atoms = read_set(phi, universe, reads)
+                # an atom outside the root upper bound is false at every
+                # leaf: it sets the one bit that no leaf mask has
+                entry = table[phi] = (None if atoms is None else numbering.mask(atoms), {})
+            read, verdicts = entry
+            if read is None:
                 return test(phi)
-            key = atoms & there if here is None else (atoms & there, atoms & here)
+            key = read & there if here is None else (read & there, read & here)
             verdict = verdicts.get(key, verdicts)  # the dict itself marks no verdict yet
             if verdict is verdicts:
                 verdict = verdicts[key] = test(phi)
@@ -259,25 +282,58 @@ def lower_bound(ground, upper):
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
 
 
-class _Propagation:
+def _digits(mask):
+    """The binary digits of ``mask``, lowest first, as the bytes 0 and 1."""
+    return bin(mask)[:1:-1].encode().translate(_DIGITS)
+
+
+class _Numbering:
+    """The atoms of a search as the bits of an ``int``; one bit past them
+    stands for every atom outside."""
+
+    def __init__(self, atoms):
+        self.order = tuple(atoms)
+        self.bits = {a: 1 << i for i, a in enumerate(self.order)}
+        self.outside = 1 << len(self.order)
+
+    @cached_property
+    def by_key(self):
+        """The bit positions in the ``atom_key`` order of their atoms,
+        sorted when first read, so that a search with one leaf never is."""
+        return sorted(range(len(self.order)), key=lambda i: atom_key(self.order[i]))
+
+    def key(self, mask):
+        """The ranks in ``by_key`` of the atoms of ``mask``, ascending:
+        masks sort by them as their atoms' sorted ``atom_key`` tuples do."""
+        digits = _digits(mask).ljust(len(self.order), b"\0")
+        return tuple(compress(count(), [digits[i] for i in self.by_key]))
+
+    def mask(self, atoms):
+        out = 0
+        for a in atoms:
+            out |= self.bits.get(a, self.outside)
+        return out
+
+    def atoms(self, mask):
+        return frozenset(compress(self.order, _digits(mask)))
+
+
+class _Propagation(_Numbering):
     """Three-valued bounds on the stable models of a search theory.
 
-    The atoms of the root upper bound are numbered once, and a set of
-    them is an ``int`` bit mask; one bit past them stands for every atom
-    outside.  Each rule body and constraint of the theory's rule view is
-    compiled once (``_compile``), so tightening a pair of bounds takes
-    only bit operations, plus a pass over the members of each aggregate
-    test.  ``kept`` holds the atoms that a formula outside the view
-    mentions (every atom of a predicate it reads through a non-static
-    argument), which support never drops.
+    The atoms of the root upper bound are numbered once (``_Numbering``).
+    Each rule body and constraint of the theory's rule view is compiled
+    once (``_compile``), so tightening a pair of bounds takes only bit
+    operations, plus a pass over the members of each aggregate test.
+    ``kept`` holds the atoms that a formula outside the view mentions
+    (every atom of a predicate it reads through a non-static argument),
+    which support never drops.
     """
 
     def __init__(self, ground, upper):
+        super().__init__(upper)
         view = ground.rules
         self.universe = ground.universe
-        self.order = tuple(upper)
-        self.bits = {a: 1 << i for i, a in enumerate(self.order)}
-        self.outside = 1 << len(self.order)
         self.facts = self.mask(view.facts)
         self.read = 0  # the atoms some body reads, filled in by _compile
         self._members = {}  # an aggregate term -> its members (``_set_members``)
@@ -296,23 +352,12 @@ class _Propagation:
             atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
         self.kept = self.mask(atoms & upper)
 
-    def mask(self, atoms):
-        out = 0
-        for a in atoms:
-            out |= self.bits.get(a, self.outside)
-        return out
-
-    def atoms(self, mask):
-        # the binary digits of ``mask``, lowest first, as the bytes 0 and 1
-        digits = bin(mask)[:1:-1].encode().translate(_DIGITS)
-        return frozenset(compress(self.order, digits))
-
     def _compile(self, phi):
         """A rule body as ``(pos, neg, opaque, parts)``: the masks of its
         static atoms and of the static atoms under its ``not``, whether it
         has a conjunct of any other shape, and its other conjuncts: a pair
         of compiled bodies per ``;`` and a test (``_aggregate``) per
-        comparison of a ``count`` or ``sum`` with a ground integer, under
+        comparison of a ``count`` or ``sum`` with a ground value, under
         ``not`` or not.  A ``not`` of an atom outside the upper bound
         always holds, so it is left out."""
         pos, neg, parts, opaque = 0, 0, [], False
@@ -342,17 +387,17 @@ class _Propagation:
     def _aggregate(self, part, negated):
         """The test ``(negated, members, accept, first, last)`` of
         ``part``, a comparison between a ``count`` or ``sum`` of a set
-        term and a ground integer, or None.
+        term and a ground term that the interpretation cannot change, or
+        None.
 
         ``members`` come from ``_set_members``.  ``[first, last]`` holds
         the values the aggregate can take inside the integer bounds; any
         other value it can take is undefined.  ``accept`` has bit ``v -
         first`` set when ``part``, its ``not`` applied, holds at the value
-        ``v``, as ``relation_eval`` decides it.  An undefined value fails
-        every comparison, so only its ``not`` holds there.  Any other
-        ground value leaves the comparison opaque: the GZ engine reads an
-        aggregate compared with a constant or an arithmetic term as false
-        whatever the relation, where the equilibrium engine evaluates it."""
+        ``v``, as ``relation_eval`` decides it against the other side's
+        value in the static interpretation, which both engines read.  An
+        undefined value fails every comparison, so only its ``not`` holds
+        there."""
         if isinstance(part, Eq):
             rel = "="
         elif isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
@@ -362,8 +407,12 @@ class _Propagation:
         left, right = part.children
         flip = not _summed(left)
         agg, other = (right, left) if flip else (left, right)
+        if not _summed(agg):
+            return None
         value = ground_constructor_value(other)
-        if not _summed(agg) or isinstance(value, bool) or not isinstance(value, int):
+        if value is None and _independent(other):  # arithmetic folds, in both engines
+            value = eval_term(self.universe.static, T, other)
+        if value is None:
             return None
         members = self._members.get(agg, self)  # ``self`` marks one not compiled yet
         if members is self:

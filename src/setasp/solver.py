@@ -16,7 +16,8 @@ Minimality is a least-model fixpoint (``rules``) where the rules allow
 it and a subset search elsewhere.  Where the assignment stores nothing,
 the there-world model check and the least model's body tests go through
 the search's ``search.LeafMemo``, which reuses a formula's verdict at
-the leaves that agree on the atoms it reads.
+the leaves that agree on the atoms it reads; the search hands it each
+leaf as a bit mask, so a lookup cuts that mask to the formula's atoms.
 
 The GZ engine (``gz``) shares the support fixpoint, the rule view and
 fixpoint, the ground-atom reading (``interp.static_atom``) and the
@@ -220,12 +221,12 @@ def find_countermodel(interp: HTInterpretation, ground: GroundTheory, verdicts=N
     sigma = Assignment()
     verdicts = verdicts or LeafMemo(universe)  # a memo at no leaf reuses nothing
     # a body false at the there-world is false at every here-world below
-    there = verdicts.memoized("there", partial(s_satisfies, interp, T), atoms_t)
+    there = verdicts.memoized("there", partial(s_satisfies, interp, T))
     rules = [rule for rule in view.rules if there(rule[0])]
 
     def here(atoms):
         world = HTInterpretation(universe, sigma, sigma, atoms, atoms_t, check=False)
-        return verdicts.memoized("here", partial(s_satisfies, world, H), atoms_t, atoms)
+        return verdicts.memoized("here", partial(s_satisfies, world, H), atoms)
 
     least = least_model(view.facts, rules, here, universe)
     if least == atoms_t:
@@ -318,13 +319,11 @@ def _solve(viability: _Viability) -> StableModelReport:
     upper = relevant_atoms(viability)
     stats = SearchStats()
 
-    def stable_in(search):
+    def stable_in(search, verdicts):
         # a stored fact that only dropped rules read is in no stable model
         sigma_space = _sigma_candidates(search, viability)
-        verdicts = LeafMemo(search.universe)
 
         def stable(t_atoms):
-            verdicts.leaf()
             for sigma_t in sigma_space:
                 stats.candidates += 1
                 candidate = HTInterpretation.total(search.universe, sigma_t, t_atoms)
@@ -332,7 +331,7 @@ def _solve(viability: _Viability) -> StableModelReport:
                 # check decides modelhood
                 there = partial(s_satisfies, candidate, T)
                 if not sigma_t.funcs:
-                    there = verdicts.memoized("there", there, t_atoms)
+                    there = verdicts.memoized("there", there)
                 if not all(map(there, search.formulas)):
                     continue
                 if find_countermodel(candidate, search, verdicts) is None:

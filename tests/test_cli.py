@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -234,3 +237,16 @@ def test_set_arguments_without_the_set_layer_exit_2(tmp_path, capsys):
     code, out, _ = run(capsys, "solve", str(program), *flags, "--full-domain")
     assert code == 0
     assert "{p(1), q(1)}" in out
+
+
+def test_python_m_setasp_runs_the_command_line(tmp_path):
+    program = tmp_path / "threshold.lp"
+    program.write_text("q(1). p :- count{X : q(X)} != a.\n")
+    paths = [str(PROGRAMS.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run(
+        [sys.executable, "-m", "setasp", "cross-check", str(program)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (done.returncode, done.stderr) == (0, "")
+    assert done.stdout.splitlines()[-1] == "AGREE"

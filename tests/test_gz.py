@@ -312,6 +312,26 @@ def test_cross_check_agrees_on_the_named_programs():
         assert result.agree
 
 
+@pytest.mark.parametrize(
+    "text, model",
+    [
+        ("q(1). p :- count{X : q(X)} < 1+1.", {atom("q", 1), atom("p")}),
+        ("q(1). p :- count{X : q(X)} = 2-1.", {atom("q", 1), atom("p")}),
+        ("q(1). p :- count{X : q(X)} != a.", {atom("q", 1), atom("p")}),
+        ("p(1). q :- not count{X : p(X)} != a.", {atom("p", 1)}),
+        ("p(1). q :- not count{X : p(X)} < a.", {atom("p", 1), atom("q")}),
+        ("q(1). p :- count{X : q(X), X < 1+1} = 1.", {atom("q", 1), atom("p")}),
+    ],
+)
+def test_cross_check_agrees_on_a_threshold_that_is_not_an_integer(text, model):
+    # both engines fold every side of a comparison but an aggregate, in a
+    # set body too, and compare the values through relation_eval
+    theory = parse_program(text)
+    assert is_gz_theory(theory) == (True, None)
+    result = cross_check(theory, BOUNDS)
+    assert result.agree and result.gz_models == [model]
+
+
 def test_differential_trials_report_shape():
     report = differential_trials(10, seed=3)
     assert report["trials"] == 10

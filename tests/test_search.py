@@ -17,12 +17,12 @@ from functools import cache
 import pytest
 
 from setasp import DomainBounds, parse_program
-from setasp import domain, ground, gz, search, solver
+from setasp import domain, ground, gz, interp, rules, search, solver
 from setasp.checks import random_zero_rank_program
 from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
 from setasp.ground import _TOP_MARK, _Viability, simplify
-from setasp.interp import T
+from setasp.interp import T, atom_key
 from setasp.search import lower_bound
 from setasp.solver import (
     build_universe,
@@ -32,7 +32,7 @@ from setasp.solver import (
     solve_ground,
 )
 from setasp.syntax import TOP, Num, Val, closure_prefix, substitute
-from setasp.values import HTerm, finset
+from setasp.values import HTerm, finset, value_key
 
 from conftest import COUNT0, P1, P2, P3, P4, PROGRAMS, atom
 
@@ -65,12 +65,15 @@ UNDEFINED_COUNT = (
     "charlie(0) :- charlie(golf). charlie(3). charlie(golf)."
 )
 
-# The GZ engine reads an aggregate compared with a constant or an
-# arithmetic term as false under every relation, ``!=`` included, so ``q``
-# holds there; the equilibrium engine evaluates both comparisons.
+# Both engines compare an aggregate with the value of the other side in
+# the static interpretation, through ``relation_eval``: arithmetic folds,
+# a constant differs from every integer and is ordered against none.
 NON_INTEGER_THRESHOLDS = [
     "p(1). q :- not count{X : p(X)} != a.",
     "p(1). q :- not count{X : p(X)} < 1+1.",
+    "q(1). p :- count{X : q(X)} < 1+1.",
+    "q(1). p :- count{X : q(X)} = 2-1.",
+    "q(1). p :- count{X : q(X)} != a.",
 ]
 
 # Rule shapes that stay on the fast path, set terms and double negation in
@@ -139,9 +142,15 @@ def unrestricted_search():
 @contextmanager
 def unmemoized_search():
     """Both engines test every formula at every leaf: no formula has a
-    read set, so ``LeafMemo`` reuses no verdict."""
+    read set, so ``LeafMemo`` reuses no verdict, and the GZ minimality
+    check classifies every reduced formula again at every leaf."""
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "read_set", lambda node, universe, reads: None)
+
+        def fresh_view(formulas, universe, monotone, places=None):
+            return rules.rule_view(formulas, universe, monotone)
+
+        patch.setattr(gz, "rule_view", fresh_view)
         yield
 
 
@@ -289,6 +298,41 @@ MEMBER_READS = (
     "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). d(3). "
     "c :- count{X : a(X)} >= 2. :- c, b(1)."
 )
+
+
+# Two declared-function choices: four models over the same atoms, told
+# apart only by their function facts.
+FUNCTION_CHOICE = (
+    "#function f/1 : {0; 1}. d(1). d(2). "
+    "f(X) := 0 :- d(X), not f(X) = 1. f(X) := 1 :- d(X), not f(X) = 0."
+)
+
+
+def _canonical(model):
+    """The key models are ordered by: their atoms' keys, sorted, then
+    their function facts'."""
+    atoms, sigma = model if isinstance(model, tuple) else (model, None)
+    funcs = sigma.funcs if sigma else {}
+    facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
+    return tuple(sorted(map(atom_key, atoms))), tuple(facts)
+
+
+def test_models_come_in_canonical_order():
+    runs = [
+        (_generated(random_gz_program, 20), (_eq, _gz), GENERATOR_BOUNDS),
+        (_generated(random_zero_rank_program, 21), (_eq,), ZERO_RANK_BOUNDS),
+        (_generated(aggregate_gz_program, 28), (_eq, _gz), GENERATOR_BOUNDS),
+        (tuple(FALLBACK + FAST + [FUNCTION_CHOICE]), (_eq,), FIXED_BOUNDS),
+    ]
+    several = 0
+    for programs, engines, bounds in runs:
+        for answers in _fast(programs, engines, bounds):
+            for models in answers:
+                keys = list(map(_canonical, models))
+                assert keys == sorted(keys)
+                several += len(keys) > 1
+    assert several >= 30
+    assert len(_eq(FUNCTION_CHOICE, FIXED_BOUNDS)) == 4
 
 
 def test_memoized_leaf_checks_match_plain_on_fixed_programs():
@@ -920,8 +964,8 @@ def _leaves(engine, text, bounds):
     tested = []
 
     def counted(viability, upper, stable_in, original=search.search_stable):
-        def counting_in(theory):
-            stable = stable_in(theory)
+        def counting_in(theory, verdicts):
+            stable = stable_in(theory, verdicts)
 
             def count(there):
                 tested.append(there)
@@ -996,6 +1040,38 @@ def test_branching_solves_past_the_old_atom_cap():
 
 def _models(answer):
     return getattr(answer, "models", answer)
+
+
+def _search_work(engine, n):
+    """How many times solving ``even_choice(n)`` calls ``atom_key`` and
+    classifies a formula for a rule view (``rules._place``)."""
+    counts = Counter()
+
+    def counted(name, original):
+        def call(*args):
+            counts[name] += 1
+            return original(*args)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        key = counted("atom_key", interp.atom_key)
+        for module in (interp, search, solver, gz):
+            patch.setattr(module, "atom_key", key)
+        patch.setattr(rules, "_place", counted("place", rules._place))
+        assert len(_models(engine(parse_program(even_choice(n)), ints(n)))) == 2**n
+    return counts
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_search_work_grows_with_atoms_and_formulas_not_leaves(engine):
+    # even_choice(n) has 3n atoms, 3n ground formulas and 2^n leaves; the
+    # numbering sorts the atoms once, and each formula is classified once
+    # per search, as are the 3n + 1 distinct reducts that GZ's take
+    for n in (6, 8, 10):
+        counts = _search_work(engine, n)
+        assert counts["atom_key"] <= 3 * n
+        assert counts["place"] <= 6 * n + 1
 
 
 # perfbench's ``sets`` twin for the constants 1 and 2
