@@ -295,7 +295,13 @@ def _here_monotone(node) -> bool:
 _TOP_MARK = object()
 
 # Not user bounds: past either cap a possible-value set only widens to
-# "any" (``_TOP_MARK``), which stays sound and aborts nothing.
+# "any" (``_TOP_MARK``), which stays sound and aborts nothing.  An
+# aggregate of a set term reads its values from the members and never
+# builds the extensions, but it still widens where lifting over them
+# would: past ``_SUBSET_CAP`` members, or past ``_VALUE_CAP`` extensions
+# (2^k, plus one when a member can be undefined).  An equality step of
+# the instantiation ranges over these values, so the same widening keeps
+# its instances and their order.
 _VALUE_CAP = 128
 _SUBSET_CAP = 12
 
@@ -395,6 +401,8 @@ class _Viability:
             if name in self.universe.signature.func_ranges:
                 return frozenset(self.universe.signature.func_ranges[name]) | {UNDEF}
             if name in AGGREGATE_NAMES:
+                if isinstance(term.args[0], IntSet):
+                    return self._aggregate_values(name, term.args[0])
                 return self._lift(term.args, lambda combo: aggregate_eval(name, combo[0], bounds))
             return self._lift(term.args, lambda combo: builtin_func_eval(name, combo, bounds))
         if isinstance(term, ExtSet):
@@ -412,7 +420,18 @@ class _Viability:
         """The ``(head_terms, body)`` instances of a ground set term."""
         return self.universe.intset_candidates(iset)
 
-    def _possible_extensions(self, iset):
+    def _possible_members(self, iset):
+        """The member tuples a set term can have inside the fixpoint, in
+        ``value_key`` order, and whether a member can be undefined;
+        ``_TOP_MARK`` past ``_SUBSET_CAP`` tuples.  Kept for the round,
+        like the possible values, so the set term and its aggregates ask
+        for its candidates once."""
+        key = ("members", iset)
+        cached = self._values.get(key)
+        if cached is not None:
+            return cached
+        # cuts accidental cycles conservatively, and stays past either cap
+        self._values[key] = _TOP_MARK
         tuples = set()
         has_undef = False
         for head, body in self.set_candidates(iset):
@@ -428,14 +447,50 @@ class _Viability:
                     tuples.add(combo)
             if len(tuples) > _SUBSET_CAP:
                 return _TOP_MARK
+        out = self._values[key] = (tuple(sorted(tuples, key=value_key)), has_undef)
+        return out
+
+    def _possible_extensions(self, iset):
+        members = self._possible_members(iset)
+        if members is _TOP_MARK:
+            return _TOP_MARK
+        pool, has_undef = members
         out = set()
-        pool = sorted(tuples, key=value_key)
         for size in range(len(pool) + 1):
             for combo in itertools.combinations(pool, size):
                 out.add(FinSet(combo))
         if has_undef:
             out.add(UNDEF)
         return frozenset(out)
+
+    def _aggregate_values(self, name, iset):
+        """What ``aggregate_eval`` gives on each possible extension of
+        ``iset``, read from its members without building the extensions:
+        the same values and the same widening to ``_TOP_MARK`` as lifting
+        it over ``_possible_extensions``."""
+        members = self._possible_members(iset)
+        if members is _TOP_MARK:
+            return _TOP_MARK
+        pool, has_undef = members
+        if (1 << len(pool)) + has_undef > _VALUE_CAP:  # as ``_combos`` counts the extensions
+            return _TOP_MARK
+        if name == "count":
+            values = range(len(pool) + 1)
+        else:
+            ints = [m[0] for m in pool if isinstance(m[0], int) and not isinstance(m[0], bool)]
+            # a non-integer member undefines every extension holding it
+            has_undef = has_undef or len(ints) < len(pool)
+            if name == "sum":
+                values = {0}
+                for v in ints:
+                    values |= {s + v for s in values}
+            else:  # the empty extension, and any of arity 2 or more, are undefined
+                values = ints if pool and len(pool[0]) == 1 else ()
+                has_undef = True
+        # added one at a time, as lifting adds them, so the set's table
+        # grows alike and an equality step meets the values in the same order
+        values = map(self.universe.bounds.clip_int, values)
+        return frozenset(itertools.chain(values, (UNDEF,)) if has_undef else values)
 
     # -- optimistic satisfiability at the there-world
 

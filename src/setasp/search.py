@@ -16,7 +16,9 @@ from its last decision to the end of its checks; the atoms are sorted by
 A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one bounds test per ``count`` or ``sum``
 comparison with a ground value: the aggregate lies between its members
-certain under the lower bound and those possible under the upper one.
+certain under the lower bound and those possible under the upper one,
+and a ``sum`` member whose weight is not an integer undefines it, so
+that only the comparison's ``not`` holds where that member is in.
 
 An engine's per-formula leaf tests depend only on the atoms each formula
 reads (``read_set``), so from a search's second leaf on ``LeafMemo``
@@ -385,19 +387,20 @@ class _Propagation(_Numbering):
         return pos, neg, opaque, tuple(parts)
 
     def _aggregate(self, part, negated):
-        """The test ``(negated, members, accept, first, last)`` of
-        ``part``, a comparison between a ``count`` or ``sum`` of a set
-        term and a ground term that the interpretation cannot change, or
-        None.
+        """The test ``(negated, members, undefining, accept, first,
+        last)`` of ``part``, a comparison between a ``count`` or ``sum`` of
+        a set term and a ground term that the interpretation cannot
+        change, or None.
 
-        ``members`` come from ``_set_members``.  ``[first, last]`` holds
-        the values the aggregate can take inside the integer bounds; any
-        other value it can take is undefined.  ``accept`` has bit ``v -
-        first`` set when ``part``, its ``not`` applied, holds at the value
-        ``v``, as ``relation_eval`` decides it against the other side's
-        value in the static interpretation, which both engines read.  An
-        undefined value fails every comparison, so only its ``not`` holds
-        there."""
+        ``members`` and ``undefining`` come from ``_set_members``.
+        ``[first, last]`` holds the values the integer weights can sum to
+        inside the integer bounds; any other value the aggregate can take,
+        past the bounds or with an undefining member, is undefined.
+        ``accept`` has bit ``v - first`` set when ``part``, its ``not``
+        applied, holds at the value ``v``, as ``relation_eval`` decides it
+        against the other side's value in the static interpretation, which
+        both engines read.  An undefined value fails every comparison, so
+        only its ``not`` holds there."""
         if isinstance(part, Eq):
             rel = "="
         elif isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
@@ -419,6 +422,7 @@ class _Propagation(_Numbering):
             members = self._members[agg] = self._set_members(agg)
         if members is None:
             return None
+        members, undefining = members
         bounds = self.universe.bounds
 
         def holds(v):  # ``part`` at the aggregate value ``v``
@@ -427,26 +431,30 @@ class _Propagation(_Numbering):
         first = max(bounds.int_min, sum(w for _, _, w in members if w < 0))
         last = min(bounds.int_max, sum(w for _, _, w in members if w > 0))
         accept = sum(1 << (v - first) for v in range(first, last + 1) if holds(v))
-        return negated, members, accept, first, last
+        return negated, members, undefining, accept, first, last
 
     def _set_members(self, agg):
-        """The members of the set term of ``agg``, each ``(pos, neg,
-        weight)``: the masks of its body, as ``_compile`` makes them, and
-        its weight; None when the aggregate stays opaque.
+        """The members of the set term of ``agg`` as ``(members,
+        undefining)``: each member ``(pos, neg, weight)``, the masks of its
+        body, as ``_compile`` makes them, and its integer weight, and each
+        undefining member ``(pos, neg)``; None when the aggregate stays
+        opaque.
 
         The members are the set term's instances in the search universe
         that ``simplify`` does not fold to false and whose body's atoms
         the root upper bound holds; a ``count`` weighs each 1 and a
-        ``sum`` its first value, and a weight of 0 changes nothing.  The
+        ``sum`` its first value, and a weight of 0 changes nothing.  A
+        ``sum`` member whose first value is not an integer is undefining:
+        the sum of every extension holding it is undefined.  The
         aggregate stays opaque when a member's body is not built from
         static atoms with ``,`` and ``not``, its head has a value that
-        can vary or is undefined, two members share a head, a ``sum``
-        weight is not an integer, or the set term nests another."""
+        can vary or is undefined, two members share a head, or the set
+        term nests another."""
         iset = agg.args[0]
         if any(isinstance(node, IntSet) for node in walk(iset) if node is not iset):
             return None
         universe, read = self.universe, self.read
-        members, heads = [], set()
+        members, undefining, heads = [], [], set()
         for head, body in universe.intset_candidates(iset):
             body = simplify(body, universe)
             if body == BOT:
@@ -457,18 +465,16 @@ class _Propagation(_Numbering):
             values = tuple(
                 eval_term(universe.static, T, t) if _independent(t) else UNDEF for t in head
             )
-            weight = 1 if agg.name == "count" else values[0]
-            if (
-                opaque or parts or values in heads
-                or any(v is UNDEF for v in values)
-                or isinstance(weight, bool) or not isinstance(weight, int)
-            ):
+            if opaque or parts or values in heads or any(v is UNDEF for v in values):
                 self.read = read
                 return None
             heads.add(values)
-            if weight:
+            weight = 1 if agg.name == "count" else values[0]
+            if isinstance(weight, bool) or not isinstance(weight, int):
+                undefining.append((pos, neg))
+            elif weight:
                 members.append((pos, neg, weight))
-        return tuple(members)
+        return tuple(members), tuple(undefining)
 
     def root(self):
         """The bounds from the facts and the root upper bound, tightened."""
@@ -566,11 +572,17 @@ def _entailed(body, lo, hi, strict, cap) -> bool:
 def _admits(test, lo, hi, strict, cap):
     """``_entailed`` for one aggregate test: the aggregate lies between
     the weights of its members certain in every world between the bounds
-    and those possible in some, split by sign.  A positive aggregate's
-    possible members lie inside the support when ``strict`` is False."""
+    and those possible in some, split by sign, and it is undefined where
+    an undefining member is in.  A positive aggregate's possible members
+    lie inside the support when ``strict`` is False."""
     lower, upper = (lo, hi) if strict else (hi, cap)
-    negated, members, accept, first, last = test
+    negated, members, undefining, accept, first, last = test
     reach = upper if strict or negated else lo
+    outside = False  # some value is undefined
+    for pos, neg in undefining:
+        if not (pos & ~lower or neg & upper):
+            return negated  # undefined in every world: only the ``not`` holds
+        outside = outside or not (pos & ~reach or neg & lower)
     low = high = 0
     for pos, neg, weight in members:
         certain = 0 if pos & ~lower or neg & upper else weight
@@ -581,7 +593,7 @@ def _admits(test, lo, hi, strict, cap):
             low, high = low + possible, high + certain
     if low > high:  # no value: vacuous in every world, or it cannot hold
         return strict
-    outside = low < first or high > last  # some value is undefined
+    outside = outside or low < first or high > last
     low, high = max(low, first), min(high, last)
     inside = ((2 << (high - low)) - 1) << (low - first) if low <= high else 0
     if strict:

@@ -31,8 +31,8 @@ from setasp.solver import (
     relevant_atoms,
     solve_ground,
 )
-from setasp.syntax import TOP, Num, Val, closure_prefix, substitute
-from setasp.values import HTerm, finset, value_key
+from setasp.syntax import TOP, EApp, Num, Val, closure_prefix, substitute
+from setasp.values import UNDEF, FinSet, HTerm, finset, value_key
 
 from conftest import COUNT0, P1, P2, P3, P4, PROGRAMS, atom
 
@@ -269,13 +269,38 @@ SIGNED_SUMS = [
 ]
 
 
-def test_signed_sums_match_the_reference():
+def _compare_signed(programs, gz_count):
+    """``programs`` at ints -2..2 against the reference and mask searches,
+    in both engines where ``gz_count`` of them are in the GZ fragment."""
     bounds = DomainBounds(int_min=-2, int_max=2, max_herbrand_depth=0)
-    gz_programs = [t for t in SIGNED_SUMS if gz.is_gz_theory(parse_program(t))[0]]
-    assert len(gz_programs) == 2
+    gz_programs = [t for t in programs if gz.is_gz_theory(parse_program(t))[0]]
+    assert len(gz_programs) == gz_count
     for baseline in (reference_search, mask_search):
-        _compare(SIGNED_SUMS, (_eq,), bounds, baseline)
+        _compare(programs, (_eq,), bounds, baseline)
         _compare(gz_programs, (_gz,), bounds, baseline)
+
+
+def test_signed_sums_match_the_reference():
+    _compare_signed(SIGNED_SUMS, 2)
+
+
+# Sums over a member whose weight is not an integer, which undefines the
+# sum where it is in, at ints -2..2: a constant among negative weights,
+# under ``not``, on the right of the comparison, and a constant that only
+# a rule derives.
+MIXED_SUMS = [
+    "p(-2). p(-1) :- not q. q :- not p(-1). p(a) :- not s. s :- not p(a). r :- sum{X : p(X)} < -1.",
+    "p(1). p(a) :- not q. q :- not p(a). r :- not sum{X : p(X)} >= 1.",
+    "p(-1). p(b) :- not q. q :- not p(b). r :- 0 > sum{X : p(X)}.",
+    "p(2). p(-1) :- not t. t :- not p(-1). p(c) :- u, not s. s :- not p(c). "
+    "u :- not v. v :- not u. w :- sum{X : p(X)} = 1.",
+    "d(-1). d(2). a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). "
+    "a(z) :- c. c :- not e. e :- not c. :- not sum{X : a(X)} != 1.",
+]
+
+
+def test_mixed_sums_match_the_reference():
+    _compare_signed(MIXED_SUMS, 4)
 
 
 def test_memoized_leaf_checks_match_plain_on_generated_gz_programs():
@@ -896,6 +921,69 @@ def test_viability_cycle_guard_over_approximates():
     assert seen == [_TOP_MARK]
 
 
+POOL_BOUNDS = DomainBounds(int_min=-4, int_max=4, max_herbrand_depth=0)
+
+# A set term over the ``p``/1 or ``q``/2 facts; ``X + 1`` is undefined at a
+# constant and past ``int_max``.
+POOL_HEADS = ["{X : p(X)}", "{(X, Y) : q(X, Y)}", "{X + 1 : p(X)}"]
+
+
+def _pool_program(values, head):
+    """Facts over ``values`` (pairs of them for ``q``) and a rule that
+    mentions ``head``, so the grounding registers it."""
+    facts = " ".join(f"p({v})." for v in values)
+    facts += " " + " ".join(f"q({v}, {w})." for v, w in zip(values, values[1:] + values[:1]))
+    return f"{facts} t :- count{head} >= 0."
+
+
+def _subset_values(name, iset, viability):
+    """The reference: ``aggregate_eval`` on every subset of the possible
+    members, plus undefined when a member's head can be, widened where the
+    extensions pass the caps."""
+    universe = viability.universe
+    pool, undefined = set(), False
+    for head, body in universe.intset_candidates(iset):
+        if interp.static_atom(body, universe) in viability.atoms:
+            values = tuple(interp.eval_term(universe.static, T, t) for t in head)
+            if any(v is UNDEF for v in values):
+                undefined = True
+            else:
+                pool.add(values)
+    if len(pool) > ground._SUBSET_CAP or 2 ** len(pool) + undefined > ground._VALUE_CAP:
+        return _TOP_MARK
+    subsets = (c for k in range(len(pool) + 1) for c in itertools.combinations(pool, k))
+    out = {interp.aggregate_eval(name, FinSet(c), POOL_BOUNDS) for c in subsets}
+    return frozenset(out | {UNDEF} if undefined else out)
+
+
+def _pools():
+    rng = random.Random(31)
+    atoms = [*range(-6, 7), "a", "b", "c"]
+    yield []  # no member at all
+    for k in (6, 7, 8):  # the cap: 2^k extensions, plus one with an undefined head
+        yield list(range(1, k + 1))
+        yield [*range(1, k), "a"]
+    for _ in range(150):
+        yield rng.sample(atoms, rng.randint(0, 9))
+
+
+def test_aggregate_values_are_those_of_every_extension():
+    checked = Counter()
+    for values in _pools():
+        for head in POOL_HEADS:
+            theory = parse_program(_pool_program(values, head))
+            viability = _Viability(ground_theory(theory, build_universe(theory, POOL_BOUNDS)))
+            viability.run()
+            (iset,) = viability.universe.intsets
+            for name in ("count", "sum", "max", "min"):
+                expected = _subset_values(name, iset, viability)
+                assert viability.possible_values(EApp(name, (iset,))) == expected, (values, head)
+                widened = expected is _TOP_MARK
+                checked[widened, not widened and UNDEF in expected] += 1
+    # widened, and exact with and without an undefined value
+    assert len(checked) == 3 and min(checked.values()) > 50
+
+
 def _subset_searches(text, bounds):
     """Names of the subset searches that solving ``text`` ran."""
     calls = []
@@ -1086,10 +1174,33 @@ def test_a_count_twin_takes_one_leaf(engine):
     assert tested == [model]
 
 
+def _loops(n):
+    """Even negation loops ``a``/``b`` over ``d(1..n)``."""
+    return "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). " + " ".join(
+        f"d({i})." for i in range(1, n + 1)
+    )
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_constant_member_undefines_a_sum_at_every_leaf(engine):
+    # with a(z) in, the sum is undefined and the constraint holds vacuously
+    # (16 models); with w in, a(1..4) must sum to 4: {4} or {1, 3}
+    text = _loops(4) + " a(z) :- not w. w :- not a(z). :- w, sum{X : a(X)} != 4."
+    answer, tested = _leaves(engine, text, ints(11))
+    assert len(_models(answer)) == len(tested) == 18
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_certain_constant_member_closes_the_root(engine):
+    # a(z) is a fact, so the sum is undefined and its ``not`` holds throughout
+    text = _loops(3) + " a(z). :- not sum{X : a(X)} >= 0."
+    answer, tested = _leaves(engine, text, ints(11))
+    assert _models(answer) == tested == []
+
+
 def exactly_two(n):
     """Even negation loops over ``d(1..n)`` of which exactly two ``a`` hold."""
-    facts = " ".join(f"d({i})." for i in range(1, n + 1))
-    return f"a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). {facts} :- count{{X : a(X)}} != 2."
+    return _loops(n) + " :- count{X : a(X)} != 2."
 
 
 @pytest.mark.parametrize("n", [8, 10, 12])
