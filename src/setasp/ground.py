@@ -60,7 +60,7 @@ from .syntax import (
     substitute,
     walk,
 )
-from .values import UNDEF, FinSet, HTerm, value_key
+from .values import UNDEF, FinSet, HTerm
 
 
 @dataclass
@@ -295,13 +295,12 @@ def _here_monotone(node) -> bool:
 _TOP_MARK = object()
 
 # Not user bounds: past either cap a possible-value set only widens to
-# "any" (``_TOP_MARK``), which stays sound and aborts nothing.  An
-# aggregate of a set term reads its values from the members and never
-# builds the extensions, but it still widens where lifting over them
-# would: past ``_SUBSET_CAP`` members, or past ``_VALUE_CAP`` extensions
-# (2^k, plus one when a member can be undefined).  An equality step of
-# the instantiation ranges over these values, so the same widening keeps
-# its instances and their order.
+# "any" (``_TOP_MARK``), which stays sound and aborts nothing.  Only
+# enumerated values widen: a product of argument values past
+# ``_VALUE_CAP`` combinations, and the extensions of a set term past
+# ``_SUBSET_CAP`` members.  An aggregate of a set term reads its values
+# from the members, however many, so it widens only where a member's head
+# does.
 _VALUE_CAP = 128
 _SUBSET_CAP = 12
 
@@ -313,8 +312,9 @@ class _Viability:
     candidate interpretations whose atoms stay inside the current fixpoint;
     ``possibly_sat`` over-approximates there-world satisfiability.  Heads
     whose antecedents are possibly satisfiable enter the fixpoint.
-    ``possibly_sat`` asks ``_possibly_atom`` about atoms and equalities,
-    the one method an engine overrides with its own semantics (``gz``).
+    ``possibly_sat`` asks ``_possibly_atom`` about atoms and equalities;
+    both engines read it, since on the GZ fragment a body that some
+    subset of the atoms satisfies classically can also hold here.
     """
 
     def __init__(self, ground: GroundTheory):
@@ -421,16 +421,15 @@ class _Viability:
         return self.universe.intset_candidates(iset)
 
     def _possible_members(self, iset):
-        """The member tuples a set term can have inside the fixpoint, in
-        ``value_key`` order, and whether a member can be undefined;
-        ``_TOP_MARK`` past ``_SUBSET_CAP`` tuples.  Kept for the round,
-        like the possible values, so the set term and its aggregates ask
-        for its candidates once."""
+        """The member tuples a set term can have inside the fixpoint, and
+        whether a member can be undefined; ``_TOP_MARK`` where a head's
+        values widen.  Kept for the round, like the possible values, so the
+        set term and its aggregates ask for its candidates once."""
         key = ("members", iset)
         cached = self._values.get(key)
         if cached is not None:
             return cached
-        # cuts accidental cycles conservatively, and stays past either cap
+        # cuts accidental cycles conservatively, and stays where a head widens
         self._values[key] = _TOP_MARK
         tuples = set()
         has_undef = False
@@ -445,14 +444,12 @@ class _Viability:
                     has_undef = True
                 else:
                     tuples.add(combo)
-            if len(tuples) > _SUBSET_CAP:
-                return _TOP_MARK
-        out = self._values[key] = (tuple(sorted(tuples, key=value_key)), has_undef)
+        out = self._values[key] = (tuple(tuples), has_undef)
         return out
 
     def _possible_extensions(self, iset):
         members = self._possible_members(iset)
-        if members is _TOP_MARK:
+        if members is _TOP_MARK or len(members[0]) > _SUBSET_CAP:
             return _TOP_MARK
         pool, has_undef = members
         out = set()
@@ -465,15 +462,14 @@ class _Viability:
 
     def _aggregate_values(self, name, iset):
         """What ``aggregate_eval`` gives on each possible extension of
-        ``iset``, read from its members without building the extensions:
-        the same values and the same widening to ``_TOP_MARK`` as lifting
-        it over ``_possible_extensions``."""
+        ``iset``, read from its members without building the extensions.
+        The subset sums come from one pass over a bitset whose bit ``i``
+        stands for the sum ``i - offset``, ``offset`` being minus the sum
+        of the negative weights: k shifts over the range of the sums."""
         members = self._possible_members(iset)
         if members is _TOP_MARK:
             return _TOP_MARK
         pool, has_undef = members
-        if (1 << len(pool)) + has_undef > _VALUE_CAP:  # as ``_combos`` counts the extensions
-            return _TOP_MARK
         if name == "count":
             values = range(len(pool) + 1)
         else:
@@ -481,16 +477,16 @@ class _Viability:
             # a non-integer member undefines every extension holding it
             has_undef = has_undef or len(ints) < len(pool)
             if name == "sum":
-                values = {0}
+                offset = -sum(v for v in ints if v < 0)
+                sums = 1 << offset
                 for v in ints:
-                    values |= {s + v for s in values}
+                    sums |= sums << v if v >= 0 else sums >> -v
+                values = (i - offset for i in range(sums.bit_length()) if sums >> i & 1)
             else:  # the empty extension, and any of arity 2 or more, are undefined
                 values = ints if pool and len(pool[0]) == 1 else ()
                 has_undef = True
-        # added one at a time, as lifting adds them, so the set's table
-        # grows alike and an equality step meets the values in the same order
-        values = map(self.universe.bounds.clip_int, values)
-        return frozenset(itertools.chain(values, (UNDEF,)) if has_undef else values)
+        values = frozenset(map(self.universe.bounds.clip_int, values))
+        return values | {UNDEF} if has_undef else values
 
     # -- optimistic satisfiability at the there-world
 
@@ -523,13 +519,17 @@ class _Viability:
         raise TypeError(f"unexpected formula {phi!r}")
 
     def _possibly_atom(self, phi):
-        """Whether an atom or an equality can hold inside the fixpoint."""
+        """Whether an atom or an equality can hold inside the fixpoint; a
+        ground atom exactly, as a static key gives each argument one value."""
         if isinstance(phi, Eq):
             left = self.possible_values(phi.left)
             right = self.possible_values(phi.right)
             if left is _TOP_MARK or right is _TOP_MARK:
                 return True
             return any(v is not UNDEF for v in left & right)
+        atom = static_atom(phi, self.universe)
+        if atom is not None:
+            return atom in self.atoms
         combos = self._combos(phi.args)
         if combos is _TOP_MARK:
             return True

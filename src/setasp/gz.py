@@ -12,21 +12,23 @@ their satisfied ground body instances, and the candidate must be the
 unique subset-minimal classical model of what remains.
 
 The engine supplies only its semantics: the fragment grammar
-(``_gz_formula``), classical satisfaction (``cl_satisfies``), the reduct
-(``reduct``) and which atoms can hold (``_GZViability._possibly_atom``);
-``_comparison`` is their one reading of a comparison.  The rest is the
-equilibrium engine's: the support fixpoint of ``ground`` computes the
-upper bound, the shared candidate loop (``search.search_stable``) calls
-back into ``cl_satisfies``, ``reduct`` and ``_has_smaller_model``, and
-``search.LeafMemo`` reuses a formula's ``cl_satisfies`` and ``reduct``
-at the leaves that agree on the atoms it reads.  So the same reduced
-formulas come back leaf after leaf, and ``_has_smaller_model`` places
-each in the reduct's rule view once per search.  Ground atoms are read
-by ``interp.static_atom``, the reduct's least model is
-``rules.least_model`` and constants fold by ``syntax.fold``.  The
-grounding stays the full ``ground.ground_theory``, never the
-binding-driven one of ``instantiate``, so ``cross_check`` still compares
-two instantiations and two upper bounds.
+(``_gz_formula``), classical satisfaction (``cl_satisfies``) and the
+reduct (``reduct``); ``_comparison`` is their one reading of a
+comparison.  The rest is the equilibrium engine's.  The support fixpoint
+of ``ground`` computes the upper bound with its "can hold" test, whose
+aggregate values are exact, so it admits every body that some subset of
+the bound satisfies classically.  The shared candidate loop
+(``search.search_stable``) calls back into ``cl_satisfies``, ``reduct``
+and ``_has_smaller_model``, and ``search.LeafMemo`` reuses a formula's
+``cl_satisfies`` and ``reduct`` at the leaves that agree on the atoms it
+reads.  So the same reduced formulas come back leaf after leaf, and
+``_has_smaller_model`` places each in the reduct's rule view once per
+search.  Ground atoms are read by ``interp.static_atom``, the reduct's
+least model is ``rules.least_model`` and constants fold by
+``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
+never the binding-driven one of ``instantiate``, so ``cross_check``
+still compares two instantiations, each with the upper bound of its own
+fixpoint.
 """
 
 from __future__ import annotations
@@ -278,57 +280,9 @@ def reduct(phi, atoms, universe, memo=None):
 # Stable models via the reduct
 
 
-class _GZViability(_Viability):
-    """GZ's upper bound: the shared support fixpoint, where a body can hold
-    when some subset of the fixpoint's atoms satisfies it classically."""
-
-    def _possibly_atom(self, phi):
-        comparison = _comparison(phi)
-        if comparison is None:
-            return static_atom(phi, self.universe) in self.atoms
-        rel, left, right = comparison
-        if not _is_aggregate(left):
-            return _cl_comparison(self.atoms, rel, left, right, self.universe)
-        key = ("interval", left)  # kept for the round with the possible values
-        interval = self._values.get(key, key)
-        if interval is key:
-            interval = self._values[key] = self._possible_interval(left)
-        if interval is None:
-            return False
-        bounds = self.universe.bounds
-        low = max(interval[0], bounds.int_min)
-        high = min(interval[1], bounds.int_max)
-        n = eval_term(self.universe.static, T, right)  # as ``_cl_comparison`` reads it
-        if low > high:
-            return False
-        if not isinstance(n, int):
-            return relation_eval(rel, low, n)  # the same at every integer
-        if rel == "=":
-            return low <= n <= high
-        if rel == "!=":
-            return not (low == high == n)  # some value differs unless pinned
-        return relation_eval(rel, low if rel in ("<=", "<") else high, n)
-
-    def _possible_interval(self, agg):
-        """Optimistic aggregate bounds over subsets of the viable satisfiers."""
-        members = [
-            tuple(ground_constructor_value(t) for t in head)
-            for head, body in self.set_candidates(agg.args[0])
-            if self.possibly_sat(body)
-        ]
-        if agg.name == "count":
-            return 0, len(members)
-        if agg.name == "sum":
-            firsts = [m[0] for m in members if isinstance(m[0], int)]
-            low = sum(v for v in firsts if v < 0)
-            high = sum(v for v in firsts if v > 0)
-            return low, high
-        ints = [m[0] for m in members if len(m) == 1 and isinstance(m[0], int)]
-        return (min(ints), max(ints)) if ints else None
-
-
-def _gz_relevant_atoms(viability: _GZViability):
-    """Head instances reachable from the facts, classical reading."""
+def _gz_relevant_atoms(viability: _Viability):
+    """Head instances reachable from the facts: the support fixpoint both
+    engines share."""
     return viability.run()
 
 
@@ -338,7 +292,7 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
     if not ok:
         raise NotGZError(reason)
     universe = build_universe(theory, bounds or DomainBounds())
-    viability = _GZViability(ground_theory(theory, universe))
+    viability = _Viability(ground_theory(theory, universe))
     upper = _gz_relevant_atoms(viability)
 
     def stable_in(search, verdicts):

@@ -29,7 +29,7 @@ from .syntax import (
     substitute,
     walk,
 )
-from .values import UNDEF
+from .values import UNDEF, value_key
 
 
 class _Instantiation(_Viability):
@@ -219,7 +219,9 @@ class _Instantiation(_Viability):
                         else domain.values_for(lambda: _ranging((name,), source.subject))
                     )
                 else:
-                    values = [v for v in values if v is not UNDEF and v in domain]
+                    values = sorted(
+                        (v for v in values if v is not UNDEF and v in domain), key=value_key
+                    )
             else:
                 name = arg
                 values = domain.values_for(lambda: _ranging((name,), source.subject))
@@ -262,7 +264,8 @@ def _binding_plan(names, body):
     is none): a positive predicate atom with a variable argument not bound
     yet matches the atoms of its predicate, binding those variables and
     checking its other arguments; then an equality ``X = t`` or ``t = X``
-    whose ``t`` is bound by then gives ``X`` the possible values of ``t``.
+    whose ``t`` is bound by then gives ``X`` the possible values of ``t``,
+    in ``value_key`` order.
     Each name reached by neither ranges over the domain, after which the
     equalities are tried again.  Steps are ``("atom", atom)``, ``("eq",
     (name, term))`` and ``("domain", name)``.

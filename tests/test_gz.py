@@ -3,11 +3,11 @@ import random
 
 import pytest
 
-from setasp import DomainBounds, parse_program
+from setasp import DomainBounds, gz, parse_program
 from setasp.errors import NotGZError
+from setasp.ground import _Viability
 from setasp.gz import (
     GENERATOR_BOUNDS,
-    _GZViability,
     cl_satisfies,
     cross_check,
     differential_trials,
@@ -233,10 +233,10 @@ def test_the_can_hold_test_admits_every_classically_satisfied_body():
     bodies alike, over programs whose upper bound has at most 10 atoms."""
     rng = random.Random(17)
     checks, violations = 0, []
-    for _ in range(300):
+    for _ in range(340):
         program = random_gz_program(rng)
         ground = gz_ground(program, GENERATOR_BOUNDS)
-        viability = _GZViability(ground)
+        viability = _Viability(ground)
         upper = sorted(viability.run(), key=atom_key)
         if len(upper) > 10:
             continue
@@ -254,6 +254,24 @@ def test_the_can_hold_test_admits_every_classically_satisfied_body():
                         violations.append((program, sorted(atoms), pretty(body)))
     assert checks > 60_000
     assert violations == []
+
+
+@pytest.mark.parametrize("name", ["sum", "max"])
+def test_the_gz_upper_bound_reads_exact_aggregate_values(name):
+    """Neither the sum nor the max of a subset of {1, 3} is 2, although 2
+    lies between the least and the greatest of their values."""
+    theory = parse_program(f"p(1). p(3). q :- {name}{{X : p(X)}} = 2.")
+    uppers = []
+
+    def recorded(viability, original=gz._gz_relevant_atoms):
+        uppers.append(original(viability))
+        return uppers[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(gz, "_gz_relevant_atoms", recorded)
+        models = gz_stable_models(theory, DomainBounds(int_min=0, int_max=4, max_herbrand_depth=0))
+    assert uppers == [{atom("p", 1), atom("p", 3)}]
+    assert models == [{atom("p", 1), atom("p", 3)}]
 
 
 def test_grounding_invariance():

@@ -5,9 +5,12 @@ besides its own definition.  ``__init__`` only re-exports, so it is left
 out of the import checks."""
 
 import ast
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
+
+from setasp.ground import _Viability
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "setasp"
 
@@ -79,6 +82,21 @@ def test_the_reference_grounding_is_independent_of_the_instantiation():
     graph = {p.stem: _package_imports(p) for p in _modules()}
     assert "instantiate" not in graph["ground"]
     assert "solver" not in graph["ground"] | graph["instantiate"]
+
+
+def test_both_engines_share_one_can_hold_test():
+    """No package class but the instantiation subclasses the support
+    fixpoint, so neither engine reads "can hold" in a way of its own."""
+    for path in _modules():
+        if path.stem != "__main__":  # it runs the command line
+            importlib.import_module(f"setasp.{path.stem}")
+    found, todo = [], [_Viability]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("setasp."):
+                found.append(f"{cls.__module__}.{cls.__qualname__}")
+    assert found == ["setasp.instantiate._Instantiation"]
 
 
 def test_no_module_imports_inside_a_function():

@@ -615,6 +615,17 @@ def test_instance_cap_counts_the_values_a_pruning_guard_tries():
     assert ground.formulas == _every_substitution(theory, build_universe(theory, ints(21)))[0]
 
 
+def test_an_equality_step_meets_its_values_in_value_key_order():
+    # the possible sums -2, -1, 0 and 1 of {-2, 1} do not iterate in order
+    # as a set: hash(-1) == hash(-2)
+    theory = parse_program("q(-2). q(1). p(N) :- N = sum{X : q(X)}.")
+    bounds = DomainBounds(int_min=-4, int_max=4, max_herbrand_depth=0)
+    instantiation = solver._Instantiation(theory, build_universe(theory, bounds))
+    instantiation.run()
+    (source,) = [source for source, *_ in instantiation._sources if source.names]
+    assert [sub["N"].value for sub in instantiation._substitutions(source)] == [-2, -1, 0, 1]
+
+
 def _assert_closed(text, bounds):
     """One naive round after the semi-naive fixpoint adds no atom and no
     instance, and each set term's candidates are those of a full
@@ -740,9 +751,9 @@ def test_unbounded_head_instances_are_capped_by_instance_cap():
     with pytest.raises(DomainLimitError, match=r"6489 undecided atoms .*\(limit: atom_cap\)"):
         find_stable_models(theory, bounds)
     # the whole-domain candidates of a set term and applications of a
-    # declared function to a value that varies, capped the same way; 13
-    # members widen the count past the subset cap, so the application
-    # covers the domain (15 values) while its set term makes 13 instances
+    # declared function to a value that varies, capped the same way; the
+    # 14 x 14 values of two counts pass the value cap, so the application
+    # covers the domain (15 values)
     pair_set = parse_program("q(1, 2). p :- count{(X, Y) : q(X, Y)} >= 1.")
     with pytest.raises(DomainLimitError) as err:
         gz_stable_models(pair_set, bounds.with_(instance_cap=100))
@@ -751,14 +762,25 @@ def test_unbounded_head_instances_are_capped_by_instance_cap():
     )
     applied = parse_program(
         "#function f/1 : {a; b}. "
+        + " ".join(f"q({i}). r({i})." for i in range(13))
+        + " p :- f(count{X : q(X)} + count{Y : r(Y)}) = a."
+    )
+    with pytest.raises(DomainLimitError) as err:
+        find_stable_models(applied, bounds.with_(instance_cap=14))
+    assert str(err.value) == (
+        "application 'f(count{X : q(X)} + count{Y : r(Y)})' ranges over 15 value tuples"
+        " (limit: instance_cap)"
+    )
+    # one count of 13 members stays exact: an application per value it can
+    # take inside the integers, 0 to 12
+    applied = parse_program(
+        "#function f/1 : {a; b}. "
         + " ".join(f"q({i})." for i in range(13))
         + " p :- f(count{X : q(X)}) = a."
     )
     with pytest.raises(DomainLimitError) as err:
         find_stable_models(applied, bounds.with_(instance_cap=14))
-    assert str(err.value) == (
-        "application 'f(count{X : q(X)})' ranges over 15 value tuples (limit: instance_cap)"
-    )
+    assert str(err.value) == "27 assignment candidates over 13 applications (limit: instance_cap)"
 
 
 # Declared-function applications that only dropped rules mention add no
@@ -936,10 +958,10 @@ def _pool_program(values, head):
     return f"{facts} t :- count{head} >= 0."
 
 
-def _subset_values(name, iset, viability):
-    """The reference: ``aggregate_eval`` on every subset of the possible
-    members, plus undefined when a member's head can be, widened where the
-    extensions pass the caps."""
+def _subset_values(iset, viability):
+    """The reference: for each aggregate, ``aggregate_eval`` on every
+    subset of the possible members, plus undefined when a member's head
+    can be."""
     universe = viability.universe
     pool, undefined = set(), False
     for head, body in universe.intset_candidates(iset):
@@ -949,20 +971,26 @@ def _subset_values(name, iset, viability):
                 undefined = True
             else:
                 pool.add(values)
-    if len(pool) > ground._SUBSET_CAP or 2 ** len(pool) + undefined > ground._VALUE_CAP:
-        return _TOP_MARK
-    subsets = (c for k in range(len(pool) + 1) for c in itertools.combinations(pool, k))
-    out = {interp.aggregate_eval(name, FinSet(c), POOL_BOUNDS) for c in subsets}
-    return frozenset(out | {UNDEF} if undefined else out)
+    subsets = [
+        FinSet(c) for k in range(len(pool) + 1) for c in itertools.combinations(pool, k)
+    ]
+    out = {}
+    for name in ("count", "sum", "max", "min"):
+        values = {interp.aggregate_eval(name, s, POOL_BOUNDS) for s in subsets}
+        out[name] = frozenset(values | {UNDEF} if undefined else values)
+    return out
 
 
 def _pools():
+    """Member values up to 16 of them, negative weights and constants mixed
+    in, so a subset sum can fall below zero and a member can be no integer."""
     rng = random.Random(31)
     atoms = [*range(-6, 7), "a", "b", "c"]
     yield []  # no member at all
-    for k in (6, 7, 8):  # the cap: 2^k extensions, plus one with an undefined head
+    for k in (7, 8, 12, 13):  # around the old caps: 2^7 extensions and 12 members
         yield list(range(1, k + 1))
-        yield [*range(1, k), "a"]
+        yield [*range(-k // 2, k - k // 2 - 1), "a"]
+    yield atoms
     for _ in range(150):
         yield rng.sample(atoms, rng.randint(0, 9))
 
@@ -975,13 +1003,11 @@ def test_aggregate_values_are_those_of_every_extension():
             viability = _Viability(ground_theory(theory, build_universe(theory, POOL_BOUNDS)))
             viability.run()
             (iset,) = viability.universe.intsets
-            for name in ("count", "sum", "max", "min"):
-                expected = _subset_values(name, iset, viability)
+            for name, expected in _subset_values(iset, viability).items():
                 assert viability.possible_values(EApp(name, (iset,))) == expected, (values, head)
-                widened = expected is _TOP_MARK
-                checked[widened, not widened and UNDEF in expected] += 1
-    # widened, and exact with and without an undefined value
-    assert len(checked) == 3 and min(checked.values()) > 50
+                checked[UNDEF in expected] += 1
+    # exact with and without an undefined value
+    assert len(checked) == 2 and min(checked.values()) > 50
 
 
 def _subset_searches(text, bounds):
