@@ -129,11 +129,13 @@ def _cmd_solve(args):
     theory = _read_theory(args.input)
     bounds = _bounds_from(args)
     results = {}
+    # comparing the engines needs each one's own checks at every leaf
+    both = args.mode == "both"
     if args.mode in ("equilibrium", "both"):
-        report = find_stable_models(theory, bounds)
+        report = find_stable_models(theory, bounds, full_checks=both)
         results["equilibrium"] = report
     if args.mode in ("gz", "both"):
-        results["gz"] = gz_stable_models(theory, bounds)
+        results["gz"] = gz_stable_models(theory, bounds, full_checks=both)
 
     if args.json:
         payload = {"command": "solve", "mode": args.mode}

@@ -18,8 +18,10 @@ comparison.  The rest is the equilibrium engine's.  The support fixpoint
 of ``ground`` computes the upper bound with its "can hold" test, whose
 aggregate values are exact, so it admits every body that some subset of
 the bound satisfies classically.  The shared candidate loop
-(``search.search_stable``) calls back into ``cl_satisfies``, ``reduct``
-and ``_has_smaller_model``, and ``search.LeafMemo`` reuses a formula's
+(``search.search_stable``) accepts a leaf that propagation closed in an
+exact search as it is, and calls back into ``cl_satisfies``, ``reduct``
+and ``_has_smaller_model`` at every other leaf, where
+``search.LeafMemo`` reuses a formula's
 ``cl_satisfies`` and ``reduct`` at the leaves that agree on the atoms it
 reads.  So the same reduced formulas come back leaf after leaf, and
 ``_has_smaller_model`` places each in the reduct's rule view once per
@@ -28,7 +30,8 @@ least model is ``rules.least_model`` and constants fold by
 ``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
 never the binding-driven one of ``instantiate``, so ``cross_check``
 still compares two instantiations, each with the upper bound of its own
-fixpoint.
+fixpoint.  It runs both engines with ``full_checks``, so that a closed
+leaf, too, takes each engine's own checks and not one shared verdict.
 """
 
 from __future__ import annotations
@@ -286,8 +289,10 @@ def _gz_relevant_atoms(viability: _Viability):
     return viability.run()
 
 
-def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
-    """All stable models under the reduct semantics, canonically ordered."""
+def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks=False):
+    """All stable models under the reduct semantics, canonically ordered.
+    A leaf that the search closed is one (``search.branch_leaves``) and
+    takes no check, unless ``full_checks`` is set."""
     ok, reason = is_gz_theory(theory)
     if not ok:
         raise NotGZError(reason)
@@ -311,7 +316,12 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None):
 
         return stable
 
-    return search_stable(viability, upper, stable_in)
+    return search_stable(viability, upper, stable_in, None if full_checks else _closed)
+
+
+def _closed(search, there):
+    """A leaf that the search closed is its own stable model."""
+    return there
 
 
 def _positive(phi):
@@ -375,8 +385,8 @@ def cross_check(theory: Theory, bounds: DomainBounds = None) -> CrossCheckResult
     """Run both engines on one theory and compare the stable-model sets;
     ``gz_stable_models`` refuses a theory outside the fragment."""
     bounds = bounds or DomainBounds()
-    gz_models = gz_stable_models(theory, bounds)
-    eq_report = find_stable_models(theory, bounds)
+    gz_models = gz_stable_models(theory, bounds, full_checks=True)
+    eq_report = find_stable_models(theory, bounds, full_checks=True)
     eq_models = eq_report.atom_sets()
     agree = set(gz_models) == set(eq_models)
     return CrossCheckResult(gz_models, eq_models, agree)

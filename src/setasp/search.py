@@ -8,10 +8,13 @@ and tightens both bounds after each decision (``_Propagation``); its
 root is the lower bound (``lower_bound``).  ``there_candidates``, every
 subset of the atoms between the root bounds, is the reference the tests
 swap in for it.  Propagation only ever drops candidates that cannot be
-stable: each leaf still takes the engine's model and minimality checks.
-A leaf is a bit mask over the root upper bound's atoms (``_Numbering``)
-from its last decision to the end of its checks; the atoms are sorted by
-``atom_key`` once per search, and only when it can have two leaves.
+stable.  A leaf takes the engine's model and minimality checks unless
+the search is exact, which rules of plain atoms and their ``not`` make
+(``_Propagation``), and its bounds closed: such a leaf is a stable model
+in both engines, which the engine only builds.  A leaf is a bit mask
+over the root upper bound's atoms (``_Numbering``) from its last
+decision to the end of its checks; the atoms are sorted by ``atom_key``
+once per search, and only when it can have two leaves.
 
 A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one bounds test per ``count`` or ``sum``
@@ -61,7 +64,7 @@ from .syntax import (
 from .values import UNDEF, value_key
 
 
-def search_stable(viability, upper, stable_in) -> list:
+def search_stable(viability, upper, stable_in, accept=None) -> list:
     """The candidate loop both engines share, in canonical order.
 
     ``viability`` has run its fixpoint, whose atoms are ``upper``; the
@@ -71,6 +74,10 @@ def search_stable(viability, upper, stable_in) -> list:
     the stable models it carries, as ``(funcs, model)`` pairs whose
     ``funcs`` are the model's declared-function facts; models sort by
     their atoms (``_Numbering.key``), then by those facts.
+
+    ``accept(search, there)``, if given, builds the stable model of a
+    leaf that ``branch_leaves`` marks closed, which then takes no test:
+    with no function declared it carries no function facts.
     """
     ground = viability.ground
     if any(phi == BOT for phi in ground.formulas):
@@ -79,7 +86,10 @@ def search_stable(viability, upper, stable_in) -> list:
     verdicts = LeafMemo(search.universe)
     stable = stable_in(search, verdicts)
     found = {}
-    for numbering, mask in branch_leaves(search, upper):
+    for numbering, mask, closed in branch_leaves(search, upper):
+        if closed and accept is not None:
+            found[mask, ()] = accept(search, numbering.atoms(mask))
+            continue
         verdicts.leaf(numbering, mask)
         for funcs, model in stable(numbering.atoms(mask)):
             facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
@@ -107,14 +117,17 @@ def search_theory(ground, possible):
 
 
 def branch_leaves(search, upper):
-    """The there-worlds the search tests, each as ``(numbering, mask)``:
-    the leaves of a depth-first search that decides one undecided atom at
-    a time, in ``atom_key`` order, and tightens both bounds after each
-    decision (``_Propagation.bounds``), cutting a branch whose bounds
-    conflict.  ``atom_cap`` bounds the decisions on one branch."""
+    """The there-worlds the search tests, each as ``(numbering, mask,
+    closed)``: the leaves of a depth-first search that decides one
+    undecided atom at a time, in ``atom_key`` order, and tightens both
+    bounds after each decision (``_Propagation.bounds``), cutting a branch
+    whose bounds conflict.  ``atom_cap`` bounds the decisions on one
+    branch.  A leaf is ``closed`` when the search is exact
+    (``_Propagation.exact``) and its last ``bounds`` call left no atom
+    undecided: it is then a stable model in both engines."""
     if upper <= search.rules.facts:
         numbering = _Numbering(upper)
-        yield numbering, numbering.outside - 1  # nothing to decide
+        yield numbering, numbering.outside - 1, False  # nothing to decide
         return
     propagation = _Propagation(search, upper)
     root = propagation.root()
@@ -122,7 +135,7 @@ def branch_leaves(search, upper):
         return
     undecided = root[1] & ~root[0]
     order = [1 << i for i in propagation.by_key if undecided >> i & 1] if undecided else ()
-    read, cap = propagation.read, search.universe.bounds.atom_cap
+    read, cap, exact = propagation.read, search.universe.bounds.atom_cap, propagation.exact
     stack = [(*root, 0, 0)]  # and where in ``order`` the branch's undecided atoms start
     while stack:
         lower, upper, depth, start = stack.pop()
@@ -135,7 +148,7 @@ def branch_leaves(search, upper):
                 "atom_cap",
             )
         if not undecided & read:
-            yield from _subsets(propagation, lower, undecided)
+            yield from _subsets(propagation, lower, undecided, exact and lower == upper)
             continue
         while not order[start] & undecided:
             start += 1
@@ -155,7 +168,7 @@ def branch_leaves(search, upper):
 def there_candidates(search, upper):
     """Reference for ``branch_leaves``: the lower bound plus each subset
     of the undecided atoms between it and ``upper``, which ``atom_cap``
-    bounds."""
+    bounds.  It marks no leaf closed."""
     lower = lower_bound(search, upper)
     if lower is None:
         return
@@ -168,11 +181,11 @@ def there_candidates(search, upper):
     yield from _subsets(numbering, numbering.mask(lower), numbering.mask(undecided))
 
 
-def _subsets(numbering, lower, undecided):
+def _subsets(numbering, lower, undecided, closed=False):
     """The leaves ``lower`` plus each subset of ``undecided``."""
     subset = undecided
     while True:
-        yield numbering, lower | subset
+        yield numbering, lower | subset, closed
         if not subset:
             return
         subset = (subset - 1) & undecided
@@ -330,6 +343,14 @@ class _Propagation(_Numbering):
     ``kept`` holds the atoms that a formula outside the view mentions
     (every atom of a predicate it reads through a non-static argument),
     which support never drops.
+
+    The search is ``exact`` when every formula is in the view, every rule
+    body and constraint compiles to masks alone (no opaque conjunct, no
+    ``;``, no aggregate test) and no function is declared.  Then bounds
+    that ``bounds`` closes (lower = upper) are a stable model in both
+    engines: the lower bound is closed under the rules and makes no
+    constraint body true, so it is a model, and the support fixpoint
+    inside it is the least model of its reduct, and equals it.
     """
 
     def __init__(self, ground, upper):
@@ -341,6 +362,10 @@ class _Propagation(_Numbering):
         self._members = {}  # an aggregate term -> its members (``_set_members``)
         self.rules = tuple((self._compile(body), self.mask(heads)) for body, heads in view.rules)
         self.constraints = tuple(self._compile(body) for body in view.constraints)
+        bodies = (*(body for body, _ in self.rules), *self.constraints)
+        self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
+            opaque or parts for _, _, opaque, parts in bodies
+        )
         atoms, preds = set(), set()
         for phi in view.others:
             for node in walk(phi):

@@ -11,7 +11,9 @@ The lower bound holds the atoms that rules with statically decidable
 bodies force into every model.  The ``search`` module decides the atoms
 between the bounds one at a time and tests only the leaves of that
 search, each against every assignment of the declared functions (the
-sigma loop); each assignment that passes is a stable model.
+sigma loop); each assignment that passes is a stable model.  A leaf
+that propagation closed in an exact search, which declares no function,
+is one already and takes no test.
 Minimality is a least-model fixpoint (``rules``) where the rules allow
 it and a subset search elsewhere.  Where the assignment stores nothing,
 the there-world model check and the least model's body tests go through
@@ -290,8 +292,11 @@ def _missing_ranges(theory: Theory):
     return missing
 
 
-def find_stable_models(theory: Theory, bounds: DomainBounds = None) -> StableModelReport:
-    """Enumerate the stable models of a theory within the given bounds."""
+def find_stable_models(
+    theory: Theory, bounds: DomainBounds = None, *, full_checks=False
+) -> StableModelReport:
+    """Enumerate the stable models of a theory within the given bounds.
+    ``full_checks`` tests every leaf, closed ones too (``_solve``)."""
     bounds = bounds or DomainBounds()
     missing = _missing_ranges(theory)
     if missing:
@@ -306,7 +311,7 @@ def find_stable_models(theory: Theory, bounds: DomainBounds = None) -> StableMod
                 f"declared function {', '.join(narrowed)} takes set arguments but the "
                 "active domain has no set layer; pass --full-domain"
             )
-    return _solve(_Instantiation(theory, universe))
+    return _solve(_Instantiation(theory, universe), full_checks)
 
 
 def solve_ground(ground: GroundTheory) -> StableModelReport:
@@ -314,7 +319,10 @@ def solve_ground(ground: GroundTheory) -> StableModelReport:
     return _solve(_Viability(ground))
 
 
-def _solve(viability: _Viability) -> StableModelReport:
+def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
+    """The stable models of ``viability``'s theory.  A leaf that the search
+    closed is one (``search.branch_leaves``) and takes no check, unless
+    ``full_checks`` is set: it is still a candidate."""
     started = time.perf_counter()
     upper = relevant_atoms(viability)
     stats = SearchStats()
@@ -339,7 +347,12 @@ def _solve(viability: _Viability) -> StableModelReport:
 
         return stable
 
-    found = search_stable(viability, upper, stable_in)
+    def accept(search, t_atoms):
+        stats.candidates += 1
+        model = HTInterpretation.total(search.universe, Assignment(), t_atoms)
+        return StableModel(t_atoms, _witness(model))
+
+    found = search_stable(viability, upper, stable_in, None if full_checks else accept)
     stats.elapsed = time.perf_counter() - started
     return StableModelReport(found, stats)
 

@@ -4,7 +4,8 @@ atoms between the facts and the upper bound plus subset search), branching
 against the mask enumeration from the root bounds, the search restricted
 to what the upper bound can reach against the search over the whole
 ground theory, the leaf checks memoized by read set against plain ones,
-the binding-driven instantiation against the theory
+the leaves that propagation closed against the engines' checks, the
+binding-driven instantiation against the theory
 grounded in full, its semi-naive fixpoint against one naive round, and
 the full grounding's guarded enumeration against every substitution."""
 
@@ -17,7 +18,7 @@ from functools import cache
 import pytest
 
 from setasp import DomainBounds, parse_program
-from setasp import domain, ground, gz, interp, rules, search, solver
+from setasp import cli, domain, ground, gz, interp, rules, search, solver
 from setasp.checks import random_zero_rank_program
 from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
@@ -93,14 +94,24 @@ FAST = [
 ]
 
 
-def _eq(text, bounds):
+def _eq(text, bounds, **options):
     """Model atoms with their witnesses; an ``Assignment`` compares with
     ``==`` whatever order its set terms were stored in."""
-    return [(m.atoms, m.sigma) for m in find_stable_models(parse_program(text), bounds).models]
+    report = find_stable_models(parse_program(text), bounds, **options)
+    return [(m.atoms, m.sigma) for m in report.models]
 
 
-def _gz(text, bounds):
-    return gz_stable_models(parse_program(text), bounds)
+def _gz(text, bounds, **options):
+    return gz_stable_models(parse_program(text), bounds, **options)
+
+
+def _eq_checked(text, bounds):
+    """``_eq`` with the engine's checks at every leaf, closed ones too."""
+    return _eq(text, bounds, full_checks=True)
+
+
+def _gz_checked(text, bounds):
+    return _gz(text, bounds, full_checks=True)
 
 
 @contextmanager
@@ -303,17 +314,113 @@ def test_mixed_sums_match_the_reference():
     _compare_signed(MIXED_SUMS, 4)
 
 
+# The memoized leaf checks are compared with every leaf checked: a closed
+# leaf takes no check, so it would leave ``LeafMemo`` out.
+CHECKED = (_eq_checked, _gz_checked)
+
+
 def test_memoized_leaf_checks_match_plain_on_generated_gz_programs():
-    _compare(_generated(random_gz_program, 20), (_eq, _gz), GENERATOR_BOUNDS, unmemoized_search)
+    _compare(_generated(random_gz_program, 20), CHECKED, GENERATOR_BOUNDS, unmemoized_search)
 
 
 def test_memoized_leaf_checks_match_plain_on_generated_zero_rank_programs():
-    _compare(_generated(random_zero_rank_program, 21), (_eq,), ZERO_RANK_BOUNDS, unmemoized_search)
+    programs = _generated(random_zero_rank_program, 21)
+    _compare(programs, (_eq_checked,), ZERO_RANK_BOUNDS, unmemoized_search)
 
 
 def test_memoized_leaf_checks_match_plain_on_generated_aggregate_programs():
     programs = _generated(aggregate_gz_program, 28)
-    _compare(programs, (_eq, _gz), GENERATOR_BOUNDS, unmemoized_search)
+    _compare(programs, CHECKED, GENERATOR_BOUNDS, unmemoized_search)
+
+
+def normal_program(rng):
+    """A normal program over ints 0..3, on which most leaves close: facts,
+    even negation loops, chains along ``e`` or ``+ 1``, joins and
+    constraints, with no set term, no ``;`` and no declared function."""
+    preds = ["a", "b", "c", "p", "q"]
+
+    def n():
+        return rng.randint(0, 3)
+
+    lines = [f"d({i})." for i in sorted(rng.sample(range(4), rng.randint(1, 3)))]
+    lines += [f"e({n()}, {n()})." for _ in range(rng.randint(0, 3))]
+    for _ in range(rng.randint(1, 5)):
+        x, y, z = rng.sample(preds, 3)
+        roll = rng.random()
+        if roll < 0.25:
+            lines.append(f"{x}(X) :- d(X), not {y}(X). {y}(X) :- d(X), not {x}(X).")
+        elif roll < 0.35:
+            i, j = n(), n()
+            lines.append(f"{x}({i}) :- not {y}({j}). {y}({j}) :- not {x}({i}).")
+        elif roll < 0.5:
+            lines.append(f"{x}({n()}) :- {y}({n()}).")
+            lines.append(f"{x}(Y) :- {x}(X), {rng.choice(['e(X, Y)', 'Y = X + 1'])}.")
+        elif roll < 0.65:
+            lines.append(f"{x}(X) :- {y}(X), e(X, Y), not {z}(Y).")
+        elif roll < 0.75:
+            lines.append(f"{x}({n()}) :- {y}({n()}), not {z}({n()}).")
+        elif roll < 0.9:
+            x = rng.choice([x, "d"])
+            lines.append(f":- {x}({n()}), not {rng.choice([y, 'd'])}({n()}).")
+        else:
+            lines.append(f":- {x}(X), {y}(X).")
+    return "\n".join(lines)
+
+
+# Exact searches: a constraint on the facts alone, which no bounds call
+# closes, a chain, and even loops under a constraint.
+CLOSED = [
+    "p(1). :- p(1).",
+    "p(1). q(1). :- p(1), not r(1).",
+    CHAIN,
+    "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). :- a(1), a(2).",
+]
+
+
+def test_closed_leaves_match_the_checks_on_generated_normal_programs():
+    programs = _generated(normal_program, 29)
+    assert all(gz.is_gz_theory(parse_program(text))[0] for text in programs)
+    closed = Counter()
+
+    def counted(theory, upper, original=search.branch_leaves):
+        for leaf in original(theory, upper):
+            closed[leaf[2]] += 1
+            yield leaf
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "branch_leaves", counted)
+        fast = [[engine(text, GENERATOR_BOUNDS) for engine in (_eq, _gz)] for text in programs]
+    checked = [[engine(text, GENERATOR_BOUNDS) for engine in CHECKED] for text in programs]
+    assert [text for text, a, b in zip(programs, fast, checked) if a != b] == []
+    # most leaves are closed and most are models, so the comparison is
+    # not vacuous
+    assert closed[True] > 2 * closed[False]
+    assert 2 * sum(len(models) for answers in fast for models in answers) > closed.total()
+
+
+def test_closed_leaves_match_the_checks_on_fixed_programs():
+    for engines in ((_eq, _gz), CHECKED):
+        assert [engine(CLOSED[0], FIXED_BOUNDS) for engine in engines] == [[], []]
+    _compare(CLOSED, (_eq, _gz), FIXED_BOUNDS, reference_search)
+    _compare(CLOSED, (_eq, _gz), FIXED_BOUNDS, mask_search)
+
+
+# The one application of a declared function sits in the set term of a
+# rule that the search drops, so no formula it keeps reads the function.
+DEAD_SET_APPLICATION = (
+    "#function f/1 : {a; b}. r(1). p :- q(1), count{X : r(X), f(X) = a} >= 1. "
+    "s :- not t. t :- not s."
+)
+
+
+def test_a_declared_function_keeps_every_leaf_checked():
+    # each of the two leaves is still tested against f(1)'s three values
+    report = find_stable_models(parse_program(DEAD_SET_APPLICATION), FIXED_BOUNDS)
+    assert report.stats.candidates == 2 * 3
+    assert [(m.atoms, m.sigma.funcs) for m in report.models] == [
+        ({atom("r", 1), atom("s")}, {}),
+        ({atom("r", 1), atom("t")}, {}),
+    ]
 
 
 # The count rule's verdict and its reduct change between leaves only
@@ -361,10 +468,10 @@ def test_models_come_in_canonical_order():
 
 
 def test_memoized_leaf_checks_match_plain_on_fixed_programs():
-    _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, unmemoized_search)
+    _compare(FALLBACK + FAST + [P3], (_eq_checked,), FIXED_BOUNDS, unmemoized_search)
     gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
-    _compare(gz_programs, (_gz,), FIXED_BOUNDS, unmemoized_search)
-    _compare([MEMBER_READS], (_eq, _gz), ZERO_RANK_BOUNDS, unmemoized_search)
+    _compare(gz_programs, (_gz_checked,), FIXED_BOUNDS, unmemoized_search)
+    _compare([MEMBER_READS], CHECKED, ZERO_RANK_BOUNDS, unmemoized_search)
     # every choice but the one with a(2), a(3) and b(1)
     assert len(_eq(MEMBER_READS, ZERO_RANK_BOUNDS)) == len(_gz(MEMBER_READS, ZERO_RANK_BOUNDS)) == 7
 
@@ -666,7 +773,9 @@ def test_semi_naive_fixpoint_is_closed_on_fixed_programs():
 
 def test_chain_fixpoints_do_each_piece_of_work_once():
     """On a chain of 101 atoms: 100 substitutions of the rule, heads
-    collected and least-model bodies tested about once per atom."""
+    collected and least-model bodies tested about once per atom.  The
+    chain's one leaf is closed, so the least model runs only with the full
+    checks."""
     substitutions, collected, tested, depth = [], [], [], [0]
     rule = parse_program(CHAIN).formulas[1]
 
@@ -696,7 +805,7 @@ def test_chain_fixpoints_do_each_piece_of_work_once():
         patch.setattr(solver._Instantiation, "_substitutions", enumerated)
         patch.setattr(solver._Viability, "_collect_heads", collect)
         patch.setattr(solver, "least_model", least)
-        report = find_stable_models(parse_program(CHAIN), ints(101))
+        report = find_stable_models(parse_program(CHAIN), ints(101), full_checks=True)
     assert report.atom_sets() == [frozenset(atom("p", i) for i in range(101))]
     assert len(substitutions) == 100
     assert len(collected) <= 2 * 101
@@ -1074,10 +1183,11 @@ def test_atom_cap_counts_undecided_atoms(engine):
 
 
 def _leaves(engine, text, bounds):
-    """The answer of ``engine`` and the there-worlds its search tested."""
+    """The answer of ``engine`` and the there-worlds its search tested or
+    accepted as closed."""
     tested = []
 
-    def counted(viability, upper, stable_in, original=search.search_stable):
+    def counted(viability, upper, stable_in, accept=None, original=search.search_stable):
         def counting_in(theory, verdicts):
             stable = stable_in(theory, verdicts)
 
@@ -1087,7 +1197,11 @@ def _leaves(engine, text, bounds):
 
             return count
 
-        return original(viability, upper, counting_in)
+        def counting_accept(theory, there):
+            tested.append(there)
+            return accept(theory, there)
+
+        return original(viability, upper, counting_in, accept and counting_accept)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "search_stable", counted)
@@ -1104,11 +1218,63 @@ def test_branching_tests_one_leaf_per_choice_model():
     assert len(models) == len(tested) == 512
 
 
+LEAF_CHECKS = [
+    (gz, "cl_satisfies"),
+    (gz, "reduct"),
+    (gz, "_has_smaller_model"),
+    (gz, "least_model"),
+    (solver, "find_countermodel"),
+    (solver, "least_model"),
+]
+
+
+@contextmanager
+def counted_leaf_checks():
+    """The calls of each engine's leaf checks, by name."""
+    calls = Counter()
+    with pytest.MonkeyPatch.context() as patch:
+        for module, name in LEAF_CHECKS:
+
+            def counted(*args, original=getattr(module, name), name=name):
+                calls[name] += 1
+                return original(*args)
+
+            patch.setattr(module, name, counted)
+        yield calls
+
+
+@pytest.mark.parametrize("text, n", [(even_choice(9), 9), (CHAIN, 101)], ids=["choice", "chain"])
+def test_closed_leaves_take_no_leaf_check(text, n):
+    theory = parse_program(text)
+    with counted_leaf_checks() as calls:
+        report = find_stable_models(theory, ints(n))
+        models = gz_stable_models(theory, ints(n))
+    assert calls == Counter()
+    assert report.atom_sets() == models
+    assert report.stats.candidates == len(models) == (512 if n == 9 else 1)
+
+
+def test_cross_check_takes_both_engines_checks_at_every_leaf(tmp_path, capsys):
+    # the closed leaves of an exact search would otherwise answer through
+    # one shared verdict, and the harness would compare it with itself
+    program = tmp_path / "choice.lp"
+    program.write_text(even_choice(4))
+    with counted_leaf_checks() as calls:
+        result = gz.cross_check(parse_program(even_choice(4)), ints(4))
+        assert result.agree and len(result.gz_models) == 16
+        assert calls["find_countermodel"] == calls["_has_smaller_model"] == 16
+        calls.clear()
+        assert cli.main(["solve", str(program), "--mode", "both", "--max-int", "3"]) == 0
+    assert capsys.readouterr().out.endswith("AGREE\n")
+    assert calls["find_countermodel"] == calls["_has_smaller_model"] == 16
+
+
 def _leaf_checks(engine, n):
     """How many times ``engine`` tests a formula at a leaf of
-    ``even_choice(n)``: the GZ engine's ``cl_satisfies`` and ``reduct``
-    calls outside one another and its minimality check, or the
-    equilibrium engine's there-world ``s_satisfies`` calls."""
+    ``even_choice(n)`` with the full checks (its leaves are all closed):
+    the GZ engine's ``cl_satisfies`` and ``reduct`` calls outside one
+    another and its minimality check, or the equilibrium engine's
+    there-world ``s_satisfies`` calls."""
     calls, depth = [0], [0]
 
     def wrapped(original, counts):
@@ -1131,7 +1297,8 @@ def _leaf_checks(engine, n):
         else:
             there = wrapped(solver.s_satisfies, lambda args: args[1] == T)
             patch.setattr(solver, "s_satisfies", there)
-        assert len(_models(engine(parse_program(even_choice(n)), ints(n)))) == 2**n
+        answer = engine(parse_program(even_choice(n)), ints(n), full_checks=True)
+        assert len(_models(answer)) == 2**n
     return calls[0]
 
 
@@ -1157,8 +1324,9 @@ def _models(answer):
 
 
 def _search_work(engine, n):
-    """How many times solving ``even_choice(n)`` calls ``atom_key`` and
-    classifies a formula for a rule view (``rules._place``)."""
+    """How many times solving ``even_choice(n)`` with the full checks
+    calls ``atom_key`` and classifies a formula for a rule view
+    (``rules._place``)."""
     counts = Counter()
 
     def counted(name, original):
@@ -1173,7 +1341,8 @@ def _search_work(engine, n):
         for module in (interp, search, solver, gz):
             patch.setattr(module, "atom_key", key)
         patch.setattr(rules, "_place", counted("place", rules._place))
-        assert len(_models(engine(parse_program(even_choice(n)), ints(n)))) == 2**n
+        answer = engine(parse_program(even_choice(n)), ints(n), full_checks=True)
+        assert len(_models(answer)) == 2**n
     return counts
 
 
