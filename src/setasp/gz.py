@@ -20,18 +20,17 @@ aggregate values are exact, so it admits every body that some subset of
 the bound satisfies classically.  The shared candidate loop
 (``search.search_stable``) accepts a leaf that propagation closed in an
 exact search as it is, and calls back into ``cl_satisfies``, ``reduct``
-and ``_has_smaller_model`` at every other leaf, where
-``search.LeafMemo`` reuses a formula's
-``cl_satisfies`` and ``reduct`` at the leaves that agree on the atoms it
-reads.  So the same reduced formulas come back leaf after leaf, and
-``_has_smaller_model`` places each in the reduct's rule view once per
-search.  Ground atoms are read by ``interp.static_atom``, the reduct's
-least model is ``rules.least_model`` and constants fold by
-``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
-never the binding-driven one of ``instantiate``, so ``cross_check``
-still compares two instantiations, each with the upper bound of its own
-fixpoint.  It runs both engines with ``full_checks``, so that a closed
-leaf, too, takes each engine's own checks and not one shared verdict.
+and ``_has_smaller_model`` at every other leaf.  A formula whose atoms
+two leaves agree on reduces the same at both, so the same reduced
+formulas come back leaf after leaf, and ``_has_smaller_model`` places
+each in the reduct's rule view once per search.  Ground atoms are read
+by ``interp.static_atom``, the reduct's least model is
+``rules.least_model`` and constants fold by ``syntax.fold``.  The
+grounding stays the full ``ground.ground_theory``, never the
+binding-driven one of ``instantiate``, so ``cross_check`` still compares
+two instantiations, each with the upper bound of its own fixpoint.  It
+runs both engines with ``full_checks``, so that a closed leaf, too,
+takes each engine's own checks and not one shared verdict.
 """
 
 from __future__ import annotations
@@ -300,17 +299,15 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks
     viability = _Viability(ground_theory(theory, universe))
     upper = _gz_relevant_atoms(viability)
 
-    def stable_in(search, verdicts):
+    def stable_in(search):
         universe = search.universe
         places = {}  # a reduced formula -> its place in a rule view
 
         def stable(there):
             memo = {}  # the aggregate values of this candidate
-            holds = verdicts.memoized("holds", lambda phi: cl_satisfies(there, phi, universe, memo))
-            if not all(map(holds, search.formulas)):
+            if not all(cl_satisfies(there, phi, universe, memo) for phi in search.formulas):
                 return
-            reducts = verdicts.memoized("reduct", lambda phi: reduct(phi, there, universe, memo))
-            reduced = list(map(reducts, search.formulas))
+            reduced = [reduct(phi, there, universe, memo) for phi in search.formulas]
             if not _has_smaller_model(there, reduced, universe, places):
                 yield {}, there
 

@@ -115,11 +115,6 @@ class Universe:
             self.register_intsets(body)
         return out
 
-    def built_candidates(self, iset: IntSet):
-        """The instantiations of one set term if they are built, else None;
-        building them registers the set terms they hold."""
-        return self._intset_cache.get(iset)
-
     def fix_candidates(self, iset: IntSet, candidates):
         """Use ``candidates`` as the instantiations of one set term from
         now on, such as the ones a binding-driven instantiation made."""

@@ -21,12 +21,9 @@ negated static atoms, plus one bounds test per ``count`` or ``sum``
 comparison with a ground value: the aggregate lies between its members
 certain under the lower bound and those possible under the upper one,
 and a ``sum`` member whose weight is not an integer undefines it, so
-that only the comparison's ``not`` holds where that member is in.
-
-An engine's per-formula leaf tests depend only on the atoms each formula
-reads (``read_set``), so from a search's second leaf on ``LeafMemo``
-reuses a verdict the engine already computed at a world that agrees with
-the leaf's on those atoms, looked up by the leaf's mask cut to them.
+that only the comparison's ``not`` holds where that member is in.  A set
+term equal to a ground set value compiles to masks too: each member
+whose head is in the value must hold, and every other member must fail.
 """
 
 from __future__ import annotations
@@ -42,7 +39,6 @@ from .interp import (
     _independent,
     atom_key,
     eval_term,
-    reads_interpretation,
     relation_eval,
     static_atom,
 )
@@ -56,12 +52,11 @@ from .syntax import (
     IntSet,
     Or,
     PredAtom,
-    _Quant,
     _Top,
     ground_constructor_value,
     walk,
 )
-from .values import UNDEF, value_key
+from .values import UNDEF, FinSet, value_key
 
 
 def search_stable(viability, upper, stable_in, accept=None) -> list:
@@ -69,11 +64,11 @@ def search_stable(viability, upper, stable_in, accept=None) -> list:
 
     ``viability`` has run its fixpoint, whose atoms are ``upper``; the
     search theory keeps what its last round judged possible.
-    ``stable_in(search, verdicts)``, given the search's ``LeafMemo``,
-    returns the engine's test on that theory, which maps a there-world to
-    the stable models it carries, as ``(funcs, model)`` pairs whose
-    ``funcs`` are the model's declared-function facts; models sort by
-    their atoms (``_Numbering.key``), then by those facts.
+    ``stable_in(search)`` returns the engine's test on that theory, which
+    maps a there-world to the stable models it carries, as ``(funcs,
+    model)`` pairs whose ``funcs`` are the model's declared-function
+    facts; models sort by their atoms (``_Numbering.key``), then by those
+    facts.
 
     ``accept(search, there)``, if given, builds the stable model of a
     leaf that ``branch_leaves`` marks closed, which then takes no test:
@@ -83,14 +78,12 @@ def search_stable(viability, upper, stable_in, accept=None) -> list:
     if any(phi == BOT for phi in ground.formulas):
         return []
     search = search_theory(ground, viability.possibly_sat)
-    verdicts = LeafMemo(search.universe)
-    stable = stable_in(search, verdicts)
+    stable = stable_in(search)
     found = {}
     for numbering, mask, closed in branch_leaves(search, upper):
         if closed and accept is not None:
             found[mask, ()] = accept(search, numbering.atoms(mask))
             continue
-        verdicts.leaf(numbering, mask)
         for funcs, model in stable(numbering.atoms(mask)):
             facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
             found[mask, tuple(facts)] = model
@@ -191,101 +184,6 @@ def _subsets(numbering, lower, undecided, closed=False):
         subset = (subset - 1) & undecided
 
 
-class LeafMemo:
-    """An engine's per-formula leaf tests over one search, reused where a
-    formula reads the same atoms.
-
-    ``search_stable`` calls ``leaf(numbering, mask)`` as each leaf
-    starts.  ``memoized(kind, test, here)`` turns ``test(phi)``, the
-    engine's ``kind`` of test at the leaf (and at the here-world atoms
-    ``here``, if given), into one that computes a verdict once per ``(kind,
-    phi)`` and projection of the worlds onto ``phi``'s read mask: its
-    ``read_set`` in the leaf's numbering.  A formula with no read set is
-    always tested.  The first leaf takes the plain path, so a search with
-    one leaf computes no read set.
-    """
-
-    def __init__(self, universe):
-        self.universe = universe
-        self._leaves, self._numbering, self._mask = 0, None, 0
-        self._reads = {}  # a formula or set term -> its read set, or None
-        self._tables = {}  # a kind -> a formula -> (its read mask, its verdicts)
-
-    def leaf(self, numbering, mask):
-        self._leaves += 1
-        self._numbering, self._mask = numbering, mask
-
-    def memoized(self, kind, test, here=None):
-        if self._leaves < 2:
-            return test
-        universe, reads, there = self.universe, self._reads, self._mask
-        numbering, table = self._numbering, self._tables.setdefault(kind, {})
-        if here is not None:
-            here = numbering.mask(here)
-
-        def known(phi):
-            entry = table.get(phi)
-            if entry is None:
-                atoms = read_set(phi, universe, reads)
-                # an atom outside the root upper bound is false at every
-                # leaf: it sets the one bit that no leaf mask has
-                entry = table[phi] = (None if atoms is None else numbering.mask(atoms), {})
-            read, verdicts = entry
-            if read is None:
-                return test(phi)
-            key = read & there if here is None else (read & there, read & here)
-            verdict = verdicts.get(key, verdicts)  # the dict itself marks no verdict yet
-            if verdict is verdicts:
-                verdict = verdicts[key] = test(phi)
-            return verdict
-
-        return known
-
-
-def read_set(node, universe, reads):
-    """The atoms whose truth at the worlds of an interpretation decides a
-    ground formula or set term there, or None when they are not known: it
-    has a quantifier, a declared-function application, an atom that
-    ``static_atom`` cannot read or a set term whose candidates in
-    ``universe`` are not built yet.  A set term reads the atoms of the
-    heads and bodies of its candidates, nested set terms included.
-    ``reads`` keeps each answer, so a set term is read once."""
-    atoms = reads.get(node, reads)  # the dict itself marks a node not read yet
-    if atoms is reads:
-        atoms = reads[node] = _read_set(node, universe, reads)
-    return atoms
-
-
-def _read_set(node, universe, reads):
-    if isinstance(node, IntSet):
-        # building candidates here would register set terms the engine
-        # never read, and so widen the reported witnesses
-        candidates = universe.built_candidates(node)
-        if candidates is None:
-            return None
-        todo = [part for head, body in candidates for part in (*head, body)]
-    else:
-        todo = [node]
-    atoms = set()
-    while todo:
-        node = todo.pop()
-        if isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
-            atom = static_atom(node, universe)
-            if atom is None:
-                return None
-            atoms.add(atom)
-        elif isinstance(node, IntSet):
-            inner = read_set(node, universe, reads)
-            if inner is None:
-                return None
-            atoms |= inner
-        elif isinstance(node, _Quant) or isinstance(node, EApp) and reads_interpretation(node):
-            return None
-        else:
-            todo += node.children
-    return frozenset(atoms)
-
-
 def lower_bound(ground, upper):
     """Atoms true in every stable model between the facts and ``upper``,
     or None when there is none: the root bounds of the search."""
@@ -345,12 +243,13 @@ class _Propagation(_Numbering):
     which support never drops.
 
     The search is ``exact`` when every formula is in the view, every rule
-    body and constraint compiles to masks alone (no opaque conjunct, no
-    ``;``, no aggregate test) and no function is declared.  Then bounds
-    that ``bounds`` closes (lower = upper) are a stable model in both
-    engines: the lower bound is closed under the rules and makes no
-    constraint body true, so it is a model, and the support fixpoint
-    inside it is the least model of its reduct, and equals it.
+    body and constraint compiles to masks alone, set equalities included
+    (no opaque conjunct, no ``;``, no aggregate test), and no function is
+    declared.  Then bounds that ``bounds`` closes (lower = upper) are a
+    stable model in both engines: the lower bound is closed under the
+    rules and makes no constraint body true, so it is a model, and the
+    support fixpoint inside it is the least model of its reduct, and
+    equals it.
     """
 
     def __init__(self, ground, upper):
@@ -359,7 +258,7 @@ class _Propagation(_Numbering):
         self.universe = ground.universe
         self.facts = self.mask(view.facts)
         self.read = 0  # the atoms some body reads, filled in by _compile
-        self._members = {}  # an aggregate term -> its members (``_set_members``)
+        self._members = {}  # a set term -> its members (``_set_members``)
         self.rules = tuple((self._compile(body), self.mask(heads)) for body, heads in view.rules)
         self.constraints = tuple(self._compile(body) for body in view.constraints)
         bodies = (*(body for body, _ in self.rules), *self.constraints)
@@ -385,7 +284,8 @@ class _Propagation(_Numbering):
         has a conjunct of any other shape, and its other conjuncts: a pair
         of compiled bodies per ``;`` and a test (``_aggregate``) per
         comparison of a ``count`` or ``sum`` with a ground value, under
-        ``not`` or not.  A ``not`` of an atom outside the upper bound
+        ``not`` or not.  A set equality outside ``not`` adds its masks
+        (``_set_equality``).  A ``not`` of an atom outside the upper bound
         always holds, so it is left out."""
         pos, neg, parts, opaque = 0, 0, [], False
         todo = [phi]
@@ -406,6 +306,8 @@ class _Propagation(_Numbering):
                         pos |= self.bits.get(atom, self.outside)
                 elif (test := self._aggregate(node, negated)) is not None:
                     parts.append(test)
+                elif not negated and (masks := self._set_equality(node)) is not None:
+                    pos, neg = pos | masks[0], neg | masks[1]
                 else:
                     opaque = True
         self.read |= pos | neg
@@ -417,7 +319,12 @@ class _Propagation(_Numbering):
         a set term and a ground term that the interpretation cannot
         change, or None.
 
-        ``members`` and ``undefining`` come from ``_set_members``.
+        ``members`` holds ``(pos, neg, weight)`` per member of the set term
+        (``_set_members``) whose weight is a nonzero integer: a ``count``
+        weighs each member 1 and a ``sum`` its first value.  A ``sum``
+        member whose first value is not an integer is undefining, kept as
+        ``(pos, neg)`` in ``undefining``: the sum of every extension
+        holding it is undefined.
         ``[first, last]`` holds the values the integer weights can sum to
         inside the integer bounds; any other value the aggregate can take,
         past the bounds or with an undefining member, is undefined.
@@ -437,17 +344,17 @@ class _Propagation(_Numbering):
         agg, other = (right, left) if flip else (left, right)
         if not _summed(agg):
             return None
-        value = ground_constructor_value(other)
-        if value is None and _independent(other):  # arithmetic folds, in both engines
-            value = eval_term(self.universe.static, T, other)
-        if value is None:
+        value = self._value(other)
+        pool = None if value is None else self._set_members(agg.args[0])
+        if pool is None:
             return None
-        members = self._members.get(agg, self)  # ``self`` marks one not compiled yet
-        if members is self:
-            members = self._members[agg] = self._set_members(agg)
-        if members is None:
-            return None
-        members, undefining = members
+        members, undefining = [], []
+        for pos, neg, values in pool:
+            weight = 1 if agg.name == "count" else values[0]
+            if isinstance(weight, bool) or not isinstance(weight, int):
+                undefining.append((pos, neg))
+            elif weight:
+                members.append((pos, neg, weight))
         bounds = self.universe.bounds
 
         def holds(v):  # ``part`` at the aggregate value ``v``
@@ -458,28 +365,70 @@ class _Propagation(_Numbering):
         accept = sum(1 << (v - first) for v in range(first, last + 1) if holds(v))
         return negated, members, undefining, accept, first, last
 
-    def _set_members(self, agg):
-        """The members of the set term of ``agg`` as ``(members,
-        undefining)``: each member ``(pos, neg, weight)``, the masks of its
-        body, as ``_compile`` makes them, and its integer weight, and each
-        undefining member ``(pos, neg)``; None when the aggregate stays
-        opaque.
+    def _set_equality(self, part):
+        """The masks ``(pos, neg)`` of ``part``, an equality between a set
+        term and a set value ``v`` that the interpretation cannot change,
+        either side first, or None when it stays opaque.
+
+        A set term equals ``v`` at the there-world when every member whose
+        head is in ``v`` holds there and every other member fails.  At the
+        here-world both engines read a set term as its extension only when
+        the here- and there-extensions agree, so the equality holds there
+        when every member in ``v`` holds at the here-world and every other
+        member fails at the there-world: the member's body atom goes into
+        ``pos`` or into ``neg``, as if ``not`` were applied.  A member whose
+        body is verum needs nothing when it is in ``v`` and makes the
+        equality fail otherwise, as does a tuple of ``v`` that no member
+        produces.  The equality stays opaque when a member's body is not
+        one static atom or verum, or the set term stays opaque for
+        ``_set_members``."""
+        if not isinstance(part, Eq):
+            return None
+        iset, other = part.children if isinstance(part.left, IntSet) else part.children[::-1]
+        value = self._value(other) if isinstance(iset, IntSet) else None
+        if not isinstance(value, FinSet) or (members := self._set_members(iset)) is None:
+            return None
+        pos = neg = found = 0
+        for atom, negated, values in members:  # a member's body masks and head
+            if negated or atom & (atom - 1):
+                return None  # not one atom or verum
+            if values in value:
+                pos, found = pos | atom, found + 1
+            elif atom:
+                neg |= atom
+            else:
+                pos |= self.outside  # a member always in, but not in ``v``
+        if found < len(value):
+            pos |= self.outside  # a tuple of ``v`` that no member produces
+        return pos, neg
+
+    def _value(self, term):
+        """The value of ``term`` when the interpretation cannot change it,
+        else None: arithmetic folds, as in both engines."""
+        value = ground_constructor_value(term)
+        if value is None and _independent(term):
+            value = eval_term(self.universe.static, T, term)
+        return value
+
+    def _set_members(self, iset):
+        """The members of the set term ``iset`` as ``(pos, neg, values)``:
+        the masks of its body, as ``_compile`` makes them, and the values
+        of its head; None when the set term stays opaque.  Each set term
+        is read once.
 
         The members are the set term's instances in the search universe
         that ``simplify`` does not fold to false and whose body's atoms
-        the root upper bound holds; a ``count`` weighs each 1 and a
-        ``sum`` its first value, and a weight of 0 changes nothing.  A
-        ``sum`` member whose first value is not an integer is undefining:
-        the sum of every extension holding it is undefined.  The
-        aggregate stays opaque when a member's body is not built from
-        static atoms with ``,`` and ``not``, its head has a value that
-        can vary or is undefined, two members share a head, or the set
-        term nests another."""
-        iset = agg.args[0]
+        the root upper bound holds.  The set term stays opaque when a
+        member's body is not built from static atoms with ``,`` and
+        ``not``, its head has a value that can vary or is undefined, two
+        members share a head, or the set term nests another."""
+        if iset in self._members:
+            return self._members[iset]
+        self._members[iset] = None  # until every member is read
         if any(isinstance(node, IntSet) for node in walk(iset) if node is not iset):
             return None
         universe, read = self.universe, self.read
-        members, undefining, heads = [], [], set()
+        members, heads = [], set()
         for head, body in universe.intset_candidates(iset):
             body = simplify(body, universe)
             if body == BOT:
@@ -494,12 +443,9 @@ class _Propagation(_Numbering):
                 self.read = read
                 return None
             heads.add(values)
-            weight = 1 if agg.name == "count" else values[0]
-            if isinstance(weight, bool) or not isinstance(weight, int):
-                undefining.append((pos, neg))
-            elif weight:
-                members.append((pos, neg, weight))
-        return tuple(members), tuple(undefining)
+            members.append((pos, neg, values))
+        members = self._members[iset] = tuple(members)
+        return members
 
     def root(self):
         """The bounds from the facts and the root upper bound, tightened."""

@@ -15,11 +15,10 @@ sigma loop); each assignment that passes is a stable model.  A leaf
 that propagation closed in an exact search, which declares no function,
 is one already and takes no test.
 Minimality is a least-model fixpoint (``rules``) where the rules allow
-it and a subset search elsewhere.  Where the assignment stores nothing,
-the there-world model check and the least model's body tests go through
-the search's ``search.LeafMemo``, which reuses a formula's verdict at
-the leaves that agree on the atoms it reads; the search hands it each
-leaf as a bit mask, so a lookup cuts that mask to the formula's atoms.
+it and a subset search elsewhere.  Each leaf that takes the checks tests
+every formula afresh.  Propagation reads a set term compared with a set
+value through the atoms of its members, so the paper's p1 closes at its
+root and takes no check.
 
 The GZ engine (``gz``) shares the support fixpoint, the rule view and
 fixpoint, the ground-atom reading (``interp.static_atom``) and the
@@ -52,7 +51,7 @@ from .interp import (
 )
 from .parser import Theory
 from .rules import least_model
-from .search import LeafMemo, search_stable
+from .search import search_stable
 from .syntax import AGGREGATE_NAMES, EApp, Exists, Forall, Implies, IntSet, free_vars, pretty
 from .values import UNDEF, format_value
 
@@ -204,7 +203,7 @@ def _sub_assignments(sigma: Assignment):
             yield Assignment(keep)
 
 
-def find_countermodel(interp: HTInterpretation, ground: GroundTheory, verdicts=None):
+def find_countermodel(interp: HTInterpretation, ground: GroundTheory):
     """A strictly smaller here-world model below a total model, or None.
 
     With an exact rule view and a there-assignment that stores nothing (no
@@ -212,8 +211,7 @@ def find_countermodel(interp: HTInterpretation, ground: GroundTheory, verdicts=N
     with the here-atoms, so the least here-model is the least model of the
     rules: the candidate is stable iff it is that model, which is otherwise
     the countermodel of least cardinality.  Every other case takes the
-    subset search.  The least model's body tests go through ``verdicts``,
-    a search's ``LeafMemo``, when one is given.
+    subset search.
     """
     view = ground.rules
     if not view.exact or interp.sigma_t.funcs or interp.sigma_t.sets:
@@ -221,14 +219,12 @@ def find_countermodel(interp: HTInterpretation, ground: GroundTheory, verdicts=N
     universe = ground.universe
     atoms_t = interp.atoms_t
     sigma = Assignment()
-    verdicts = verdicts or LeafMemo(universe)  # a memo at no leaf reuses nothing
     # a body false at the there-world is false at every here-world below
-    there = verdicts.memoized("there", partial(s_satisfies, interp, T))
-    rules = [rule for rule in view.rules if there(rule[0])]
+    rules = [rule for rule in view.rules if s_satisfies(interp, T, rule[0])]
 
     def here(atoms):
         world = HTInterpretation(universe, sigma, sigma, atoms, atoms_t, check=False)
-        return verdicts.memoized("here", partial(s_satisfies, world, H), atoms)
+        return partial(s_satisfies, world, H)
 
     least = least_model(view.facts, rules, here, universe)
     if least == atoms_t:
@@ -327,7 +323,7 @@ def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
     upper = relevant_atoms(viability)
     stats = SearchStats()
 
-    def stable_in(search, verdicts):
+    def stable_in(search):
         # a stored fact that only dropped rules read is in no stable model
         sigma_space = _sigma_candidates(search, viability)
 
@@ -337,12 +333,9 @@ def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
                 candidate = HTInterpretation.total(search.universe, sigma_t, t_atoms)
                 # total interpretations collapse both worlds, so the there-world
                 # check decides modelhood
-                there = partial(s_satisfies, candidate, T)
-                if not sigma_t.funcs:
-                    there = verdicts.memoized("there", there)
-                if not all(map(there, search.formulas)):
+                if not all(map(partial(s_satisfies, candidate, T), search.formulas)):
                     continue
-                if find_countermodel(candidate, search, verdicts) is None:
+                if find_countermodel(candidate, search) is None:
                     yield sigma_t.funcs, StableModel(t_atoms, _witness(candidate))
 
         return stable

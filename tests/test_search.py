@@ -3,9 +3,10 @@ minimality check) against the reference search (every subset of the
 atoms between the facts and the upper bound plus subset search), branching
 against the mask enumeration from the root bounds, the search restricted
 to what the upper bound can reach against the search over the whole
-ground theory, the leaf checks memoized by read set against plain ones,
-the leaves that propagation closed against the engines' checks, the
-binding-driven instantiation against the theory
+ground theory, GZ's reduced formulas placed once per search against
+placed at every leaf, the leaves that propagation closed against the
+engines' checks, set equalities that propagate against the checks and
+the reference, the binding-driven instantiation against the theory
 grounded in full, its semi-naive fixpoint against one naive round, and
 the full grounding's guarded enumeration against every substitution."""
 
@@ -120,13 +121,9 @@ def reference_search():
     and the subset search."""
     with pytest.MonkeyPatch.context() as patch:
         facts_only = lambda ground, upper: ground.facts  # noqa: E731
-
-        def subset_search(interp, ground, verdicts=None):
-            return solver._countermodel_search(interp, ground)
-
         patch.setattr(search, "branch_leaves", search.there_candidates)
         patch.setattr(search, "lower_bound", facts_only)
-        patch.setattr(solver, "find_countermodel", subset_search)
+        patch.setattr(solver, "find_countermodel", solver._countermodel_search)
         patch.setattr(gz, "_has_smaller_model", gz._smaller_model_search)
         yield
 
@@ -151,12 +148,10 @@ def unrestricted_search():
 
 
 @contextmanager
-def unmemoized_search():
-    """Both engines test every formula at every leaf: no formula has a
-    read set, so ``LeafMemo`` reuses no verdict, and the GZ minimality
-    check classifies every reduced formula again at every leaf."""
+def fresh_rule_views():
+    """The GZ minimality check classifies every reduced formula again at
+    every leaf, instead of once per search."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "read_set", lambda node, universe, reads: None)
 
         def fresh_view(formulas, universe, monotone, places=None):
             return rules.rule_view(formulas, universe, monotone)
@@ -314,23 +309,20 @@ def test_mixed_sums_match_the_reference():
     _compare_signed(MIXED_SUMS, 4)
 
 
-# The memoized leaf checks are compared with every leaf checked: a closed
-# leaf takes no check, so it would leave ``LeafMemo`` out.
 CHECKED = (_eq_checked, _gz_checked)
 
 
+# GZ's reduced formulas, placed in a rule view once per search, are
+# compared with every leaf checked: a closed leaf takes no check, so it
+# would place none.
 def test_memoized_leaf_checks_match_plain_on_generated_gz_programs():
-    _compare(_generated(random_gz_program, 20), CHECKED, GENERATOR_BOUNDS, unmemoized_search)
-
-
-def test_memoized_leaf_checks_match_plain_on_generated_zero_rank_programs():
-    programs = _generated(random_zero_rank_program, 21)
-    _compare(programs, (_eq_checked,), ZERO_RANK_BOUNDS, unmemoized_search)
+    programs = _generated(random_gz_program, 20)
+    _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
 
 
 def test_memoized_leaf_checks_match_plain_on_generated_aggregate_programs():
     programs = _generated(aggregate_gz_program, 28)
-    _compare(programs, CHECKED, GENERATOR_BOUNDS, unmemoized_search)
+    _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
 
 
 def normal_program(rng):
@@ -377,9 +369,9 @@ CLOSED = [
 ]
 
 
-def test_closed_leaves_match_the_checks_on_generated_normal_programs():
-    programs = _generated(normal_program, 29)
-    assert all(gz.is_gz_theory(parse_program(text))[0] for text in programs)
+@contextmanager
+def counted_leaves():
+    """How many leaves the searches yield, by whether they are closed."""
     closed = Counter()
 
     def counted(theory, upper, original=search.branch_leaves):
@@ -389,6 +381,13 @@ def test_closed_leaves_match_the_checks_on_generated_normal_programs():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "branch_leaves", counted)
+        yield closed
+
+
+def test_closed_leaves_match_the_checks_on_generated_normal_programs():
+    programs = _generated(normal_program, 29)
+    assert all(gz.is_gz_theory(parse_program(text))[0] for text in programs)
+    with counted_leaves() as closed:
         fast = [[engine(text, GENERATOR_BOUNDS) for engine in (_eq, _gz)] for text in programs]
     checked = [[engine(text, GENERATOR_BOUNDS) for engine in CHECKED] for text in programs]
     assert [text for text, a, b in zip(programs, fast, checked) if a != b] == []
@@ -403,6 +402,98 @@ def test_closed_leaves_match_the_checks_on_fixed_programs():
         assert [engine(CLOSED[0], FIXED_BOUNDS) for engine in engines] == [[], []]
     _compare(CLOSED, (_eq, _gz), FIXED_BOUNDS, reference_search)
     _compare(CLOSED, (_eq, _gz), FIXED_BOUNDS, mask_search)
+
+
+def set_equality_program(rng):
+    """Facts and even loops between ``q`` and ``r`` at ints 1..2, then
+    p1's ``p(Y) :- Y = {X : q(X)}.`` and its ``q(2)`` rule or an even loop
+    between ``t`` and ``u``, and rules whose bodies compare a set term
+    with a set value in either order, beside ``t`` or ``not t``.  Some
+    equalities stay opaque: one under ``not``, and one whose member
+    bodies hold ``, t`` or ``, not t``."""
+    lines = []
+    for i in (1, 2):
+        roll = rng.random()
+        if roll < 0.4:
+            lines.append(f"q({i}) :- not r({i}). r({i}) :- not q({i}).")
+        elif roll < 0.8:
+            lines.append(f"{rng.choice('qr')}({i}).")
+    roll = rng.random()  # not both, which would cost the reference search most
+    if roll < 0.25:
+        lines.append("p(Y) :- Y = {X : q(X)}. q(2) :- Z = {X : r(X)}, p(Z).")
+    elif roll < 0.55:
+        lines.append("t :- not u. u :- not t.")
+
+    def equality():
+        member = rng.choice("qr") + "(X)" + rng.choices(["", ", t", ", not t"], [8, 1, 1])[0]
+        sides = [rng.choice(["{}", "{1}", "{2}", "{1; 2}"]), f"{{X : {member}}}"]
+        rng.shuffle(sides)
+        return ("not " if rng.random() < 0.15 else "") + " = ".join(sides)
+
+    for _ in range(rng.randint(1, 3)):
+        body = [equality()] + rng.sample(["t", "not t", "q(1)", "not r(2)"], rng.randint(0, 1))
+        head = rng.choice(["s", "q(1)", "q(2)", "r(1)", "r(2)", ""])
+        lines.append(f"{head} :- {', '.join(body)}.")
+    return "\n".join(lines)
+
+
+# Set equalities that propagate: with the empty set, with a tuple that no
+# member produces (past the 12 members up to which the upper bound reads
+# a set term's extensions, so the rule reaches the search), with a member
+# that ``simplify`` folds to verum; and ones that stay opaque: a value
+# that is not a set, a repeated head, and a member body of two atoms.
+SET_EQUALITIES = [
+    "r(1) :- not s. s :- not r(1). p :- {} = {X : r(X)}.",
+    " ".join(f"q({i})." for i in range(1, 14))
+    + " p :- {" + "; ".join(map(str, range(1, 15))) + "} = {X : q(X)}.",
+    "p :- {1} = {X : X = 1}. s :- {} = {X : X = 1}. t :- {X : X = 1} = {1; 2}.",
+    "q(1). p :- {X : q(X)} = 3.",
+    "q(1) :- not s. s :- not q(1). q(2). p :- {1} = {X : 1 : q(X)}.",
+    "q(1). q(2) :- not s. s :- not q(2). t :- not u. u :- not t. p :- {1} = {X : q(X), t}.",
+]
+
+
+def test_set_equalities_match_the_checks_and_the_reference():
+    programs = _generated(set_equality_program, 30)
+    with counted_leaves() as closed:
+        fast = [_eq(text, FIXED_BOUNDS) for text in programs]
+    checked = [_eq_checked(text, FIXED_BOUNDS) for text in programs]
+    with reference_search():
+        reference = [_eq(text, FIXED_BOUNDS) for text in programs]
+    answers = zip(programs, fast, checked, reference)
+    assert [text for text, a, b, c in answers if not a == b == c] == []
+    # most leaves close, so the comparison with the checks is not vacuous
+    assert closed[True] > closed[False]
+
+
+def test_set_equalities_match_the_checks_and_the_reference_on_fixed_programs():
+    _compare(SET_EQUALITIES, (_eq,), FIXED_BOUNDS, reference_search)
+    _compare(SET_EQUALITIES, (_eq_checked,), FIXED_BOUNDS, reference_search)
+    exact = []
+
+    def recorded(ground, upper, original=search._Propagation):
+        propagation = original(ground, upper)
+        exact.append(propagation.exact)
+        return propagation
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search, "_Propagation", recorded)
+        answers = [[atoms for atoms, _ in _eq(text, FIXED_BOUNDS)] for text in SET_EQUALITIES]
+    # the value 3 leaves p without support, so that search has no atom to decide
+    assert exact == [True, True, True, False, False]
+    assert answers == [
+        [{atom("p"), atom("s")}, {atom("r", 1)}],
+        [{atom("q", i) for i in range(1, 14)}],
+        [{atom("p")}],
+        [{atom("q", 1)}],
+        [{atom("p"), atom("q", 1), atom("q", 2)}, {atom("p"), atom("q", 2), atom("s")}],
+        [
+            {atom("p"), atom("q", 1), atom("s"), atom("t")},
+            {atom("q", 1), atom("q", 2), atom("t")},
+            {atom("q", 1), atom("q", 2), atom("u")},
+            {atom("q", 1), atom("s"), atom("u")},
+        ],
+    ]
 
 
 # The one application of a declared function sits in the set term of a
@@ -423,9 +514,9 @@ def test_a_declared_function_keeps_every_leaf_checked():
     ]
 
 
-# The count rule's verdict and its reduct change between leaves only
-# through the members of its set term: a read set without them reuses
-# them where they differ, and both engines lose models.
+# The count rule's reduct changes between leaves only through the
+# members of its set term, so a GZ check that kept it from an earlier
+# leaf would lose models.
 MEMBER_READS = (
     "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). d(3). "
     "c :- count{X : a(X)} >= 2. :- c, b(1)."
@@ -468,10 +559,9 @@ def test_models_come_in_canonical_order():
 
 
 def test_memoized_leaf_checks_match_plain_on_fixed_programs():
-    _compare(FALLBACK + FAST + [P3], (_eq_checked,), FIXED_BOUNDS, unmemoized_search)
     gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
-    _compare(gz_programs, (_gz_checked,), FIXED_BOUNDS, unmemoized_search)
-    _compare([MEMBER_READS], CHECKED, ZERO_RANK_BOUNDS, unmemoized_search)
+    _compare(gz_programs, (_gz_checked,), FIXED_BOUNDS, fresh_rule_views)
+    _compare([MEMBER_READS], (_gz_checked,), ZERO_RANK_BOUNDS, fresh_rule_views)
     # every choice but the one with a(2), a(3) and b(1)
     assert len(_eq(MEMBER_READS, ZERO_RANK_BOUNDS)) == len(_gz(MEMBER_READS, ZERO_RANK_BOUNDS)) == 7
 
@@ -512,9 +602,8 @@ def test_p1_search_keeps_only_what_the_upper_bound_reaches():
         assert restricted.universe.intsets is instances.universe.intsets
         sizes = {str(s): len(c) for s, c in restricted.universe._intset_cache.items()}
         assert sizes == {"{X : r(X)}": 2, "{X : q(X)}": 2}
-        # five undecided atoms, less the branch with no p atom, which
-        # leaves q(2) unsupported
-        assert report.stats.candidates == 31
+        # the set equalities propagate, so the root closes
+        assert report.stats.candidates == 1
         assert report.atom_sets() == [
             {atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}
         ]
@@ -1188,8 +1277,8 @@ def _leaves(engine, text, bounds):
     tested = []
 
     def counted(viability, upper, stable_in, accept=None, original=search.search_stable):
-        def counting_in(theory, verdicts):
-            stable = stable_in(theory, verdicts)
+        def counting_in(theory):
+            stable = stable_in(theory)
 
             def count(there):
                 tested.append(there)
@@ -1243,15 +1332,23 @@ def counted_leaf_checks():
         yield calls
 
 
-@pytest.mark.parametrize("text, n", [(even_choice(9), 9), (CHAIN, 101)], ids=["choice", "chain"])
-def test_closed_leaves_take_no_leaf_check(text, n):
+@pytest.mark.parametrize(
+    "text, bounds, models",
+    [
+        (even_choice(9), ints(9), 512),
+        (CHAIN, ints(101), 1),
+        (P1, DomainBounds(int_min=1, int_max=4), 1),
+    ],
+    ids=["choice", "chain", "p1"],
+)
+def test_closed_leaves_take_no_leaf_check(text, bounds, models):
     theory = parse_program(text)
     with counted_leaf_checks() as calls:
-        report = find_stable_models(theory, ints(n))
-        models = gz_stable_models(theory, ints(n))
+        report = find_stable_models(theory, bounds)
+        if gz.is_gz_theory(theory)[0]:  # p1's set equalities are outside the fragment
+            assert gz_stable_models(theory, bounds) == report.atom_sets()
     assert calls == Counter()
-    assert report.atom_sets() == models
-    assert report.stats.candidates == len(models) == (512 if n == 9 else 1)
+    assert report.stats.candidates == len(report.models) == models
 
 
 def test_cross_check_takes_both_engines_checks_at_every_leaf(tmp_path, capsys):
@@ -1267,48 +1364,6 @@ def test_cross_check_takes_both_engines_checks_at_every_leaf(tmp_path, capsys):
         assert cli.main(["solve", str(program), "--mode", "both", "--max-int", "3"]) == 0
     assert capsys.readouterr().out.endswith("AGREE\n")
     assert calls["find_countermodel"] == calls["_has_smaller_model"] == 16
-
-
-def _leaf_checks(engine, n):
-    """How many times ``engine`` tests a formula at a leaf of
-    ``even_choice(n)`` with the full checks (its leaves are all closed):
-    the GZ engine's ``cl_satisfies`` and ``reduct`` calls outside one
-    another and its minimality check, or the equilibrium engine's
-    there-world ``s_satisfies`` calls."""
-    calls, depth = [0], [0]
-
-    def wrapped(original, counts):
-        def call(*args):
-            calls[0] += not depth[0] and counts(args)
-            depth[0] += 1
-            try:
-                return original(*args)
-            finally:
-                depth[0] -= 1
-
-        return call
-
-    with pytest.MonkeyPatch.context() as patch:
-        if engine is gz_stable_models:
-            for name in ("cl_satisfies", "reduct"):
-                patch.setattr(gz, name, wrapped(getattr(gz, name), lambda args: True))
-            minimality = wrapped(gz._has_smaller_model, lambda args: False)
-            patch.setattr(gz, "_has_smaller_model", minimality)
-        else:
-            there = wrapped(solver.s_satisfies, lambda args: args[1] == T)
-            patch.setattr(solver, "s_satisfies", there)
-        answer = engine(parse_program(even_choice(n)), ints(n), full_checks=True)
-        assert len(_models(answer)) == 2**n
-    return calls[0]
-
-
-@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
-def test_leaf_checks_grow_linearly_on_choice(engine):
-    # each formula reads at most three atoms, which take at most two
-    # values across the 2^n leaves; testing every formula at every leaf
-    # made 6n * 2^n GZ and 5n * 2^n equilibrium checks
-    six, nine = _leaf_checks(engine, 6), _leaf_checks(engine, 9)
-    assert nine * 6 <= six * 9 and nine < 20 * 9
 
 
 def test_branching_solves_past_the_old_atom_cap():
