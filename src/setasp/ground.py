@@ -461,32 +461,16 @@ class _Viability:
         return frozenset(out)
 
     def _aggregate_values(self, name, iset):
-        """What ``aggregate_eval`` gives on each possible extension of
-        ``iset``, read from its members without building the extensions.
-        The subset sums come from one pass over a bitset whose bit ``i``
-        stands for the sum ``i - offset``, ``offset`` being minus the sum
-        of the negative weights: k shifts over the range of the sums."""
+        """What ``aggregate_eval`` gives on each possible extension of ``iset``,
+        read from its members (``aggregate_values``)."""
         members = self._possible_members(iset)
         if members is _TOP_MARK:
             return _TOP_MARK
         pool, has_undef = members
-        if name == "count":
-            values = range(len(pool) + 1)
-        else:
-            ints = [m[0] for m in pool if isinstance(m[0], int) and not isinstance(m[0], bool)]
-            # a non-integer member undefines every extension holding it
-            has_undef = has_undef or len(ints) < len(pool)
-            if name == "sum":
-                offset = -sum(v for v in ints if v < 0)
-                sums = 1 << offset
-                for v in ints:
-                    sums |= sums << v if v >= 0 else sums >> -v
-                values = (i - offset for i in range(sums.bit_length()) if sums >> i & 1)
-            else:  # the empty extension, and any of arity 2 or more, are undefined
-                values = ints if pool and len(pool[0]) == 1 else ()
-                has_undef = True
-        values = frozenset(map(self.universe.bounds.clip_int, values))
-        return values | {UNDEF} if has_undef else values
+        bounds = self.universe.bounds
+        bits, undefined = aggregate_values(name, (), [member_weight(name, h) for h in pool], bounds)
+        values = frozenset(_bit_values(bits, bounds))
+        return values | {UNDEF} if undefined or has_undef else values
 
     # -- optimistic satisfiability at the there-world
 
@@ -571,6 +555,57 @@ class _Viability:
             bodies = self.universe.quantifier_instances(phi)
             return all([self._collect_heads(body) for body in bodies])
         return True
+
+
+def member_weight(name, head):
+    """What a member whose head is the tuple ``head`` brings to the
+    aggregate ``name``: 1 to a ``count``, its first value to a ``sum``, its
+    one value to a ``max`` or ``min``; None where that value is not an
+    integer, which undefines every extension holding the member."""
+    if name == "count":
+        return 1
+    value = head[0] if name == "sum" or len(head) == 1 else None
+    return value if isinstance(value, int) and not isinstance(value, bool) else None
+
+
+def aggregate_values(name, certain, optional, bounds):
+    """The values of the aggregate ``name`` on the extensions holding every
+    member weighed in ``certain`` and any of ``optional`` (``member_weight``),
+    as ``(bits, undefined)``: bit ``v - bounds.int_min`` is set when some
+    extension takes the integer ``v`` inside the bounds, and ``undefined``
+    when one is undefined: past the bounds, by a weight of None, or empty
+    for ``max`` and ``min``.  Subset sums come from one pass over a bitset
+    whose bit ``i`` stands for the sum ``low + i``."""
+    if None in certain:
+        return 0, True
+    undefined = None in optional
+    weights = [w for w in optional if w is not None] if undefined else optional
+    if name in ("count", "sum"):
+        bits, low = 1, sum(certain)
+        for w in weights:
+            if w >= 0:
+                bits |= bits << w
+            else:
+                bits, low = bits << -w | bits, low + w
+    else:
+        pick = max if name == "max" else min  # an extreme member settles it
+        values = {pick([*certain, w]) for w in (*weights, *certain[:1])}
+        undefined = undefined or not certain
+        low = min(values, default=0)
+        bits = sum(1 << (v - low) for v in values)
+    shift = bounds.int_min - low  # where ``int_min``'s bit lies
+    bits, below = (bits >> shift, bits % (1 << shift)) if shift > 0 else (bits << -shift, 0)
+    width = max(0, bounds.int_max - bounds.int_min + 1)
+    past = bits >> width
+    return bits ^ past << width, undefined or below != 0 or past != 0
+
+
+def _bit_values(bits, bounds):
+    """The values whose bits ``bits`` sets (``aggregate_values``)."""
+    while bits:
+        least = bits & -bits
+        bits ^= least
+        yield bounds.int_min + least.bit_length() - 1
 
 
 def relevant_atoms(ground):

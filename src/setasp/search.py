@@ -17,12 +17,11 @@ decision to the end of its checks; the atoms are sorted by ``atom_key``
 once per search, and only when it can have two leaves.
 
 A rule body or constraint compiles to bit masks of its static atoms and
-negated static atoms, plus one bounds test per ``count`` or ``sum``
-comparison with a ground value: the aggregate lies between its members
-certain under the lower bound and those possible under the upper one,
-and a ``sum`` member whose weight is not an integer undefines it, so
-that only the comparison's ``not`` holds where that member is in.  A set
-term equal to a ground set value compiles to masks too: each member
+negated static atoms, plus one test per comparison of an aggregate of a
+set term with a ground value: the aggregate takes the values of the
+extensions that hold its members certain under the lower bound and any
+of those possible under the upper one (``ground.aggregate_values``).  A
+set term equal to a ground set value compiles to masks too: each member
 whose head is in the value must hold, and every other member must fail.
 """
 
@@ -33,7 +32,7 @@ from functools import cached_property
 from itertools import compress, count
 
 from .errors import DomainLimitError
-from .ground import simplify
+from .ground import _bit_values, aggregate_values, member_weight, simplify
 from .interp import (
     T,
     _independent,
@@ -43,6 +42,7 @@ from .interp import (
     static_atom,
 )
 from .syntax import (
+    AGGREGATE_NAMES,
     BOT,
     RELATION_PREDS,
     And,
@@ -118,10 +118,6 @@ def branch_leaves(search, upper):
     branch.  A leaf is ``closed`` when the search is exact
     (``_Propagation.exact``) and its last ``bounds`` call left no atom
     undecided: it is then a stable model in both engines."""
-    if upper <= search.rules.facts:
-        numbering = _Numbering(upper)
-        yield numbering, numbering.outside - 1, False  # nothing to decide
-        return
     propagation = _Propagation(search, upper)
     root = propagation.root()
     if root is None:
@@ -245,7 +241,8 @@ class _Propagation(_Numbering):
     The search is ``exact`` when every formula is in the view, every rule
     body and constraint compiles to masks alone, set equalities included
     (no opaque conjunct, no ``;``, no aggregate test), and no function is
-    declared.  Then bounds that ``bounds`` closes (lower = upper) are a
+    declared; a rule whose heads are all facts holds in every model and
+    is left out.  Then bounds that ``bounds`` closes (lower = upper) are a
     stable model in both engines: the lower bound is closed under the
     rules and makes no constraint body true, so it is a model, and the
     support fixpoint inside it is the least model of its reduct, and
@@ -259,7 +256,9 @@ class _Propagation(_Numbering):
         self.facts = self.mask(view.facts)
         self.read = 0  # the atoms some body reads, filled in by _compile
         self._members = {}  # a set term -> its members (``_set_members``)
-        self.rules = tuple((self._compile(body), self.mask(heads)) for body, heads in view.rules)
+        rules = [(body, self.mask(heads)) for body, heads in view.rules]
+        # a rule whose heads are all facts adds nothing and supports nothing
+        self.rules = tuple((self._compile(body), heads) for body, heads in rules if heads & ~self.facts)
         self.constraints = tuple(self._compile(body) for body in view.constraints)
         bodies = (*(body for body, _ in self.rules), *self.constraints)
         self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
@@ -283,8 +282,8 @@ class _Propagation(_Numbering):
         static atoms and of the static atoms under its ``not``, whether it
         has a conjunct of any other shape, and its other conjuncts: a pair
         of compiled bodies per ``;`` and a test (``_aggregate``) per
-        comparison of a ``count`` or ``sum`` with a ground value, under
-        ``not`` or not.  A set equality outside ``not`` adds its masks
+        comparison of an aggregate with a ground value, under ``not`` or
+        not.  A set equality outside ``not`` adds its masks
         (``_set_equality``).  A ``not`` of an atom outside the upper bound
         always holds, so it is left out."""
         pos, neg, parts, opaque = 0, 0, [], False
@@ -314,56 +313,38 @@ class _Propagation(_Numbering):
         return pos, neg, opaque, tuple(parts)
 
     def _aggregate(self, part, negated):
-        """The test ``(negated, members, undefining, accept, first,
-        last)`` of ``part``, a comparison between a ``count`` or ``sum`` of
-        a set term and a ground term that the interpretation cannot
-        change, or None.
+        """The test ``(name, negated, members, accept, bounds)`` of
+        ``part``, a comparison between the aggregate ``name`` of a set term
+        and a ground term that the interpretation cannot change, or None.
 
         ``members`` holds ``(pos, neg, weight)`` per member of the set term
-        (``_set_members``) whose weight is a nonzero integer: a ``count``
-        weighs each member 1 and a ``sum`` its first value.  A ``sum``
-        member whose first value is not an integer is undefining, kept as
-        ``(pos, neg)`` in ``undefining``: the sum of every extension
-        holding it is undefined.
-        ``[first, last]`` holds the values the integer weights can sum to
-        inside the integer bounds; any other value the aggregate can take,
-        past the bounds or with an undefining member, is undefined.
-        ``accept`` has bit ``v - first`` set when ``part``, its ``not``
-        applied, holds at the value ``v``, as ``relation_eval`` decides it
-        against the other side's value in the static interpretation, which
-        both engines read.  An undefined value fails every comparison, so
-        only its ``not`` holds there."""
-        if isinstance(part, Eq):
-            rel = "="
-        elif isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
-            rel = part.pred
-        else:
+        (``_set_members``), weighed by ``member_weight``.  ``accept`` sets
+        the bit (``aggregate_values``) of each value the members can reach
+        at which ``part``, its ``not`` applied, holds, as ``relation_eval``
+        decides it against the other side's value in the static
+        interpretation, which both engines read.  An undefined value fails
+        every comparison, so only its ``not`` holds there."""
+        if not (isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS):
             return None
-        left, right = part.children
-        flip = not _summed(left)
-        agg, other = (right, left) if flip else (left, right)
-        if not _summed(agg):
+        rel, (left, right) = "=" if isinstance(part, Eq) else part.pred, part.children
+        for agg, other, flip in ((left, right, False), (right, left, True)):
+            if isinstance(agg, EApp) and agg.name in AGGREGATE_NAMES and isinstance(agg.args[0], IntSet):
+                break
+        else:
             return None
         value = self._value(other)
         pool = None if value is None else self._set_members(agg.args[0])
         if pool is None:
             return None
-        members, undefining = [], []
-        for pos, neg, values in pool:
-            weight = 1 if agg.name == "count" else values[0]
-            if isinstance(weight, bool) or not isinstance(weight, int):
-                undefining.append((pos, neg))
-            elif weight:
-                members.append((pos, neg, weight))
+        members = tuple((pos, neg, member_weight(agg.name, head)) for pos, neg, head in pool)
         bounds = self.universe.bounds
-
-        def holds(v):  # ``part`` at the aggregate value ``v``
-            return relation_eval(rel, *((value, v) if flip else (v, value))) != negated
-
-        first = max(bounds.int_min, sum(w for _, _, w in members if w < 0))
-        last = min(bounds.int_max, sum(w for _, _, w in members if w > 0))
-        accept = sum(1 << (v - first) for v in range(first, last + 1) if holds(v))
-        return negated, members, undefining, accept, first, last
+        reach, _ = aggregate_values(agg.name, (), [w for _, _, w in members], bounds)
+        accept = sum(
+            1 << (v - bounds.int_min)
+            for v in _bit_values(reach, bounds)
+            if relation_eval(rel, *((value, v) if flip else (v, value))) != negated
+        )
+        return agg.name, negated, members, accept, bounds
 
     def _set_equality(self, part):
         """The masks ``(pos, neg)`` of ``part``, an equality between a set
@@ -475,9 +456,9 @@ class _Propagation(_Numbering):
         positive aggregate holds at ``T & S`` only when every member of
         its there-extension holds there too (the equilibrium engine
         leaves the set undefined otherwise, and the reduct keeps each
-        such member's body), so it counts at least the members certain
-        in every there-world, their negated atoms tested against the
-        upper bound, and at most those possible inside ``S``.
+        such member's body), so that extension holds at least the
+        members certain in every there-world, their negated atoms tested
+        against the upper bound, and at most those possible inside ``S``.
         """
         while True:
             lower = _grow(lower, self.rules, upper, True, -1)
@@ -489,13 +470,6 @@ class _Propagation(_Numbering):
             if support == upper:
                 return lower, upper
             upper = support
-
-
-def _summed(term):
-    """Whether ``term`` is a ``count`` or a ``sum`` of a set term."""
-    return (
-        isinstance(term, EApp) and term.name in ("count", "sum") and isinstance(term.args[0], IntSet)
-    )
 
 
 def _grow(model, rules, other, strict, cap):
@@ -541,32 +515,23 @@ def _entailed(body, lo, hi, strict, cap) -> bool:
 
 
 def _admits(test, lo, hi, strict, cap):
-    """``_entailed`` for one aggregate test: the aggregate lies between
-    the weights of its members certain in every world between the bounds
-    and those possible in some, split by sign, and it is undefined where
-    an undefining member is in.  A positive aggregate's possible members
-    lie inside the support when ``strict`` is False."""
+    """``_entailed`` for one aggregate test: the aggregate takes the values
+    of the extensions holding its members certain in every world between
+    the bounds and any possible in some (``aggregate_values``), those of a
+    positive one inside the support when ``strict`` is False."""
     lower, upper = (lo, hi) if strict else (hi, cap)
-    negated, members, undefining, accept, first, last = test
+    name, negated, members, accept, bounds = test
     reach = upper if strict or negated else lo
-    outside = False  # some value is undefined
-    for pos, neg in undefining:
-        if not (pos & ~lower or neg & upper):
-            return negated  # undefined in every world: only the ``not`` holds
-        outside = outside or not (pos & ~reach or neg & lower)
-    low = high = 0
+    certain, optional = [], []
     for pos, neg, weight in members:
-        certain = 0 if pos & ~lower or neg & upper else weight
-        possible = 0 if pos & ~reach or neg & lower else weight
-        if weight > 0:
-            low, high = low + certain, high + possible
-        else:
-            low, high = low + possible, high + certain
-    if low > high:  # no value: vacuous in every world, or it cannot hold
-        return strict
-    outside = outside or low < first or high > last
-    low, high = max(low, first), min(high, last)
-    inside = ((2 << (high - low)) - 1) << (low - first) if low <= high else 0
+        possible = not (pos & ~reach or neg & lower)
+        if not (pos & ~lower or neg & upper):
+            if not possible:  # no value: vacuous in every world, or it cannot hold
+                return strict
+            certain.append(weight)
+        elif possible:
+            optional.append(weight)
+    values, undefined = aggregate_values(name, certain, optional, bounds)
     if strict:
-        return (negated or not outside) and not inside & ~accept
-    return negated and outside or bool(inside & accept)
+        return (negated or not undefined) and not values & ~accept
+    return negated and undefined or bool(values & accept)

@@ -1,16 +1,21 @@
 """Every module of the package reads each name it imports, the package's
-imports run one way, and no private helper is dead: each private function,
-class, method and module-level constant is named somewhere in the package
-besides its own definition.  ``__init__`` only re-exports, so it is left
-out of the import checks."""
+imports run one way, both bounds layers read aggregates one way, and no
+private helper is dead: each private function, class, method and
+module-level constant is named somewhere in the package besides its own
+definition.  ``__init__`` only re-exports, so it is left out of the import
+checks."""
 
 import ast
 import importlib
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
+from setasp import DomainBounds, ground, parse_program, search
 from setasp.ground import _Viability
+from setasp.gz import gz_stable_models
+from setasp.solver import find_stable_models
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "setasp"
 
@@ -97,6 +102,35 @@ def test_both_engines_share_one_can_hold_test():
             if cls.__module__.startswith("setasp."):
                 found.append(f"{cls.__module__}.{cls.__qualname__}")
     assert found == ["setasp.instantiate._Instantiation"]
+
+
+def test_both_bounds_layers_share_one_aggregate_reading(monkeypatch):
+    """Both engines read a ``count``'s values through
+    ``ground.aggregate_values`` in the support fixpoint and in
+    propagation, while the semantics of their leaf checks never name it,
+    so the two oracles stay apart."""
+    callers = set()
+
+    def recorded(*args, original=ground.aggregate_values):
+        frame = sys._getframe(1)
+        callers.add((frame.f_globals["__name__"], frame.f_code.co_name))
+        return original(*args)
+
+    assert search.aggregate_values is ground.aggregate_values
+    for module in (ground, search):
+        monkeypatch.setattr(module, "aggregate_values", recorded)
+    text = "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). :- count{X : a(X)} != 1."
+    for engine in (find_stable_models, gz_stable_models):
+        callers.clear()
+        engine(parse_program(text), DomainBounds(int_min=0, int_max=2))
+        assert callers == {
+            ("setasp.ground", "_aggregate_values"),  # the support fixpoint, _Viability
+            ("setasp.search", "_aggregate"),  # _Propagation, once per comparison
+            ("setasp.search", "_admits"),  # _Propagation, at each tightening
+        }
+    for stem in ("interp", "gz"):
+        text = (PACKAGE / f"{stem}.py").read_text()
+        assert not re.search(r"\b(aggregate_values|member_weight)\b", text), stem
 
 
 def test_no_module_imports_inside_a_function():

@@ -209,12 +209,13 @@ def test_branching_matches_masks_on_fixed_programs():
     _compare(gz_programs, (_gz,), FIXED_BOUNDS, mask_search)
 
 
-def aggregate_gz_program(rng):
+def aggregate_gz_program(rng, names=("count", "sum")):
     """``random_gz_program`` widened for the aggregate tests: every
     relation, thresholds up to 4 (past ``GENERATOR_BOUNDS``' int_max, so
     undefined) and now and then a constant, set bodies with ``not``,
     negated aggregates in more rule bodies, and aggregate constraints
-    ``:- count{V : p(V)} != k.``"""
+    ``:- count{V : p(V)} != k.``  The comparisons draw their aggregate
+    from ``names``."""
     consts = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
     preds = sorted(rng.sample(["p", "q", "r"], rng.randint(1, 3)))
 
@@ -232,7 +233,7 @@ def aggregate_gz_program(rng):
             body = f"{pred}(V)"
         rel = rng.choice([">=", "=", "<=", "!=", "<", ">"])
         k = rng.choice(consts) if rng.random() < 0.1 else rng.randint(0, 4)
-        return f"{rng.choice(['count', 'sum'])}{{V : {body}}} {rel} {k}"
+        return f"{rng.choice(names)}{{V : {body}}} {rel} {k}"
 
     def literal():
         roll = rng.random()
@@ -262,6 +263,20 @@ def test_fast_search_matches_reference_on_generated_aggregate_programs():
 
 def test_branching_matches_masks_on_generated_aggregate_programs():
     _compare(_generated(aggregate_gz_program, 28), (_eq, _gz), GENERATOR_BOUNDS, mask_search)
+
+
+def extreme_gz_program(rng):
+    """``aggregate_gz_program`` whose comparisons draw ``max`` and ``min``
+    too."""
+    return aggregate_gz_program(rng, ("count", "sum", "max", "min"))
+
+
+def test_fast_search_matches_reference_on_generated_extreme_programs():
+    _compare(_generated(extreme_gz_program, 32), (_eq, _gz), GENERATOR_BOUNDS)
+
+
+def test_branching_matches_masks_on_generated_extreme_programs():
+    _compare(_generated(extreme_gz_program, 32), (_eq, _gz), GENERATOR_BOUNDS, mask_search)
 
 
 # Sums with negative weights, aggregates on the right of a comparison and
@@ -325,6 +340,11 @@ def test_memoized_leaf_checks_match_plain_on_generated_aggregate_programs():
     _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
 
 
+def test_memoized_leaf_checks_match_plain_on_generated_extreme_programs():
+    programs = _generated(extreme_gz_program, 32)
+    _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
+
+
 def normal_program(rng):
     """A normal program over ints 0..3, on which most leaves close: facts,
     even negation loops, chains along ``e`` or ``+ 1``, joins and
@@ -359,13 +379,17 @@ def normal_program(rng):
     return "\n".join(lines)
 
 
-# Exact searches: a constraint on the facts alone, which no bounds call
-# closes, a chain, and even loops under a constraint.
+# Exact searches: constraints that the facts alone break, so the root
+# bounds conflict and leave no leaf, a chain, even loops under a
+# constraint, a rule whose heads mix a fact and another atom, and a rule
+# whose one head is a fact, which propagation leaves out whatever its body.
 CLOSED = [
     "p(1). :- p(1).",
     "p(1). q(1). :- p(1), not r(1).",
     CHAIN,
     "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). :- a(1), a(2).",
+    "p(1). p(1), r(1) :- not s(1). s(1) :- not r(1).",
+    "q(1). q(2). q(1) :- count{X : q(X)} >= 1, not t. t :- not u. u :- not t.",
 ]
 
 
@@ -479,8 +503,9 @@ def test_set_equalities_match_the_checks_and_the_reference_on_fixed_programs():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search, "_Propagation", recorded)
         answers = [[atoms for atoms, _ in _eq(text, FIXED_BOUNDS)] for text in SET_EQUALITIES]
-    # the value 3 leaves p without support, so that search has no atom to decide
-    assert exact == [True, True, True, False, False]
+    # the value 3 leaves p without support, so the search drops its rule and
+    # is exact: its one leaf, the fact q(1), closes at the root
+    assert exact == [True, True, True, True, False, False]
     assert answers == [
         [{atom("p"), atom("s")}, {atom("r", 1)}],
         [{atom("q", i) for i in range(1, 14)}],
@@ -667,12 +692,12 @@ JOINS = [
 ]
 JOIN_BOUNDS = DomainBounds(int_min=1, int_max=4, max_herbrand_depth=0)
 
-# A count over 13 candidates has too many possible values to list, so
-# ``N`` falls back to the domain.
+# A count over 13 candidates: ``N`` takes the count's exact values 0..13,
+# read from its members without listing the extensions.
 WIDE_COUNT = " ".join(f"q({i})." for i in range(13)) + " n(N) :- N = count{X : q(X)}, N > 12."
 
-# ``N`` falls back to the domain again, but ``count`` only takes integers,
-# so it ranges over them and not over the set layer ``q({1})`` calls for.
+# The same count beside a set value: ``N`` still takes only the count's
+# integer values, not the set layer that ``q({1})`` calls for.
 WIDE_COUNT_WITH_SETS = (
     "q({1}). r(S) :- q(S). "
     + " ".join(f"c({i})." for i in range(13))
@@ -1193,8 +1218,30 @@ def _pools():
         yield rng.sample(atoms, rng.randint(0, 9))
 
 
+def _holding_values(name, certain, optional):
+    """The reference with certain members: ``aggregate_eval`` on every
+    extension that holds the member tuples ``certain`` and any of
+    ``optional``."""
+    return {
+        interp.aggregate_eval(name, FinSet((*certain, *extra)), POOL_BOUNDS)
+        for k in range(len(optional) + 1)
+        for extra in itertools.combinations(optional, k)
+    }
+
+
+def _read_values(name, certain, optional):
+    """``ground.aggregate_values`` on the same members, as values."""
+    weights = [[ground.member_weight(name, head) for head in part] for part in (certain, optional)]
+    bits, undefined = ground.aggregate_values(name, *weights, POOL_BOUNDS)
+    low, high = POOL_BOUNDS.int_min, POOL_BOUNDS.int_max
+    values = {v for v in range(low, high + 1) if bits >> (v - low) & 1}
+    assert bits >> (high - low + 1) == 0
+    return values | {UNDEF} if undefined else values
+
+
 def test_aggregate_values_are_those_of_every_extension():
     checked = Counter()
+    rng = random.Random(33)
     for values in _pools():
         for head in POOL_HEADS:
             theory = parse_program(_pool_program(values, head))
@@ -1204,8 +1251,17 @@ def test_aggregate_values_are_those_of_every_extension():
             for name, expected in _subset_values(iset, viability).items():
                 assert viability.possible_values(EApp(name, (iset,))) == expected, (values, head)
                 checked[UNDEF in expected] += 1
-    # exact with and without an undefined value
-    assert len(checked) == 2 and min(checked.values()) > 50
+        # certain members too, at most 8 of the others optional
+        pairs = list(zip(values, values[1:] + values[:1]))
+        for members in ([(v,) for v in values], pairs):
+            certain = rng.sample(members, rng.randint(max(0, len(members) - 8), len(members)))
+            optional = [m for m in members if m not in certain]
+            for name in ("count", "sum", "max", "min"):
+                expected = _holding_values(name, certain, optional)
+                assert _read_values(name, certain, optional) == expected, (name, certain, optional)
+                checked["certain", bool(certain), UNDEF in expected] += 1
+    # exact with and without an undefined value, with and without certain members
+    assert len(checked) == 6 and min(checked.values()) > 50
 
 
 def _subset_searches(text, bounds):
@@ -1459,6 +1515,18 @@ def test_exactly_two_visits_at_most_twice_its_models(engine, n):
     answer, tested = _leaves(engine, exactly_two(n), DomainBounds(int_min=0, int_max=n))
     assert len(_models(answer)) == n * (n - 1) // 2
     assert len(tested) <= 2 * len(_models(answer))
+
+
+@pytest.mark.parametrize("n", [8, 10])
+@pytest.mark.parametrize("name", ["max", "min"])
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_an_extreme_of_two_visits_one_leaf_per_model(engine, name, n):
+    # no a at all leaves the extreme undefined, so the constraint holds
+    # vacuously; else a(2) is in and a(1) is optional for max, while for
+    # min a(1) is out and each of a(3..n) is optional
+    text = _loops(n) + f" :- {name}{{X : a(X)}} != 2."
+    answer, tested = _leaves(engine, text, DomainBounds(int_min=0, int_max=n))
+    assert len(_models(answer)) == len(tested) == (3 if name == "max" else 2 ** (n - 2) + 1)
 
 
 @pytest.mark.parametrize("text", [P2, COUNT0], ids=["p2", "count0"])
