@@ -3,18 +3,20 @@
 ``search_stable`` takes an engine's upper-bound fixpoint, restricts its
 ground theory to what that bound can reach (``search_theory``) and tests
 the there-worlds that ``branch_leaves`` yields with the engine's own
-stability test.  ``branch_leaves`` decides one undecided atom at a time
-and tightens both bounds after each decision (``_Propagation``); its
-root is the lower bound (``lower_bound``).  ``there_candidates``, every
-subset of the atoms between the root bounds, is the reference the tests
-swap in for it.  Propagation only ever drops candidates that cannot be
-stable.  A leaf takes the engine's model and minimality checks unless
-the search is exact, which rules of plain atoms and their ``not`` make
-(``_Propagation``), and its bounds closed: such a leaf is a stable model
-in both engines, which the engine only builds.  A leaf is a bit mask
-over the root upper bound's atoms (``_Numbering``) from its last
-decision to the end of its checks; the atoms are sorted by ``atom_key``
-once per search, and only when it can have two leaves.
+stability test.  ``branch_leaves`` tightens the bounds from the facts
+and the upper bound once, then decides one undecided atom at a time and
+tightens both bounds after each decision (``_Propagation``).  Atoms that
+no rule or constraint joins fall into components that are searched one
+at a time, and the leaves are every combination of one leaf of each:
+a stable model of parts that share no atom is one stable model of each
+part, taken together.  Propagation only ever drops candidates that
+cannot be stable.  A leaf takes the engine's model and minimality
+checks unless the search is exact, which rules of plain atoms and their
+``not`` make (``_Propagation``), and its bounds closed: such a leaf is a
+stable model in both engines, which the engine only builds.  A leaf is
+a bit mask over the root upper bound's atoms (``_Numbering``) from its
+last decision to the end of its checks; the atoms are sorted by
+``atom_key`` once per search, and only when it can have two leaves.
 
 A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one test per comparison of an aggregate of a
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, product
 
 from .errors import DomainLimitError
 from .ground import _bit_values, aggregate_values, member_weight, simplify
@@ -114,34 +116,74 @@ def branch_leaves(search, upper):
     closed)``: the leaves of a depth-first search that decides one
     undecided atom at a time, in ``atom_key`` order, and tightens both
     bounds after each decision (``_Propagation.bounds``), cutting a branch
-    whose bounds conflict.  ``atom_cap`` bounds the decisions on one
-    branch.  A leaf is ``closed`` when the search is exact
+    whose bounds conflict.  A leaf is ``closed`` when the search is exact
     (``_Propagation.exact``) and its last ``bounds`` call left no atom
-    undecided: it is then a stable model in both engines."""
+    undecided: it is then a stable model in both engines.
+
+    Each component of the undecided atoms (``_Propagation.components``)
+    is searched alone, and a leaf is the root lower bound plus one leaf
+    of each, closed when they all are.  ``atom_cap`` bounds the sum over
+    the components of the most decisions on one of their branches."""
     propagation = _Propagation(search, upper)
     root = propagation.root()
     if root is None:
         return
-    undecided = root[1] & ~root[0]
+    lower, upper = root
+    undecided = upper & ~lower
     order = [1 << i for i in propagation.by_key if undecided >> i & 1] if undecided else ()
-    read, cap, exact = propagation.read, search.universe.bounds.atom_cap, propagation.exact
-    stack = [(*root, 0, 0)]  # and where in ``order`` the branch's undecided atoms start
+    parts = propagation.components(undecided, order) if undecided & propagation.read else ()
+    if len(parts) < 2:
+        for mask, closed in _depth_first(propagation, root, -1, order, 0, len(order)):
+            yield propagation, mask, closed
+        return
+    cap, used, unsearched, stop = search.universe.bounds.atom_cap, 0, undecided, len(order)
+    found = []  # each part's leaves, as its masks and whether they closed
+    for part in parts:
+        own = [atom for atom in order if atom & part]
+        leaves, (used, furthest) = _collected(
+            _depth_first(propagation, root, part, own, used, len(order))
+        )
+        found.append([(mask & part, closed) for mask, closed in leaves])
+        unsearched &= ~part
+        if not leaves:
+            # then no branch of one joint search decides an atom past the
+            # last this part decides, so only the atoms before it count
+            stop = min(stop, order.index(own[furthest]))
+        if stop < len(order) and used + (sum(order[:stop]) & unsearched).bit_count() <= cap:
+            return
+    for combination in product(*found):
+        masks, closed = zip(*combination)
+        yield propagation, sum(masks, lower), all(closed)
+
+
+def _depth_first(propagation, root, within, order, used, atoms):
+    """The leaves below the bounds ``root`` as ``(mask, closed)``, deciding
+    the atoms of the mask ``within`` in ``order``.  It returns the most
+    decisions on one of its branches, counted on from ``used``, and raises
+    when they pass ``atom_cap`` (``atoms`` undecided in the whole search);
+    and the position in ``order`` of the last atom it decides."""
+    read, cap, exact = propagation.read, propagation.universe.bounds.atom_cap, propagation.exact
+    deepest, furthest = used, -1
+    stack = [(*root, used, 0)]  # and where in ``order`` the branch's undecided atoms start
     while stack:
         lower, upper, depth, start = stack.pop()
-        undecided = upper & ~lower
+        undecided = upper & ~lower & within
         # deciding an atom that no body reads tightens nothing else, so
         # once only such atoms are left, each subset of them is a leaf
-        if depth + (1 if undecided & read else undecided.bit_count()) > cap:
+        reach = depth + (1 if undecided & read else undecided.bit_count())
+        if reach > cap:
             raise DomainLimitError(
-                f"{len(order)} undecided atoms need more than {cap} decisions on one branch",
+                f"{atoms} undecided atoms need more than {cap} decisions on one branch",
                 "atom_cap",
             )
+        deepest = max(deepest, reach)
         if not undecided & read:
-            yield from _subsets(propagation, lower, undecided, exact and lower == upper)
+            closed = exact and not undecided
+            yield from ((mask, closed) for mask in _subsets(lower, undecided))
             continue
         while not order[start] & undecided:
             start += 1
-        first = order[start]
+        first, furthest = order[start], max(furthest, start)
         if first & read:
             children = (
                 propagation.bounds(lower | first, upper),
@@ -152,40 +194,27 @@ def branch_leaves(search, upper):
         for child in children:
             if child is not None:
                 stack.append((*child, depth + 1, start + 1))
+    return deepest, furthest
 
 
-def there_candidates(search, upper):
-    """Reference for ``branch_leaves``: the lower bound plus each subset
-    of the undecided atoms between it and ``upper``, which ``atom_cap``
-    bounds.  It marks no leaf closed."""
-    lower = lower_bound(search, upper)
-    if lower is None:
-        return
-    undecided = upper - lower
-    if len(undecided) > search.universe.bounds.atom_cap:
-        raise DomainLimitError(
-            f"{len(undecided)} undecided atoms is too many to enumerate", "atom_cap"
-        )
-    numbering = _Numbering(upper | lower)
-    yield from _subsets(numbering, numbering.mask(lower), numbering.mask(undecided))
+def _collected(leaves):
+    """The items of the generator ``leaves`` as a list, and what it returns."""
+    items = []
+    while True:
+        try:
+            items.append(next(leaves))
+        except StopIteration as stop:
+            return items, stop.value
 
 
-def _subsets(numbering, lower, undecided, closed=False):
-    """The leaves ``lower`` plus each subset of ``undecided``."""
+def _subsets(lower, undecided):
+    """The masks ``lower`` plus each subset of ``undecided``."""
     subset = undecided
     while True:
-        yield numbering, lower | subset, closed
+        yield lower | subset
         if not subset:
             return
         subset = (subset - 1) & undecided
-
-
-def lower_bound(ground, upper):
-    """Atoms true in every stable model between the facts and ``upper``,
-    or None when there is none: the root bounds of the search."""
-    propagation = _Propagation(ground, upper)
-    root = propagation.root()
-    return None if root is None else propagation.atoms(root[0])
 
 
 _DIGITS = bytes.maketrans(b"01", b"\x00\x01")
@@ -428,6 +457,39 @@ class _Propagation(_Numbering):
         members = self._members[iset] = tuple(members)
         return members
 
+    def components(self, undecided, order):
+        """The ``undecided`` atoms split into the masks of their components,
+        in the ``order`` of their first atoms: two atoms share one when a
+        rule (heads included) or constraint mentions both (``_mentioned``).
+        Then ``bounds`` on a decision inside one component leaves every
+        other as it was: no rule or constraint that reads or derives its
+        atoms mentions an atom of another, and the atoms decided before
+        stay decided unless the bounds conflict."""
+        parent = {}  # a union-find over the atoms' bits, roots left out
+
+        def find(atom):
+            while atom in parent:
+                parent[atom] = parent.get(parent[atom], parent[atom])
+                atom = parent[atom]
+            return atom
+
+        rules = (heads | _mentioned(body) for body, heads in self.rules)
+        for mask in (*rules, *map(_mentioned, self.constraints)):
+            mask &= undecided
+            if mask:
+                first = find(mask & -mask)
+                mask &= mask - 1
+                while mask:
+                    atom = mask & -mask
+                    if (other := find(atom)) != first:
+                        parent[other] = first
+                    mask ^= atom
+        parts = {}
+        for atom in order:
+            root = find(atom)
+            parts[root] = parts.get(root, 0) | atom
+        return list(parts.values())
+
     def root(self):
         """The bounds from the facts and the root upper bound, tightened."""
         return self.bounds(self.facts, self.outside - 1)
@@ -470,6 +532,20 @@ class _Propagation(_Numbering):
             if support == upper:
                 return lower, upper
             upper = support
+
+
+def _mentioned(body):
+    """The mask of the atoms a compiled body mentions, in its ``;`` parts
+    and the members of its aggregate tests too."""
+    pos, neg, _, parts = body
+    mask = pos | neg
+    for part in parts:
+        if len(part) == 2:  # a ``;``
+            mask |= _mentioned(part[0]) | _mentioned(part[1])
+        else:
+            for pos, neg, _ in part[2]:
+                mask |= pos | neg
+    return mask
 
 
 def _grow(model, rules, other, strict, cap):

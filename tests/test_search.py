@@ -6,15 +6,18 @@ to what the upper bound can reach against the search over the whole
 ground theory, GZ's reduced formulas placed once per search against
 placed at every leaf, the leaves that propagation closed against the
 engines' checks, set equalities that propagate against the checks and
-the reference, the binding-driven instantiation against the theory
+the reference, the search split into components against one joint
+search, the binding-driven instantiation against the theory
 grounded in full, its semi-naive fixpoint against one naive round, and
 the full grounding's guarded enumeration against every substitution."""
 
 import itertools
 import random
+import re
+import time
 from collections import Counter
-from contextlib import contextmanager
-from functools import cache
+from contextlib import contextmanager, nullcontext
+from functools import cache, partial
 
 import pytest
 
@@ -25,7 +28,6 @@ from setasp.errors import DomainLimitError
 from setasp.gz import GENERATOR_BOUNDS, gz_stable_models, random_gz_program
 from setasp.ground import _TOP_MARK, _Viability, simplify
 from setasp.interp import T, atom_key
-from setasp.search import lower_bound
 from setasp.solver import (
     build_universe,
     find_stable_models,
@@ -115,14 +117,38 @@ def _gz_checked(text, bounds):
     return _gz(text, bounds, full_checks=True)
 
 
+def lower_bound(ground, upper):
+    """Atoms true in every stable model between the facts and ``upper``,
+    or None when there is none: the root bounds of the search."""
+    propagation = search._Propagation(ground, upper)
+    root = propagation.root()
+    return None if root is None else propagation.atoms(root[0])
+
+
+def there_candidates(theory, upper, root=lower_bound):
+    """Reference for ``search.branch_leaves``: the lower bound that
+    ``root`` gives plus each subset of the undecided atoms between it and
+    ``upper``, which ``atom_cap`` bounds.  It marks no leaf closed."""
+    lower = root(theory, upper)
+    if lower is None:
+        return
+    undecided = upper - lower
+    if len(undecided) > theory.universe.bounds.atom_cap:
+        raise DomainLimitError(
+            f"{len(undecided)} undecided atoms is too many to enumerate", "atom_cap"
+        )
+    numbering = search._Numbering(upper | lower)
+    for mask in search._subsets(numbering.mask(lower), numbering.mask(undecided)):
+        yield numbering, mask, False
+
+
 @contextmanager
 def reference_search():
     """Both engines on every subset between the facts and the upper bound,
     and the subset search."""
     with pytest.MonkeyPatch.context() as patch:
         facts_only = lambda ground, upper: ground.facts  # noqa: E731
-        patch.setattr(search, "branch_leaves", search.there_candidates)
-        patch.setattr(search, "lower_bound", facts_only)
+        patch.setattr(search, "branch_leaves", partial(there_candidates, root=facts_only))
         patch.setattr(solver, "find_countermodel", solver._countermodel_search)
         patch.setattr(gz, "_has_smaller_model", gz._smaller_model_search)
         yield
@@ -133,7 +159,17 @@ def mask_search():
     """Both engines on every subset between the root bounds instead of
     branching."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "branch_leaves", search.there_candidates)
+        patch.setattr(search, "branch_leaves", there_candidates)
+        yield
+
+
+@contextmanager
+def joint_search():
+    """One depth-first search over every undecided atom, instead of one
+    per component of the program."""
+    with pytest.MonkeyPatch.context() as patch:
+        whole = lambda propagation, undecided, order: [undecided]  # noqa: E731
+        patch.setattr(search._Propagation, "components", whole)
         yield
 
 
@@ -209,13 +245,13 @@ def test_branching_matches_masks_on_fixed_programs():
     _compare(gz_programs, (_gz,), FIXED_BOUNDS, mask_search)
 
 
-def aggregate_gz_program(rng, names=("count", "sum")):
+def aggregate_gz_program(rng, names=("count", "sum"), rules=4):
     """``random_gz_program`` widened for the aggregate tests: every
     relation, thresholds up to 4 (past ``GENERATOR_BOUNDS``' int_max, so
     undefined) and now and then a constant, set bodies with ``not``,
     negated aggregates in more rule bodies, and aggregate constraints
     ``:- count{V : p(V)} != k.``  The comparisons draw their aggregate
-    from ``names``."""
+    from ``names``; there are at most ``rules`` rule lines."""
     consts = sorted(rng.sample(["a", "b", "c"], rng.randint(1, 3)))
     preds = sorted(rng.sample(["p", "q", "r"], rng.randint(1, 3)))
 
@@ -246,7 +282,7 @@ def aggregate_gz_program(rng, names=("count", "sum")):
         return f"not {set_atom()}"
 
     lines = [f"{rng.choice(preds)}({const_or_int()})." for _ in range(rng.randint(1, 3))]
-    for _ in range(rng.randint(0, 4)):
+    for _ in range(rng.randint(0, rules)):
         body = ", ".join(literal() for _ in range(rng.randint(1, 2)))
         if rng.random() < 0.15:
             lines.append(f":- {body}.")
@@ -345,18 +381,19 @@ def test_memoized_leaf_checks_match_plain_on_generated_extreme_programs():
     _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
 
 
-def normal_program(rng):
+def normal_program(rng, values=3, rules=5):
     """A normal program over ints 0..3, on which most leaves close: facts,
     even negation loops, chains along ``e`` or ``+ 1``, joins and
-    constraints, with no set term, no ``;`` and no declared function."""
+    constraints, with no set term, no ``;`` and no declared function; at
+    most ``values`` ``d`` facts and ``rules`` rule lines."""
     preds = ["a", "b", "c", "p", "q"]
 
     def n():
         return rng.randint(0, 3)
 
-    lines = [f"d({i})." for i in sorted(rng.sample(range(4), rng.randint(1, 3)))]
+    lines = [f"d({i})." for i in sorted(rng.sample(range(4), rng.randint(1, values)))]
     lines += [f"e({n()}, {n()})." for _ in range(rng.randint(0, 3))]
-    for _ in range(rng.randint(1, 5)):
+    for _ in range(rng.randint(1, rules)):
         x, y, z = rng.sample(preds, 3)
         roll = rng.random()
         if roll < 0.25:
@@ -393,14 +430,19 @@ CLOSED = [
 ]
 
 
+def _closed(numbering, mask, closed):
+    return closed
+
+
 @contextmanager
-def counted_leaves():
-    """How many leaves the searches yield, by whether they are closed."""
+def counted_leaves(key=_closed):
+    """How many leaves the searches yield, by ``key(numbering, mask,
+    closed)``: by default, by whether they are closed."""
     closed = Counter()
 
     def counted(theory, upper, original=search.branch_leaves):
         for leaf in original(theory, upper):
-            closed[leaf[2]] += 1
+            closed[key(*leaf)] += 1
             yield leaf
 
     with pytest.MonkeyPatch.context() as patch:
@@ -1549,3 +1591,193 @@ def test_lower_bound_holds_what_an_aggregate_forces():
     theory = parse_program("d(1). d(2). p :- count{X : d(X)} >= 2.")
     ground = ground_theory(theory, build_universe(theory, FIXED_BOUNDS))
     assert lower_bound(ground, relevant_atoms(ground)) == {atom("d", 1), atom("d", 2), atom("p")}
+
+
+def split_program(rng):
+    """Two to four small ``normal_program`` and ``aggregate_gz_program``
+    parts, each with its predicates renamed apart, so that no two share an
+    atom; now and then one constraint or aggregate rule joins two of
+    them."""
+    parts = []
+    for i in range(rng.randint(2, 4)):
+        text = normal_program(rng, 2, 2) if rng.random() < 0.5 else aggregate_gz_program(rng, rules=2)
+        parts.append(re.sub(r"\b([a-z]\w*)\(", rf"\g<1>{i}(", text))
+    roll = rng.random()
+    if roll < 0.5:
+        # unary predicates only: ``e`` takes two arguments
+        x, y = (
+            rng.choice(sorted(set(re.findall(r"\b([a-z]\w*)\([^,()]*\)", parts[i]))))
+            for i in rng.sample(range(len(parts)), 2)
+        )
+        if roll < 0.25:
+            parts.append(f":- {x}(X), {rng.choice(['', 'not '])}{y}(X).")
+        else:
+            parts.append(f"{x}(0) :- count{{V : {y}(V)}} {rng.choice(['>=', '<', '='])} 1.")
+    return "\n".join(parts)
+
+
+def _leaf_atoms(numbering, mask, closed):
+    return numbering.atoms(mask), closed
+
+
+@contextmanager
+def recorded_components():
+    """How many components each search that reached the split found."""
+    counts = []
+
+    def recorded(propagation, undecided, order, original=search._Propagation.components):
+        parts = original(propagation, undecided, order)
+        counts.append(len(parts))
+        return parts
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._Propagation, "components", recorded)
+        yield counts
+
+
+def test_split_search_matches_joint_checked_and_masks_on_generated_split_programs():
+    split = []
+    mismatches = []
+    for text in _generated(split_program, 33):
+        for engine, checked in ((_eq, _eq_checked), (_gz, _gz_checked)):
+            with recorded_components() as counts, counted_leaves(_leaf_atoms) as leaves:
+                answer = engine(text, GENERATOR_BOUNDS)
+            split += counts
+            with joint_search(), counted_leaves(_leaf_atoms) as joint_leaves:
+                joint = engine(text, GENERATOR_BOUNDS)
+            with mask_search():
+                masks = engine(text, GENERATOR_BOUNDS)
+            same = answer == joint == checked(text, GENERATOR_BOUNDS) == masks
+            if not (same and leaves == joint_leaves):
+                mismatches.append(text)
+    assert mismatches == []
+    # many searches split, so the comparison is not vacuous
+    assert sum(parts > 1 for parts in split) > 300
+
+
+def _components(engine, text, bounds):
+    """The answer of ``engine`` and how many components each search that
+    reached the split found."""
+    with recorded_components() as counts:
+        answer = engine(parse_program(text), bounds)
+    return _models(answer), counts
+
+
+def _bounds_calls(engine, text, bounds):
+    """The answer of ``engine`` and how many ``bounds`` calls it made."""
+    calls = []
+
+    def counted(propagation, lower, upper, original=search._Propagation.bounds):
+        calls.append(lower)
+        return original(propagation, lower, upper)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(search._Propagation, "bounds", counted)
+        answer = engine(parse_program(text), bounds)
+    return _models(answer), len(calls)
+
+
+@pytest.mark.parametrize("n", [5, 8, 12])
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_each_choice_is_searched_alone(engine, n):
+    # the root, then both values of each loop's one decision: 2n + 1 calls
+    # where one joint search made 2^(n+1) - 1
+    models, calls = _bounds_calls(engine, even_choice(n), ints(n).with_(atom_cap=n))
+    assert len(models) == 2**n
+    assert calls == 2 * n + 1
+
+
+def core(n):
+    """``n`` free even loops beside a two-atom core that has no model."""
+    return even_choice(n) + " zx :- not zy. zy :- not zx. :- zx. :- zy."
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_free_choices_beside_a_core_take_linear_time(engine):
+    start = time.perf_counter()
+    models, calls = _bounds_calls(engine, core(16), ints(16))
+    assert time.perf_counter() - start < 0.1
+    assert models == [] and calls == 2 * 16 + 3
+
+
+def pigeonhole(pigeons, holes):
+    """Each pigeon in one hole, at most one pigeon per hole: no model when
+    there are more pigeons than holes."""
+    return (
+        "at(P, H) :- p(P), h(H), not away(P, H). away(P, H) :- p(P), h(H), not at(P, H). "
+        "placed(P) :- at(P, H). :- p(P), not placed(P). "
+        ":- at(P, H), at(P, K), H < K. :- at(P, H), at(Q, H), P < Q. "
+        + " ".join(f"p({i})." for i in range(1, pigeons + 1))
+        + " "
+        + " ".join(f"h({i})." for i in range(1, holes + 1))
+    )
+
+
+@pytest.mark.parametrize(
+    "text, models, parts",
+    [
+        (pigeonhole(3, 2), 0, 1),
+        (pigeonhole(2, 2), 2, 1),
+        (even_choice(2) + " :- a(0), a(1).", 3, 1),
+        (even_choice(2), 4, 2),
+        (core(2), 0, 3),
+    ],
+    ids=["pigeonhole-3-2", "pigeonhole-2-2", "joined-loops", "loops", "core"],
+)
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_rules_and_constraints_join_components(engine, text, models, parts):
+    answer, counts = _components(engine, text, ints(4))
+    assert len(answer) == models
+    assert counts == [parts]
+
+
+def twin_chains(n):
+    """Two components of ``n`` even loops each, ``a``/``b`` and ``x``/``y``
+    over ``d(0..n-1)``, each joined by a constraint that not all of its
+    ``a`` (or ``x``) hold: ``n`` decisions and 2^n - 1 models apiece."""
+    ds = " ".join(f"d({i})." for i in range(n))
+    loops = "".join(
+        f"{p}(X) :- d(X), not {q}(X). {q}(X) :- d(X), not {p}(X). "
+        f":- {', '.join(f'{p}({i})' for i in range(n))}. "
+        for p, q in ("ab", "xy")
+    )
+    return loops + ds
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_atom_cap_counts_the_decisions_of_every_component(engine):
+    # each component takes 5 decisions, under the cap of 9, but one branch
+    # of the whole search takes 10, as one joint search does
+    theory, bounds = parse_program(twin_chains(5)), ints(5).with_(atom_cap=9)
+    for search_kind in (nullcontext, joint_search):
+        with search_kind(), pytest.raises(DomainLimitError) as err:
+            engine(theory, bounds)
+        assert err.value.bound == "atom_cap"
+        assert "20 undecided atoms need more than 9 decisions on one branch" in str(err.value)
+    answer, counts = _components(engine, twin_chains(5), ints(5).with_(atom_cap=10))
+    assert len(answer) == 31 * 31 and counts == [2]
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_component_without_leaves_counts_only_what_one_search_reaches(engine):
+    # nineteen loops x/y pass the cap, as in one joint search, when the
+    # core comes after them in atom order, or when its atoms c and z
+    # come around them and the core decides z; when the core ends at its
+    # first decision, c, both searches stop before deciding any loop
+    loops = even_choice(19).replace("a(", "x(").replace("b(", "y(")
+    raising = [
+        core(19),
+        loops + " c :- not cc. cc :- not c. z :- not zz. zz :- not z."
+        " :- c, z. :- c, not z. :- not c, z. :- not c, not z.",
+    ]
+    ending = [
+        loops + " c :- not e. e :- not c. :- c. :- e.",
+        loops + " c :- not z. z :- not c. :- c. :- z.",
+    ]
+    for search_kind in (nullcontext, joint_search):
+        with search_kind():
+            for text in raising:
+                with pytest.raises(DomainLimitError, match="undecided atoms need more than 18"):
+                    engine(parse_program(text), ints(19))
+            for text in ending:
+                assert _models(engine(parse_program(text), ints(19))) == []
