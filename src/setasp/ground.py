@@ -1,12 +1,16 @@
-"""The reference grounding and the support fixpoint of both engines.
+"""The reference grounding and the equilibrium engine's support fixpoint.
 
 ``ground_theory`` instantiates every closed formula over the active
 domain, folding what no interpretation can change (``simplify``); the GZ
 engine, ``setasp ground`` and ``solve_ground`` read it, and it is the
 reference of the binding-driven instantiation in ``instantiate``, which
-this module never imports.  ``_Viability`` computes the upper bound of
-the search: the atoms that some rule chain can support, over-approximated
-by the possible values of each term (``relevant_atoms``).
+this module never imports.  ``_Viability`` computes the equilibrium
+engine's upper bound: the atoms that some rule chain can support,
+over-approximated by the possible values of each term
+(``relevant_atoms``).  The GZ engine grounds in full and takes its upper
+bound from the root bounds of the search's propagation instead
+(``search._Propagation``); both read aggregate values through
+``aggregate_values``.
 """
 
 from __future__ import annotations
@@ -313,8 +317,8 @@ class _Viability:
     ``possibly_sat`` over-approximates there-world satisfiability.  Heads
     whose antecedents are possibly satisfiable enter the fixpoint.
     ``possibly_sat`` asks ``_possibly_atom`` about atoms and equalities;
-    both engines read it, since on the GZ fragment a body that some
-    subset of the atoms satisfies classically can also hold here.
+    on the GZ fragment it admits every body that some subset of the atoms
+    satisfies classically.
     """
 
     def __init__(self, ground: GroundTheory):

@@ -14,21 +14,23 @@ unique subset-minimal classical model of what remains.
 The engine supplies only its semantics: the fragment grammar
 (``_gz_formula``), classical satisfaction (``cl_satisfies``) and the
 reduct (``reduct``); ``_comparison`` is their one reading of a
-comparison.  The rest is the equilibrium engine's.  The support fixpoint
-of ``ground`` computes the upper bound with its "can hold" test, whose
-aggregate values are exact, so it admits every body that some subset of
-the bound satisfies classically.  The shared candidate loop
-(``search.search_stable``) accepts a leaf that propagation closed in an
-exact search as it is, and calls back into ``cl_satisfies``, ``reduct``
-and ``_has_smaller_model`` at every other leaf.  A formula whose atoms
-two leaves agree on reduces the same at both, so the same reduced
+comparison.  The rest is the equilibrium engine's.  The upper bound is
+the root upper bound of the search's one propagation over the full
+grounding (``_gz_relevant_atoms``), whose support pass reads aggregate
+values exactly; no support fixpoint of ``ground`` runs.  The shared
+candidate loop (``search.search_stable``) accepts a leaf that
+propagation closed in an exact search as it is, and calls back into
+``cl_satisfies``, ``reduct`` and ``_has_smaller_model`` at every other
+leaf.  A formula whose atoms two leaves agree on reduces the same at
+both, so the same reduced
 formulas come back leaf after leaf, and ``_has_smaller_model`` places
 each in the reduct's rule view once per search.  Ground atoms are read
 by ``interp.static_atom``, the reduct's least model is
 ``rules.least_model`` and constants fold by ``syntax.fold``.  The
 grounding stays the full ``ground.ground_theory``, never the
 binding-driven one of ``instantiate``, so ``cross_check`` still compares
-two instantiations, each with the upper bound of its own fixpoint.  It
+two instantiations, each with an upper bound of its own: the equilibrium
+engine's from the fixpoint it instantiates in, GZ's from propagation.  It
 runs both engines with ``full_checks``, so that a closed leaf, too,
 takes each engine's own checks and not one shared verdict.
 """
@@ -41,11 +43,11 @@ from dataclasses import dataclass
 
 from .domain import DomainBounds
 from .errors import NotGZError
-from .ground import _Viability, ground_theory
+from .ground import ground_theory
 from .interp import T, aggregate_eval, atom_key, eval_term, relation_eval, static_atom
 from .parser import Theory, parse_program
 from .rules import least_model, rule_view
-from .search import search_stable
+from .search import _Propagation, search_stable
 from .solver import build_universe, find_stable_models, format_atom
 from .syntax import (
     AGGREGATE_NAMES,
@@ -282,10 +284,14 @@ def reduct(phi, atoms, universe, memo=None):
 # Stable models via the reduct
 
 
-def _gz_relevant_atoms(viability: _Viability):
-    """Head instances reachable from the facts: the support fixpoint both
-    engines share."""
-    return viability.run()
+def _gz_relevant_atoms(propagation):
+    """GZ's upper bound: the root upper bound of ``propagation`` over the
+    full grounding, as a set, tightened from every atom that a formula
+    can make true by the support pass of ``search._Propagation.bounds``;
+    empty when the root bounds conflict, and then the search has no
+    leaf."""
+    root = propagation.root
+    return frozenset() if root is None else propagation.atoms(root[1])
 
 
 def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks=False):
@@ -296,8 +302,8 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks
     if not ok:
         raise NotGZError(reason)
     universe = build_universe(theory, bounds or DomainBounds())
-    viability = _Viability(ground_theory(theory, universe))
-    upper = _gz_relevant_atoms(viability)
+    propagation = _Propagation(ground_theory(theory, universe))
+    _gz_relevant_atoms(propagation)  # the search's upper bound, named so that it can be counted
 
     def stable_in(search):
         universe = search.universe
@@ -313,7 +319,7 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks
 
         return stable
 
-    return search_stable(viability, upper, stable_in, None if full_checks else _closed)
+    return search_stable(propagation, stable_in, None if full_checks else _closed)
 
 
 def _closed(search, there):

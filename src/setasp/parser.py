@@ -88,7 +88,7 @@ def tokenize(text):
         m = _TOKEN_RE.match(text, pos)
         if m is None:
             raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        lexeme = m.group(0)
+        matched = lexeme = m.group(0)  # a ``#count`` is read as ``count``, but spans its ``#``
         kind = m.lastgroup
         if kind == "ident" and lexeme in _KEYWORDS:
             kind = lexeme
@@ -104,12 +104,12 @@ def tokenize(text):
             kind = lexeme
         if kind != "ws":
             tokens.append(Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
+        newlines = matched.count("\n")
         if newlines:
             line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
+            col = len(matched) - matched.rfind("\n")
         else:
-            col += len(lexeme)
+            col += len(matched)
         pos = m.end()
     tokens.append(Token("eof", "", line, col))
     return tokens

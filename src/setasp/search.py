@@ -1,11 +1,14 @@
 """The stable-model search both engines share.
 
-``search_stable`` takes an engine's upper-bound fixpoint, restricts its
-ground theory to what that bound can reach (``search_theory``) and tests
-the there-worlds that ``branch_leaves`` yields with the engine's own
-stability test.  ``branch_leaves`` tightens the bounds from the facts
-and the upper bound once, then decides one undecided atom at a time and
-tightens both bounds after each decision (``_Propagation``).  Atoms that
+``search_stable`` takes an engine's propagation (``_Propagation``) and
+tests the there-worlds that ``branch_leaves`` yields with the engine's
+own stability test.  The equilibrium engine's propagation runs on its
+ground theory restricted to what its support fixpoint can reach
+(``viable_propagation``, ``search_theory``); the GZ engine's runs on its
+full grounding, and the upper bound of its root bounds is GZ's upper
+bound.  Propagation tightens the bounds from the facts and its numbered
+atoms once, at the root; ``branch_leaves`` then decides one undecided
+atom at a time and tightens both bounds after each decision.  Atoms that
 no rule or constraint joins fall into components that are searched one
 at a time, and the leaves are every combination of one leaf of each:
 a stable model of parts that share no atom is one stable model of each
@@ -14,7 +17,7 @@ cannot be stable.  A leaf takes the engine's model and minimality
 checks unless the search is exact, which rules of plain atoms and their
 ``not`` make (``_Propagation``), and its bounds closed: such a leaf is a
 stable model in both engines, which the engine only builds.  A leaf is
-a bit mask over the root upper bound's atoms (``_Numbering``) from its
+a bit mask over the numbered atoms (``_Numbering``) from its
 last decision to the end of its checks; the atoms are sorted by
 ``atom_key`` once per search, and only when it can have two leaves.
 
@@ -61,28 +64,26 @@ from .syntax import (
 from .values import UNDEF, FinSet, value_key
 
 
-def search_stable(viability, upper, stable_in, accept=None) -> list:
+def search_stable(propagation, stable_in, accept=None) -> list:
     """The candidate loop both engines share, in canonical order.
 
-    ``viability`` has run its fixpoint, whose atoms are ``upper``; the
-    search theory keeps what its last round judged possible.
-    ``stable_in(search)`` returns the engine's test on that theory, which
-    maps a there-world to the stable models it carries, as ``(funcs,
-    model)`` pairs whose ``funcs`` are the model's declared-function
-    facts; models sort by their atoms (``_Numbering.key``), then by those
-    facts.
+    ``propagation`` (``_Propagation``) holds the engine's search theory
+    and its root bounds.  ``stable_in(search)`` returns the engine's test
+    on that theory, which maps a there-world to the stable models it
+    carries, as ``(funcs, model)`` pairs whose ``funcs`` are the model's
+    declared-function facts; models sort by their atoms
+    (``_Numbering.key``), then by those facts.
 
     ``accept(search, there)``, if given, builds the stable model of a
     leaf that ``branch_leaves`` marks closed, which then takes no test:
     with no function declared it carries no function facts.
     """
-    ground = viability.ground
-    if any(phi == BOT for phi in ground.formulas):
+    search = propagation.ground
+    if any(phi == BOT for phi in search.formulas):
         return []
-    search = search_theory(ground, viability.possibly_sat)
     stable = stable_in(search)
     found = {}
-    for numbering, mask, closed in branch_leaves(search, upper):
+    for numbering, mask, closed in branch_leaves(propagation):
         if closed and accept is not None:
             found[mask, ()] = accept(search, numbering.atoms(mask))
             continue
@@ -93,8 +94,16 @@ def search_stable(viability, upper, stable_in, accept=None) -> list:
     return [found[key] for key in keys]
 
 
+def viable_propagation(viability, upper):
+    """The propagation of a support fixpoint that has run, whose atoms are
+    ``upper``, over the search theory that its last round judged possible
+    (``search_theory``)."""
+    return _Propagation(search_theory(viability.ground, viability.possibly_sat), upper)
+
+
 def search_theory(ground, possible):
-    """The copy of ``ground`` that the search runs on.
+    """The copy of ``ground`` that a search bounded by a support fixpoint
+    runs on.
 
     ``possible(phi)`` must hold whenever ``phi`` is true at the there-world
     of some candidate inside the engine's upper bound.  A formula ``B ->
@@ -111,21 +120,21 @@ def search_theory(ground, possible):
     return replace(ground, universe=ground.universe.restricted(possible), formulas=formulas)
 
 
-def branch_leaves(search, upper):
+def branch_leaves(propagation):
     """The there-worlds the search tests, each as ``(numbering, mask,
-    closed)``: the leaves of a depth-first search that decides one
-    undecided atom at a time, in ``atom_key`` order, and tightens both
-    bounds after each decision (``_Propagation.bounds``), cutting a branch
-    whose bounds conflict.  A leaf is ``closed`` when the search is exact
-    (``_Propagation.exact``) and its last ``bounds`` call left no atom
-    undecided: it is then a stable model in both engines.
+    closed)``: the leaves of a depth-first search below the root bounds
+    of ``propagation`` that decides one undecided atom at a time, in
+    ``atom_key`` order, and tightens both bounds after each decision
+    (``_Propagation.bounds``), cutting a branch whose bounds conflict.  A
+    leaf is ``closed`` when the search is exact (``_Propagation.exact``)
+    and its last ``bounds`` call left no atom undecided: it is then a
+    stable model in both engines.
 
     Each component of the undecided atoms (``_Propagation.components``)
     is searched alone, and a leaf is the root lower bound plus one leaf
     of each, closed when they all are.  ``atom_cap`` bounds the sum over
     the components of the most decisions on one of their branches."""
-    propagation = _Propagation(search, upper)
-    root = propagation.root()
+    root = propagation.root
     if root is None:
         return
     lower, upper = root
@@ -136,7 +145,7 @@ def branch_leaves(search, upper):
         for mask, closed in _depth_first(propagation, root, -1, order, 0, len(order)):
             yield propagation, mask, closed
         return
-    cap, used, unsearched, stop = search.universe.bounds.atom_cap, 0, undecided, len(order)
+    cap, used, unsearched, stop = propagation.universe.bounds.atom_cap, 0, undecided, len(order)
     found = []  # each part's leaves, as its masks and whether they closed
     for part in parts:
         own = [atom for atom in order if atom & part]
@@ -259,13 +268,23 @@ class _Numbering:
 class _Propagation(_Numbering):
     """Three-valued bounds on the stable models of a search theory.
 
-    The atoms of the root upper bound are numbered once (``_Numbering``).
-    Each rule body and constraint of the theory's rule view is compiled
-    once (``_compile``), so tightening a pair of bounds takes only bit
-    operations, plus a pass over the members of each aggregate test.
-    ``kept`` holds the atoms that a formula outside the view mentions
-    (every atom of a predicate it reads through a non-static argument),
-    which support never drops.
+    The atoms of an upper bound are numbered once (``_Numbering``): the
+    support fixpoint's that ``upper`` gives, or else every atom that a
+    formula can make true, that is the facts, the heads of the rule view
+    and the static atoms of the formulas outside it.  Each rule body and
+    constraint of the theory's rule view is compiled once (``_compile``),
+    so tightening a pair of bounds takes only bit operations, plus a pass
+    over the members of each aggregate test.  ``kept`` holds the atoms
+    that a formula outside the view mentions (every atom of a predicate
+    it reads through a non-static argument), which support never drops.
+    ``root`` holds the bounds tightened from the facts and the numbered
+    atoms (``bounds``), or None when they conflict.
+
+    Without ``upper``, the root upper bound is the search's upper bound,
+    and every rule and constraint whose body cannot hold under the root
+    bounds is dropped: the bounds below the root only tighten, so such a
+    body never holds in a world the search reaches, and its formula is
+    satisfied at both worlds of every leaf.
 
     The search is ``exact`` when every formula is in the view, every rule
     body and constraint compiles to masks alone, set equalities included
@@ -278,21 +297,9 @@ class _Propagation(_Numbering):
     equals it.
     """
 
-    def __init__(self, ground, upper):
-        super().__init__(upper)
+    def __init__(self, ground, upper=None):
         view = ground.rules
-        self.universe = ground.universe
-        self.facts = self.mask(view.facts)
-        self.read = 0  # the atoms some body reads, filled in by _compile
-        self._members = {}  # a set term -> its members (``_set_members``)
-        rules = [(body, self.mask(heads)) for body, heads in view.rules]
-        # a rule whose heads are all facts adds nothing and supports nothing
-        self.rules = tuple((self._compile(body), heads) for body, heads in rules if heads & ~self.facts)
-        self.constraints = tuple(self._compile(body) for body in view.constraints)
-        bodies = (*(body for body, _ in self.rules), *self.constraints)
-        self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
-            opaque or parts for _, _, opaque, parts in bodies
-        )
+        self.ground, self.universe = ground, ground.universe
         atoms, preds = set(), set()
         for phi in view.others:
             for node in walk(phi):
@@ -302,9 +309,31 @@ class _Propagation(_Numbering):
                         preds.add((node.pred, len(node.args)))
                     else:
                         atoms.add(key)
+        prune = upper is None
+        if prune:  # every atom that some formula can make true
+            upper = view.facts.union(atoms, *(heads for _, heads in view.rules))
+        super().__init__(upper)
         if preds:
             atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
         self.kept = self.mask(atoms & upper)
+        self.facts = self.mask(view.facts)
+        self.read = 0  # the atoms some body reads, filled in by _compile
+        self._members = {}  # a set term -> its members (``_set_members``)
+        rules = [(body, self.mask(heads)) for body, heads in view.rules]
+        # a rule whose heads are all facts adds nothing and supports nothing
+        self.rules = tuple((self._compile(body), heads) for body, heads in rules if heads & ~self.facts)
+        self.constraints = tuple(self._compile(body) for body in view.constraints)
+        self.root = self.bounds(self.facts, self.outside - 1)
+        if prune and self.root is not None:
+            lower, upper = self.root
+            self.rules = tuple(r for r in self.rules if _entailed(r[0], upper, lower, False, upper))
+            self.constraints = tuple(
+                body for body in self.constraints if _entailed(body, upper, lower, False, upper)
+            )
+        bodies = (*(body for body, _ in self.rules), *self.constraints)
+        self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
+            opaque or parts for _, _, opaque, parts in bodies
+        )
 
     def _compile(self, phi):
         """A rule body as ``(pos, neg, opaque, parts)``: the masks of its
@@ -489,10 +518,6 @@ class _Propagation(_Numbering):
             root = find(atom)
             parts[root] = parts.get(root, 0) | atom
         return list(parts.values())
-
-    def root(self):
-        """The bounds from the facts and the root upper bound, tightened."""
-        return self.bounds(self.facts, self.outside - 1)
 
     def bounds(self, lower, upper):
         """The masks ``(lower, upper)`` tightened to a fixpoint, or None

@@ -20,10 +20,11 @@ every formula afresh.  Propagation reads a set term compared with a set
 value through the atoms of its members, so the paper's p1 closes at its
 root and takes no check.
 
-The GZ engine (``gz``) shares the support fixpoint, the rule view and
-fixpoint, the ground-atom reading (``interp.static_atom``) and the
-candidate loop (``search.search_stable``): each engine supplies only its
-own "can hold" test, model test and minimality check.
+The GZ engine (``gz``) shares the rule view and least-model fixpoint,
+the ground-atom reading (``interp.static_atom``) and the search
+(``search.search_stable``), whose propagation over its full grounding
+also gives it its upper bound: each engine supplies only its own model
+test and minimality check.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ from .interp import (
 )
 from .parser import Theory
 from .rules import least_model
-from .search import search_stable
+from .search import search_stable, viable_propagation
 from .syntax import AGGREGATE_NAMES, EApp, Exists, Forall, Implies, IntSet, free_vars, pretty
 from .values import UNDEF, format_value
 
@@ -345,7 +346,8 @@ def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
         model = HTInterpretation.total(search.universe, Assignment(), t_atoms)
         return StableModel(t_atoms, _witness(model))
 
-    found = search_stable(viability, upper, stable_in, None if full_checks else accept)
+    propagation = viable_propagation(viability, upper)
+    found = search_stable(propagation, stable_in, None if full_checks else accept)
     stats.elapsed = time.perf_counter() - started
     return StableModelReport(found, stats)
 

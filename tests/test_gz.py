@@ -228,9 +228,10 @@ def test_non_gz_theory_is_refused(p1_theory):
 
 
 def test_the_can_hold_test_admits_every_classically_satisfied_body():
-    """Whatever body some subset of the GZ upper bound satisfies
-    classically, ``possibly_sat`` lets through: rule bodies and set-term
-    bodies alike, over programs whose upper bound has at most 10 atoms."""
+    """Whatever body some subset of the support fixpoint's upper bound
+    over a GZ program satisfies classically, ``possibly_sat`` lets
+    through: rule bodies and set-term bodies alike, over programs whose
+    upper bound has at most 10 atoms."""
     rng = random.Random(17)
     checks, violations = 0, []
     for _ in range(340):

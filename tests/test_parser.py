@@ -82,6 +82,17 @@ def test_syntax_error_carries_position():
     assert err.value.line == 2
 
 
+def test_positions_after_a_hash_aggregate_count_its_hash():
+    # each ``#count``, ``#sum``, ``#max`` or ``#min`` spans one more
+    # column than the name it is read as
+    with pytest.raises(ParseError) as err:
+        parse_program("p :- #count{X : q(X)} >= 1 @.")
+    assert (err.value.line, err.value.column) == (1, 28)
+    with pytest.raises(ParseError) as err:
+        parse_program("p :- #sum{X : q(X)} >= 1, #max{X : q(X)} < 3, #min{X : q(X)} > 0 @.")
+    assert (err.value.line, err.value.column) == (1, 66)
+
+
 def test_arity_mismatch_rejected():
     with pytest.raises(SignatureError):
         parse_program("p(a). p(a, b).")

@@ -1,9 +1,11 @@
 """The fast search (branching with propagation plus least-model
 minimality check) against the reference search (every subset of the
-atoms between the facts and the upper bound plus subset search), branching
-against the mask enumeration from the root bounds, the search restricted
-to what the upper bound can reach against the search over the whole
-ground theory, GZ's reduced formulas placed once per search against
+atoms between the facts and the support fixpoint's upper bound plus
+subset search), branching against the mask enumeration from the root
+bounds, the equilibrium engine's search restricted to what its upper
+bound can reach against the search over the whole ground theory, GZ's
+upper bound from propagation's root against the support fixpoint's,
+GZ's reduced formulas placed once per search against
 placed at every leaf, the leaves that propagation closed against the
 engines' checks, set equalities that propagate against the checks and
 the reference, the search split into components against one joint
@@ -121,14 +123,17 @@ def lower_bound(ground, upper):
     """Atoms true in every stable model between the facts and ``upper``,
     or None when there is none: the root bounds of the search."""
     propagation = search._Propagation(ground, upper)
-    root = propagation.root()
+    root = propagation.root
     return None if root is None else propagation.atoms(root[0])
 
 
-def there_candidates(theory, upper, root=lower_bound):
+def there_candidates(propagation, root=lower_bound):
     """Reference for ``search.branch_leaves``: the lower bound that
     ``root`` gives plus each subset of the undecided atoms between it and
-    ``upper``, which ``atom_cap`` bounds.  It marks no leaf closed."""
+    the support fixpoint of ``ground._Viability`` over the search theory,
+    which ``atom_cap`` bounds.  It marks no leaf closed."""
+    theory = propagation.ground
+    upper = relevant_atoms(theory)
     lower = root(theory, upper)
     if lower is None:
         return
@@ -175,8 +180,8 @@ def joint_search():
 
 @contextmanager
 def unrestricted_search():
-    """Both engines search the whole ground theory and every set-term
-    candidate."""
+    """The equilibrium engine searches the whole ground theory and every
+    set-term candidate; GZ searches its full grounding either way."""
     with pytest.MonkeyPatch.context() as patch:
         whole = lambda ground, possible: ground  # noqa: E731
         patch.setattr(search, "search_theory", whole)
@@ -381,6 +386,38 @@ def test_memoized_leaf_checks_match_plain_on_generated_extreme_programs():
     _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
 
 
+def test_gz_upper_bound_lies_inside_the_support_fixpoint_and_closed_leaves_are_models():
+    """GZ's upper bound, the root upper bound of its one propagation,
+    never leaves the support fixpoint of ``ground._Viability`` over the
+    same grounding, and its closed leaves are what its checks accept."""
+    runs = [(random_gz_program, 20), (aggregate_gz_program, 28), (extreme_gz_program, 32)]
+    outside, mismatches = [], []
+    for generator, seed in runs:
+        programs = _generated(generator, seed)
+        for text in programs:
+            theory = parse_program(text)
+            ground = ground_theory(theory, build_universe(theory, GENERATOR_BOUNDS))
+            upper = gz._gz_relevant_atoms(search._Propagation(ground))
+            if not upper <= relevant_atoms(ground):
+                outside.append(text)
+        fast = [answers[1] for answers in _fast(programs, (_eq, _gz), GENERATOR_BOUNDS)]
+        checked = [answers[0] for answers in _fast(programs, (_gz_checked,), GENERATOR_BOUNDS)]
+        mismatches += [text for text, a, b in zip(programs, fast, checked) if a != b]
+    assert outside == mismatches == []
+
+
+def test_gz_builds_no_viability_fixpoint(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the GZ engine ran the support fixpoint")
+
+    programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
+    expected = [_gz(text, FIXED_BOUNDS) for text in programs]
+    monkeypatch.setattr(ground._Viability, "__init__", refuse)
+    monkeypatch.setattr(ground._Viability, "run", refuse)
+    assert [_gz(text, FIXED_BOUNDS) for text in programs] == expected
+    assert [_gz_checked(text, FIXED_BOUNDS) for text in programs] == expected
+
+
 def normal_program(rng, values=3, rules=5):
     """A normal program over ints 0..3, on which most leaves close: facts,
     even negation loops, chains along ``e`` or ``+ 1``, joins and
@@ -440,8 +477,8 @@ def counted_leaves(key=_closed):
     closed)``: by default, by whether they are closed."""
     closed = Counter()
 
-    def counted(theory, upper, original=search.branch_leaves):
-        for leaf in original(theory, upper):
+    def counted(propagation, original=search.branch_leaves):
+        for leaf in original(propagation):
             closed[key(*leaf)] += 1
             yield leaf
 
@@ -635,7 +672,7 @@ def test_memoized_leaf_checks_match_plain_on_fixed_programs():
 
 def test_restricted_search_matches_whole_on_generated_gz_programs():
     programs = _generated(random_gz_program, 22)
-    _compare(programs, (_eq, _gz), GENERATOR_BOUNDS, unrestricted_search)
+    _compare(programs, (_eq,), GENERATOR_BOUNDS, unrestricted_search)
 
 
 def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
@@ -645,8 +682,6 @@ def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
 
 def test_restricted_search_matches_whole_on_fixed_programs():
     _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, unrestricted_search)
-    gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
-    _compare(gz_programs, (_gz,), FIXED_BOUNDS, unrestricted_search)
 
 
 def test_p1_search_keeps_only_what_the_upper_bound_reaches():
@@ -1374,7 +1409,7 @@ def _leaves(engine, text, bounds):
     accepted as closed."""
     tested = []
 
-    def counted(viability, upper, stable_in, accept=None, original=search.search_stable):
+    def counted(propagation, stable_in, accept=None, original=search.search_stable):
         def counting_in(theory):
             stable = stable_in(theory)
 
@@ -1388,7 +1423,7 @@ def _leaves(engine, text, bounds):
             tested.append(there)
             return accept(theory, there)
 
-        return original(viability, upper, counting_in, accept and counting_accept)
+        return original(propagation, counting_in, accept and counting_accept)
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver, "search_stable", counted)
@@ -1447,6 +1482,20 @@ def test_closed_leaves_take_no_leaf_check(text, bounds, models):
             assert gz_stable_models(theory, bounds) == report.atom_sets()
     assert calls == Counter()
     assert report.stats.candidates == len(report.models) == models
+
+
+@pytest.mark.parametrize("text", [CLOSED[0], COUNT0], ids=["fact-constraint", "count0"])
+def test_a_root_conflict_ends_the_gz_solve_without_a_leaf(text):
+    # at ints 0..3 count0's root lower bound holds p(a), which no support
+    # reaches; the empty set would be a leaf, and not a model
+    theory = parse_program(text)
+    universe = build_universe(theory, GENERATOR_BOUNDS)
+    propagation = search._Propagation(ground_theory(theory, universe))
+    assert propagation.root is None
+    assert gz._gz_relevant_atoms(propagation) == frozenset()
+    with counted_leaf_checks() as calls, counted_leaves() as leaves:
+        assert _gz(text, GENERATOR_BOUNDS) == _gz_checked(text, GENERATOR_BOUNDS) == []
+    assert calls == leaves == Counter()
 
 
 def test_cross_check_takes_both_engines_checks_at_every_leaf(tmp_path, capsys):
