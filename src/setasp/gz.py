@@ -22,17 +22,17 @@ candidate loop (``search.search_stable``) accepts a leaf that
 propagation closed in an exact search as it is, and calls back into
 ``cl_satisfies``, ``reduct`` and ``_has_smaller_model`` at every other
 leaf.  A formula whose atoms two leaves agree on reduces the same at
-both, so the same reduced
-formulas come back leaf after leaf, and ``_has_smaller_model`` places
-each in the reduct's rule view once per search.  Ground atoms are read
-by ``interp.static_atom``, the reduct's least model is
-``rules.least_model`` and constants fold by ``syntax.fold``.  The
-grounding stays the full ``ground.ground_theory``, never the
-binding-driven one of ``instantiate``, so ``cross_check`` still compares
-two instantiations, each with an upper bound of its own: the equilibrium
-engine's from the fixpoint it instantiates in, GZ's from propagation.  It
-runs both engines with ``full_checks``, so that a closed leaf, too,
-takes each engine's own checks and not one shared verdict.
+both, so the same reduced formulas come back leaf after leaf, and
+``_has_smaller_model`` places each in the reduct's rule view once per
+search.  Ground atoms are read by ``interp.static_atom``, the reduct's
+least model is ``rules.least_model`` and constants fold by
+``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
+never the binding-driven one of ``instantiate``, so ``cross_check``
+still compares two instantiations, each with an upper bound of its own:
+the equilibrium engine's from the fixpoint it instantiates in, GZ's from
+propagation.  It runs both engines with ``full_checks``, so that a
+closed leaf, too, takes each engine's own checks and not one shared
+verdict.
 """
 
 from __future__ import annotations
@@ -286,8 +286,9 @@ def reduct(phi, atoms, universe, memo=None):
 
 def _gz_relevant_atoms(propagation):
     """GZ's upper bound: the root upper bound of ``propagation`` over the
-    full grounding, as a set, tightened from every atom that a formula
-    can make true by the support pass of ``search._Propagation.bounds``;
+    full grounding, as a set, tightened from the atoms that the facts
+    support through the heads and consequents of the formulas
+    (``search._Propagation._viable``) by ``search._Propagation.bounds``;
     empty when the root bounds conflict, and then the search has no
     leaf."""
     root = propagation.root

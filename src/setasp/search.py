@@ -4,22 +4,22 @@
 tests the there-worlds that ``branch_leaves`` yields with the engine's
 own stability test.  The equilibrium engine's propagation runs on its
 ground theory restricted to what its support fixpoint can reach
-(``viable_propagation``, ``search_theory``); the GZ engine's runs on its
-full grounding, and the upper bound of its root bounds is GZ's upper
-bound.  Propagation tightens the bounds from the facts and its numbered
-atoms once, at the root; ``branch_leaves`` then decides one undecided
-atom at a time and tightens both bounds after each decision.  Atoms that
-no rule or constraint joins fall into components that are searched one
-at a time, and the leaves are every combination of one leaf of each:
-a stable model of parts that share no atom is one stable model of each
-part, taken together.  Propagation only ever drops candidates that
-cannot be stable.  A leaf takes the engine's model and minimality
-checks unless the search is exact, which rules of plain atoms and their
-``not`` make (``_Propagation``), and its bounds closed: such a leaf is a
-stable model in both engines, which the engine only builds.  A leaf is
-a bit mask over the numbered atoms (``_Numbering``) from its
-last decision to the end of its checks; the atoms are sorted by
-``atom_key`` once per search, and only when it can have two leaves.
+(``search_theory``); the GZ engine's runs on its full grounding, and the
+upper bound of its root bounds is GZ's upper bound.  Propagation
+tightens the bounds from the facts and its numbered atoms once, at the
+root; ``branch_leaves`` then decides one undecided atom at a time and
+tightens both bounds after each decision.  Atoms that no rule or
+constraint joins fall into components that are searched one at a time,
+and the leaves are every combination of one leaf of each: a stable model
+of parts that share no atom is one stable model of each part, taken
+together.  Propagation only ever drops candidates that cannot be stable.
+A leaf takes the engine's model and minimality checks unless the search
+is exact, which rules of plain atoms and their ``not`` make
+(``_Propagation``), and its bounds closed: such a leaf is a stable model
+in both engines, which the engine only builds.  A leaf is a bit mask
+over the numbered atoms (``_Numbering``) from its last decision to the
+end of its checks; the atoms are sorted by ``atom_key`` once per search,
+and only when it can have two leaves.
 
 A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one test per comparison of an aggregate of a
@@ -58,6 +58,7 @@ from .syntax import (
     Or,
     PredAtom,
     _Top,
+    conj,
     ground_constructor_value,
     walk,
 )
@@ -92,13 +93,6 @@ def search_stable(propagation, stable_in, accept=None) -> list:
             found[mask, tuple(facts)] = model
     keys = sorted(found, key=lambda k: (numbering.key(k[0]), k[1])) if len(found) > 1 else found
     return [found[key] for key in keys]
-
-
-def viable_propagation(viability, upper):
-    """The propagation of a support fixpoint that has run, whose atoms are
-    ``upper``, over the search theory that its last round judged possible
-    (``search_theory``)."""
-    return _Propagation(search_theory(viability.ground, viability.possibly_sat), upper)
 
 
 def search_theory(ground, possible):
@@ -269,22 +263,26 @@ class _Propagation(_Numbering):
     """Three-valued bounds on the stable models of a search theory.
 
     The atoms of an upper bound are numbered once (``_Numbering``): the
-    support fixpoint's that ``upper`` gives, or else every atom that a
-    formula can make true, that is the facts, the heads of the rule view
-    and the static atoms of the formulas outside it.  Each rule body and
-    constraint of the theory's rule view is compiled once (``_compile``),
-    so tightening a pair of bounds takes only bit operations, plus a pass
-    over the members of each aggregate test.  ``kept`` holds the atoms
-    that a formula outside the view mentions (every atom of a predicate
-    it reads through a non-static argument), which support never drops.
-    ``root`` holds the bounds tightened from the facts and the numbered
-    atoms (``bounds``), or None when they conflict.
+    support fixpoint's that ``upper`` gives, or else, over a full
+    grounding, every atom that a formula has as a head: the facts, the
+    heads of the rule view and the consequents of the formulas outside it
+    (``_consequents``).  Each rule body and constraint of the theory's
+    rule view is compiled once (``_compile``), so tightening a pair of
+    bounds takes only bit operations, plus a pass over the members of
+    each aggregate test.  ``kept`` holds the numbered atoms that a
+    formula outside the view mentions (every atom of a predicate it reads
+    through a non-static argument), which support never drops.  ``root``
+    holds the bounds tightened from the facts and the numbered atoms
+    (``bounds``), or None when they conflict.
 
-    Without ``upper``, the root upper bound is the search's upper bound,
-    and every rule and constraint whose body cannot hold under the root
-    bounds is dropped: the bounds below the root only tighten, so such a
-    body never holds in a world the search reaches, and its formula is
-    satisfied at both worlds of every leaf.
+    Without ``upper``, the numbered atoms first shrink to those that some
+    chain of bodies that can hold supports (``_viable``), with the
+    consequents of the formulas outside the view supported by their
+    antecedents, and ``kept`` holds only those; the root upper bound is
+    the search's upper bound.  Then every rule and constraint whose body
+    cannot hold under the root bounds is dropped: the bounds below the
+    root only tighten, so such a body never holds in a world the search
+    reaches, and its formula is satisfied at both worlds of every leaf.
 
     The search is ``exact`` when every formula is in the view, every rule
     body and constraint compiles to masks alone, set equalities included
@@ -309,13 +307,15 @@ class _Propagation(_Numbering):
                         preds.add((node.pred, len(node.args)))
                     else:
                         atoms.add(key)
-        prune = upper is None
-        if prune:  # every atom that some formula can make true
-            upper = view.facts.union(atoms, *(heads for _, heads in view.rules))
+        prune, consequents = upper is None, {}  # antecedents -> the atoms they support
+        if prune:
+            for phi in view.others:
+                for antecedents, atom in _consequents(phi, self.universe):
+                    consequents.setdefault(antecedents, set()).add(atom)
+            upper = view.facts.union(*consequents.values(), *(heads for _, heads in view.rules))
         super().__init__(upper)
         if preds:
             atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
-        self.kept = self.mask(atoms & upper)
         self.facts = self.mask(view.facts)
         self.read = 0  # the atoms some body reads, filled in by _compile
         self._members = {}  # a set term -> its members (``_set_members``)
@@ -323,7 +323,9 @@ class _Propagation(_Numbering):
         # a rule whose heads are all facts adds nothing and supports nothing
         self.rules = tuple((self._compile(body), heads) for body, heads in rules if heads & ~self.facts)
         self.constraints = tuple(self._compile(body) for body in view.constraints)
-        self.root = self.bounds(self.facts, self.outside - 1)
+        viable = self._viable(consequents) if consequents else self.outside - 1
+        self.kept = self.mask(atoms & upper) & viable
+        self.root = self.bounds(self.facts, viable)
         if prune and self.root is not None:
             lower, upper = self.root
             self.rules = tuple(r for r in self.rules if _entailed(r[0], upper, lower, False, upper))
@@ -334,6 +336,21 @@ class _Propagation(_Numbering):
         self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
             opaque or parts for _, _, opaque, parts in bodies
         )
+
+    def _viable(self, consequents):
+        """The mask of the numbered atoms that the facts support through
+        rules and through ``consequents``, the atoms each chain of
+        antecedents of a formula outside the view supports, each body
+        tested as ``bounds`` tests support under the facts.  A stable
+        model lies inside it, by the argument of ``bounds``: a formula
+        whose antecedents cannot hold at the here-world inside it is
+        satisfied there, and one whose antecedents can has its
+        consequents inside it.  The antecedents add nothing to ``read``,
+        since no bounds call after this one reads them."""
+        read = self.read
+        supports = [(self._compile(conj(chain)), self.mask(heads)) for chain, heads in consequents.items()]
+        self.read = read
+        return _grow(self.facts, (*self.rules, *supports), self.facts, False, self.outside - 1)
 
     def _compile(self, phi):
         """A rule body as ``(pos, neg, opaque, parts)``: the masks of its
@@ -557,6 +574,23 @@ class _Propagation(_Numbering):
             if support == upper:
                 return lower, upper
             upper = support
+
+
+def _consequents(phi, universe, antecedents=()):
+    """The consequents of ``phi`` as ``(antecedents, atom)``: each static
+    atom of ``phi`` outside the left side of every ``->``, with the left
+    sides of the ``->`` it lies to the right of, as
+    ``ground._Viability._collect_heads`` reads a formula.  An atom that
+    only the left side of an ``->`` holds is no consequent: ``phi`` never
+    makes it true."""
+    if isinstance(phi, (And, Or)):
+        yield from _consequents(phi.left, universe, antecedents)
+        yield from _consequents(phi.right, universe, antecedents)
+    elif isinstance(phi, Implies):
+        yield from _consequents(phi.right, universe, (*antecedents, phi.left))
+    elif isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
+        if (atom := static_atom(phi, universe)) is not None:
+            yield antecedents, atom
 
 
 def _mentioned(body):

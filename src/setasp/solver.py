@@ -52,7 +52,7 @@ from .interp import (
 )
 from .parser import Theory
 from .rules import least_model
-from .search import search_stable, viable_propagation
+from .search import _Propagation, search_stable, search_theory
 from .syntax import AGGREGATE_NAMES, EApp, Exists, Forall, Implies, IntSet, free_vars, pretty
 from .values import UNDEF, format_value
 
@@ -346,7 +346,8 @@ def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
         model = HTInterpretation.total(search.universe, Assignment(), t_atoms)
         return StableModel(t_atoms, _witness(model))
 
-    propagation = viable_propagation(viability, upper)
+    # the search theory keeps what the fixpoint's last round judged possible
+    propagation = _Propagation(search_theory(viability.ground, viability.possibly_sat), upper)
     found = search_stable(propagation, stable_in, None if full_checks else accept)
     stats.elapsed = time.perf_counter() - started
     return StableModelReport(found, stats)

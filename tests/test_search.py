@@ -4,14 +4,15 @@ atoms between the facts and the support fixpoint's upper bound plus
 subset search), branching against the mask enumeration from the root
 bounds, the equilibrium engine's search restricted to what its upper
 bound can reach against the search over the whole ground theory, GZ's
-upper bound from propagation's root against the support fixpoint's,
-GZ's reduced formulas placed once per search against
-placed at every leaf, the leaves that propagation closed against the
-engines' checks, set equalities that propagate against the checks and
-the reference, the search split into components against one joint
-search, the binding-driven instantiation against the theory
-grounded in full, its semi-naive fixpoint against one naive round, and
-the full grounding's guarded enumeration against every substitution."""
+search without the rules its root bounds rule out against one that keeps
+them, GZ's upper bound from propagation's root against the support
+fixpoint's, GZ's reduced formulas placed once per search against placed
+at every leaf, the leaves that propagation closed against the engines'
+checks, set equalities that propagate against the checks and the
+reference, the search split into components against one joint search,
+the binding-driven instantiation against the theory grounded in full,
+its semi-naive fixpoint against one naive round, and the full
+grounding's guarded enumeration against every substitution."""
 
 import itertools
 import random
@@ -184,7 +185,17 @@ def unrestricted_search():
     set-term candidate; GZ searches its full grounding either way."""
     with pytest.MonkeyPatch.context() as patch:
         whole = lambda ground, possible: ground  # noqa: E731
-        patch.setattr(search, "search_theory", whole)
+        patch.setattr(solver, "search_theory", whole)
+        yield
+
+
+@contextmanager
+def unfiltered_gz_search():
+    """GZ's propagation numbers the support fixpoint's atoms and keeps
+    every rule and constraint below its root bounds."""
+    with pytest.MonkeyPatch.context() as patch:
+        unfiltered = lambda ground: search._Propagation(ground, relevant_atoms(ground))  # noqa: E731
+        patch.setattr(gz, "_Propagation", unfiltered)
         yield
 
 
@@ -386,14 +397,32 @@ def test_memoized_leaf_checks_match_plain_on_generated_extreme_programs():
     _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
 
 
+# ``;`` heads, which leave their rules outside the rule view, over bodies
+# that nothing can make true and over one that can: with the models and
+# the leaves of a search whose upper bound is the support fixpoint.  Seven
+# bodies whose atoms stayed undecided would pass ``atom_cap``.
+DISJUNCTIVE = [
+    ("a ; b :- c.", [set()], 1),
+    (" ".join(f"a{i} ; b{i} :- c{i}." for i in range(7)), [set()], 1),
+    ("a ; b :- count{X : c(X)} >= 1.", [set()], 1),
+    ("a ; b :- c. c ; d :- e. f.", [{atom("f")}], 1),
+    (
+        "a ; b :- c. c :- not d. d :- not c.",
+        [{atom("a"), atom("c")}, {atom("b"), atom("c")}, {atom("d")}],
+        8,
+    ),
+]
+
+
 def test_gz_upper_bound_lies_inside_the_support_fixpoint_and_closed_leaves_are_models():
     """GZ's upper bound, the root upper bound of its one propagation,
     never leaves the support fixpoint of ``ground._Viability`` over the
     same grounding, and its closed leaves are what its checks accept."""
     runs = [(random_gz_program, 20), (aggregate_gz_program, 28), (extreme_gz_program, 32)]
+    batches = [_generated(generator, seed) for generator, seed in runs]
+    batches.append(tuple(text for text, _, _ in DISJUNCTIVE))
     outside, mismatches = [], []
-    for generator, seed in runs:
-        programs = _generated(generator, seed)
+    for programs in batches:
         for text in programs:
             theory = parse_program(text)
             ground = ground_theory(theory, build_universe(theory, GENERATOR_BOUNDS))
@@ -404,6 +433,16 @@ def test_gz_upper_bound_lies_inside_the_support_fixpoint_and_closed_leaves_are_m
         checked = [answers[0] for answers in _fast(programs, (_gz_checked,), GENERATOR_BOUNDS)]
         mismatches += [text for text, a, b in zip(programs, fast, checked) if a != b]
     assert outside == mismatches == []
+
+
+@pytest.mark.parametrize(
+    "text, models, leaves", DISJUNCTIVE, ids=["one", "seven", "aggregate", "chained", "supported"]
+)
+def test_gz_upper_bound_holds_no_atom_that_only_a_body_reads(text, models, leaves):
+    with counted_leaves() as counted:
+        assert _gz(text, GENERATOR_BOUNDS) == models
+    assert counted.total() == leaves
+    assert _gz_checked(text, GENERATOR_BOUNDS) == models
 
 
 def test_gz_builds_no_viability_fixpoint(monkeypatch):
@@ -580,7 +619,7 @@ def test_set_equalities_match_the_checks_and_the_reference_on_fixed_programs():
         return propagation
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(search, "_Propagation", recorded)
+        patch.setattr(solver, "_Propagation", recorded)
         answers = [[atoms for atoms, _ in _eq(text, FIXED_BOUNDS)] for text in SET_EQUALITIES]
     # the value 3 leaves p without support, so the search drops its rule and
     # is exact: its one leaf, the fact q(1), closes at the root
@@ -673,6 +712,7 @@ def test_memoized_leaf_checks_match_plain_on_fixed_programs():
 def test_restricted_search_matches_whole_on_generated_gz_programs():
     programs = _generated(random_gz_program, 22)
     _compare(programs, (_eq,), GENERATOR_BOUNDS, unrestricted_search)
+    _compare(programs, (_gz,), GENERATOR_BOUNDS, unfiltered_gz_search)
 
 
 def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
@@ -682,6 +722,8 @@ def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
 
 def test_restricted_search_matches_whole_on_fixed_programs():
     _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, unrestricted_search)
+    gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
+    _compare(gz_programs, (_gz,), FIXED_BOUNDS, unfiltered_gz_search)
 
 
 def test_p1_search_keeps_only_what_the_upper_bound_reaches():
@@ -696,7 +738,7 @@ def test_p1_search_keeps_only_what_the_upper_bound_reaches():
                 searched.append((ground, original(ground, possible)))
                 return searched[-1][1]
 
-            patch.setattr(search, "search_theory", recorded)
+            patch.setattr(solver, "search_theory", recorded)
             report = find_stable_models(theory, bounds.with_(int_max=max_int))
         ((instances, restricted),) = searched
         assert len(instances.formulas) <= 11
