@@ -21,10 +21,7 @@ values exactly; no support fixpoint of ``ground`` runs.  The shared
 candidate loop (``search.search_stable``) accepts a leaf that
 propagation closed in an exact search as it is, and calls back into
 ``cl_satisfies``, ``reduct`` and ``_has_smaller_model`` at every other
-leaf.  A formula whose atoms two leaves agree on reduces the same at
-both, so the same reduced formulas come back leaf after leaf, and
-``_has_smaller_model`` places each in the reduct's rule view once per
-search.  Ground atoms are read by ``interp.static_atom``, the reduct's
+leaf.  Ground atoms are read by ``interp.static_atom``, the reduct's
 least model is ``rules.least_model`` and constants fold by
 ``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
 never the binding-driven one of ``instantiate``, so ``cross_check``
@@ -308,14 +305,13 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks
 
     def stable_in(search):
         universe = search.universe
-        places = {}  # a reduced formula -> its place in a rule view
 
         def stable(there):
             memo = {}  # the aggregate values of this candidate
             if not all(cl_satisfies(there, phi, universe, memo) for phi in search.formulas):
                 return
             reduced = [reduct(phi, there, universe, memo) for phi in search.formulas]
-            if not _has_smaller_model(there, reduced, universe, places):
+            if not _has_smaller_model(there, reduced, universe):
                 yield {}, there
 
         return stable
@@ -335,18 +331,17 @@ def _positive(phi):
     return isinstance(phi, _Top) or isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS
 
 
-def _has_smaller_model(candidate, reduced, universe, places=None):
+def _has_smaller_model(candidate, reduced, universe):
     """Whether the reduct has a classical model strictly inside the candidate.
 
     When every reduced formula is a fact or a rule with a positive body,
     the reduct's least model decides: the candidate is stable iff it is
     that model.  Other reducts (disjunctive heads, nested implications)
-    take the subset search.  ``places`` keeps each reduced formula's place
-    in the rule view across a search's leaves (``rules.rule_view``).
+    take the subset search.
     """
-    view = rule_view(reduced, universe, _positive, places)
+    view = rule_view(reduced, universe, _positive)
     if not view.exact:
-        return _smaller_model_search(candidate, reduced, universe, places)
+        return _smaller_model_search(candidate, reduced, universe)
 
     def here(atoms):
         return lambda body: cl_satisfies(atoms, body, universe)
@@ -354,10 +349,10 @@ def _has_smaller_model(candidate, reduced, universe, places=None):
     return least_model(view.facts, view.rules, here, universe) != candidate
 
 
-def _smaller_model_search(candidate, reduced, universe, places=None):
+def _smaller_model_search(candidate, reduced, universe):
     """Reference minimality check: subset search below the candidate,
     smallest first, keeping the reduct's facts, which every model holds."""
-    forced = rule_view(reduced, universe, _positive, places).facts & candidate
+    forced = rule_view(reduced, universe, _positive).facts & candidate
     free = sorted(candidate - forced, key=atom_key)
     for size in range(len(free)):
         for combo in itertools.combinations(free, size):

@@ -2,11 +2,9 @@
 
 Both engines read their ground theories through ``rule_view``: the
 equilibrium engine once per ground theory (``GroundTheory.rules``), the
-reduct engine once per candidate's reduct, where each reduced formula is
-classified once per search and looked up at every later leaf.
-``least_model`` is the rule fixpoint of both minimality checks, and
-``search`` compiles the same view for its propagation.  Ground atoms are
-read by ``interp.static_atom``.
+reduct engine once per candidate's reduct.  ``least_model`` is the rule
+fixpoint of both minimality checks, and ``search`` compiles the same view
+for its propagation.  Ground atoms are read by ``interp.static_atom``.
 """
 
 from __future__ import annotations
@@ -47,21 +45,14 @@ def _heads(phi, universe):
     return None if atom is None else frozenset((atom,))
 
 
-def rule_view(formulas, universe, monotone, places=None) -> RuleView:
+def rule_view(formulas, universe, monotone) -> RuleView:
     """Classify ground formulas in one pass, reading atoms by
     ``static_atom``; ``monotone`` tests whether a body's truth can only
     grow with the atoms of a smaller world below a fixed model.
-    ``places`` keeps each formula's ``_place`` across calls with one
-    ``monotone``, so a formula met again is looked up, not classified.
     """
     parts, exact = ([], [], [], []), True
     for phi in formulas:
-        place = None if places is None else places.get(phi)
-        if place is None:
-            place = _place(phi, universe, monotone)
-            if places is not None:
-                places[phi] = place
-        slot, item, ok = place
+        slot, item, ok = _place(phi, universe, monotone)
         parts[slot].append(item)
         exact = exact and ok
     rules, constraints, others, facts = map(tuple, parts)

@@ -7,7 +7,8 @@ ground theory restricted to what its support fixpoint can reach
 (``search_theory``); the GZ engine's runs on its full grounding, and the
 upper bound of its root bounds is GZ's upper bound.  Propagation
 tightens the bounds from the facts and its numbered atoms once, at the
-root; ``branch_leaves`` then decides one undecided atom at a time and
+root, and drops every rule and constraint whose body cannot hold under
+them; ``branch_leaves`` then decides one undecided atom at a time and
 tightens both bounds after each decision.  Atoms that no rule or
 constraint joins fall into components that are searched one at a time,
 and the leaves are every combination of one leaf of each: a stable model
@@ -124,9 +125,10 @@ def branch_leaves(propagation):
     and its last ``bounds`` call left no atom undecided: it is then a
     stable model in both engines.
 
-    Each component of the undecided atoms (``_Propagation.components``)
-    is searched alone, and a leaf is the root lower bound plus one leaf
-    of each, closed when they all are.  ``atom_cap`` bounds the sum over
+    Each component of the undecided atoms (``_Propagation.components``),
+    or all of them as one when no body reads any, is searched alone and
+    its leaves collected; a leaf is the root lower bound plus one leaf of
+    each, closed when they all are.  ``atom_cap`` bounds the sum over
     the components of the most decisions on one of their branches."""
     root = propagation.root
     if root is None:
@@ -134,11 +136,7 @@ def branch_leaves(propagation):
     lower, upper = root
     undecided = upper & ~lower
     order = [1 << i for i in propagation.by_key if undecided >> i & 1] if undecided else ()
-    parts = propagation.components(undecided, order) if undecided & propagation.read else ()
-    if len(parts) < 2:
-        for mask, closed in _depth_first(propagation, root, -1, order, 0, len(order)):
-            yield propagation, mask, closed
-        return
+    parts = propagation.components(undecided, order) if undecided & propagation.read else [undecided]
     cap, used, unsearched, stop = propagation.universe.bounds.atom_cap, 0, undecided, len(order)
     found = []  # each part's leaves, as its masks and whether they closed
     for part in parts:
@@ -161,7 +159,7 @@ def branch_leaves(propagation):
 
 def _depth_first(propagation, root, within, order, used, atoms):
     """The leaves below the bounds ``root`` as ``(mask, closed)``, deciding
-    the atoms of the mask ``within`` in ``order``.  It returns the most
+    the atoms of the part ``within`` in ``order``.  It returns the most
     decisions on one of its branches, counted on from ``used``, and raises
     when they pass ``atom_cap`` (``atoms`` undecided in the whole search);
     and the position in ``order`` of the last atom it decides."""
@@ -273,16 +271,18 @@ class _Propagation(_Numbering):
     formula outside the view mentions (every atom of a predicate it reads
     through a non-static argument), which support never drops.  ``root``
     holds the bounds tightened from the facts and the numbered atoms
-    (``bounds``), or None when they conflict.
+    (``bounds``), or None when they conflict.  Then every rule and
+    constraint whose body cannot hold under the root bounds is dropped:
+    the bounds below the root only tighten, so such a body never holds
+    in a world the search reaches, and its formula is satisfied at both
+    worlds of every leaf.
 
     Without ``upper``, the numbered atoms first shrink to those that some
     chain of bodies that can hold supports (``_viable``), with the
     consequents of the formulas outside the view supported by their
-    antecedents, and ``kept`` holds only those; the root upper bound is
-    the search's upper bound.  Then every rule and constraint whose body
-    cannot hold under the root bounds is dropped: the bounds below the
-    root only tighten, so such a body never holds in a world the search
-    reaches, and its formula is satisfied at both worlds of every leaf.
+    antecedents, and ``kept`` holds only those, of the formulas with a
+    chain of antecedents that can hold: any other is satisfied at every
+    here-world inside them.  The root upper bound is the search's.
 
     The search is ``exact`` when every formula is in the view, every rule
     body and constraint compiles to masks alone, set equalities included
@@ -298,24 +298,14 @@ class _Propagation(_Numbering):
     def __init__(self, ground, upper=None):
         view = ground.rules
         self.ground, self.universe = ground, ground.universe
-        atoms, preds = set(), set()
-        for phi in view.others:
-            for node in walk(phi):
-                if isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
-                    key = static_atom(node, self.universe)
-                    if key is None:
-                        preds.add((node.pred, len(node.args)))
-                    else:
-                        atoms.add(key)
-        prune, consequents = upper is None, {}  # antecedents -> the atoms they support
-        if prune:
-            for phi in view.others:
-                for antecedents, atom in _consequents(phi, self.universe):
-                    consequents.setdefault(antecedents, set()).add(atom)
+        consequents, chains = {}, None  # antecedents -> the atoms they support
+        if upper is None:
+            # per formula outside the view, its (antecedents, atom) pairs
+            chains = [tuple(_consequents(phi, self.universe)) for phi in view.others]
+            for antecedents, atom in (pair for own in chains for pair in own):
+                consequents.setdefault(antecedents, set()).add(atom)
             upper = view.facts.union(*consequents.values(), *(heads for _, heads in view.rules))
         super().__init__(upper)
-        if preds:
-            atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
         self.facts = self.mask(view.facts)
         self.read = 0  # the atoms some body reads, filled in by _compile
         self._members = {}  # a set term -> its members (``_set_members``)
@@ -323,10 +313,24 @@ class _Propagation(_Numbering):
         # a rule whose heads are all facts adds nothing and supports nothing
         self.rules = tuple((self._compile(body), heads) for body, heads in rules if heads & ~self.facts)
         self.constraints = tuple(self._compile(body) for body in view.constraints)
-        viable = self._viable(consequents) if consequents else self.outside - 1
+        viable, admitted = self._viable(consequents) if consequents else (self.outside - 1, set())
+        others = view.others if chains is None else [
+            phi for phi, own in zip(view.others, chains) if any(a in admitted for a, _ in own)
+        ]
+        atoms, preds = set(), set()
+        for phi in others:
+            for node in walk(phi):
+                if isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
+                    key = static_atom(node, self.universe)
+                    if key is None:
+                        preds.add((node.pred, len(node.args)))
+                    else:
+                        atoms.add(key)
+        if preds:
+            atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
         self.kept = self.mask(atoms & upper) & viable
         self.root = self.bounds(self.facts, viable)
-        if prune and self.root is not None:
+        if self.root is not None:
             lower, upper = self.root
             self.rules = tuple(r for r in self.rules if _entailed(r[0], upper, lower, False, upper))
             self.constraints = tuple(
@@ -341,16 +345,19 @@ class _Propagation(_Numbering):
         """The mask of the numbered atoms that the facts support through
         rules and through ``consequents``, the atoms each chain of
         antecedents of a formula outside the view supports, each body
-        tested as ``bounds`` tests support under the facts.  A stable
-        model lies inside it, by the argument of ``bounds``: a formula
-        whose antecedents cannot hold at the here-world inside it is
-        satisfied there, and one whose antecedents can has its
-        consequents inside it.  The antecedents add nothing to ``read``,
-        since no bounds call after this one reads them."""
-        read = self.read
+        tested as ``bounds`` tests support under the facts; and the chains
+        whose antecedents can hold inside it.  A stable model lies inside
+        the mask, by the argument of ``bounds``: a formula whose
+        antecedents cannot hold at the here-world inside it is satisfied
+        there, and one whose antecedents can has its consequents inside
+        it.  The antecedents add nothing to ``read``, since no bounds call
+        after this one reads them."""
+        read, everything = self.read, self.outside - 1
         supports = [(self._compile(conj(chain)), self.mask(heads)) for chain, heads in consequents.items()]
         self.read = read
-        return _grow(self.facts, (*self.rules, *supports), self.facts, False, self.outside - 1)
+        viable = _grow(self.facts, (*self.rules, *supports), self.facts, False, everything)
+        held = [_entailed(body, viable, self.facts, False, everything) for body, _ in supports]
+        return viable, set(compress(consequents, held))
 
     def _compile(self, phi):
         """A rule body as ``(pos, neg, opaque, parts)``: the masks of its

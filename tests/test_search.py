@@ -4,15 +4,13 @@ atoms between the facts and the support fixpoint's upper bound plus
 subset search), branching against the mask enumeration from the root
 bounds, the equilibrium engine's search restricted to what its upper
 bound can reach against the search over the whole ground theory, GZ's
-search without the rules its root bounds rule out against one that keeps
-them, GZ's upper bound from propagation's root against the support
-fixpoint's, GZ's reduced formulas placed once per search against placed
-at every leaf, the leaves that propagation closed against the engines'
-checks, set equalities that propagate against the checks and the
-reference, the search split into components against one joint search,
-the binding-driven instantiation against the theory grounded in full,
-its semi-naive fixpoint against one naive round, and the full
-grounding's guarded enumeration against every substitution."""
+upper bound from propagation's root against the support fixpoint's, the
+leaves that propagation closed against the engines' checks, set
+equalities that propagate against the checks and the reference, the
+search split into components against one joint search, the
+binding-driven instantiation against the theory grounded in full, its
+semi-naive fixpoint against one naive round, and the full grounding's
+guarded enumeration against every substitution."""
 
 import itertools
 import random
@@ -189,29 +187,6 @@ def unrestricted_search():
         yield
 
 
-@contextmanager
-def unfiltered_gz_search():
-    """GZ's propagation numbers the support fixpoint's atoms and keeps
-    every rule and constraint below its root bounds."""
-    with pytest.MonkeyPatch.context() as patch:
-        unfiltered = lambda ground: search._Propagation(ground, relevant_atoms(ground))  # noqa: E731
-        patch.setattr(gz, "_Propagation", unfiltered)
-        yield
-
-
-@contextmanager
-def fresh_rule_views():
-    """The GZ minimality check classifies every reduced formula again at
-    every leaf, instead of once per search."""
-    with pytest.MonkeyPatch.context() as patch:
-
-        def fresh_view(formulas, universe, monotone, places=None):
-            return rules.rule_view(formulas, universe, monotone)
-
-        patch.setattr(gz, "rule_view", fresh_view)
-        yield
-
-
 @cache
 def _generated(generator, seed):
     rng = random.Random(seed)
@@ -379,28 +354,14 @@ def test_mixed_sums_match_the_reference():
 CHECKED = (_eq_checked, _gz_checked)
 
 
-# GZ's reduced formulas, placed in a rule view once per search, are
-# compared with every leaf checked: a closed leaf takes no check, so it
-# would place none.
-def test_memoized_leaf_checks_match_plain_on_generated_gz_programs():
-    programs = _generated(random_gz_program, 20)
-    _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
-
-
-def test_memoized_leaf_checks_match_plain_on_generated_aggregate_programs():
-    programs = _generated(aggregate_gz_program, 28)
-    _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
-
-
-def test_memoized_leaf_checks_match_plain_on_generated_extreme_programs():
-    programs = _generated(extreme_gz_program, 32)
-    _compare(programs, (_gz_checked,), GENERATOR_BOUNDS, fresh_rule_views)
-
-
 # ``;`` heads, which leave their rules outside the rule view, over bodies
 # that nothing can make true and over one that can: with the models and
 # the leaves of a search whose upper bound is the support fixpoint.  Seven
-# bodies whose atoms stayed undecided would pass ``atom_cap``.
+# bodies whose atoms stayed undecided would pass ``atom_cap``.  In the
+# sixth, no antecedent chain of the three ``;`` rules can hold, so none
+# keeps q(a) in support, which its own count cannot give it, and the root
+# bounds conflict; in the last, ``b`` has the empty chain, so the nested
+# head keeps its atoms.
 DISJUNCTIVE = [
     ("a ; b :- c.", [set()], 1),
     (" ".join(f"a{i} ; b{i} :- c{i}." for i in range(7)), [set()], 1),
@@ -411,6 +372,15 @@ DISJUNCTIVE = [
         [{atom("a"), atom("c")}, {atom("b"), atom("c")}, {atom("d")}],
         8,
     ),
+    (
+        "p(b). r(a). p(a) ; r(1) :- p(1), p(a). "
+        "p(3) ; p(a) :- q(a), sum{V : p(V), V != b} >= 3. "
+        "q(a) :- count{V : q(V)} >= 0, not count{V : p(V), V != a} >= 3. "
+        "s(a) ; s(b) :- p(a).",
+        [],
+        0,
+    ),
+    ("(c -> a) ; b.", [set()], 2),
 ]
 
 
@@ -436,13 +406,30 @@ def test_gz_upper_bound_lies_inside_the_support_fixpoint_and_closed_leaves_are_m
 
 
 @pytest.mark.parametrize(
-    "text, models, leaves", DISJUNCTIVE, ids=["one", "seven", "aggregate", "chained", "supported"]
+    "text, models, leaves",
+    DISJUNCTIVE,
+    ids=["one", "seven", "aggregate", "chained", "supported", "dead-chains", "nested"],
 )
 def test_gz_upper_bound_holds_no_atom_that_only_a_body_reads(text, models, leaves):
     with counted_leaves() as counted:
         assert _gz(text, GENERATOR_BOUNDS) == models
     assert counted.total() == leaves
     assert _gz_checked(text, GENERATOR_BOUNDS) == models
+
+
+# The sum of p(a) is undefined, so the rule's body holds at no value of
+# X: propagation drops it at the root, and the search is exact.
+SELF_SUM = "p(a). p(X) :- sum{V : p(V)} = X."
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_rule_whose_body_cannot_hold_leaves_the_search_exact(engine):
+    theory = parse_program(SELF_SUM)
+    with counted_leaves() as counted:
+        models = _models(engine(theory, GENERATOR_BOUNDS))
+    assert counted == Counter({True: 1})
+    assert [getattr(m, "atoms", m) for m in models] == [{atom("p", "a")}]
+    assert _models(engine(theory, GENERATOR_BOUNDS, full_checks=True)) == models
 
 
 def test_gz_builds_no_viability_fixpoint(monkeypatch):
@@ -657,15 +644,6 @@ def test_a_declared_function_keeps_every_leaf_checked():
     ]
 
 
-# The count rule's reduct changes between leaves only through the
-# members of its set term, so a GZ check that kept it from an earlier
-# leaf would lose models.
-MEMBER_READS = (
-    "a(X) :- d(X), not b(X). b(X) :- d(X), not a(X). d(1). d(2). d(3). "
-    "c :- count{X : a(X)} >= 2. :- c, b(1)."
-)
-
-
 # Two declared-function choices: four models over the same atoms, told
 # apart only by their function facts.
 FUNCTION_CHOICE = (
@@ -701,18 +679,9 @@ def test_models_come_in_canonical_order():
     assert len(_eq(FUNCTION_CHOICE, FIXED_BOUNDS)) == 4
 
 
-def test_memoized_leaf_checks_match_plain_on_fixed_programs():
-    gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
-    _compare(gz_programs, (_gz_checked,), FIXED_BOUNDS, fresh_rule_views)
-    _compare([MEMBER_READS], (_gz_checked,), ZERO_RANK_BOUNDS, fresh_rule_views)
-    # every choice but the one with a(2), a(3) and b(1)
-    assert len(_eq(MEMBER_READS, ZERO_RANK_BOUNDS)) == len(_gz(MEMBER_READS, ZERO_RANK_BOUNDS)) == 7
-
-
 def test_restricted_search_matches_whole_on_generated_gz_programs():
     programs = _generated(random_gz_program, 22)
     _compare(programs, (_eq,), GENERATOR_BOUNDS, unrestricted_search)
-    _compare(programs, (_gz,), GENERATOR_BOUNDS, unfiltered_gz_search)
 
 
 def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
@@ -722,8 +691,6 @@ def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
 
 def test_restricted_search_matches_whole_on_fixed_programs():
     _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, unrestricted_search)
-    gz_programs = [t for t in FALLBACK + FAST if gz.is_gz_theory(parse_program(t))[0]]
-    _compare(gz_programs, (_gz,), FIXED_BOUNDS, unfiltered_gz_search)
 
 
 def test_p1_search_keeps_only_what_the_upper_bound_reaches():
@@ -1593,12 +1560,14 @@ def _search_work(engine, n):
 @pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
 def test_search_work_grows_with_atoms_and_formulas_not_leaves(engine):
     # even_choice(n) has 3n atoms, 3n ground formulas and 2^n leaves; the
-    # numbering sorts the atoms once, and each formula is classified once
-    # per search, as are the 3n + 1 distinct reducts that GZ's take
+    # numbering sorts the atoms once, and the equilibrium engine
+    # classifies each formula once per search (GZ classifies each leaf's
+    # reduct anew)
     for n in (6, 8, 10):
         counts = _search_work(engine, n)
         assert counts["atom_key"] <= 3 * n
-        assert counts["place"] <= 6 * n + 1
+        if engine is find_stable_models:
+            assert counts["place"] <= 6 * n + 1
 
 
 # perfbench's ``sets`` twin for the constants 1 and 2
@@ -1820,6 +1789,21 @@ def test_rules_and_constraints_join_components(engine, text, models, parts):
     answer, counts = _components(engine, text, ints(4))
     assert len(answer) == models
     assert counts == [parts]
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_one_component_yields_its_leaves_in_search_order(engine):
+    # the joined loops: a(0) decided first, out before in, then a(1)
+    answer, tested = _leaves(engine, even_choice(2) + " :- a(0), a(1).", ints(4))
+    ds = {atom("d", 0), atom("d", 1)}
+    assert tested == [
+        ds | {atom("b", 0), atom("b", 1)},
+        ds | {atom("a", 1), atom("b", 0)},
+        ds | {atom("a", 0), atom("b", 1)},
+    ]
+    assert [getattr(m, "atoms", m) for m in _models(answer)] == sorted(
+        tested, key=lambda m: sorted(map(atom_key, m))
+    )
 
 
 def twin_chains(n):
