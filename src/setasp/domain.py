@@ -53,7 +53,9 @@ class DomainBounds:
     ``domain_cap`` bounds the base values when the domain is built, and the
     whole domain, set layers included, only when something enumerates it.
     ``atom_cap`` bounds the atoms the stable-model search decides on one
-    branch, not the number of undecided atoms.  ``instance_cap`` bounds the
+    branch of each part of a program that shares no atom with the rest,
+    and, as a power of 2, the leaves the parts combine into; not the
+    number of undecided atoms.  ``instance_cap`` bounds the
     substitutions that one formula or set term enumerates, counting only
     those a grounding actually makes, not the domain size to the power of
     the variables; the full grounding counts each value it tries for a

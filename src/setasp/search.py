@@ -13,7 +13,10 @@ tightens both bounds after each decision.  Atoms that no rule or
 constraint joins fall into components that are searched one at a time,
 and the leaves are every combination of one leaf of each: a stable model
 of parts that share no atom is one stable model of each part, taken
-together.  Propagation only ever drops candidates that cannot be stable.
+together.  So a part without a leaf ends the search, and ``atom_cap``
+bounds the decisions on one branch of a part and, as a power of 2, the
+leaves the parts combine into.  Propagation only ever drops candidates
+that cannot be stable.
 A leaf takes the engine's model and minimality checks unless the search
 is exact, which rules of plain atoms and their ``not`` make
 (``_Propagation``), and its bounds closed: such a leaf is a stable model
@@ -128,8 +131,11 @@ def branch_leaves(propagation):
     Each component of the undecided atoms (``_Propagation.components``),
     or all of them as one when no body reads any, is searched alone and
     its leaves collected; a leaf is the root lower bound plus one leaf of
-    each, closed when they all are.  ``atom_cap`` bounds the sum over
-    the components of the most decisions on one of their branches."""
+    each, closed when they all are.  A part without a leaf has no stable
+    model, so neither has the program, and the search ends there.
+    ``atom_cap`` bounds the decisions on one branch of each part
+    (``_depth_first``) and, as a power of 2, the leaves of the parts
+    searched so far multiplied together."""
     root = propagation.root
     if root is None:
         return
@@ -137,54 +143,48 @@ def branch_leaves(propagation):
     undecided = upper & ~lower
     order = [1 << i for i in propagation.by_key if undecided >> i & 1] if undecided else ()
     parts = propagation.components(undecided, order) if undecided & propagation.read else [undecided]
-    cap, used, unsearched, stop = propagation.universe.bounds.atom_cap, 0, undecided, len(order)
-    found = []  # each part's leaves, as its masks and whether they closed
+    cap, combined, found = propagation.universe.bounds.atom_cap, 1, []
     for part in parts:
         own = [atom for atom in order if atom & part]
-        leaves, (used, furthest) = _collected(
-            _depth_first(propagation, root, part, own, used, len(order))
-        )
-        found.append([(mask & part, closed) for mask, closed in leaves])
-        unsearched &= ~part
+        leaves = [(mask & part, closed) for mask, closed in _depth_first(propagation, root, part, own)]
         if not leaves:
-            # then no branch of one joint search decides an atom past the
-            # last this part decides, so only the atoms before it count
-            stop = min(stop, order.index(own[furthest]))
-        if stop < len(order) and used + (sum(order[:stop]) & unsearched).bit_count() <= cap:
             return
+        found.append(leaves)
+        combined *= len(leaves)
+        if combined > 1 << cap:
+            raise DomainLimitError(
+                f"{len(found)} parts of {len(order)} undecided atoms"
+                f" have more than 2^{cap} leaves together",
+                "atom_cap",
+            )
     for combination in product(*found):
         masks, closed = zip(*combination)
         yield propagation, sum(masks, lower), all(closed)
 
 
-def _depth_first(propagation, root, within, order, used, atoms):
+def _depth_first(propagation, root, within, order):
     """The leaves below the bounds ``root`` as ``(mask, closed)``, deciding
-    the atoms of the part ``within`` in ``order``.  It returns the most
-    decisions on one of its branches, counted on from ``used``, and raises
-    when they pass ``atom_cap`` (``atoms`` undecided in the whole search);
-    and the position in ``order`` of the last atom it decides."""
+    the atoms of the part ``within`` in ``order``; it raises when a branch
+    needs more than ``atom_cap`` decisions."""
     read, cap, exact = propagation.read, propagation.universe.bounds.atom_cap, propagation.exact
-    deepest, furthest = used, -1
-    stack = [(*root, used, 0)]  # and where in ``order`` the branch's undecided atoms start
+    stack = [(*root, 0, 0)]  # and where in ``order`` the branch's undecided atoms start
     while stack:
         lower, upper, depth, start = stack.pop()
         undecided = upper & ~lower & within
         # deciding an atom that no body reads tightens nothing else, so
         # once only such atoms are left, each subset of them is a leaf
-        reach = depth + (1 if undecided & read else undecided.bit_count())
-        if reach > cap:
+        if depth + (1 if undecided & read else undecided.bit_count()) > cap:
             raise DomainLimitError(
-                f"{atoms} undecided atoms need more than {cap} decisions on one branch",
+                f"{len(order)} undecided atoms need more than {cap} decisions on one branch",
                 "atom_cap",
             )
-        deepest = max(deepest, reach)
         if not undecided & read:
             closed = exact and not undecided
             yield from ((mask, closed) for mask in _subsets(lower, undecided))
             continue
         while not order[start] & undecided:
             start += 1
-        first, furthest = order[start], max(furthest, start)
+        first = order[start]
         if first & read:
             children = (
                 propagation.bounds(lower | first, upper),
@@ -195,17 +195,6 @@ def _depth_first(propagation, root, within, order, used, atoms):
         for child in children:
             if child is not None:
                 stack.append((*child, depth + 1, start + 1))
-    return deepest, furthest
-
-
-def _collected(leaves):
-    """The items of the generator ``leaves`` as a list, and what it returns."""
-    items = []
-    while True:
-        try:
-            items.append(next(leaves))
-        except StopIteration as stop:
-            return items, stop.value
 
 
 def _subsets(lower, undecided):

@@ -20,6 +20,8 @@ from setasp.interp import H, T, Assignment, HTInterpretation
 from setasp.solver import (
     atom_key,
     build_universe,
+    check_equilibrium,
+    find_stable_models,
     ground_theory,
     relevant_atoms,
     satisfies,
@@ -220,6 +222,34 @@ def test_gz_stable_models_of_p4(p4_theory):
 
 def test_gz_zero_threshold_has_no_stable_model():
     assert gz_stable_models(parse_program(COUNT0), BOUNDS) == []
+
+
+HEAD_COUNT = "count{V : p(V)} >= 1 :- q. q."
+HEAD_COUNT_MODELS = [
+    frozenset([atom("q"), atom("p", 0)]),
+    frozenset([atom("q"), atom("p", 0), atom("p", 1)]),
+]
+
+
+def test_both_checks_accept_models_of_a_count_in_a_head():
+    ground = gz_ground(HEAD_COUNT)
+    universe = ground.universe
+    for model in HEAD_COUNT_MODELS:
+        total = HTInterpretation.total(universe, Assignment(), model)
+        assert check_equilibrium(total, ground) == (True, None)
+        assert all(cl_satisfies(model, phi, universe) for phi in ground.formulas)
+        reduced = [reduct(phi, model, universe) for phi in ground.formulas]
+        assert not gz._smaller_model_search(model, reduced, universe)
+
+
+@pytest.mark.xfail(
+    strict=True, reason="no upper bound holds the members that a head aggregate can make true"
+)
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_both_engines_find_models_of_a_count_in_a_head(engine):
+    answer = engine(parse_program(HEAD_COUNT), BOUNDS)
+    found = [getattr(m, "atoms", m) for m in getattr(answer, "models", answer)]
+    assert all(model in found for model in HEAD_COUNT_MODELS)
 
 
 def test_non_gz_theory_is_refused(p1_theory):

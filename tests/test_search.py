@@ -1406,11 +1406,13 @@ def ints(n):
 
 @pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
 def test_atom_cap_counts_undecided_atoms(engine):
-    # nineteen loops need nineteen decisions on every branch
-    with pytest.raises(DomainLimitError) as err:
+    # nineteen loops of two leaves each combine into 2^19 leaves; the
+    # search exits once the root and each loop's two values are tightened
+    with counted_bounds() as calls, pytest.raises(DomainLimitError) as err:
         engine(parse_program(even_choice(19)), ints(19))
     assert err.value.bound == "atom_cap"
-    assert "38 undecided atoms need more than 18 decisions on one branch" in str(err.value)
+    assert "19 parts of 38 undecided atoms have more than 2^18 leaves" in str(err.value)
+    assert len(calls) <= 2 * 19 + 1
 
 
 def _leaves(engine, text, bounds):
@@ -1723,8 +1725,9 @@ def _components(engine, text, bounds):
     return _models(answer), counts
 
 
-def _bounds_calls(engine, text, bounds):
-    """The answer of ``engine`` and how many ``bounds`` calls it made."""
+@contextmanager
+def counted_bounds():
+    """The lower bounds of the ``bounds`` calls made inside, one per call."""
     calls = []
 
     def counted(propagation, lower, upper, original=search._Propagation.bounds):
@@ -1733,6 +1736,12 @@ def _bounds_calls(engine, text, bounds):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(search._Propagation, "bounds", counted)
+        yield calls
+
+
+def _bounds_calls(engine, text, bounds):
+    """The answer of ``engine`` and how many ``bounds`` calls it made."""
+    with counted_bounds() as calls:
         answer = engine(parse_program(text), bounds)
     return _models(answer), len(calls)
 
@@ -1821,38 +1830,67 @@ def twin_chains(n):
 
 @pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
 def test_atom_cap_counts_the_decisions_of_every_component(engine):
-    # each component takes 5 decisions, under the cap of 9, but one branch
-    # of the whole search takes 10, as one joint search does
+    # each component takes 5 decisions, under the cap of 9, but their
+    # 31 x 31 leaves pass 2^9, and one branch of one joint search takes 10
     theory, bounds = parse_program(twin_chains(5)), ints(5).with_(atom_cap=9)
-    for search_kind in (nullcontext, joint_search):
+    for search_kind, message in (
+        (nullcontext, "2 parts of 20 undecided atoms have more than 2^9 leaves"),
+        (joint_search, "20 undecided atoms need more than 9 decisions on one branch"),
+    ):
         with search_kind(), pytest.raises(DomainLimitError) as err:
             engine(theory, bounds)
         assert err.value.bound == "atom_cap"
-        assert "20 undecided atoms need more than 9 decisions on one branch" in str(err.value)
+        assert message in str(err.value)
     answer, counts = _components(engine, twin_chains(5), ints(5).with_(atom_cap=10))
     assert len(answer) == 31 * 31 and counts == [2]
 
 
+def forced_loops(n):
+    """``n`` even loops ``a``/``b`` and ``n`` more ``x``/``y``, each held
+    by a constraint on its ``b`` (or ``y``): ``2n`` components of one
+    decision and one leaf each, and one model."""
+    forced = " ".join(f":- b({i}). :- y({i})." for i in range(n))
+    return even_choice(n) + " x(X) :- d(X), not y(X). y(X) :- d(X), not x(X). " + forced
+
+
 @pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
-def test_a_component_without_leaves_counts_only_what_one_search_reaches(engine):
-    # nineteen loops x/y pass the cap, as in one joint search, when the
-    # core comes after them in atom order, or when its atoms c and z
-    # come around them and the core decides z; when the core ends at its
-    # first decision, c, both searches stop before deciding any loop
+def test_atom_cap_bounds_each_component_not_their_sum(engine):
+    # twenty components of one decision each; one joint search takes
+    # twenty decisions on its one branch
+    answer, counts = _components(engine, forced_loops(10), ints(10))
+    assert len(answer) == 1 and counts == [20]
+    with joint_search(), pytest.raises(DomainLimitError) as err:
+        engine(parse_program(forced_loops(10)), ints(10))
+    assert "40 undecided atoms need more than 18 decisions on one branch" in str(err.value)
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_part_without_leaves_ends_the_split_search(engine):
+    # a core without a leaf that comes first in atom order (its atoms c
+    # and z around the nineteen loops x/y) ends the split search before
+    # any loop is searched; one joint search passes the cap when it must
+    # decide z below the loops.  The core after the loops comes too late:
+    # their leaves pass 2^18 first.  A core that ends at its first
+    # decision, c, ends both searches.
     loops = even_choice(19).replace("a(", "x(").replace("b(", "y(")
-    raising = [
-        core(19),
+    around = (
         loops + " c :- not cc. cc :- not c. z :- not zz. zz :- not z."
-        " :- c, z. :- c, not z. :- not c, z. :- not c, not z.",
-    ]
+        " :- c, z. :- c, not z. :- not c, z. :- not c, not z."
+    )
     ending = [
         loops + " c :- not e. e :- not c. :- c. :- e.",
         loops + " c :- not z. z :- not c. :- c. :- z.",
     ]
+    with counted_bounds() as calls:
+        assert _models(engine(parse_program(around), ints(19))) == []
+    assert len(calls) < 19  # no loop is searched
+    with pytest.raises(DomainLimitError, match="19 parts of 40 undecided atoms have more than 2"):
+        engine(parse_program(core(19)), ints(19))
     for search_kind in (nullcontext, joint_search):
         with search_kind():
-            for text in raising:
-                with pytest.raises(DomainLimitError, match="undecided atoms need more than 18"):
-                    engine(parse_program(text), ints(19))
             for text in ending:
                 assert _models(engine(parse_program(text), ints(19))) == []
+    with joint_search():
+        for text in (around, core(19)):
+            with pytest.raises(DomainLimitError, match="undecided atoms need more than 18"):
+                engine(parse_program(text), ints(19))
