@@ -126,6 +126,8 @@ def _sigma_json(sigma):
 
 
 def _cmd_solve(args):
+    if args.show_sigma and args.mode == "gz":
+        raise SetAspError("--show-sigma prints witnesses, which --mode gz has none of")
     theory = _read_theory(args.input)
     bounds = _bounds_from(args)
     results = {}
@@ -203,6 +205,8 @@ def _cmd_ground(args):
 
 def _cmd_cross_check(args):
     if args.input is not None:
+        if args.trials is not None or args.seed is not None:
+            raise SetAspError("--trials and --seed generate programs; give them without FILE")
         theory = _read_theory(args.input)
         result = cross_check(theory, _bounds_from(args))
         if args.json:
@@ -212,7 +216,8 @@ def _cmd_cross_check(args):
             print(f"equilibrium models: {[_model_lines(m) for m in result.eq_models]}")
             print("AGREE" if result.agree else "DISAGREE")
         return 0 if result.agree else 1
-    report = differential_trials(args.trials, args.seed, _bounds_from(args, GENERATOR_BOUNDS))
+    trials, seed = 100 if args.trials is None else args.trials, args.seed or 0
+    report = differential_trials(trials, seed, _bounds_from(args, GENERATOR_BOUNDS))
     if args.json:
         print(json.dumps({"command": "cross-check", **report}, sort_keys=True))
     else:
@@ -286,8 +291,8 @@ def build_arg_parser():
 
     cc = sub.add_parser("cross-check", help="compare the two semantics")
     cc.add_argument("input", nargs="?", default=None, help="program file (omit to generate)")
-    cc.add_argument("--trials", type=_count, default=100, help="number of generated programs")
-    cc.add_argument("--seed", type=int, default=0)
+    cc.add_argument("--trials", type=_count, help="number of generated programs (default 100)")
+    cc.add_argument("--seed", type=int, help="generator seed (default 0)")
     cc.add_argument("--json", action="store_true")
     _add_bounds_flags(cc)
     cc.set_defaults(run=_cmd_cross_check)

@@ -8,22 +8,24 @@ ground theory restricted to what its support fixpoint can reach
 upper bound of its root bounds is GZ's upper bound.  Propagation
 tightens the bounds from the facts and its numbered atoms once, at the
 root, and drops every rule and constraint whose body cannot hold under
-them; ``branch_leaves`` then decides one undecided atom at a time and
-tightens both bounds after each decision.  Atoms that no rule or
-constraint joins fall into components that are searched one at a time,
-and the leaves are every combination of one leaf of each: a stable model
-of parts that share no atom is one stable model of each part, taken
-together.  So a part without a leaf ends the search, and ``atom_cap``
-bounds the decisions on one branch of a part and, as a power of 2, the
-leaves the parts combine into.  Propagation only ever drops candidates
-that cannot be stable.
+them; ``branch_leaves`` then decides one undecided atom that some body
+reads at a time and tightens both bounds after each decision.  Deciding
+an atom that no body reads tightens nothing, so the search never branches
+on one: each subset of those the bounds leave undecided makes a leaf.
+Atoms that no rule or constraint joins fall into components that are
+searched one at a time, and the leaves are every combination of one leaf
+of each: a stable model of parts that share no atom is one stable model
+of each part, taken together.  So a part without a leaf ends the
+search, and ``atom_cap`` bounds the decisions on one branch of a part
+and, as a power of 2, the leaves the parts combine into.  Propagation
+only ever drops candidates that cannot be stable.
 A leaf takes the engine's model and minimality checks unless the search
 is exact, which rules of plain atoms and their ``not`` make
 (``_Propagation``), and its bounds closed: such a leaf is a stable model
 in both engines, which the engine only builds.  A leaf is a bit mask
 over the numbered atoms (``_Numbering``) from its last decision to the
-end of its checks; the atoms are sorted by ``atom_key`` once per search,
-and only when it can have two leaves.
+end of its checks.  The atoms are numbered in ``atom_key`` order, the one
+order in which the search decides them and sorts its models.
 
 A rule body or constraint compiles to bit masks of its static atoms and
 negated static atoms, plus one test per comparison of an aggregate of a
@@ -37,7 +39,6 @@ whose head is in the value must hold, and every other member must fail.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cached_property
 from itertools import compress, count, product
 
 from .errors import DomainLimitError
@@ -95,8 +96,7 @@ def search_stable(propagation, stable_in, accept=None) -> list:
         for funcs, model in stable(numbering.atoms(mask)):
             facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
             found[mask, tuple(facts)] = model
-    keys = sorted(found, key=lambda k: (numbering.key(k[0]), k[1])) if len(found) > 1 else found
-    return [found[key] for key in keys]
+    return [found[key] for key in sorted(found, key=lambda k: (numbering.key(k[0]), k[1]))]
 
 
 def search_theory(ground, possible):
@@ -121,12 +121,13 @@ def search_theory(ground, possible):
 def branch_leaves(propagation):
     """The there-worlds the search tests, each as ``(numbering, mask,
     closed)``: the leaves of a depth-first search below the root bounds
-    of ``propagation`` that decides one undecided atom at a time, in
-    ``atom_key`` order, and tightens both bounds after each decision
-    (``_Propagation.bounds``), cutting a branch whose bounds conflict.  A
-    leaf is ``closed`` when the search is exact (``_Propagation.exact``)
-    and its last ``bounds`` call left no atom undecided: it is then a
-    stable model in both engines.
+    of ``propagation`` that decides one undecided atom that some body
+    reads at a time, the lowest numbered (``_Numbering``) first, and
+    tightens both bounds after each decision (``_Propagation.bounds``),
+    cutting a branch whose bounds conflict.  A leaf is ``closed`` when
+    the search is exact (``_Propagation.exact``) and its last ``bounds``
+    call left no atom undecided: it is then a stable model in both
+    engines.
 
     Each component of the undecided atoms (``_Propagation.components``),
     or all of them as one when no body reads any, is searched alone and
@@ -141,19 +142,17 @@ def branch_leaves(propagation):
         return
     lower, upper = root
     undecided = upper & ~lower
-    order = [1 << i for i in propagation.by_key if undecided >> i & 1] if undecided else ()
-    parts = propagation.components(undecided, order) if undecided & propagation.read else [undecided]
+    parts = propagation.components(undecided) if undecided & propagation.read else [undecided]
     cap, combined, found = propagation.universe.bounds.atom_cap, 1, []
     for part in parts:
-        own = [atom for atom in order if atom & part]
-        leaves = [(mask & part, closed) for mask, closed in _depth_first(propagation, root, part, own)]
+        leaves = [(mask & part, closed) for mask, closed in _depth_first(propagation, root, part)]
         if not leaves:
             return
         found.append(leaves)
         combined *= len(leaves)
         if combined > 1 << cap:
             raise DomainLimitError(
-                f"{len(found)} parts of {len(order)} undecided atoms"
+                f"{len(found)} parts of {undecided.bit_count()} undecided atoms"
                 f" have more than 2^{cap} leaves together",
                 "atom_cap",
             )
@@ -162,39 +161,34 @@ def branch_leaves(propagation):
         yield propagation, sum(masks, lower), all(closed)
 
 
-def _depth_first(propagation, root, within, order):
+def _depth_first(propagation, root, within):
     """The leaves below the bounds ``root`` as ``(mask, closed)``, deciding
-    the atoms of the part ``within`` in ``order``; it raises when a branch
-    needs more than ``atom_cap`` decisions."""
+    the lowest undecided atom of the part ``within`` that some body reads;
+    it raises when a branch needs more than ``atom_cap`` decisions."""
     read, cap, exact = propagation.read, propagation.universe.bounds.atom_cap, propagation.exact
-    stack = [(*root, 0, 0)]  # and where in ``order`` the branch's undecided atoms start
+    stack = [(*root, 0)]
     while stack:
-        lower, upper, depth, start = stack.pop()
+        lower, upper, depth = stack.pop()
         undecided = upper & ~lower & within
+        pick = undecided & read
         # deciding an atom that no body reads tightens nothing else, so
         # once only such atoms are left, each subset of them is a leaf
-        if depth + (1 if undecided & read else undecided.bit_count()) > cap:
+        if depth + (1 if pick else undecided.bit_count()) > cap:
             raise DomainLimitError(
-                f"{len(order)} undecided atoms need more than {cap} decisions on one branch",
+                f"{within.bit_count()} undecided atoms need more than {cap} decisions on one branch",
                 "atom_cap",
             )
-        if not undecided & read:
+        if not pick:
             closed = exact and not undecided
             yield from ((mask, closed) for mask in _subsets(lower, undecided))
             continue
-        while not order[start] & undecided:
-            start += 1
-        first = order[start]
-        if first & read:
-            children = (
-                propagation.bounds(lower | first, upper),
-                propagation.bounds(lower, upper & ~first),
-            )
-        else:
-            children = ((lower | first, upper), (lower, upper & ~first))
-        for child in children:
+        first = pick & -pick
+        for child in (
+            propagation.bounds(lower | first, upper),
+            propagation.bounds(lower, upper & ~first),
+        ):
             if child is not None:
-                stack.append((*child, depth + 1, start + 1))
+                stack.append((*child, depth + 1))
 
 
 def _subsets(lower, undecided):
@@ -216,25 +210,19 @@ def _digits(mask):
 
 
 class _Numbering:
-    """The atoms of a search as the bits of an ``int``; one bit past them
-    stands for every atom outside."""
+    """The atoms of a search as the bits of an ``int``, bit ``i`` the atom
+    of rank ``i`` in ``atom_key`` order; one bit past them stands for every
+    atom outside."""
 
     def __init__(self, atoms):
-        self.order = tuple(atoms)
+        self.order = tuple(sorted(atoms, key=atom_key))
         self.bits = {a: 1 << i for i, a in enumerate(self.order)}
         self.outside = 1 << len(self.order)
 
-    @cached_property
-    def by_key(self):
-        """The bit positions in the ``atom_key`` order of their atoms,
-        sorted when first read, so that a search with one leaf never is."""
-        return sorted(range(len(self.order)), key=lambda i: atom_key(self.order[i]))
-
     def key(self, mask):
-        """The ranks in ``by_key`` of the atoms of ``mask``, ascending:
-        masks sort by them as their atoms' sorted ``atom_key`` tuples do."""
-        digits = _digits(mask).ljust(len(self.order), b"\0")
-        return tuple(compress(count(), [digits[i] for i in self.by_key]))
+        """The bits of ``mask``, ascending: masks sort by them as their
+        atoms' sorted ``atom_key`` tuples do."""
+        return tuple(compress(count(), _digits(mask)))
 
     def mask(self, atoms):
         out = 0
@@ -499,9 +487,9 @@ class _Propagation(_Numbering):
         members = self._members[iset] = tuple(members)
         return members
 
-    def components(self, undecided, order):
+    def components(self, undecided):
         """The ``undecided`` atoms split into the masks of their components,
-        in the ``order`` of their first atoms: two atoms share one when a
+        in the order of their lowest atoms: two atoms share one when a
         rule (heads included) or constraint mentions both (``_mentioned``).
         Then ``bounds`` on a decision inside one component leaves every
         other as it was: no rule or constraint that reads or derives its
@@ -527,9 +515,11 @@ class _Propagation(_Numbering):
                         parent[other] = first
                     mask ^= atom
         parts = {}
-        for atom in order:
+        while undecided:
+            atom = undecided & -undecided
             root = find(atom)
             parts[root] = parts.get(root, 0) | atom
+            undecided ^= atom
         return list(parts.values())
 
     def bounds(self, lower, upper):

@@ -120,6 +120,27 @@ def test_generated_cross_check_reads_the_bound_flags(capsys, monkeypatch):
     assert json.loads(out) == {"command": "cross-check", **expected}
 
 
+@pytest.mark.parametrize(
+    "flags", [["--trials", "7"], ["--seed", "1"], ["--trials", "7", "--seed", "1"]]
+)
+def test_cross_check_on_file_rejects_the_generator_flags(capsys, flags):
+    code, out, err = run(capsys, "cross-check", str(PROGRAMS / "p4.lp"), *flags)
+    assert code == 2
+    assert out == ""
+    assert "--trials and --seed" in err
+
+
+def test_show_sigma_needs_the_equilibrium_engine(capsys):
+    argv = ["solve", str(PROGRAMS / "p4.lp"), "--max-int", "3", "--show-sigma"]
+    code, out, err = run(capsys, *argv, "--mode", "gz")
+    assert code == 2
+    assert out == ""
+    assert "--show-sigma" in err
+    code, out, _ = run(capsys, *argv, "--mode", "both")
+    assert code == 0
+    assert "  sigma({X : p(X), X != a}) = {b}" in out
+
+
 def test_transform_takes_no_bound_flags(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["transform", str(PROGRAMS / "p2.lp"), "--max-int", "3"])

@@ -13,12 +13,16 @@ semi-naive fixpoint against one naive round, and the full grounding's
 guarded enumeration against every substitution."""
 
 import itertools
+import os
 import random
 import re
+import subprocess
+import sys
 import time
 from collections import Counter
 from contextlib import contextmanager, nullcontext
 from functools import cache, partial
+from pathlib import Path
 
 import pytest
 
@@ -172,7 +176,7 @@ def joint_search():
     """One depth-first search over every undecided atom, instead of one
     per component of the program."""
     with pytest.MonkeyPatch.context() as patch:
-        whole = lambda propagation, undecided, order: [undecided]  # noqa: E731
+        whole = lambda propagation, undecided: [undecided]  # noqa: E731
         patch.setattr(search._Propagation, "components", whole)
         yield
 
@@ -1687,8 +1691,8 @@ def recorded_components():
     """How many components each search that reached the split found."""
     counts = []
 
-    def recorded(propagation, undecided, order, original=search._Propagation.components):
-        parts = original(propagation, undecided, order)
+    def recorded(propagation, undecided, original=search._Propagation.components):
+        parts = original(propagation, undecided)
         counts.append(len(parts))
         return parts
 
@@ -1813,6 +1817,46 @@ def test_one_component_yields_its_leaves_in_search_order(engine):
     assert [getattr(m, "atoms", m) for m in _models(answer)] == sorted(
         tested, key=lambda m: sorted(map(atom_key, m))
     )
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_only_atoms_a_body_reads_are_branched_on(engine):
+    # ``a`` is undecided at the root but no body reads it: the root, then
+    # both values of ``p``, after each of which ``bounds`` decides ``a``
+    models, calls = _bounds_calls(engine, "a :- p. p :- not q. q :- not p.", ints(1))
+    assert len(models) == 2
+    assert calls == 3
+
+
+# Prints the leaves of the equilibrium engine's search on a program whose
+# two undecided atoms, q(2) and r(1), no body reads, so each subset of
+# them makes a leaf, in the order of their bits.
+_LEAF_SEQUENCE = """
+from setasp import DomainBounds, parse_program, search
+from setasp.solver import atom_key, find_stable_models, format_atom
+original = search.branch_leaves
+def printed(propagation):
+    for numbering, mask, closed in original(propagation):
+        atoms = sorted(numbering.atoms(mask), key=atom_key)
+        print("{" + ", ".join(map(format_atom, atoms)) + "}")
+        yield numbering, mask, closed
+search.branch_leaves = printed
+text = "r(2). q(2) :- not {X : q(X)} = {1}, not t. r(1) :- not {X : r(X), not t} = {}."
+find_stable_models(parse_program(text), DomainBounds(int_min=1, int_max=2, max_herbrand_depth=0))
+"""
+
+
+def test_leaf_sequence_does_not_depend_on_the_hash_seed():
+    src = Path(__file__).resolve().parent.parent / "src"
+    printed = {
+        subprocess.run(
+            [sys.executable, "-c", _LEAF_SEQUENCE],
+            env={**os.environ, "PYTHONPATH": str(src), "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("0", "1")
+    }
+    assert printed == {"{q(2), r(1), r(2)}\n{r(1), r(2)}\n{q(2), r(2)}\n{r(2)}\n"}
 
 
 def twin_chains(n):
