@@ -249,8 +249,11 @@ def _cmd_transform(args):
 
 
 def _cmd_check_props(args):
+    if args.suite == "aggregates" and (args.trials is not None or args.seed is not None):
+        raise SetAspError("--trials and --seed do not apply to --suite aggregates")
     names = list(checks.ALL_SUITES) if args.suite == "all" else [args.suite]
-    outcome = checks.run_suites(names, trials=args.trials, seed=args.seed)
+    trials, seed = 1000 if args.trials is None else args.trials, args.seed or 0
+    outcome = checks.run_suites(names, trials=trials, seed=seed)
     failed = False
     payload = {}
     for name, (checked, violations) in outcome.items():
@@ -308,8 +311,8 @@ def build_arg_parser():
         choices=["all"] + sorted(checks.ALL_SUITES),
         default="all",
     )
-    props.add_argument("--trials", type=_count, default=1000)
-    props.add_argument("--seed", type=int, default=0)
+    props.add_argument("--trials", type=_count, help="trials per generated suite (default 1000)")
+    props.add_argument("--seed", type=int, help="generator seed (default 0)")
     props.add_argument("--json", action="store_true")
     props.set_defaults(run=_cmd_check_props)
     return parser

@@ -73,13 +73,11 @@ class GroundTheory:
     formulas: tuple
     provenance: dict
 
-    def __iter__(self):
-        return iter(self.formulas)
-
-    @cached_property
+    @property
     def facts(self):
-        """The ground atoms among the formulas; built once."""
-        return frozenset({static_atom(g, self.universe) for g in self.formulas} - {None})
+        """The atoms of the formulas that are conjunctions of atoms, as the
+        rule view reads them (``rules``)."""
+        return self.rules.facts
 
     @cached_property
     def rules(self):
@@ -340,8 +338,9 @@ class _Viability:
 
         The caches are emptied at the start of each round.  The last
         round adds no atom and judges only the pending bodies; later
-        queries, such as ``search_theory`` asking about the rest, are
-        answered on demand against the final atoms."""
+        queries, such as the formulas ``search.search_theory`` keeps and
+        the set-term instances ``solver._declared_applications`` scans,
+        are answered on demand against the final atoms."""
         pending = ()
         while True:
             self._values.clear()

@@ -132,22 +132,6 @@ class Universe:
             self.register_intsets(body)
         return out
 
-    def restricted(self, possible):
-        """A copy whose set terms instantiated so far keep only the
-        candidates whose body passes ``possible``.  Signature, bounds,
-        domain, quantifier instances and the registered set terms are
-        shared; a set term not instantiated yet is built in full on
-        demand."""
-        copy = Universe(self.signature, self.bounds, self.domain)
-        copy.atom_keys = self.atom_keys
-        copy._quant_cache = self._quant_cache
-        copy.intsets = self.intsets
-        copy._intset_cache = {
-            iset: tuple(c for c in candidates if possible(c[1]))
-            for iset, candidates in self._intset_cache.items()
-        }
-        return copy
-
 
 class Assignment:
     """Finite map realization of an assignment.

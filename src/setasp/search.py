@@ -8,10 +8,11 @@ ground theory restricted to what its support fixpoint can reach
 upper bound of its root bounds is GZ's upper bound.  Propagation
 tightens the bounds from the facts and its numbered atoms once, at the
 root, and drops every rule and constraint whose body cannot hold under
-them; ``branch_leaves`` then decides one undecided atom that some body
-reads at a time and tightens both bounds after each decision.  Deciding
-an atom that no body reads tightens nothing, so the search never branches
-on one: each subset of those the bounds leave undecided makes a leaf.
+them; ``branch_leaves`` then decides one undecided atom that some kept
+body reads at a time and tightens both bounds after each decision.
+Deciding an atom that no kept body reads tightens nothing, so the search
+never branches on one: each subset of those the bounds leave undecided
+makes a leaf.
 Atoms that no rule or constraint joins fall into components that are
 searched one at a time, and the leaves are every combination of one leaf
 of each: a stable model of parts that share no atom is one stable model
@@ -39,7 +40,9 @@ whose head is in the value must hold, and every other member must fail.
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import reduce
 from itertools import compress, count, product
+from operator import or_
 
 from .errors import DomainLimitError
 from .ground import _bit_values, aggregate_values, member_weight, simplify
@@ -107,15 +110,14 @@ def search_theory(ground, possible):
     of some candidate inside the engine's upper bound.  A formula ``B ->
     X`` whose body fails that test is satisfied at both worlds of every
     candidate, since a body false at the there-world is false at every
-    here-world below it, so it is dropped, constraints included.  The
-    same argument drops a set-term candidate whose body cannot hold: it
-    never contributes a member.  Atoms, bounds and registered set terms
-    are shared, so models and witnesses stay those of ``ground``.
+    here-world below it, so it is dropped, constraints included.  Nothing
+    else changes: the universe, and so every set term's instances, is
+    that of ``ground``, so models and witnesses stay those of ``ground``.
     """
     formulas = tuple(
         phi for phi in ground.formulas if not isinstance(phi, Implies) or possible(phi.left)
     )
-    return replace(ground, universe=ground.universe.restricted(possible), formulas=formulas)
+    return replace(ground, formulas=formulas)
 
 
 def branch_leaves(propagation):
@@ -252,7 +254,9 @@ class _Propagation(_Numbering):
     constraint whose body cannot hold under the root bounds is dropped:
     the bounds below the root only tighten, so such a body never holds
     in a world the search reaches, and its formula is satisfied at both
-    worlds of every leaf.
+    worlds of every leaf.  ``read`` holds the atoms that the kept rules
+    and constraints mention (``_mentioned``): deciding any other atom
+    tightens nothing.
 
     Without ``upper``, the numbered atoms first shrink to those that some
     chain of bodies that can hold supports (``_viable``), with the
@@ -284,7 +288,6 @@ class _Propagation(_Numbering):
             upper = view.facts.union(*consequents.values(), *(heads for _, heads in view.rules))
         super().__init__(upper)
         self.facts = self.mask(view.facts)
-        self.read = 0  # the atoms some body reads, filled in by _compile
         self._members = {}  # a set term -> its members (``_set_members``)
         rules = [(body, self.mask(heads)) for body, heads in view.rules]
         # a rule whose heads are all facts adds nothing and supports nothing
@@ -314,6 +317,7 @@ class _Propagation(_Numbering):
                 body for body in self.constraints if _entailed(body, upper, lower, False, upper)
             )
         bodies = (*(body for body, _ in self.rules), *self.constraints)
+        self.read = reduce(or_, map(_mentioned, bodies), 0)
         self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
             opaque or parts for _, _, opaque, parts in bodies
         )
@@ -327,11 +331,9 @@ class _Propagation(_Numbering):
         the mask, by the argument of ``bounds``: a formula whose
         antecedents cannot hold at the here-world inside it is satisfied
         there, and one whose antecedents can has its consequents inside
-        it.  The antecedents add nothing to ``read``, since no bounds call
-        after this one reads them."""
-        read, everything = self.read, self.outside - 1
+        it."""
+        everything = self.outside - 1
         supports = [(self._compile(conj(chain)), self.mask(heads)) for chain, heads in consequents.items()]
-        self.read = read
         viable = _grow(self.facts, (*self.rules, *supports), self.facts, False, everything)
         held = [_entailed(body, viable, self.facts, False, everything) for body, _ in supports]
         return viable, set(compress(consequents, held))
@@ -368,7 +370,6 @@ class _Propagation(_Numbering):
                     pos, neg = pos | masks[0], neg | masks[1]
                 else:
                     opaque = True
-        self.read |= pos | neg
         return pos, neg, opaque, tuple(parts)
 
     def _aggregate(self, part, negated):
@@ -467,7 +468,7 @@ class _Propagation(_Numbering):
         self._members[iset] = None  # until every member is read
         if any(isinstance(node, IntSet) for node in walk(iset) if node is not iset):
             return None
-        universe, read = self.universe, self.read
+        universe = self.universe
         members, heads = [], set()
         for head, body in universe.intset_candidates(iset):
             body = simplify(body, universe)
@@ -480,7 +481,6 @@ class _Propagation(_Numbering):
                 eval_term(universe.static, T, t) if _independent(t) else UNDEF for t in head
             )
             if opaque or parts or values in heads or any(v is UNDEF for v in values):
-                self.read = read
                 return None
             heads.add(values)
             members.append((pos, neg, values))

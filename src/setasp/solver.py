@@ -159,8 +159,9 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
     while pending := universe.intsets - scanned:
         for iset in pending:
             for head, body in universe.intset_candidates(iset):
-                for node in (*head, body):
-                    scan(node)
+                if viability.possibly_sat(body):
+                    for node in (*head, body):
+                        scan(node)
         scanned |= pending
     return sorted(apps, key=atom_key)
 

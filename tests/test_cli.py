@@ -189,6 +189,15 @@ def test_check_props_single_suite(capsys):
     assert "PASS" in out
 
 
+@pytest.mark.parametrize("flags", [["--trials", "3"], ["--seed", "5"]])
+def test_check_props_aggregates_rejects_the_generator_flags(capsys, flags):
+    # the aggregates suite walks a fixed table, so neither flag would change it
+    code, out, err = run(capsys, "check-props", "--suite", "aggregates", *flags)
+    assert code == 2
+    assert out == ""
+    assert "--trials and --seed" in err
+
+
 def test_parse_error_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.lp"
     bad.write_text("p(a")

@@ -183,8 +183,8 @@ def joint_search():
 
 @contextmanager
 def unrestricted_search():
-    """The equilibrium engine searches the whole ground theory and every
-    set-term candidate; GZ searches its full grounding either way."""
+    """The equilibrium engine searches the whole ground theory; GZ
+    searches its full grounding either way."""
     with pytest.MonkeyPatch.context() as patch:
         whole = lambda ground, possible: ground  # noqa: E731
         patch.setattr(solver, "search_theory", whole)
@@ -714,7 +714,7 @@ def test_p1_search_keeps_only_what_the_upper_bound_reaches():
         ((instances, restricted),) = searched
         assert len(instances.formulas) <= 11
         assert len(restricted.formulas) <= 11
-        assert restricted.universe.intsets is instances.universe.intsets
+        assert restricted.universe is instances.universe
         sizes = {str(s): len(c) for s, c in restricted.universe._intset_cache.items()}
         assert sizes == {"{X : r(X)}": 2, "{X : q(X)}": 2}
         # the set equalities propagate, so the root closes
@@ -1409,6 +1409,14 @@ def ints(n):
 
 
 @pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_falsum_formula_ends_the_search_before_it_starts(engine):
+    # the nineteen loops alone would exceed ``atom_cap`` (below), so only
+    # the falsum shortcut answers
+    answer = engine(parse_program(even_choice(19) + " :- #true."), ints(19))
+    assert _models(answer) == []
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
 def test_atom_cap_counts_undecided_atoms(engine):
     # nineteen loops of two leaves each combine into 2^19 leaves; the
     # search exits once the root and each loop's two values are tightened
@@ -1826,6 +1834,11 @@ def test_only_atoms_a_body_reads_are_branched_on(engine):
     models, calls = _bounds_calls(engine, "a :- p. p :- not q. q :- not p.", ints(1))
     assert len(models) == 2
     assert calls == 3
+    # only ``w :- u, t.`` reads ``u``, and the root drops it (``t`` has no
+    # support), so the root alone: each subset of ``u`` and ``v`` is a leaf
+    models, calls = _bounds_calls(engine, "u ; v.  w :- u, t.", ints(1))
+    assert len(models) == 2
+    assert calls == 1
 
 
 # Prints the leaves of the equilibrium engine's search on a program whose
