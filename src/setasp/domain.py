@@ -12,6 +12,11 @@ against a set-valued term.  ``full_domain`` replaces this demand-driven
 choice with the literal bounded universe at ``max_set_rank``.  The base is
 built eagerly; the set layers are counted and tested by structure, and
 enumerated only when something ranges over the whole domain.
+
+What the program adds, its written values and whether it needs the set
+layers, depends on no bound: ``Theory.domain_facts`` reads it once per
+parsed theory, so both engines solving one theory share that pass, and
+``build_active_domain`` adds only the bounded universe and the caps.
 """
 
 from __future__ import annotations
@@ -24,23 +29,7 @@ from dataclasses import dataclass, replace
 
 from .errors import BoundsError, DomainLimitError
 from .parser import Signature, Theory
-from .syntax import (
-    AGGREGATE_NAMES,
-    ARITH_OPS,
-    EApp,
-    Eq,
-    ExtSet,
-    HApp,
-    IntSet,
-    Num,
-    PredAtom,
-    RELATION_PREDS,
-    SET_OPS,
-    Val,
-    Var,
-    ground_constructor_value,
-    walk,
-)
+from .syntax import EApp, term_sort, walk
 from .values import EMPTY_SET, UNDEF, FinSet, HTerm, value_key
 
 
@@ -172,64 +161,10 @@ def build_domain_level(sig: Signature, bounds: DomainBounds, i: int):
 # Active domain
 
 
-def _value_components(v, out):
-    out.add(v)
-    if isinstance(v, HTerm):
-        for a in v.args:
-            _value_components(a, out)
-    elif isinstance(v, FinSet):
-        for t in v.tuples:
-            for e in t:
-                _value_components(e, out)
-
-
-def _term_sort(term, sig: Signature):
-    """Coarse value sort: 'int', 'herb', 'set' or 'any'."""
-    if isinstance(term, Num):
-        return "int"
-    if isinstance(term, Var):
-        return "any"
-    if isinstance(term, HApp):
-        return "herb"
-    if isinstance(term, (ExtSet, IntSet)):
-        return "set"
-    if isinstance(term, Val):
-        return "set" if isinstance(term.value, FinSet) else (
-            "int" if isinstance(term.value, int) else "herb"
-        )
-    if isinstance(term, EApp):
-        if term.name in ARITH_OPS or term.name in AGGREGATE_NAMES:
-            return "int"
-        if term.name in SET_OPS:
-            return "set"
-        ranges = sig.func_ranges.get(term.name, ())
-        return "set" if any(isinstance(v, FinSet) for v in ranges) else "herb"
-    raise TypeError(f"not a term: {term!r}")
-
-
 def needs_set_layer(theory: Theory):
-    """True when some quantified variable can meet a set-valued term.
-
-    Two triggers: an equality with a variable on one side and a set-sorted
-    term on the other, and a predicate position fed both by a variable and
-    by a set-sorted term.  Variables used purely as aggregate or membership
-    arguments do not trigger the layer; use ``full_domain`` to quantify
-    those over sets as well.
-    """
-    sig = theory.signature
-    position_sorts = {}
-    for phi in theory.formulas:
-        for node in walk(phi):
-            if isinstance(node, Eq):
-                pairs = ((node.left, node.right), (node.right, node.left))
-                for var_side, other in pairs:
-                    if isinstance(var_side, Var) and _term_sort(other, sig) == "set":
-                        return True
-            elif isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
-                for i, arg in enumerate(node.args):
-                    sort = "var" if isinstance(arg, Var) else _term_sort(arg, sig)
-                    position_sorts.setdefault((node.pred, i), set()).add(sort)
-    return any({"var", "set"} <= sorts for sorts in position_sorts.values())
+    """True when some quantified variable can meet a set-valued term, as
+    ``Theory.domain_facts`` reads it once per theory."""
+    return theory.domain_facts[1]
 
 
 def set_argument_functions(theory: Theory):
@@ -248,7 +183,7 @@ def set_argument_functions(theory: Theory):
             for node in walk(phi)
             if isinstance(node, EApp)
             and node.name in sig.func_ranges
-            and any(_term_sort(a, sig) == "set" for a in node.args)
+            and any(term_sort(a, sig.func_ranges) == "set" for a in node.args)
         }
     )
 
@@ -336,7 +271,7 @@ class ActiveDomain:
     @property
     def ints(self):
         """The integers of the domain, in order: every value that a term
-        ``_term_sort`` calls "int" can take, other than undefined."""
+        ``syntax.term_sort`` calls "int" can take, other than undefined."""
         if self._ints is None:
             self._ints = tuple(sorted(v for v in self._base if isinstance(v, int)))
         return self._ints
@@ -359,20 +294,13 @@ def build_active_domain(theory: Theory, bounds: DomainBounds) -> ActiveDomain:
 
     The base is the bounded integer/Herbrand universe, every ground
     constructor value written in the program, and the declared function
-    ranges (with their component values).
+    ranges (with their component values).  Only the bounded universe and
+    the caps are read here; the program's values and whether it needs the
+    set layers come from ``Theory.domain_facts``, read once per theory.
     """
-    base = set(_herbrand_terms(theory.signature, bounds))
-    for phi in theory.formulas:
-        for node in walk(phi):
-            if isinstance(node, (Num, HApp, ExtSet, Val)):
-                v = ground_constructor_value(node)
-                if v is not None:
-                    _value_components(v, base)
-    for values in theory.signature.func_ranges.values():
-        for v in values:
-            _value_components(v, base)
-
+    values, set_layer = theory.domain_facts
+    base = _herbrand_terms(theory.signature, bounds) | values
     if len(base) > bounds.domain_cap:
         raise DomainLimitError("active domain exceeds the domain cap", "domain_cap")
-    layered = bounds.full_domain or needs_set_layer(theory)
+    layered = bounds.full_domain or set_layer
     return ActiveDomain(base, bounds, bounds.max_set_rank if layered else 0)

@@ -21,15 +21,16 @@ values exactly; no support fixpoint of ``ground`` runs.  The shared
 candidate loop (``search.search_stable``) accepts a leaf that
 propagation closed in an exact search as it is, and calls back into
 ``cl_satisfies``, ``reduct`` and ``_has_smaller_model`` at every other
-leaf.  Ground atoms are read by ``interp.static_atom``, the reduct's
-least model is ``rules.least_model`` and constants fold by
-``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
+leaf, over the formulas that propagation kept
+(``search._Propagation.checked_formulas``).  Ground atoms are read by
+``interp.static_atom``, the reduct's least model is
+``rules.least_model`` and constants fold by ``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
 never the binding-driven one of ``instantiate``, so ``cross_check``
 still compares two instantiations, each with an upper bound of its own:
 the equilibrium engine's from the fixpoint it instantiates in, GZ's from
 propagation.  It runs both engines with ``full_checks``, so that a
 closed leaf, too, takes each engine's own checks and not one shared
-verdict.
+verdict, and GZ's checks read the whole grounding.
 """
 
 from __future__ import annotations
@@ -295,7 +296,10 @@ def _gz_relevant_atoms(propagation):
 def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks=False):
     """All stable models under the reduct semantics, canonically ordered.
     A leaf that the search closed is one (``search.branch_leaves``) and
-    takes no check, unless ``full_checks`` is set."""
+    takes no check, and the checks of the others read only the formulas
+    the search keeps (``search._Propagation.checked_formulas``), unless
+    ``full_checks`` is set: then every leaf is checked against the whole
+    grounding."""
     ok, reason = is_gz_theory(theory)
     if not ok:
         raise NotGZError(reason)
@@ -305,12 +309,16 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks
 
     def stable_in(search):
         universe = search.universe
+        # a formula left out is classically true at the leaf, and its
+        # reduct is verum (its body fails there) or holds wherever the facts
+        # do, so it changes neither check
+        formulas = search.formulas if full_checks else propagation.checked_formulas()
 
         def stable(there):
             memo = {}  # the aggregate values of this candidate
-            if not all(cl_satisfies(there, phi, universe, memo) for phi in search.formulas):
+            if not all(cl_satisfies(there, phi, universe, memo) for phi in formulas):
                 return
-            reduced = [reduct(phi, there, universe, memo) for phi in search.formulas]
+            reduced = [reduct(phi, there, universe, memo) for phi in formulas]
             if not _has_smaller_model(there, reduced, universe):
                 yield {}, there
 

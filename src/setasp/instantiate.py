@@ -8,7 +8,6 @@ makes is one that ``ground.ground_theory`` makes as well.
 
 from __future__ import annotations
 
-from .domain import _term_sort
 from .errors import DomainLimitError
 from .ground import _TOP_MARK, GroundTheory, _ranging, _text, _Viability, simplify
 from .interp import Universe
@@ -26,7 +25,9 @@ from .syntax import (
     Var,
     closure_prefix,
     free_vars,
+    nests_set,
     substitute,
+    term_sort,
     walk,
 )
 from .values import UNDEF, value_key
@@ -110,8 +111,7 @@ class _Instantiation(_Viability):
     def set_candidates(self, iset):
         planned = self._set_sources.get(iset)
         if planned is None:
-            nested = any(isinstance(n, IntSet) for n in walk(iset) if n is not iset)
-            planned = self._set_sources[iset] = (_Source(iset, iset.bound, iset.body), nested)
+            planned = self._set_sources[iset] = (_Source(iset, iset.bound, iset.body), nests_set(iset))
         source, nested = planned
         subs, whole = self._new_substitutions(source)
         if not subs and not whole:
@@ -215,7 +215,7 @@ class _Instantiation(_Viability):
                     # an integer-sorted term takes no set or Herbrand value
                     values = (
                         domain.ints
-                        if _term_sort(term, self.universe.signature) == "int"
+                        if term_sort(term, self.universe.signature.func_ranges) == "int"
                         else domain.values_for(lambda: _ranging((name,), source.subject))
                     )
                 else:

@@ -38,6 +38,7 @@ from .syntax import (
     _Bot,
     _Top,
     free_vars,
+    nests_set,
     pretty,
     substitute,
     walk,
@@ -109,10 +110,11 @@ class Universe:
             out.append((head, body))
         out = tuple(out)
         self._intset_cache[iset] = out
-        for head, body in out:
-            for t in head:
-                self.register_intsets(t)
-            self.register_intsets(body)
+        if nests_set(iset):  # else no instance holds a set term
+            for head, body in out:
+                for t in head:
+                    self.register_intsets(t)
+                self.register_intsets(body)
         return out
 
     def fix_candidates(self, iset: IntSet, candidates):

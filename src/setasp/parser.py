@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import ParseError, SignatureError
 from .syntax import (
@@ -42,6 +43,7 @@ from .syntax import (
     IntSet,
     Num,
     PredAtom,
+    Val,
     Var,
     forall,
     formula_statement,
@@ -49,9 +51,10 @@ from .syntax import (
     ground_constructor_value,
     map_terms,
     neg,
+    term_sort,
     walk,
 )
-from .values import FinSet, HTerm, format_value, value_key
+from .values import FinSet, HTerm, format_value, value_components, value_key
 
 _REL_TOKENS = RELATION_PREDS | {"="}
 # the operators of the table plus the rest of the punctuation, matched
@@ -142,6 +145,50 @@ class Theory:
 
     def replace_formulas(self, formulas):
         return Theory(self.signature, tuple(formulas), self.source)
+
+    @cached_property
+    def domain_facts(self):
+        """``(values, set_layer)``, the part of the active domain that no
+        bound changes (``_domain_facts``), read once per theory.  It is not
+        a field, so equality ignores it and a theory made from this one
+        (``replace_formulas``, ``dataclasses.replace``) reads its own."""
+        return _domain_facts(self)
+
+
+def _domain_facts(theory: Theory):
+    """``(values, set_layer)`` of ``theory``, in one pass over its formulas.
+
+    ``values`` holds every ground constructor value the program writes and
+    every value of a declared function range, with their component values.
+    ``set_layer`` says whether some quantified variable can meet a
+    set-valued term.  Two triggers: an equality with a variable on one side
+    and a set-sorted term on the other, and a predicate position fed both
+    by a variable and by a set-sorted term.  Variables used purely as
+    aggregate or membership arguments do not trigger the layer; use
+    ``full_domain`` to quantify those over sets as well.
+    """
+    ranges = theory.signature.func_ranges
+    values, position_sorts, set_layer = set(), {}, False
+    for phi in theory.formulas:
+        for node in walk(phi):
+            if isinstance(node, (Num, HApp, ExtSet, Val)):
+                v = ground_constructor_value(node)
+                if v is not None:
+                    value_components(v, values)
+            elif isinstance(node, Eq):
+                set_layer = set_layer or any(
+                    isinstance(var_side, Var) and term_sort(other, ranges) == "set"
+                    for var_side, other in ((node.left, node.right), (node.right, node.left))
+                )
+            elif isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
+                for i, arg in enumerate(node.args):
+                    sort = "var" if isinstance(arg, Var) else term_sort(arg, ranges)
+                    position_sorts.setdefault((node.pred, i), set()).add(sort)
+    for declared in ranges.values():
+        for v in declared:
+            value_components(v, values)
+    set_layer = set_layer or any({"var", "set"} <= sorts for sorts in position_sorts.values())
+    return frozenset(values), set_layer
 
 
 def theory_text(theory: Theory) -> str:

@@ -20,12 +20,13 @@ class RuleView:
     """Ground formulas read as rules ``body -> heads`` over atom keys.
 
     ``facts`` are the atoms of the formulas that are conjunctions of
-    atoms; ``rules`` holds ``(body, heads)`` for every formula ``body ->
-    heads`` whose head is such a conjunction; ``constraints`` holds the
-    body of every formula ``body -> bot``, and ``others`` every formula of
-    another shape.  ``exact`` holds when there are no others and every
-    rule body and constraint passes the engine's monotonicity test, so
-    that the least model of the rules decides minimality.
+    atoms; ``rules`` holds ``(body, heads, phi)`` for every formula ``phi``
+    that is ``body -> heads`` with a head that is such a conjunction;
+    ``constraints`` holds every formula ``body -> bot``, and ``others``
+    every formula of another shape.  ``exact`` holds when there are no
+    others and every rule body and constraint passes the engine's
+    monotonicity test, so that the least model of the rules decides
+    minimality.
     """
 
     facts: frozenset
@@ -69,9 +70,9 @@ def _place(phi, universe, monotone):
         return 3, heads, True
     if isinstance(phi, Implies) and phi.right == BOT:
         # a constraint is its body's negation, so it is tested whole
-        return 1, phi.left, monotone(phi)
+        return 1, phi, monotone(phi)
     if isinstance(phi, Implies) and (heads := _heads(phi.right, universe)) is not None:
-        return 0, (phi.left, heads), monotone(phi.left)
+        return 0, (phi.left, heads, phi), monotone(phi.left)
     return 2, phi, True
 
 

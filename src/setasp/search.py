@@ -68,6 +68,7 @@ from .syntax import (
     _Top,
     conj,
     ground_constructor_value,
+    nests_set,
     walk,
 )
 from .values import UNDEF, FinSet, value_key
@@ -254,7 +255,9 @@ class _Propagation(_Numbering):
     constraint whose body cannot hold under the root bounds is dropped:
     the bounds below the root only tighten, so such a body never holds
     in a world the search reaches, and its formula is satisfied at both
-    worlds of every leaf.  ``read`` holds the atoms that the kept rules
+    worlds of every leaf.  ``rules`` holds ``(body, heads, phi)`` and
+    ``constraints`` ``(body, phi)`` for each one kept, ``body`` compiled
+    and ``phi`` its formula.  ``read`` holds the atoms that the kept rules
     and constraints mention (``_mentioned``): deciding any other atom
     tightens nothing.
 
@@ -285,14 +288,16 @@ class _Propagation(_Numbering):
             chains = [tuple(_consequents(phi, self.universe)) for phi in view.others]
             for antecedents, atom in (pair for own in chains for pair in own):
                 consequents.setdefault(antecedents, set()).add(atom)
-            upper = view.facts.union(*consequents.values(), *(heads for _, heads in view.rules))
+            upper = view.facts.union(*consequents.values(), *(rule[1] for rule in view.rules))
         super().__init__(upper)
         self.facts = self.mask(view.facts)
         self._members = {}  # a set term -> its members (``_set_members``)
-        rules = [(body, self.mask(heads)) for body, heads in view.rules]
+        rules = [(body, self.mask(heads), phi) for body, heads, phi in view.rules]
         # a rule whose heads are all facts adds nothing and supports nothing
-        self.rules = tuple((self._compile(body), heads) for body, heads in rules if heads & ~self.facts)
-        self.constraints = tuple(self._compile(body) for body in view.constraints)
+        self.rules = tuple(
+            (self._compile(body), heads, phi) for body, heads, phi in rules if heads & ~self.facts
+        )
+        self.constraints = tuple((self._compile(phi.left), phi) for phi in view.constraints)
         viable, admitted = self._viable(consequents) if consequents else (self.outside - 1, set())
         others = view.others if chains is None else [
             phi for phi, own in zip(view.others, chains) if any(a in admitted for a, _ in own)
@@ -312,15 +317,26 @@ class _Propagation(_Numbering):
         self.root = self.bounds(self.facts, viable)
         if self.root is not None:
             lower, upper = self.root
-            self.rules = tuple(r for r in self.rules if _entailed(r[0], upper, lower, False, upper))
-            self.constraints = tuple(
-                body for body in self.constraints if _entailed(body, upper, lower, False, upper)
+            self.rules, self.constraints = (
+                tuple(r for r in placed if _entailed(r[0], upper, lower, False, upper))
+                for placed in (self.rules, self.constraints)
             )
-        bodies = (*(body for body, _ in self.rules), *self.constraints)
+        bodies = [placed[0] for placed in (*self.rules, *self.constraints)]
         self.read = reduce(or_, map(_mentioned, bodies), 0)
         self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
             opaque or parts for _, _, opaque, parts in bodies
         )
+
+    def checked_formulas(self):
+        """The formulas of the search theory, in its order, less the rules
+        and constraints left out of ``rules`` and ``constraints``: those
+        whose body cannot hold under the root bounds, and rules whose heads
+        are all facts.  Each of these is true at every leaf, and at every
+        world below a leaf that holds the facts."""
+        view = self.ground.rules
+        kept = {placed[-1] for placed in (*self.rules, *self.constraints)}
+        dropped = {rule[2] for rule in view.rules}.union(view.constraints) - kept
+        return tuple(phi for phi in self.ground.formulas if phi not in dropped)
 
     def _viable(self, consequents):
         """The mask of the numbered atoms that the facts support through
@@ -466,7 +482,7 @@ class _Propagation(_Numbering):
         if iset in self._members:
             return self._members[iset]
         self._members[iset] = None  # until every member is read
-        if any(isinstance(node, IntSet) for node in walk(iset) if node is not iset):
+        if nests_set(iset):
             return None
         universe = self.universe
         members, heads = [], set()
@@ -503,8 +519,8 @@ class _Propagation(_Numbering):
                 atom = parent[atom]
             return atom
 
-        rules = (heads | _mentioned(body) for body, heads in self.rules)
-        for mask in (*rules, *map(_mentioned, self.constraints)):
+        rules = (heads | _mentioned(body) for body, heads, _ in self.rules)
+        for mask in (*rules, *(_mentioned(body) for body, _ in self.constraints)):
             mask &= undecided
             if mask:
                 first = find(mask & -mask)
@@ -553,7 +569,7 @@ class _Propagation(_Numbering):
         while True:
             lower = _grow(lower, self.rules, upper, True, -1)
             if lower & ~upper or self.constraints and any(
-                _entailed(body, lower, upper, True, -1) for body in self.constraints
+                _entailed(body, lower, upper, True, -1) for body, _ in self.constraints
             ):
                 return None
             support = _grow(self.facts | self.kept & upper, self.rules, lower, False, upper)

@@ -449,6 +449,36 @@ def ground_constructor_value(term):
     return None
 
 
+def term_sort(term, func_ranges):
+    """Coarse value sort: 'int', 'herb', 'set' or 'any'.  A declared
+    function's is 'set' when ``func_ranges`` gives it a set value."""
+    if isinstance(term, Num):
+        return "int"
+    if isinstance(term, Var):
+        return "any"
+    if isinstance(term, HApp):
+        return "herb"
+    if isinstance(term, (ExtSet, IntSet)):
+        return "set"
+    if isinstance(term, Val):
+        return "set" if isinstance(term.value, FinSet) else (
+            "int" if isinstance(term.value, int) else "herb"
+        )
+    if isinstance(term, EApp):
+        if term.name in ARITH_OPS or term.name in AGGREGATE_NAMES:
+            return "int"
+        if term.name in SET_OPS:
+            return "set"
+        ranges = func_ranges.get(term.name, ())
+        return "set" if any(isinstance(v, FinSet) for v in ranges) else "herb"
+    raise TypeError(f"not a term: {term!r}")
+
+
+def nests_set(iset):
+    """Whether another set term lies inside the set term ``iset``."""
+    return any(isinstance(node, IntSet) for node in walk(iset) if node is not iset)
+
+
 def substitute(node, sub):
     """Replace free variables per ``sub`` (name -> term), respecting binders.
 

@@ -145,6 +145,18 @@ def value_key(v):
     raise TypeError(f"not a value: {v!r}")
 
 
+def value_components(v, out):
+    """Add ``v`` and every value inside it, at any depth, to the set ``out``."""
+    out.add(v)
+    if isinstance(v, HTerm):
+        for a in v.args:
+            value_components(a, out)
+    elif isinstance(v, FinSet):
+        for t in v.tuples:
+            for e in t:
+                value_components(e, out)
+
+
 def contains_undef(v):
     """Deep scan; well-formed values never contain the undefined mark."""
     if v is UNDEF:

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import random
 
 import pytest
 
@@ -9,11 +11,14 @@ from setasp.domain import (
     build_domain_level,
     needs_set_layer,
 )
+from setasp.checks import random_zero_rank_program
 from setasp.errors import BoundsError, DomainLimitError, SetAspError
+from setasp.gz import existential_intro_transform, gz_stable_models, is_gz_theory, random_gz_program
 from setasp.parser import parse_program
+from setasp.solver import find_stable_models
 from setasp.values import EMPTY_SET, FinSet, HTerm, finset, value_key
 
-from conftest import P1, P3
+from conftest import P1, P3, PROGRAMS
 
 
 NO_INTS = dict(int_min=1, int_max=0)
@@ -143,6 +148,52 @@ def test_active_domain_includes_components_of_written_values():
     active = build_active_domain(theory, bounds)
     assert finset([7, 9]) in active.value_set
     assert 7 in active.value_set and 9 in active.value_set
+
+
+# ---------------------------------------------------------------------------
+# the program's part of the domain, read once per theory
+
+# small enough that every program here enumerates its whole domain
+FACTS_BOUNDS = DomainBounds(int_min=0, int_max=2, max_herbrand_depth=0, max_set_card=2, max_tuple_arity=1)
+
+
+def _domain_reading(theory, bounds):
+    domain = build_active_domain(theory, bounds)
+    return domain.values, domain.has_set_layer, domain.rank
+
+
+def test_a_domain_built_after_solving_equals_one_from_a_fresh_parse():
+    rng = random.Random(31)
+    texts = [path.read_text() for path in sorted(PROGRAMS.glob("*.lp"))]
+    texts += [random_gz_program(rng) for _ in range(300)]
+    texts += [random_zero_rank_program(rng) for _ in range(300)]
+    layers = set()
+    for text in texts:
+        theory = parse_program(text)
+        try:
+            find_stable_models(theory, FACTS_BOUNDS)
+            if is_gz_theory(theory)[0]:
+                gz_stable_models(theory, FACTS_BOUNDS)
+        except SetAspError:
+            pass  # the domain was built before the solve gave up
+        assert "domain_facts" in vars(theory)
+        reading = _domain_reading(theory, FACTS_BOUNDS)
+        assert reading == _domain_reading(parse_program(text), FACTS_BOUNDS)
+        layers.add(reading[1])
+    assert layers == {False, True}  # p1 has the set layer
+
+
+def test_a_transformed_theory_reads_its_own_domain_facts():
+    # q({1}) meets no variable, but its transform compares V0 with {1}
+    theory = parse_program("q({1}).")
+    assert not build_active_domain(theory, FACTS_BOUNDS).has_set_layer
+    transformed = existential_intro_transform(theory, (0, 0, 0))
+    assert transformed.formulas != theory.formulas
+    assert needs_set_layer(transformed)
+    assert build_active_domain(transformed, FACTS_BOUNDS).has_set_layer
+    replaced = dataclasses.replace(theory, formulas=transformed.formulas)
+    assert build_active_domain(replaced, FACTS_BOUNDS).has_set_layer
+    assert not needs_set_layer(theory)
 
 
 # ---------------------------------------------------------------------------

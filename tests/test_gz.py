@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from setasp import DomainBounds, gz, parse_program
+from setasp import DomainBounds, gz, parse_program, parser, search
 from setasp.errors import NotGZError
 from setasp.ground import _Viability
 from setasp.gz import (
@@ -359,6 +359,53 @@ def test_cross_check_agrees_on_the_named_programs():
     for text in (P2, P4, COUNT0):
         result = cross_check(parse_program(text), BOUNDS)
         assert result.agree
+
+
+def test_cross_check_reads_the_domain_facts_once(monkeypatch):
+    """Both engines build their domain from one theory, so the pass over
+    its formulas (``Theory.domain_facts``) runs for the first only."""
+    read = []
+
+    def recorded(theory, original=parser._domain_facts):
+        read.append(theory)
+        return original(theory)
+
+    monkeypatch.setattr(parser, "_domain_facts", recorded)
+    theory = parse_program(P2)
+    assert cross_check(theory, BOUNDS).agree
+    assert cross_check(theory, BOUNDS).agree
+    assert read == [theory]
+
+
+# A 3-colouring of the path 1-2-3-4-5: 383 ground formulas, of which the
+# root drops all but the 9 facts, the 11 disjunctions (outside the rule
+# view) and 12 of the 363 edge constraints.
+PATH_COLOURING = """
+r(X) ; g(X) ; b(X) :- node(X).
+node(1). node(2). node(3). node(4). node(5).
+edge(1, 2). edge(2, 3). edge(3, 4). edge(4, 5).
+:- edge(X, Y), r(X), r(Y).
+:- edge(X, Y), g(X), g(Y).
+:- edge(X, Y), b(X), b(Y).
+"""
+
+
+def test_gz_leaf_checks_read_only_what_the_search_keeps(monkeypatch):
+    read = []
+
+    def recorded(propagation, original=search._Propagation.checked_formulas):
+        formulas = original(propagation)
+        read.append((len(propagation.ground.formulas), len(formulas)))
+        return formulas
+
+    monkeypatch.setattr(search._Propagation, "checked_formulas", recorded)
+    theory = parse_program(PATH_COLOURING)
+    bounds = DomainBounds(int_min=0, int_max=10, atom_cap=40)
+    models = gz_stable_models(theory, bounds)
+    assert read == [(383, 32)]
+    assert len(models) == 3 * 2**4
+    assert gz_stable_models(theory, bounds, full_checks=True) == models
+    assert read == [(383, 32)]  # full checks read the whole grounding
 
 
 @pytest.mark.parametrize(
