@@ -251,6 +251,8 @@ def _cmd_transform(args):
 def _cmd_check_props(args):
     if args.suite == "aggregates" and (args.trials is not None or args.seed is not None):
         raise SetAspError("--trials and --seed do not apply to --suite aggregates")
+    if args.trials == 0:
+        raise SetAspError("--trials must be at least 1: every suite runs one trial or more")
     names = list(checks.ALL_SUITES) if args.suite == "all" else [args.suite]
     trials, seed = 1000 if args.trials is None else args.trials, args.seed or 0
     outcome = checks.run_suites(names, trials=trials, seed=seed)
@@ -311,7 +313,9 @@ def build_arg_parser():
         choices=["all"] + sorted(checks.ALL_SUITES),
         default="all",
     )
-    props.add_argument("--trials", type=_count, help="trials per generated suite (default 1000)")
+    props.add_argument("--trials", type=_count, metavar="N", help="at least 1 (default 1000): "
+                       "semantics runs N trials, collapse and closure N // 3, conservativity "
+                       "N // 20 and existential N // 50, each at least 1")
     props.add_argument("--seed", type=int, help="generator seed (default 0)")
     props.add_argument("--json", action="store_true")
     props.set_defaults(run=_cmd_check_props)

@@ -9,8 +9,8 @@ engine's upper bound: the atoms that some rule chain can support,
 over-approximated by the possible values of each term
 (``relevant_atoms``).  The GZ engine grounds in full and takes its upper
 bound from the root bounds of the search's propagation instead
-(``search._Propagation``); both read aggregate values through
-``aggregate_values``.
+(``search._Propagation``).  Both read what a formula can make true
+through ``heads`` and aggregate values through ``aggregate_values``.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .syntax import (
     _Bot,
     _Top,
     closure_prefix,
+    comparison,
     fold,
     formula_statement,
     free_vars,
@@ -170,7 +171,7 @@ def _guard_plan(names, matrix):
         part = todo.pop()
         if isinstance(part, And):
             todo += (part.right, part.left)
-        elif isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS:
+        elif comparison(part) is not None:
             if not any(map(reads_interpretation, walk(part))) and free_vars(part) <= set(names):
                 guards.append((part, free_vars(part)))
     if not guards:
@@ -293,6 +294,36 @@ def _here_monotone(node) -> bool:
 
 # ---------------------------------------------------------------------------
 # Possibly-true atoms
+
+
+def heads(phi, universe: Universe, admit=None, antecedents=()):
+    """What the ground formula ``phi`` can make true, as ``(antecedents,
+    atom)``: each predicate atom outside every ``->`` left side, with the
+    left sides it lies under, read through quantifier instances and the
+    member bodies of a set term's aggregate that is a side of a comparison
+    (not of a ``:=``).  A left side that ``admit`` rejects yields
+    ``(antecedents, None)``, and nothing right of it is instantiated."""
+    if isinstance(phi, (And, Or)):
+        yield from heads(phi.left, universe, admit, antecedents)
+        yield from heads(phi.right, universe, admit, antecedents)
+    elif isinstance(phi, Implies):
+        if admit is None or admit(phi.left):
+            yield from heads(phi.right, universe, admit, (*antecedents, phi.left))
+        else:
+            yield antecedents, None
+    elif isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
+        yield antecedents, phi
+    elif isinstance(phi, (Forall, Exists)):
+        for body in universe.quantifier_instances(phi):
+            yield from heads(body, universe, admit, antecedents)
+    elif (parts := comparison(phi)) is not None:
+        if parts[0] == "=" and any(map(reads_interpretation, parts[1:])):
+            return  # a ``:=``, which makes no member true
+        for a in parts[1:]:
+            if isinstance(a, EApp) and a.name in AGGREGATE_NAMES and isinstance(a.args[0], IntSet):
+                for _, body in universe.intset_candidates(a.args[0]):
+                    yield from heads(body, universe, admit, antecedents)
+
 
 _TOP_MARK = object()
 
@@ -530,34 +561,29 @@ class _Viability:
     # -- head collection
 
     def _collect_heads(self, phi):
-        """Derive the heads of ``phi`` whose bodies can hold; return
-        whether no later round can derive more from it: every body on the
-        way passed and every head is a static atom."""
-        if isinstance(phi, PredAtom):
-            if phi.pred in RELATION_PREDS:
-                return True
-            atom = static_atom(phi, self.universe)
+        """Derive the heads of ``phi`` (``heads``) whose antecedents can
+        hold; return whether no later round can derive more from it: every
+        antecedent on the way passed and every head is a static atom."""
+        universe = self.universe
+        if isinstance(phi, Implies) and (atom := static_atom(phi.right, universe)) is not None:
+            held = self.possibly_sat(phi.left)  # a plain rule, read directly
+            if held:
+                self._derive(atom)
+            return held
+        retired = True
+        for _, head in heads(phi, universe, self.possibly_sat):
+            atom = head and static_atom(head, universe)
+            retired = retired and atom is not None
             if atom is not None:
                 self._derive(atom)
-                return True
-            combos = self._combos(phi.args)
+                continue
+            combos = () if head is None else self._combos(head.args)
             if combos is _TOP_MARK:
-                combos = self.universe.domain.product(
-                    len(phi.args), lambda: f"head {pretty(phi)!r}"
-                )
+                combos = universe.domain.product(len(head.args), lambda: f"head {pretty(head)!r}")
             for combo in combos:
                 if UNDEF not in combo:
-                    self._derive((phi.pred, tuple(combo)))
-            return False
-        if isinstance(phi, (And, Or)):
-            left = self._collect_heads(phi.left)
-            return self._collect_heads(phi.right) and left
-        if isinstance(phi, Implies):
-            return self.possibly_sat(phi.left) and self._collect_heads(phi.right)
-        if isinstance(phi, (Forall, Exists)):
-            bodies = self.universe.quantifier_instances(phi)
-            return all([self._collect_heads(body) for body in bodies])
-        return True
+                    self._derive((head.pred, tuple(combo)))
+        return retired
 
 
 def member_weight(name, head):

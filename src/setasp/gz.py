@@ -13,24 +13,26 @@ unique subset-minimal classical model of what remains.
 
 The engine supplies only its semantics: the fragment grammar
 (``_gz_formula``), classical satisfaction (``cl_satisfies``) and the
-reduct (``reduct``); ``_comparison`` is their one reading of a
-comparison.  The rest is the equilibrium engine's.  The upper bound is
-the root upper bound of the search's one propagation over the full
-grounding (``_gz_relevant_atoms``), whose support pass reads aggregate
-values exactly; no support fixpoint of ``ground`` runs.  The shared
-candidate loop (``search.search_stable``) accepts a leaf that
-propagation closed in an exact search as it is, and calls back into
-``cl_satisfies``, ``reduct`` and ``_has_smaller_model`` at every other
-leaf, over the formulas that propagation kept
+reduct (``reduct``), which read a comparison as ``syntax.comparison``
+does, but outside a set name's body ``in`` is none.  The rest is the
+equilibrium engine's.  The upper bound is the root upper bound of
+the search's one propagation over the full grounding
+(``_gz_relevant_atoms``), whose support pass reads aggregate values
+exactly; no support fixpoint of ``ground`` runs.  The shared candidate
+loop (``search.search_stable``) accepts a leaf that propagation closed
+in an exact search as it is, and calls back into ``cl_satisfies``,
+``reduct`` and ``_has_smaller_model`` at every other leaf, over the
+formulas that propagation kept
 (``search._Propagation.checked_formulas``).  Ground atoms are read by
 ``interp.static_atom``, the reduct's least model is
-``rules.least_model`` and constants fold by ``syntax.fold``.  The grounding stays the full ``ground.ground_theory``,
-never the binding-driven one of ``instantiate``, so ``cross_check``
-still compares two instantiations, each with an upper bound of its own:
-the equilibrium engine's from the fixpoint it instantiates in, GZ's from
-propagation.  It runs both engines with ``full_checks``, so that a
-closed leaf, too, takes each engine's own checks and not one shared
-verdict, and GZ's checks read the whole grounding.
+``rules.least_model`` and constants fold by ``syntax.fold``.  The
+grounding stays the full ``ground.ground_theory``, never the
+binding-driven one of ``instantiate``, so ``cross_check`` still compares
+two instantiations, each with an upper bound of its own: the equilibrium
+engine's from the fixpoint it instantiates in, GZ's from propagation.
+It runs both engines with ``full_checks``, so that a closed leaf, too,
+takes each engine's own checks and not one shared verdict, and GZ's
+checks read the whole grounding.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .syntax import (
     _Quant,
     _Top,
     closure_prefix,
+    comparison,
     conj,
     fold,
     free_vars,
@@ -122,15 +125,6 @@ def _is_aggregate(term):
     return isinstance(term, EApp) and term.name in AGGREGATE_NAMES
 
 
-def _comparison(phi):
-    """``(rel, left, right)`` of an equality or a GZ comparison, else None."""
-    if isinstance(phi, Eq):
-        return "=", phi.left, phi.right
-    if isinstance(phi, PredAtom) and phi.pred in _GZ_RELS:
-        return (phi.pred, *phi.args)
-    return None
-
-
 def _gz_formula(phi, in_set=False):
     """None when ``phi`` fits the fragment's grammar, else a reason.
 
@@ -144,20 +138,20 @@ def _gz_formula(phi, in_set=False):
         return _gz_formula(phi.left, in_set) or _gz_formula(phi.right, in_set)
     if isinstance(phi, _Quant):  # a set name's body has none
         return f"quantifier inside a GZ formula: {pretty(phi)!r}"
-    if in_set and (isinstance(phi, Eq) or phi.pred in RELATION_PREDS):
-        for side in phi.children:
-            if not (_is_arith(side) or _gz_pred_arg(side)):
-                if isinstance(phi, Eq):
-                    return f"equality over {pretty(side)!r} is not a GZ atom"
-                return f"comparison over non-arithmetic term {pretty(side)!r}"
-        return None
-    comparison = _comparison(phi)
-    if comparison is None:
+    parts = comparison(phi)
+    if parts is None or parts[0] == "in" and not in_set:
         for a in phi.args:
             if not _gz_pred_arg(a):
                 return f"predicate argument {pretty(a)!r} is not a ground constructor term"
         return None
-    _, left, right = comparison
+    rel, left, right = parts
+    if in_set:
+        for side in (left, right):
+            if not (_is_arith(side) or _gz_pred_arg(side)):
+                if rel == "=":
+                    return f"equality over {pretty(side)!r} is not a GZ atom"
+                return f"comparison over non-arithmetic term {pretty(side)!r}"
+        return None
     if _is_aggregate(left):
         inner = left.args[0]
         if not _is_set_name(inner):
@@ -265,17 +259,13 @@ def reduct(phi, atoms, universe, memo=None):
         left = reduct(phi.left, atoms, universe, memo)
         right = reduct(phi.right, atoms, universe, memo)
         return fold(type(phi)(left, right))  # keeps printed reducts free of verum
-    comparison = _comparison(phi)
-    if comparison is None:
+    parts = comparison(phi)
+    if parts is None:
         return phi  # verum or a predicate atom
-    left = comparison[1]
-    if not _is_aggregate(left):
+    if not _is_aggregate(parts[1]):
         return TOP  # satisfied comparison over fixed values
-    parts = []
-    for _, body in universe.intset_candidates(left.args[0]):
-        if cl_satisfies(atoms, body, universe):
-            parts.append(reduct(body, atoms, universe))
-    return conj(parts)
+    bodies = [body for _, body in universe.intset_candidates(parts[1].args[0])]
+    return conj([reduct(b, atoms, universe) for b in bodies if cl_satisfies(atoms, b, universe)])
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +275,8 @@ def reduct(phi, atoms, universe, memo=None):
 def _gz_relevant_atoms(propagation):
     """GZ's upper bound: the root upper bound of ``propagation`` over the
     full grounding, as a set, tightened from the atoms that the facts
-    support through the heads and consequents of the formulas
-    (``search._Propagation._viable``) by ``search._Propagation.bounds``;
+    support through what the formulas can make true (``ground.heads``,
+    ``search._Propagation._viable``) by ``search._Propagation.bounds``;
     empty when the root bounds conflict, and then the search has no
     leaf."""
     root = propagation.root

@@ -12,14 +12,10 @@ them; ``branch_leaves`` then decides one undecided atom that some kept
 body reads at a time and tightens both bounds after each decision.
 Deciding an atom that no kept body reads tightens nothing, so the search
 never branches on one: each subset of those the bounds leave undecided
-makes a leaf.
-Atoms that no rule or constraint joins fall into components that are
-searched one at a time, and the leaves are every combination of one leaf
-of each: a stable model of parts that share no atom is one stable model
-of each part, taken together.  So a part without a leaf ends the
-search, and ``atom_cap`` bounds the decisions on one branch of a part
-and, as a power of 2, the leaves the parts combine into.  Propagation
-only ever drops candidates that cannot be stable.
+makes a leaf.  Atoms that no rule or constraint joins fall into parts
+that are searched one at a time and whose leaves combine
+(``branch_leaves``).  Propagation only ever drops candidates that cannot
+be stable.
 A leaf takes the engine's model and minimality checks unless the search
 is exact, which rules of plain atoms and their ``not`` make
 (``_Propagation``), and its bounds closed: such a leaf is a stable model
@@ -45,7 +41,7 @@ from itertools import compress, count, product
 from operator import or_
 
 from .errors import DomainLimitError
-from .ground import _bit_values, aggregate_values, member_weight, simplify
+from .ground import _bit_values, aggregate_values, heads, member_weight, simplify
 from .interp import (
     T,
     _independent,
@@ -57,7 +53,6 @@ from .interp import (
 from .syntax import (
     AGGREGATE_NAMES,
     BOT,
-    RELATION_PREDS,
     And,
     EApp,
     Eq,
@@ -66,6 +61,7 @@ from .syntax import (
     Or,
     PredAtom,
     _Top,
+    comparison,
     conj,
     ground_constructor_value,
     nests_set,
@@ -243,30 +239,30 @@ class _Propagation(_Numbering):
     The atoms of an upper bound are numbered once (``_Numbering``): the
     support fixpoint's that ``upper`` gives, or else, over a full
     grounding, every atom that a formula has as a head: the facts, the
-    heads of the rule view and the consequents of the formulas outside it
-    (``_consequents``).  Each rule body and constraint of the theory's
-    rule view is compiled once (``_compile``), so tightening a pair of
-    bounds takes only bit operations, plus a pass over the members of
-    each aggregate test.  ``kept`` holds the numbered atoms that a
-    formula outside the view mentions (every atom of a predicate it reads
-    through a non-static argument), which support never drops.  ``root``
-    holds the bounds tightened from the facts and the numbered atoms
-    (``bounds``), or None when they conflict.  Then every rule and
-    constraint whose body cannot hold under the root bounds is dropped:
-    the bounds below the root only tighten, so such a body never holds
-    in a world the search reaches, and its formula is satisfied at both
-    worlds of every leaf.  ``rules`` holds ``(body, heads, phi)`` and
-    ``constraints`` ``(body, phi)`` for each one kept, ``body`` compiled
-    and ``phi`` its formula.  ``read`` holds the atoms that the kept rules
-    and constraints mention (``_mentioned``): deciding any other atom
-    tightens nothing.
+    heads of the rule view and the static heads of the formulas outside it
+    (``ground.heads``), the members of head aggregates included.  Each
+    rule body and constraint of the theory's rule view is compiled once
+    (``_compile``), so tightening a pair of bounds takes only bit
+    operations, plus a pass over the members of each aggregate test.
+    ``kept`` holds the numbered atoms that a formula outside the view
+    mentions (every atom of a predicate it reads through a non-static
+    argument), which support never drops.  ``root`` holds the bounds
+    tightened from the facts and the numbered atoms (``bounds``), or None
+    when they conflict.  Then every rule and constraint whose body cannot
+    hold under the root bounds is dropped: the bounds below the root only
+    tighten, so such a body never holds in a world the search reaches, and
+    its formula is satisfied at both worlds of every leaf.  ``rules``
+    holds ``(body, heads, phi)`` and ``constraints`` ``(body, phi)`` for
+    each one kept, ``body`` compiled and ``phi`` its formula.  ``read``
+    holds the atoms that the kept rules and constraints mention
+    (``_mentioned``): deciding any other atom tightens nothing.
 
     Without ``upper``, the numbered atoms first shrink to those that some
-    chain of bodies that can hold supports (``_viable``), with the
-    consequents of the formulas outside the view supported by their
-    antecedents, and ``kept`` holds only those, of the formulas with a
-    chain of antecedents that can hold: any other is satisfied at every
-    here-world inside them.  The root upper bound is the search's.
+    chain of bodies that can hold supports (``_viable``), with the heads
+    of the formulas outside the view supported by their chains, and
+    ``kept`` holds only those, of the formulas with a chain of antecedents
+    that can hold: any other is satisfied at every here-world inside them.
+    The root upper bound is the search's.
 
     The search is ``exact`` when every formula is in the view, every rule
     body and constraint compiles to masks alone, set equalities included
@@ -284,35 +280,29 @@ class _Propagation(_Numbering):
         self.ground, self.universe = ground, ground.universe
         consequents, chains = {}, None  # antecedents -> the atoms they support
         if upper is None:
-            # per formula outside the view, its (antecedents, atom) pairs
-            chains = [tuple(_consequents(phi, self.universe)) for phi in view.others]
-            for antecedents, atom in (pair for own in chains for pair in own):
-                consequents.setdefault(antecedents, set()).add(atom)
+            chains = [list(heads(phi, self.universe)) for phi in view.others]
+            for antecedents, head in (pair for own in chains for pair in own):
+                if (atom := static_atom(head, self.universe)) is not None:
+                    consequents.setdefault(antecedents, set()).add(atom)
             upper = view.facts.union(*consequents.values(), *(rule[1] for rule in view.rules))
         super().__init__(upper)
         self.facts = self.mask(view.facts)
         self._members = {}  # a set term -> its members (``_set_members``)
-        rules = [(body, self.mask(heads), phi) for body, heads, phi in view.rules]
+        rules = [(body, self.mask(made), phi) for body, made, phi in view.rules]
         # a rule whose heads are all facts adds nothing and supports nothing
         self.rules = tuple(
-            (self._compile(body), heads, phi) for body, heads, phi in rules if heads & ~self.facts
+            (self._compile(body), made, phi) for body, made, phi in rules if made & ~self.facts
         )
         self.constraints = tuple((self._compile(phi.left), phi) for phi in view.constraints)
         viable, admitted = self._viable(consequents) if consequents else (self.outside - 1, set())
         others = view.others if chains is None else [
             phi for phi, own in zip(view.others, chains) if any(a in admitted for a, _ in own)
         ]
-        atoms, preds = set(), set()
-        for phi in others:
-            for node in walk(phi):
-                if isinstance(node, PredAtom) and node.pred not in RELATION_PREDS:
-                    key = static_atom(node, self.universe)
-                    if key is None:
-                        preds.add((node.pred, len(node.args)))
-                    else:
-                        atoms.add(key)
-        if preds:
-            atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
+        # a relation atom adds nothing: its key is None, and no atom has its name
+        nodes = [n for phi in others for n in walk(phi) if isinstance(n, PredAtom)]
+        atoms = {static_atom(n, self.universe) for n in nodes}
+        preds = {(n.pred, len(n.args)) for n in nodes if static_atom(n, self.universe) is None}
+        atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
         self.kept = self.mask(atoms & upper) & viable
         self.root = self.bounds(self.facts, viable)
         if self.root is not None:
@@ -349,7 +339,7 @@ class _Propagation(_Numbering):
         there, and one whose antecedents can has its consequents inside
         it."""
         everything = self.outside - 1
-        supports = [(self._compile(conj(chain)), self.mask(heads)) for chain, heads in consequents.items()]
+        supports = [(self._compile(conj(chain)), self.mask(made)) for chain, made in consequents.items()]
         viable = _grow(self.facts, (*self.rules, *supports), self.facts, False, everything)
         held = [_entailed(body, viable, self.facts, False, everything) for body, _ in supports]
         return viable, set(compress(consequents, held))
@@ -400,9 +390,9 @@ class _Propagation(_Numbering):
         decides it against the other side's value in the static
         interpretation, which both engines read.  An undefined value fails
         every comparison, so only its ``not`` holds there."""
-        if not (isinstance(part, Eq) or isinstance(part, PredAtom) and part.pred in RELATION_PREDS):
+        if (parts := comparison(part)) is None:
             return None
-        rel, (left, right) = "=" if isinstance(part, Eq) else part.pred, part.children
+        rel, left, right = parts
         for agg, other, flip in ((left, right, False), (right, left, True)):
             if isinstance(agg, EApp) and agg.name in AGGREGATE_NAMES and isinstance(agg.args[0], IntSet):
                 break
@@ -576,23 +566,6 @@ class _Propagation(_Numbering):
             if support == upper:
                 return lower, upper
             upper = support
-
-
-def _consequents(phi, universe, antecedents=()):
-    """The consequents of ``phi`` as ``(antecedents, atom)``: each static
-    atom of ``phi`` outside the left side of every ``->``, with the left
-    sides of the ``->`` it lies to the right of, as
-    ``ground._Viability._collect_heads`` reads a formula.  An atom that
-    only the left side of an ``->`` holds is no consequent: ``phi`` never
-    makes it true."""
-    if isinstance(phi, (And, Or)):
-        yield from _consequents(phi.left, universe, antecedents)
-        yield from _consequents(phi.right, universe, antecedents)
-    elif isinstance(phi, Implies):
-        yield from _consequents(phi.right, universe, (*antecedents, phi.left))
-    elif isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
-        if (atom := static_atom(phi, universe)) is not None:
-            yield antecedents, atom
 
 
 def _mentioned(body):

@@ -392,6 +392,15 @@ def fold(phi):
     return phi
 
 
+def comparison(phi):
+    """``(rel, left, right)`` of an equality (``"="``) or relation atom, else None."""
+    if isinstance(phi, Eq):
+        return "=", phi.left, phi.right
+    if isinstance(phi, PredAtom) and phi.pred in RELATION_PREDS:
+        return (phi.pred, *phi.args)
+    return None
+
+
 def forall(names, body):
     for name in reversed(list(names)):
         body = Forall(name, body)
@@ -563,14 +572,12 @@ def _formula_str(phi, parent_prec=0):
         return "#false"
     if isinstance(phi, _Top):
         return "#true"
+    if (parts := comparison(phi)) is not None:
+        return f"{_term_str(parts[1])} {parts[0]} {_term_str(parts[2])}"
     if isinstance(phi, PredAtom):
-        if phi.pred in RELATION_PREDS and len(phi.args) == 2:
-            return f"{_term_str(phi.args[0])} {phi.pred} {_term_str(phi.args[1])}"
         if not phi.args:
             return phi.pred
         return f"{phi.pred}({', '.join(_term_str(a) for a in phi.args)})"
-    if isinstance(phi, Eq):
-        return f"{_term_str(phi.left)} = {_term_str(phi.right)}"
     if isinstance(phi, Implies) and phi.right == BOT:
         return f"not {_formula_str(phi.left, _NOT_PREC)}"
     if isinstance(phi, _BinConn):

@@ -24,6 +24,7 @@ GOLDEN_RUNS = [
     ("p3.solve.txt", ["solve", "p3.lp", "--max-int", "6"]),
     ("p4.solve.txt", ["solve", "p4.lp", "--mode", "both", "--max-int", "3"]),
     ("count0.solve.txt", ["solve", "count0.lp", "--mode", "both", "--max-int", "3"]),
+    ("headcount.solve.txt", ["solve", "headcount.lp", "--mode", "both", "--max-int", "2"]),
 ]
 
 
@@ -196,6 +197,14 @@ def test_check_props_aggregates_rejects_the_generator_flags(capsys, flags):
     assert code == 2
     assert out == ""
     assert "--trials and --seed" in err
+
+
+def test_check_props_rejects_zero_trials(capsys):
+    # every suite runs at least one trial, so 0 would be accepted and not honoured
+    code, out, err = run(capsys, "check-props", "--suite", "collapse", "--trials", "0")
+    assert code == 2
+    assert out == ""
+    assert "error: --trials must be at least 1" in err
 
 
 def test_parse_error_exits_2(tmp_path, capsys):
