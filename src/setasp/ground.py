@@ -58,9 +58,11 @@ from .syntax import (
     _Top,
     closure_prefix,
     comparison,
+    conjuncts,
     fold,
     formula_statement,
     free_vars,
+    ground_constructor_value,
     pretty,
     substitute,
     walk,
@@ -166,12 +168,9 @@ def _guard_plan(names, matrix):
     """
     if not names or not isinstance(matrix, Implies):
         return None
-    guards, todo = [], [matrix.left]
-    while todo:
-        part = todo.pop()
-        if isinstance(part, And):
-            todo += (part.right, part.left)
-        elif comparison(part) is not None:
+    guards = []
+    for part in conjuncts(matrix.left):
+        if comparison(part) is not None:
             if not any(map(reads_interpretation, walk(part))) and free_vars(part) <= set(names):
                 guards.append((part, free_vars(part)))
     if not guards:
@@ -300,29 +299,40 @@ def heads(phi, universe: Universe, admit=None, antecedents=()):
     """What the ground formula ``phi`` can make true, as ``(antecedents,
     atom)``: each predicate atom outside every ``->`` left side, with the
     left sides it lies under, read through quantifier instances and the
-    member bodies of a set term's aggregate that is a side of a comparison
-    (not of a ``:=``).  A left side that ``admit`` rejects yields
-    ``(antecedents, None)``, and nothing right of it is instantiated."""
-    if isinstance(phi, (And, Or)):
-        yield from heads(phi.left, universe, admit, antecedents)
-        yield from heads(phi.right, universe, admit, antecedents)
-    elif isinstance(phi, Implies):
+    member bodies of a set term's aggregate that is a side of a comparison.
+    No member is read where the antecedents hold the aggregate's ``t = t``
+    (a ``:=``'s guard, which holds at the here-world only when the set is
+    as at the there-world), nor where the comparison holds only with no
+    member (``count{...} = 0``).  A left side that ``admit`` rejects
+    yields ``(antecedents, None)``, and nothing right of it is
+    instantiated."""
+    if isinstance(phi, Implies):
         if admit is None or admit(phi.left):
             yield from heads(phi.right, universe, admit, (*antecedents, phi.left))
         else:
             yield antecedents, None
     elif isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
         yield antecedents, phi
+    elif isinstance(phi, (And, Or)):
+        yield from heads(phi.left, universe, admit, antecedents)
+        yield from heads(phi.right, universe, admit, antecedents)
     elif isinstance(phi, (Forall, Exists)):
         for body in universe.quantifier_instances(phi):
             yield from heads(body, universe, admit, antecedents)
     elif (parts := comparison(phi)) is not None:
-        if parts[0] == "=" and any(map(reads_interpretation, parts[1:])):
-            return  # a ``:=``, which makes no member true
-        for a in parts[1:]:
-            if isinstance(a, EApp) and a.name in AGGREGATE_NAMES and isinstance(a.args[0], IntSet):
-                for _, body in universe.intset_candidates(a.args[0]):
-                    yield from heads(body, universe, admit, antecedents)
+        rel, left, right = parts
+        for agg, other, flip in ((left, right, False), (right, left, True)):
+            if not (isinstance(agg, EApp) and agg.name in AGGREGATE_NAMES and isinstance(agg.args[0], IntSet)):
+                continue
+            if Eq(agg, agg) in (part for a in antecedents for part in conjuncts(a)):
+                continue
+            members = universe.intset_candidates(agg.args[0])
+            if agg.name == "count" and (bound := ground_constructor_value(other)) is not None:
+                sides = ((bound, n) if flip else (n, bound) for n in range(1, len(members) + 1))
+                if not any(relation_eval(rel, *pair) for pair in sides):
+                    continue
+            for _, body in members:
+                yield from heads(body, universe, admit, antecedents)
 
 
 _TOP_MARK = object()
@@ -564,13 +574,7 @@ class _Viability:
         """Derive the heads of ``phi`` (``heads``) whose antecedents can
         hold; return whether no later round can derive more from it: every
         antecedent on the way passed and every head is a static atom."""
-        universe = self.universe
-        if isinstance(phi, Implies) and (atom := static_atom(phi.right, universe)) is not None:
-            held = self.possibly_sat(phi.left)  # a plain rule, read directly
-            if held:
-                self._derive(atom)
-            return held
-        retired = True
+        universe, retired = self.universe, True
         for _, head in heads(phi, universe, self.possibly_sat):
             atom = head and static_atom(head, universe)
             retired = retired and atom is not None

@@ -15,7 +15,6 @@ from .parser import Theory
 from .syntax import (
     RELATION_PREDS,
     TOP,
-    And,
     Eq,
     Implies,
     IntSet,
@@ -24,6 +23,7 @@ from .syntax import (
     Val,
     Var,
     closure_prefix,
+    conjuncts,
     free_vars,
     nests_set,
     substitute,
@@ -270,15 +270,9 @@ def _binding_plan(names, body):
     equalities are tried again.  Steps are ``("atom", atom)``, ``("eq",
     (name, term))`` and ``("domain", name)``.
     """
-    conjuncts, todo = [], [body] if body is not None else []
-    while todo:
-        phi = todo.pop()
-        if isinstance(phi, And):
-            todo += [phi.right, phi.left]
-        else:
-            conjuncts.append(phi)
+    parts = () if body is None else conjuncts(body)
     steps, bound = [], set()
-    for phi in conjuncts:
+    for phi in parts:
         if isinstance(phi, PredAtom) and phi.pred not in RELATION_PREDS:
             new = {a.name for a in phi.args if isinstance(a, Var)} - bound
             if new:
@@ -286,7 +280,7 @@ def _binding_plan(names, body):
                 bound |= new
     equalities = [
         (side.name, other, free_vars(other))
-        for phi in conjuncts
+        for phi in parts
         if isinstance(phi, Eq)
         for side, other in ((phi.left, phi.right), (phi.right, phi.left))
         if isinstance(side, Var)

@@ -53,6 +53,7 @@ from .interp import (
 from .syntax import (
     AGGREGATE_NAMES,
     BOT,
+    RELATION_PREDS,
     And,
     EApp,
     Eq,
@@ -298,11 +299,14 @@ class _Propagation(_Numbering):
         others = view.others if chains is None else [
             phi for phi, own in zip(view.others, chains) if any(a in admitted for a, _ in own)
         ]
-        # a relation atom adds nothing: its key is None, and no atom has its name
-        nodes = [n for phi in others for n in walk(phi) if isinstance(n, PredAtom)]
-        atoms = {static_atom(n, self.universe) for n in nodes}
-        preds = {(n.pred, len(n.args)) for n in nodes if static_atom(n, self.universe) is None}
-        atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
+        atoms, preds = set(), set()
+        for node in (n for phi in others for n in walk(phi) if isinstance(n, PredAtom)):
+            if (key := static_atom(node, self.universe)) is not None:
+                atoms.add(key)
+            elif node.pred not in RELATION_PREDS:
+                preds.add((node.pred, len(node.args)))
+        if preds:
+            atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
         self.kept = self.mask(atoms & upper) & viable
         self.root = self.bounds(self.facts, viable)
         if self.root is not None:

@@ -367,6 +367,11 @@ def conj(parts):
     return out
 
 
+def conjuncts(phi):
+    """The parts of ``phi``'s top-level ``,`` chain, left to right."""
+    return (*conjuncts(phi.left), *conjuncts(phi.right)) if isinstance(phi, And) else (phi,)
+
+
 def fold(phi):
     """A binary connective with its ``TOP`` and ``BOT`` parts folded away
     classically; ``phi`` itself when nothing folds."""

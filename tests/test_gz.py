@@ -322,6 +322,68 @@ def test_an_assignment_makes_no_member_of_its_aggregate_true():
     assert model.atoms == {atom("q")} and model.sigma.funcs == {("f", ()): 0}
 
 
+def test_an_equality_with_a_function_makes_members_of_its_aggregate_true():
+    # without the ``t = t`` guard of a ``:=``, the count need not be defined
+    # at the here-world, so a member that only this head supports is stable
+    theory = parse_program("#function f/0 : {0; 1; 2}. q. f = count{V : p(V)} :- q.")
+    bounds = DomainBounds(int_min=0, int_max=2, max_herbrand_depth=0)
+    there = frozenset([atom("q"), atom("p", 0)])
+    candidate = HTInterpretation.total(
+        build_universe(theory, bounds), Assignment({("f", ()): 1}), there
+    )
+    assert check_equilibrium(candidate, theory) == (True, None)
+    found = {(m.atoms, tuple(m.sigma.funcs.values())) for m in find_stable_models(theory, bounds).models}
+    assert (there, (1,)) in found
+    assert (frozenset([atom("q")]), (0,)) in found
+
+
+def test_every_model_of_an_aggregate_assigned_or_equated_to_a_function():
+    """``f := agg{...}`` or ``f = agg{...}`` appended to a GZ program, with a
+    body or without: the equilibrium engine, with and without the full
+    checks, gives each set of atoms and value of ``f`` that
+    ``check_equilibrium`` accepts, over programs of at most 12 atoms."""
+    rng = random.Random(1)
+    compared, wrong = 0, []
+    for _ in range(25):
+        program = random_gz_program(rng)
+        preds = sorted(set(re.findall(r"\b([pqr])\(", program)))
+        pred, op = rng.choice(preds), rng.choice([":=", "="])
+        head = f"f {op} {rng.choice(['count', 'sum'])}{{V : {pred}(V)}}"
+        roll, literal = rng.random(), f"{rng.choice(preds)}({rng.randint(0, 3)})"
+        rule = head if roll < 0.3 else f"{head} :- {literal if roll < 0.65 else 'not ' + literal}"
+        theory = parse_program(f"#function f/0 : {{0; 1; 2; 3}}.\n{program}\n{rule}.")
+        ground = ground_theory(theory, build_universe(theory, GENERATOR_BOUNDS))
+        base = [
+            (name, combo)
+            for name, arity in sorted(theory.signature.predicates.items())
+            for combo in itertools.product(ground.universe.domain.values, repeat=arity)
+        ]
+        if len(base) > 12:
+            continue
+        compared += 1
+        reference = set()
+        for size, value in itertools.product(range(len(base) + 1), (None, 0, 1, 2, 3)):
+            funcs = Assignment({} if value is None else {("f", ()): value})
+            for combo in itertools.combinations(base, size):
+                there = HTInterpretation.total(ground.universe, funcs, frozenset(combo))
+                if check_equilibrium(there, ground)[0]:
+                    reference.add((frozenset(combo), value))
+        for checked in (False, True):
+            models = find_stable_models(theory, GENERATOR_BOUNDS, full_checks=checked).models
+            if {(m.atoms, m.sigma.funcs.get(("f", ()))) for m in models} != reference:
+                wrong.append((theory, checked))
+    assert compared >= 15
+    assert wrong == []
+
+
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+@pytest.mark.parametrize("head", ["count{(X, Y) : e(X, Y)} = 0", "count{(X, Y) : e(X, Y)} < 1"])
+def test_a_head_that_holds_only_with_no_member_makes_none_true(engine, head):
+    # 121 e atoms at the default bounds: read as heads, they pass atom_cap
+    answer = engine(parse_program(f"{head} :- q. q."), DomainBounds())
+    assert [getattr(m, "atoms", m) for m in getattr(answer, "models", answer)] == [{atom("q")}]
+
+
 def test_a_quantifier_under_a_body_that_cannot_hold_is_not_instantiated():
     instantiated = []
 
