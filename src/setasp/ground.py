@@ -299,13 +299,12 @@ def heads(phi, universe: Universe, admit=None, antecedents=()):
     """What the ground formula ``phi`` can make true, as ``(antecedents,
     atom)``: each predicate atom outside every ``->`` left side, with the
     left sides it lies under, read through quantifier instances and the
-    member bodies of a set term's aggregate that is a side of a comparison.
-    No member is read where the antecedents hold the aggregate's ``t = t``
-    (a ``:=``'s guard, which holds at the here-world only when the set is
-    as at the there-world), nor where the comparison holds only with no
-    member (``count{...} = 0``).  A left side that ``admit`` rejects
-    yields ``(antecedents, None)``, and nothing right of it is
-    instantiated."""
+    member bodies of a set term's aggregate that is a side of a comparison
+    (``_read_members``), none under the aggregate's ``t = t`` (a ``:=``'s
+    guard: the set is then as at the there-world).  A comparison with a
+    set term that no aggregate reads, say ``{X : q(X)} = {1}``, is yielded
+    itself.  A left side that ``admit`` rejects yields ``(antecedents,
+    None)``, and nothing right of it is instantiated."""
     if isinstance(phi, Implies):
         if admit is None or admit(phi.left):
             yield from heads(phi.right, universe, admit, (*antecedents, phi.left))
@@ -319,20 +318,61 @@ def heads(phi, universe: Universe, admit=None, antecedents=()):
     elif isinstance(phi, (Forall, Exists)):
         for body in universe.quantifier_instances(phi):
             yield from heads(body, universe, admit, antecedents)
-    elif (parts := comparison(phi)) is not None:
-        rel, left, right = parts
-        for agg, other, flip in ((left, right, False), (right, left, True)):
-            if not (isinstance(agg, EApp) and agg.name in AGGREGATE_NAMES and isinstance(agg.args[0], IntSet)):
-                continue
-            if Eq(agg, agg) in (part for a in antecedents for part in conjuncts(a)):
-                continue
-            members = universe.intset_candidates(agg.args[0])
-            if agg.name == "count" and (bound := ground_constructor_value(other)) is not None:
-                sides = ((bound, n) if flip else (n, bound) for n in range(1, len(members) + 1))
-                if not any(relation_eval(rel, *pair) for pair in sides):
-                    continue
-            for _, body in members:
-                yield from heads(body, universe, admit, antecedents)
+    elif comparison(phi) is not None:
+        read = set()
+        for rel, agg, other, flip in aggregate_sides(phi):
+            read.add(agg.args[0])
+            if Eq(agg, agg) not in (part for a in antecedents for part in conjuncts(a)):
+                for _, body in _read_members(rel, agg, other, flip, universe):
+                    yield from heads(body, universe, admit, antecedents)
+        if any(isinstance(node, IntSet) and node not in read for node in walk(phi)):
+            yield antecedents, phi
+
+
+def aggregate_sides(phi):
+    """Each side ``agg`` of the comparison ``phi`` that aggregates a set
+    term, as ``(rel, agg, other, flip)``, ``flip`` when it is on the right."""
+    if (parts := comparison(phi)) is None:
+        return
+    rel, left, right = parts
+    for agg, other, flip in ((left, right, False), (right, left, True)):
+        if isinstance(agg, EApp) and agg.name in AGGREGATE_NAMES and isinstance(agg.args[0], IntSet):
+            yield rel, agg, other, flip
+
+
+def accepted(reach, rel, value, flip, bounds, negated=False):
+    """The bits of ``reach`` (``aggregate_values``) at which the side
+    ``rel value`` (``aggregate_sides``) holds, or with ``negated`` fails."""
+    return sum(
+        1 << (v - bounds.int_min)
+        for v in _bit_values(reach, bounds)
+        if relation_eval(rel, *((value, v) if flip else (v, value))) != negated
+    )
+
+
+def _read_members(rel, agg, other, flip, universe):
+    """The instances of ``agg``'s set term whose weight, with some choice
+    of the others, reaches a value at which the comparison holds: any
+    other is false wherever it holds.  All are read where the other side,
+    or a head that ``agg`` weighs, is not fixed (``fixed_value``)."""
+    members = universe.intset_candidates(agg.args[0])
+    name, bounds, value = agg.name, universe.bounds, fixed_value(other, universe)
+    values = [() if name == "count" else tuple(fixed_value(t, universe) for t in head) for head, _ in members]
+    if value is None or any(None in v for v in values):
+        return members
+    weights = [member_weight(name, v) for v in values]
+    accept = accepted(aggregate_values(name, (), weights, bounds)[0], rel, value, flip, bounds)
+    rest = ((weights[i : i + 1], weights[:i] + weights[i + 1 :]) for i in range(len(members)))
+    return [m for m, w in zip(members, rest) if aggregate_values(name, *w, bounds)[0] & accept]
+
+
+def fixed_value(term, universe: Universe):
+    """The value of ``term`` when the interpretation cannot change it,
+    else None: arithmetic folds, as in both engines."""
+    value = ground_constructor_value(term)
+    if value is None and _independent(term):
+        value = eval_term(universe.static, T, term)
+    return value
 
 
 _TOP_MARK = object()
@@ -576,6 +616,8 @@ class _Viability:
         antecedent on the way passed and every head is a static atom."""
         universe, retired = self.universe, True
         for _, head in heads(phi, universe, self.possibly_sat):
+            if head is not None and not isinstance(head, PredAtom):
+                continue  # a comparison makes no atom true
             atom = head and static_atom(head, universe)
             retired = retired and atom is not None
             if atom is not None:

@@ -274,9 +274,8 @@ def reduct(phi, atoms, universe, memo=None):
 
 def _gz_relevant_atoms(propagation):
     """GZ's upper bound: the root upper bound of ``propagation`` over the
-    full grounding, as a set, tightened from the atoms that the facts
-    support through what the formulas can make true (``ground.heads``,
-    ``search._Propagation._viable``) by ``search._Propagation.bounds``;
+    full grounding, as a set, tightened from every atom that a formula
+    has as a head (``ground.heads``) by ``search._Propagation.bounds``;
     empty when the root bounds conflict, and then the search has no
     leaf."""
     root = propagation.root

@@ -7,14 +7,14 @@ ground theory restricted to what its support fixpoint can reach
 (``search_theory``); the GZ engine's runs on its full grounding, and the
 upper bound of its root bounds is GZ's upper bound.  Propagation
 tightens the bounds from the facts and its numbered atoms once, at the
-root, and drops every rule and constraint whose body cannot hold under
-them; ``branch_leaves`` then decides one undecided atom that some kept
-body reads at a time and tightens both bounds after each decision.
-Deciding an atom that no kept body reads tightens nothing, so the search
-never branches on one: each subset of those the bounds leave undecided
-makes a leaf.  Atoms that no rule or constraint joins fall into parts
-that are searched one at a time and whose leaves combine
-(``branch_leaves``).  Propagation only ever drops candidates that cannot
+root, and drops every rule, constraint and support (``_Propagation``)
+whose body cannot hold under them; ``branch_leaves`` then decides one
+undecided atom that some kept body reads at a time and tightens both
+bounds after each decision.  Deciding an atom that no kept body reads
+tightens nothing, so the search never branches on one: each subset of
+those the bounds leave undecided makes a leaf.  Atoms that no rule,
+constraint or support joins fall into parts that are searched one at a
+time and whose leaves combine (``branch_leaves``).  Propagation only ever drops candidates that cannot
 be stable.
 A leaf takes the engine's model and minimality checks unless the search
 is exact, which rules of plain atoms and their ``not`` make
@@ -41,30 +41,26 @@ from itertools import compress, count, product
 from operator import or_
 
 from .errors import DomainLimitError
-from .ground import _bit_values, aggregate_values, heads, member_weight, simplify
-from .interp import (
-    T,
-    _independent,
-    atom_key,
-    eval_term,
-    relation_eval,
-    static_atom,
+from .ground import (
+    accepted,
+    aggregate_sides,
+    aggregate_values,
+    fixed_value,
+    heads,
+    member_weight,
+    simplify,
 )
+from .interp import atom_key, static_atom
 from .syntax import (
-    AGGREGATE_NAMES,
     BOT,
-    RELATION_PREDS,
     And,
-    EApp,
     Eq,
     Implies,
     IntSet,
     Or,
     PredAtom,
     _Top,
-    comparison,
     conj,
-    ground_constructor_value,
     nests_set,
     walk,
 )
@@ -241,29 +237,22 @@ class _Propagation(_Numbering):
     support fixpoint's that ``upper`` gives, or else, over a full
     grounding, every atom that a formula has as a head: the facts, the
     heads of the rule view and the static heads of the formulas outside it
-    (``ground.heads``), the members of head aggregates included.  Each
-    rule body and constraint of the theory's rule view is compiled once
+    (``ground.heads``).  Each rule body and constraint of the rule view,
+    and each chain of antecedents of a formula outside it, a support of
+    the static heads under it (``bounds``), is compiled once
     (``_compile``), so tightening a pair of bounds takes only bit
     operations, plus a pass over the members of each aggregate test.
-    ``kept`` holds the numbered atoms that a formula outside the view
-    mentions (every atom of a predicate it reads through a non-static
-    argument), which support never drops.  ``root`` holds the bounds
-    tightened from the facts and the numbered atoms (``bounds``), or None
-    when they conflict.  Then every rule and constraint whose body cannot
-    hold under the root bounds is dropped: the bounds below the root only
-    tighten, so such a body never holds in a world the search reaches, and
-    its formula is satisfied at both worlds of every leaf.  ``rules``
-    holds ``(body, heads, phi)`` and ``constraints`` ``(body, phi)`` for
-    each one kept, ``body`` compiled and ``phi`` its formula.  ``read``
-    holds the atoms that the kept rules and constraints mention
+    ``kept`` holds the numbered atoms of each predicate in a head that is
+    no static atom, which support never drops.  ``root`` holds the bounds
+    tightened from the facts and every numbered atom, or None.  Then
+    every rule, constraint and support whose body cannot hold under the
+    root bounds is dropped: the bounds below the root only tighten, so
+    such a body never holds in a world the search reaches, and its formula
+    is satisfied at both worlds of every leaf.  ``rules`` holds ``(body,
+    heads, phi)``, ``constraints`` ``(body, phi)`` and ``supports``
+    ``(body, heads)`` for each one kept, ``body`` compiled and ``phi`` its
+    formula.  ``read`` holds the atoms that the kept bodies mention
     (``_mentioned``): deciding any other atom tightens nothing.
-
-    Without ``upper``, the numbered atoms first shrink to those that some
-    chain of bodies that can hold supports (``_viable``), with the heads
-    of the formulas outside the view supported by their chains, and
-    ``kept`` holds only those, of the formulas with a chain of antecedents
-    that can hold: any other is satisfied at every here-world inside them.
-    The root upper bound is the search's.
 
     The search is ``exact`` when every formula is in the view, every rule
     body and constraint compiles to masks alone, set equalities included
@@ -277,16 +266,18 @@ class _Propagation(_Numbering):
     """
 
     def __init__(self, ground, upper=None):
-        view = ground.rules
-        self.ground, self.universe = ground, ground.universe
-        consequents, chains = {}, None  # antecedents -> the atoms they support
+        view, universe = ground.rules, ground.universe
+        self.ground, self.universe = ground, universe
+        chains, preds = {}, set()  # antecedents -> their static heads; what other heads read
+        for antecedents, head in (pair for phi in view.others for pair in heads(phi, universe)):
+            if (atom := static_atom(head, universe)) is not None:
+                chains.setdefault(antecedents, set()).add(atom)
+            else:  # relations too, which name no atom
+                preds.update((n.pred, len(n.args)) for n in walk(head) if isinstance(n, PredAtom))
         if upper is None:
-            chains = [list(heads(phi, self.universe)) for phi in view.others]
-            for antecedents, head in (pair for own in chains for pair in own):
-                if (atom := static_atom(head, self.universe)) is not None:
-                    consequents.setdefault(antecedents, set()).add(atom)
-            upper = view.facts.union(*consequents.values(), *(rule[1] for rule in view.rules))
+            upper = view.facts.union(*chains.values(), *(rule[1] for rule in view.rules))
         super().__init__(upper)
+        everything = self.outside - 1
         self.facts = self.mask(view.facts)
         self._members = {}  # a set term -> its members (``_set_members``)
         rules = [(body, self.mask(made), phi) for body, made, phi in view.rules]
@@ -295,29 +286,24 @@ class _Propagation(_Numbering):
             (self._compile(body), made, phi) for body, made, phi in rules if made & ~self.facts
         )
         self.constraints = tuple((self._compile(phi.left), phi) for phi in view.constraints)
-        viable, admitted = self._viable(consequents) if consequents else (self.outside - 1, set())
-        others = view.others if chains is None else [
-            phi for phi, own in zip(view.others, chains) if any(a in admitted for a, _ in own)
-        ]
-        atoms, preds = set(), set()
-        for node in (n for phi in others for n in walk(phi) if isinstance(n, PredAtom)):
-            if (key := static_atom(node, self.universe)) is not None:
-                atoms.add(key)
-            elif node.pred not in RELATION_PREDS:
-                preds.add((node.pred, len(node.args)))
-        if preds:
-            atoms.update(a for a in upper if (a[0], len(a[1])) in preds)
-        self.kept = self.mask(atoms & upper) & viable
-        self.root = self.bounds(self.facts, viable)
+        self.supports = tuple(
+            (self._compile(conj(chain)), made)
+            for chain, atoms in chains.items()
+            if (made := self.mask(atoms) & everything & ~self.facts)
+        )
+        self.kept = self.mask(a for a in upper if (a[0], len(a[1])) in preds) if preds else 0
+        self._supporting = (*self.rules, *self.supports)
+        self.root = self.bounds(self.facts, everything)
         if self.root is not None:
             lower, upper = self.root
-            self.rules, self.constraints = (
+            self.rules, self.constraints, self.supports = (
                 tuple(r for r in placed if _entailed(r[0], upper, lower, False, upper))
-                for placed in (self.rules, self.constraints)
+                for placed in (self.rules, self.constraints, self.supports)
             )
-        bodies = [placed[0] for placed in (*self.rules, *self.constraints)]
+            self._supporting = (*self.rules, *self.supports)
+        bodies = [placed[0] for placed in (*self.rules, *self.constraints, *self.supports)]
         self.read = reduce(or_, map(_mentioned, bodies), 0)
-        self.exact = not (view.others or self.universe.signature.func_ranges) and not any(
+        self.exact = not (view.others or universe.signature.func_ranges) and not any(
             opaque or parts for _, _, opaque, parts in bodies
         )
 
@@ -331,22 +317,6 @@ class _Propagation(_Numbering):
         kept = {placed[-1] for placed in (*self.rules, *self.constraints)}
         dropped = {rule[2] for rule in view.rules}.union(view.constraints) - kept
         return tuple(phi for phi in self.ground.formulas if phi not in dropped)
-
-    def _viable(self, consequents):
-        """The mask of the numbered atoms that the facts support through
-        rules and through ``consequents``, the atoms each chain of
-        antecedents of a formula outside the view supports, each body
-        tested as ``bounds`` tests support under the facts; and the chains
-        whose antecedents can hold inside it.  A stable model lies inside
-        the mask, by the argument of ``bounds``: a formula whose
-        antecedents cannot hold at the here-world inside it is satisfied
-        there, and one whose antecedents can has its consequents inside
-        it."""
-        everything = self.outside - 1
-        supports = [(self._compile(conj(chain)), self.mask(made)) for chain, made in consequents.items()]
-        viable = _grow(self.facts, (*self.rules, *supports), self.facts, False, everything)
-        held = [_entailed(body, viable, self.facts, False, everything) for body, _ in supports]
-        return viable, set(compress(consequents, held))
 
     def _compile(self, phi):
         """A rule body as ``(pos, neg, opaque, parts)``: the masks of its
@@ -394,27 +364,17 @@ class _Propagation(_Numbering):
         decides it against the other side's value in the static
         interpretation, which both engines read.  An undefined value fails
         every comparison, so only its ``not`` holds there."""
-        if (parts := comparison(part)) is None:
-            return None
-        rel, left, right = parts
-        for agg, other, flip in ((left, right, False), (right, left, True)):
-            if isinstance(agg, EApp) and agg.name in AGGREGATE_NAMES and isinstance(agg.args[0], IntSet):
-                break
-        else:
-            return None
-        value = self._value(other)
-        pool = None if value is None else self._set_members(agg.args[0])
-        if pool is None:
-            return None
-        members = tuple((pos, neg, member_weight(agg.name, head)) for pos, neg, head in pool)
-        bounds = self.universe.bounds
-        reach, _ = aggregate_values(agg.name, (), [w for _, _, w in members], bounds)
-        accept = sum(
-            1 << (v - bounds.int_min)
-            for v in _bit_values(reach, bounds)
-            if relation_eval(rel, *((value, v) if flip else (v, value))) != negated
-        )
-        return agg.name, negated, members, accept, bounds
+        for rel, agg, other, flip in aggregate_sides(part):  # the first side only
+            value = fixed_value(other, self.universe)
+            pool = None if value is None else self._set_members(agg.args[0])
+            if pool is None:
+                return None
+            members = tuple((pos, neg, member_weight(agg.name, head)) for pos, neg, head in pool)
+            bounds = self.universe.bounds
+            reach, _ = aggregate_values(agg.name, (), [w for _, _, w in members], bounds)
+            accept = accepted(reach, rel, value, flip, bounds, negated)
+            return agg.name, negated, members, accept, bounds
+        return None
 
     def _set_equality(self, part):
         """The masks ``(pos, neg)`` of ``part``, an equality between a set
@@ -436,7 +396,7 @@ class _Propagation(_Numbering):
         if not isinstance(part, Eq):
             return None
         iset, other = part.children if isinstance(part.left, IntSet) else part.children[::-1]
-        value = self._value(other) if isinstance(iset, IntSet) else None
+        value = fixed_value(other, self.universe) if isinstance(iset, IntSet) else None
         if not isinstance(value, FinSet) or (members := self._set_members(iset)) is None:
             return None
         pos = neg = found = 0
@@ -452,14 +412,6 @@ class _Propagation(_Numbering):
         if found < len(value):
             pos |= self.outside  # a tuple of ``v`` that no member produces
         return pos, neg
-
-    def _value(self, term):
-        """The value of ``term`` when the interpretation cannot change it,
-        else None: arithmetic folds, as in both engines."""
-        value = ground_constructor_value(term)
-        if value is None and _independent(term):
-            value = eval_term(self.universe.static, T, term)
-        return value
 
     def _set_members(self, iset):
         """The members of the set term ``iset`` as ``(pos, neg, values)``:
@@ -487,10 +439,8 @@ class _Propagation(_Numbering):
             pos, neg, opaque, parts = self._compile(body)
             if pos & self.outside:
                 continue  # false in every world inside the root upper bound
-            values = tuple(
-                eval_term(universe.static, T, t) if _independent(t) else UNDEF for t in head
-            )
-            if opaque or parts or values in heads or any(v is UNDEF for v in values):
+            values = tuple(fixed_value(t, universe) for t in head)
+            if opaque or parts or values in heads or any(v is None or v is UNDEF for v in values):
                 return None
             heads.add(values)
             members.append((pos, neg, values))
@@ -500,7 +450,7 @@ class _Propagation(_Numbering):
     def components(self, undecided):
         """The ``undecided`` atoms split into the masks of their components,
         in the order of their lowest atoms: two atoms share one when a
-        rule (heads included) or constraint mentions both (``_mentioned``).
+        rule or support (heads included) or a constraint mentions both.
         Then ``bounds`` on a decision inside one component leaves every
         other as it was: no rule or constraint that reads or derives its
         atoms mentions an atom of another, and the atoms decided before
@@ -513,7 +463,7 @@ class _Propagation(_Numbering):
                 atom = parent[atom]
             return atom
 
-        rules = (heads | _mentioned(body) for body, heads, _ in self.rules)
+        rules = (placed[1] | _mentioned(placed[0]) for placed in self._supporting)
         for mask in (*rules, *(_mentioned(body) for body, _ in self.constraints)):
             mask &= undecided
             if mask:
@@ -544,13 +494,21 @@ class _Propagation(_Numbering):
         extension classically, as the members whose body holds.
 
         The upper bound shrinks to the support fixpoint ``S`` inside it:
-        the facts, the kept atoms and the heads of rules whose body can
-        hold at a here-world inside ``S`` whose there-world lies between
-        the bounds.  A stable model ``T`` between the bounds stays inside
-        ``S``: every rule whose body holds at the here-world ``T & S``
-        has its heads in ``S``, so ``T & S`` would be a smaller model of
-        the equilibrium engine's here-world reading, and of the GZ
-        reduct, were it not ``T``.  A ``not`` reads the there-world, so a
+        the facts, the kept atoms and the heads of rules and supports
+        (never read for the lower bound) whose body can hold at a
+        here-world inside ``S`` whose there-world lies between the bounds.
+        A stable model ``T`` between the bounds stays inside ``S``: every
+        rule whose body holds at the here-world ``T & S`` has its heads in
+        ``S``, and a formula outside the view that holds at ``T`` holds at
+        ``T & S``, so ``T & S`` would be a smaller model of the equilibrium
+        engine's here-world reading, and of the GZ reduct, were it not
+        ``T``.  The formula holds there by induction over the head
+        positions of ``ground.heads``, as each chain that holds at ``T &
+        S`` has its heads in ``S``: atoms, ``,``, ``;``, an ``A -> B``
+        whose ``A`` joins the chain, quantifier instances, and aggregate
+        members, each true at ``T`` being read, so that the set term's
+        extension is that at ``T``; any other head reads ``T`` or ``kept``.  A ``not``
+        reads the there-world, so a
         negated atom fails only in the lower bound and a negated
         aggregate ranges over the there-worlds between the bounds.  A
         positive aggregate holds at ``T & S`` only when every member of
@@ -566,7 +524,7 @@ class _Propagation(_Numbering):
                 _entailed(body, lower, upper, True, -1) for body, _ in self.constraints
             ):
                 return None
-            support = _grow(self.facts | self.kept & upper, self.rules, lower, False, upper)
+            support = _grow(self.facts | self.kept & upper, self._supporting, lower, False, upper)
             if support == upper:
                 return lower, upper
             upper = support

@@ -252,12 +252,13 @@ def test_both_engines_find_models_of_a_count_in_a_head(engine):
 
 
 def head_aggregate_program(rng):
-    """A ``random_gz_program`` with one ``count`` or ``sum`` comparison head
-    over one of its predicates appended, with a body or without."""
+    """A ``random_gz_program`` with one aggregate comparison head over one
+    of its predicates appended, with a body or without."""
     program = random_gz_program(rng)
     preds = sorted(set(re.findall(r"\b([pqr])\(", program)))
-    agg, pred = rng.choice(["count", "sum"]), rng.choice(preds)
-    head = f"{agg}{{V : {pred}(V)}} {rng.choice(['>=', '=', '>'])} {rng.randint(0, 2)}"
+    agg, pred = rng.choice(["count", "sum", "max", "min"]), rng.choice(preds)
+    rel = rng.choice([">=", "=", ">", "<", "<=", "!="])
+    head = f"{agg}{{V : {pred}(V)}} {rel} {rng.randint(0, 2)}"
     roll = rng.random()
     if roll < 0.3:
         return f"{program}\n{head}."

@@ -362,10 +362,12 @@ CHECKED = (_eq_checked, _gz_checked)
 # that nothing can make true and over one that can: with the models and
 # the leaves of a search whose upper bound is the support fixpoint.  Seven
 # bodies whose atoms stayed undecided would pass ``atom_cap``.  In the
-# sixth, no antecedent chain of the three ``;`` rules can hold, so none
-# keeps q(a) in support, which its own count cannot give it, and the root
-# bounds conflict; in the last, ``b`` has the empty chain, so the nested
-# head keeps its atoms.
+# fifth, ``c`` supports ``a`` and ``b`` only while it can hold, so the
+# branch with ``d`` drops them.  In the sixth, no antecedent chain of the
+# three ``;`` rules can hold, so none keeps q(a) in support, which its own
+# count cannot give it, and the root bounds conflict; in the last, ``b``
+# has the empty chain, so it stays possible, and ``a`` is under ``c``,
+# which nothing supports.
 DISJUNCTIVE = [
     ("a ; b :- c.", [set()], 1),
     (" ".join(f"a{i} ; b{i} :- c{i}." for i in range(7)), [set()], 1),
@@ -374,7 +376,7 @@ DISJUNCTIVE = [
     (
         "a ; b :- c. c :- not d. d :- not c.",
         [{atom("a"), atom("c")}, {atom("b"), atom("c")}, {atom("d")}],
-        8,
+        5,
     ),
     (
         "p(b). r(a). p(a) ; r(1) :- p(1), p(a). "
@@ -419,6 +421,57 @@ def test_gz_upper_bound_holds_no_atom_that_only_a_body_reads(text, models, leave
         assert _gz(text, GENERATOR_BOUNDS) == models
     assert counted.total() == leaves
     assert _gz_checked(text, GENERATOR_BOUNDS) == models
+
+
+@pytest.mark.parametrize(
+    "text, models, leaves",
+    DISJUNCTIVE,
+    ids=["one", "seven", "aggregate", "chained", "supported", "dead-chains", "nested"],
+)
+def test_equilibrium_search_of_a_disjunction_visits_the_same_leaves(text, models, leaves):
+    with counted_leaves() as counted:
+        assert [atoms for atoms, _ in _eq(text, GENERATOR_BOUNDS)] == models
+    assert counted.total() == leaves
+
+
+# Heads that compare a set term no aggregate reads: such a head holds at a
+# here-world only where the set term's members are as at the there-world,
+# so support keeps their atoms (``kept``), and ``{c, e, q(1)}`` is stable
+# though the rule for ``q(1)`` cannot fire there.
+SET_TERM_HEADS = [
+    "c. {X : q(X)} = {1} :- c. q(1) :- d. d :- not e. e :- not d.",
+    "c. count{X : q(X)} = count{Y : r(Y)} + 1 :- c. "
+    "q(1) :- d. r(1) :- d. q(2) :- e. d :- not e. e :- not d.",
+]
+
+
+@pytest.mark.parametrize("text, models", zip(SET_TERM_HEADS, (2, 7)), ids=["equality", "sum"])
+def test_support_keeps_the_atoms_of_a_set_term_in_a_head(text, models):
+    fast = _eq(text, ZERO_RANK_BOUNDS)
+    with reference_search():
+        assert len(fast) == models and fast == _eq(text, ZERO_RANK_BOUNDS)
+
+
+# Head aggregates whose comparison no extension of their members meets
+# at the default bounds (ints 0..10): no member is a head, so both engines
+# take one leaf for no model.  Where every member was a head, the sum over
+# the 121 ``e`` pairs exited on ``atom_cap``, and the others took 2,048 to
+# 4,096 leaves: a ``max`` or ``min`` of ints 0..10 lies inside them, and a
+# count past ``int_max`` is undefined.
+UNREACHABLE_HEADS = [
+    "sum{(X, Y) : e(X, Y)} < 0 :- q. q.",
+    "max{X : p(X)} < 0 :- q. q.",
+    "min{X : p(X)} > 10 :- q. q.",
+    "count{X : p(X)} > 11 :- q. q.",
+]
+
+
+@pytest.mark.parametrize("text", UNREACHABLE_HEADS, ids=["sum", "max", "min", "count"])
+@pytest.mark.parametrize("engine", [find_stable_models, gz_stable_models])
+def test_a_head_aggregate_reads_no_member_that_cannot_meet_it(engine, text):
+    with counted_leaves() as counted:
+        assert _models(engine(parse_program(text), DomainBounds())) == []
+    assert counted.total() == 1
 
 
 # The sum of p(a) is undefined, so the rule's body holds at no value of
