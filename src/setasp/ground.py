@@ -299,12 +299,11 @@ def heads(phi, universe: Universe, admit=None, antecedents=()):
     """What the ground formula ``phi`` can make true, as ``(antecedents,
     atom)``: each predicate atom outside every ``->`` left side, with the
     left sides it lies under, read through quantifier instances and the
-    member bodies of a set term's aggregate that is a side of a comparison
-    (``_read_members``), none under the aggregate's ``t = t`` (a ``:=``'s
-    guard: the set is then as at the there-world).  A comparison with a
-    set term that no aggregate reads, say ``{X : q(X)} = {1}``, is yielded
-    itself.  A left side that ``admit`` rejects yields ``(antecedents,
-    None)``, and nothing right of it is instantiated."""
+    members of each set term that a comparison there holds
+    (``_member_heads``): the comparison holds at a here-world that holds
+    every member true at the there-world, as its set terms then take
+    their there-world extensions.  A left side that ``admit`` rejects yields
+    ``(antecedents, None)``, and nothing right of it is instantiated."""
     if isinstance(phi, Implies):
         if admit is None or admit(phi.left):
             yield from heads(phi.right, universe, admit, (*antecedents, phi.left))
@@ -319,14 +318,26 @@ def heads(phi, universe: Universe, admit=None, antecedents=()):
         for body in universe.quantifier_instances(phi):
             yield from heads(body, universe, admit, antecedents)
     elif comparison(phi) is not None:
-        read = set()
+        read = {}
         for rel, agg, other, flip in aggregate_sides(phi):
-            read.add(agg.args[0])
-            if Eq(agg, agg) not in (part for a in antecedents for part in conjuncts(a)):
-                for _, body in _read_members(rel, agg, other, flip, universe):
-                    yield from heads(body, universe, admit, antecedents)
-        if any(isinstance(node, IntSet) and node not in read for node in walk(phi)):
-            yield antecedents, phi
+            # none under a ``:=``'s guard ``t = t``: the set is as at the there-world
+            guarded = Eq(agg, agg) in (part for a in antecedents for part in conjuncts(a))
+            read[agg.args[0]] = () if guarded else _read_members(rel, agg, other, flip, universe)
+        yield from _member_heads(phi, read, universe, admit, antecedents)
+
+
+def _member_heads(node, read, universe, admit, antecedents):
+    """The heads of the member bodies of each outermost set term of
+    ``node``, those ``read`` gives an aggregate side (``_read_members``),
+    and of the set terms in the members' heads."""
+    if isinstance(node, IntSet):
+        for head, body in read[node] if node in read else universe.intset_candidates(node):
+            yield from heads(body, universe, admit, antecedents)
+            for term in head:
+                yield from _member_heads(term, {}, universe, admit, antecedents)
+    else:
+        for child in node.children:
+            yield from _member_heads(child, read, universe, admit, antecedents)
 
 
 def aggregate_sides(phi):
@@ -616,8 +627,6 @@ class _Viability:
         antecedent on the way passed and every head is a static atom."""
         universe, retired = self.universe, True
         for _, head in heads(phi, universe, self.possibly_sat):
-            if head is not None and not isinstance(head, PredAtom):
-                continue  # a comparison makes no atom true
             atom = head and static_atom(head, universe)
             retired = retired and atom is not None
             if atom is not None:

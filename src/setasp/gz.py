@@ -19,11 +19,10 @@ equilibrium engine's.  The upper bound is the root upper bound of
 the search's one propagation over the full grounding
 (``_gz_relevant_atoms``), whose support pass reads aggregate values
 exactly; no support fixpoint of ``ground`` runs.  The shared candidate
-loop (``search.search_stable``) accepts a leaf that propagation closed
-in an exact search as it is, and calls back into ``cl_satisfies``,
-``reduct`` and ``_has_smaller_model`` at every other leaf, over the
-formulas that propagation kept
-(``search._Propagation.checked_formulas``).  Ground atoms are read by
+loop (``search.search_stable``) decides which leaves take the checks
+and which formulas they read, as for the equilibrium engine, and calls
+back into ``cl_satisfies``, ``reduct`` and ``_has_smaller_model`` at
+each such leaf.  Ground atoms are read by
 ``interp.static_atom``, the reduct's least model is
 ``rules.least_model`` and constants fold by ``syntax.fold``.  The
 grounding stays the full ``ground.ground_theory``, never the
@@ -31,8 +30,8 @@ binding-driven one of ``instantiate``, so ``cross_check`` still compares
 two instantiations, each with an upper bound of its own: the equilibrium
 engine's from the fixpoint it instantiates in, GZ's from propagation.
 It runs both engines with ``full_checks``, so that a closed leaf, too,
-takes each engine's own checks and not one shared verdict, and GZ's
-checks read the whole grounding.
+takes each engine's own checks and not one shared verdict, and each
+engine's checks read its whole search theory.
 """
 
 from __future__ import annotations
@@ -283,12 +282,8 @@ def _gz_relevant_atoms(propagation):
 
 
 def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks=False):
-    """All stable models under the reduct semantics, canonically ordered.
-    A leaf that the search closed is one (``search.branch_leaves``) and
-    takes no check, and the checks of the others read only the formulas
-    the search keeps (``search._Propagation.checked_formulas``), unless
-    ``full_checks`` is set: then every leaf is checked against the whole
-    grounding."""
+    """All stable models under the reduct semantics, canonically ordered;
+    ``full_checks`` is the shared search's (``search.search_stable``)."""
     ok, reason = is_gz_theory(theory)
     if not ok:
         raise NotGZError(reason)
@@ -297,28 +292,20 @@ def gz_stable_models(theory: Theory, bounds: DomainBounds = None, *, full_checks
     _gz_relevant_atoms(propagation)  # the search's upper bound, named so that it can be counted
 
     def stable_in(search):
-        universe = search.universe
-        # a formula left out is classically true at the leaf, and its
-        # reduct is verum (its body fails there) or holds wherever the facts
-        # do, so it changes neither check
-        formulas = search.formulas if full_checks else propagation.checked_formulas()
-
+        # a formula left out of ``search`` is classically true at the
+        # leaf, and its reduct is verum (its body fails there) or holds
+        # wherever the facts do, so it changes neither check
         def stable(there):
             memo = {}  # the aggregate values of this candidate
-            if not all(cl_satisfies(there, phi, universe, memo) for phi in formulas):
+            if not all(cl_satisfies(there, phi, universe, memo) for phi in search.formulas):
                 return
-            reduced = [reduct(phi, there, universe, memo) for phi in formulas]
+            reduced = [reduct(phi, there, universe, memo) for phi in search.formulas]
             if not _has_smaller_model(there, reduced, universe):
-                yield {}, there
+                yield {}
 
         return stable
 
-    return search_stable(propagation, stable_in, None if full_checks else _closed)
-
-
-def _closed(search, there):
-    """A leaf that the search closed is its own stable model."""
-    return there
+    return [atoms for atoms, _ in search_stable(propagation, stable_in, full_checks)]
 
 
 def _positive(phi):

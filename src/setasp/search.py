@@ -16,10 +16,12 @@ those the bounds leave undecided makes a leaf.  Atoms that no rule,
 constraint or support joins fall into parts that are searched one at a
 time and whose leaves combine (``branch_leaves``).  Propagation only ever drops candidates that cannot
 be stable.
-A leaf takes the engine's model and minimality checks unless the search
-is exact, which rules of plain atoms and their ``not`` make
-(``_Propagation``), and its bounds closed: such a leaf is a stable model
-in both engines, which the engine only builds.  A leaf is a bit mask
+A leaf takes the engine's model and minimality checks, which read only
+the formulas propagation kept (``_Propagation.checked_formulas``),
+unless the search is exact, which rules of plain atoms and their ``not``
+make (``_Propagation``), and its bounds closed: such a leaf is a stable
+model in both engines, with no function facts.  ``full_checks`` checks
+every leaf against the whole search theory.  A leaf is a bit mask
 over the numbered atoms (``_Numbering``) from its last decision to the
 end of its checks.  The atoms are numbered in ``atom_key`` order, the one
 order in which the search decides them and sorts its models.
@@ -67,32 +69,34 @@ from .syntax import (
 from .values import UNDEF, FinSet, value_key
 
 
-def search_stable(propagation, stable_in, accept=None) -> list:
-    """The candidate loop both engines share, in canonical order.
+def search_stable(propagation, stable_in, full_checks=False) -> list:
+    """The stable models of ``propagation``'s search theory as ``(atoms,
+    funcs)``, ``funcs`` their declared-function facts, sorted by their
+    atoms (``_Numbering.key``), then by those facts.
 
-    ``propagation`` (``_Propagation``) holds the engine's search theory
-    and its root bounds.  ``stable_in(search)`` returns the engine's test
-    on that theory, which maps a there-world to the stable models it
-    carries, as ``(funcs, model)`` pairs whose ``funcs`` are the model's
-    declared-function facts; models sort by their atoms
-    (``_Numbering.key``), then by those facts.
-
-    ``accept(search, there)``, if given, builds the stable model of a
-    leaf that ``branch_leaves`` marks closed, which then takes no test:
-    with no function declared it carries no function facts.
+    ``stable_in(theory)``, called at the first leaf that takes a test,
+    returns the engine's test on ``theory``: it yields the ``funcs`` of
+    each assignment under which a there-world is stable.  ``theory``
+    holds only what propagation kept (``_Propagation.checked_formulas``),
+    and a leaf that ``branch_leaves`` marks closed is stable with no
+    function facts and takes no test, unless ``full_checks``: then
+    ``theory`` is the whole search theory and every leaf takes the test.
     """
     search = propagation.ground
     if any(phi == BOT for phi in search.formulas):
         return []
-    stable = stable_in(search)
-    found = {}
+    stable, found = None, {}
     for numbering, mask, closed in branch_leaves(propagation):
-        if closed and accept is not None:
-            found[mask, ()] = accept(search, numbering.atoms(mask))
+        atoms = numbering.atoms(mask)
+        if closed and not full_checks:
+            found[mask, ()] = atoms, {}
             continue
-        for funcs, model in stable(numbering.atoms(mask)):
+        if stable is None:  # at the first leaf that takes the test
+            kept = search if full_checks else replace(search, formulas=propagation.checked_formulas())
+            stable = stable_in(kept)
+        for funcs in stable(atoms):
             facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
-            found[mask, tuple(facts)] = model
+            found[mask, tuple(facts)] = atoms, funcs
     return [found[key] for key in sorted(found, key=lambda k: (numbering.key(k[0]), k[1]))]
 
 
@@ -243,7 +247,8 @@ class _Propagation(_Numbering):
     (``_compile``), so tightening a pair of bounds takes only bit
     operations, plus a pass over the members of each aggregate test.
     ``kept`` holds the numbered atoms of each predicate in a head that is
-    no static atom, which support never drops.  ``root`` holds the bounds
+    no static atom (a set-term or declared-function argument), which
+    support never drops.  ``root`` holds the bounds
     tightened from the facts and every numbered atom, or None.  Then
     every rule, constraint and support whose body cannot hold under the
     root bounds is dropped: the bounds below the root only tighten, so
@@ -272,7 +277,7 @@ class _Propagation(_Numbering):
         for antecedents, head in (pair for phi in view.others for pair in heads(phi, universe)):
             if (atom := static_atom(head, universe)) is not None:
                 chains.setdefault(antecedents, set()).add(atom)
-            else:  # relations too, which name no atom
+            else:
                 preds.update((n.pred, len(n.args)) for n in walk(head) if isinstance(n, PredAtom))
         if upper is None:
             upper = view.facts.union(*chains.values(), *(rule[1] for rule in view.rules))

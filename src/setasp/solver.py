@@ -10,14 +10,14 @@ support in any rule chain, so dropping it always yields a smaller model.
 The lower bound holds the atoms that rules with statically decidable
 bodies force into every model.  The ``search`` module decides the atoms
 between the bounds one at a time and tests only the leaves of that
-search, each against every assignment of the declared functions (the
-sigma loop); each assignment that passes is a stable model.  A leaf
-that propagation closed in an exact search, which declares no function,
-is one already and takes no test.
+search, each against every assignment of the declared applications
+that the formulas it keeps read (the sigma loop); each assignment that
+passes is a stable model.  The search decides which leaves take the
+checks and which formulas they read (``search.search_stable``).
 Minimality is a least-model fixpoint (``rules``) where the rules allow
 it and a subset search elsewhere.  Each leaf that takes the checks tests
-every formula afresh.  Propagation reads a set term compared with a set
-value through the atoms of its members, so the paper's p1 closes at its
+every formula it reads afresh.  Propagation reads a set term compared
+with a set value through the atoms of its members, so the paper's p1 closes at its
 root and takes no check.
 
 The GZ engine (``gz``) shares the rule view and least-model fixpoint,
@@ -118,20 +118,27 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
     An application whose argument is not static covers the argument
     values ``viability`` finds possible, or the whole domain past its cap.
     A set term or a quantifier is read through its instances, nested ones
-    included; an application that still holds a variable covers the whole
-    domain.  An ``exists`` instance whose body ``viability`` rejects, and an
-    implication whose antecedent it rejects, are skipped: either one holds
-    or fails at both worlds, whatever its applications denote.
+    included, so a set term that no formula of ``ground`` holds is not;
+    an application that still holds a variable covers the whole domain.
+    An ``exists`` instance or a member whose body ``viability`` rejects,
+    and an implication whose antecedent it rejects, are skipped: each
+    holds or fails at both worlds, whatever its applications denote.
     """
     universe = ground.universe
     ranges = universe.signature.func_ranges
     if not ranges:
         return []
-    apps = set()
+    apps, seen = set(), set()
 
     def scan(node):
         if isinstance(node, IntSet):
-            return  # read through its instances below
+            if node not in seen:  # each set term is read once
+                seen.add(node)
+                for head, body in universe.intset_candidates(node):
+                    if viability.possibly_sat(body):
+                        for part in (*head, body):
+                            scan(part)
+            return
         if isinstance(node, Implies) and not viability.possibly_sat(node.left):
             return
         if isinstance(node, (Forall, Exists)):
@@ -155,14 +162,6 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
 
     for phi in ground.formulas:
         scan(phi)
-    scanned = set()
-    while pending := universe.intsets - scanned:
-        for iset in pending:
-            for head, body in universe.intset_candidates(iset):
-                if viability.possibly_sat(body):
-                    for node in (*head, body):
-                        scan(node)
-        scanned |= pending
     return sorted(apps, key=atom_key)
 
 
@@ -293,8 +292,8 @@ def _missing_ranges(theory: Theory):
 def find_stable_models(
     theory: Theory, bounds: DomainBounds = None, *, full_checks=False
 ) -> StableModelReport:
-    """Enumerate the stable models of a theory within the given bounds.
-    ``full_checks`` tests every leaf, closed ones too (``_solve``)."""
+    """Enumerate the stable models of a theory within the given bounds;
+    ``full_checks`` is the shared search's (``search.search_stable``)."""
     bounds = bounds or DomainBounds()
     missing = _missing_ranges(theory)
     if missing:
@@ -318,47 +317,46 @@ def solve_ground(ground: GroundTheory) -> StableModelReport:
 
 
 def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
-    """The stable models of ``viability``'s theory.  A leaf that the search
-    closed is one (``search.branch_leaves``) and takes no check, unless
-    ``full_checks`` is set: it is still a candidate."""
+    """The stable models of ``viability``'s theory: a candidate is a leaf
+    of the shared search under one assignment, and a closed leaf is one."""
     started = time.perf_counter()
     upper = relevant_atoms(viability)
     stats = SearchStats()
 
     def stable_in(search):
-        # a stored fact that only dropped rules read is in no stable model
+        # a stored fact that only formulas the search left out read is in
+        # no stable model
         sigma_space = _sigma_candidates(search, viability)
 
         def stable(t_atoms):
             for sigma_t in sigma_space:
-                stats.candidates += 1
                 candidate = HTInterpretation.total(search.universe, sigma_t, t_atoms)
                 # total interpretations collapse both worlds, so the there-world
                 # check decides modelhood
-                if not all(map(partial(s_satisfies, candidate, T), search.formulas)):
-                    continue
-                if find_countermodel(candidate, search) is None:
-                    yield sigma_t.funcs, StableModel(t_atoms, _witness(candidate))
+                model = all(map(partial(s_satisfies, candidate, T), search.formulas))
+                if model and find_countermodel(candidate, search) is None:
+                    yield sigma_t.funcs
+                else:
+                    stats.candidates += 1  # each model is counted below
 
         return stable
 
-    def accept(search, t_atoms):
-        stats.candidates += 1
-        model = HTInterpretation.total(search.universe, Assignment(), t_atoms)
-        return StableModel(t_atoms, _witness(model))
-
     # the search theory keeps what the fixpoint's last round judged possible
-    propagation = _Propagation(search_theory(viability.ground, viability.possibly_sat), upper)
-    found = search_stable(propagation, stable_in, None if full_checks else accept)
+    search = search_theory(viability.ground, viability.possibly_sat)
+    found = search_stable(_Propagation(search, upper), stable_in, full_checks)
+    stats.candidates += len(found)
+    models = [StableModel(atoms, _witness(search.universe, atoms, funcs)) for atoms, funcs in found]
     stats.elapsed = time.perf_counter() - started
-    return StableModelReport(found, stats)
+    return StableModelReport(models, stats)
 
 
-def _witness(interp: HTInterpretation) -> Assignment:
-    """Materialize the derived set values into the reported assignment."""
+def _witness(universe, atoms, funcs) -> Assignment:
+    """The function facts ``funcs`` of the total model ``atoms`` with its
+    derived set values materialized: the reported assignment."""
+    model = HTInterpretation.total(universe, Assignment(funcs), atoms)
     sets = {}
-    for iset in interp.universe.intsets:
-        value = eval_term(interp, T, iset)
+    for iset in universe.intsets:
+        value = eval_term(model, T, iset)
         if value is not UNDEF:
             sets[iset] = value
-    return Assignment(interp.sigma_t.funcs, sets)
+    return Assignment(funcs, sets)

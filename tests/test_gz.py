@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from setasp import DomainBounds, gz, parse_program, parser, search
+from setasp import DomainBounds, gz, parse_program, parser, search, solver
 from setasp.errors import NotGZError
 from setasp.ground import _Viability
 from setasp.gz import (
@@ -560,6 +560,30 @@ def test_gz_leaf_checks_read_only_what_the_search_keeps(monkeypatch):
     assert len(models) == 3 * 2**4
     assert gz_stable_models(theory, bounds, full_checks=True) == models
     assert read == [(383, 32)]  # full checks read the whole grounding
+
+
+def test_equilibrium_leaf_checks_read_only_what_the_search_keeps(monkeypatch):
+    # ``r :- not a.`` cannot hold, so the checks read the other four
+    # formulas; the count keeps both leaves checked
+    read, checked = [], []
+
+    def recorded(propagation, original=search._Propagation.checked_formulas):
+        formulas = original(propagation)
+        read.append((len(propagation.ground.formulas), len(formulas)))
+        return formulas
+
+    def countermodel(interp, ground, original=solver.find_countermodel):
+        checked.append(len(ground.formulas))
+        return original(interp, ground)
+
+    monkeypatch.setattr(search._Propagation, "checked_formulas", recorded)
+    monkeypatch.setattr(solver, "find_countermodel", countermodel)
+    theory = parse_program("a. r :- not a. s :- not t. t :- not s. :- count{X : s, X = 1} = 1, t.")
+    models = find_stable_models(theory, GENERATOR_BOUNDS).atom_sets()
+    assert read == [(5, 4)] and checked == [4, 4]
+    assert models == [{atom("a"), atom("s")}, {atom("a"), atom("t")}]
+    assert find_stable_models(theory, GENERATOR_BOUNDS, full_checks=True).atom_sets() == models
+    assert read == [(5, 4)] and checked == [4, 4, 5, 5]  # full checks read the whole theory
 
 
 @pytest.mark.parametrize(

@@ -435,9 +435,9 @@ def test_equilibrium_search_of_a_disjunction_visits_the_same_leaves(text, models
 
 
 # Heads that compare a set term no aggregate reads: such a head holds at a
-# here-world only where the set term's members are as at the there-world,
-# so support keeps their atoms (``kept``), and ``{c, e, q(1)}`` is stable
-# though the rule for ``q(1)`` cannot fire there.
+# here-world where every member true at the there-world is, so its
+# members' atoms are heads under the rule's antecedents, and ``{c, e,
+# q(1)}`` is stable though the rule for ``q(1)`` cannot fire there.
 SET_TERM_HEADS = [
     "c. {X : q(X)} = {1} :- c. q(1) :- d. d :- not e. e :- not d.",
     "c. count{X : q(X)} = count{Y : r(Y)} + 1 :- c. "
@@ -445,11 +445,54 @@ SET_TERM_HEADS = [
 ]
 
 
-@pytest.mark.parametrize("text, models", zip(SET_TERM_HEADS, (2, 7)), ids=["equality", "sum"])
+@pytest.mark.parametrize("text, models", zip(SET_TERM_HEADS, (2, 43)), ids=["equality", "sum"])
 def test_support_keeps_the_atoms_of_a_set_term_in_a_head(text, models):
     fast = _eq(text, ZERO_RANK_BOUNDS)
     with reference_search():
         assert len(fast) == models and fast == _eq(text, ZERO_RANK_BOUNDS)
+
+
+# Comparison heads with set terms, and their models among every set of
+# atoms at ints 0..3. When such a head was read as itself, no upper bound
+# held the members' atoms that only it supports, and the engine found 0,
+# 1, 0, 0, 7 and 0 of these models. In the last, a set term in a member's
+# head is read through its own members: ``r(2)`` is a head too.
+SET_TERM_COMPARISON_HEADS = [
+    ("c. {X : q(X)} = {1} :- c.", 1),
+    ("c. {X : q(X)} != {1} :- c.", 31),
+    ("c. 1 in {X : q(X)} :- c. q(2) :- d. d :- not e. e :- not d.", 12),
+    ("c. {X : q(X)} = {Y : r(Y)} :- c. r(1).", 8),
+    (SET_TERM_HEADS[1], 43),
+    ("c. {(X, {Y : r(Y)}) : q(X)} = {(1, {2})} :- c.", 1),
+]
+
+
+@pytest.mark.parametrize(
+    "text, models",
+    SET_TERM_COMPARISON_HEADS,
+    ids=["equal", "unequal", "in", "two-sets", "sum", "nested-head"],
+)
+def test_every_model_of_a_set_term_comparison_head(text, models):
+    theory = parse_program(text)
+    bounds = ZERO_RANK_BOUNDS.with_(max_set_rank=0)
+    ground = ground_theory(theory, build_universe(theory, bounds))
+    universe = ground.universe
+    base = [
+        (name, combo)
+        for name, arity in sorted(theory.signature.predicates.items())
+        for combo in itertools.product(universe.domain.values, repeat=arity)
+    ]
+    reference = {
+        frozenset(combo)
+        for size in range(len(base) + 1)
+        for combo in itertools.combinations(base, size)
+        if solver.check_equilibrium(
+            interp.HTInterpretation.total(universe, interp.Assignment(), frozenset(combo)), ground
+        )[0]
+    }
+    assert len(reference) == models
+    for checked in (False, True):
+        assert set(find_stable_models(theory, bounds, full_checks=checked).atom_sets()) == reference
 
 
 # Head aggregates whose comparison no extension of their members meets
@@ -692,13 +735,31 @@ DEAD_SET_APPLICATION = (
 
 
 def test_a_declared_function_keeps_every_leaf_checked():
-    # each of the two leaves is still tested against f(1)'s three values
-    report = find_stable_models(parse_program(DEAD_SET_APPLICATION), FIXED_BOUNDS)
-    assert report.stats.candidates == 2 * 3
+    # f(1) is read only by the dropped rule, so each of the two leaves
+    # takes one assignment, but it still takes the checks
+    with counted_leaf_checks() as calls:
+        report = find_stable_models(parse_program(DEAD_SET_APPLICATION), FIXED_BOUNDS)
+    assert report.stats.candidates == calls["find_countermodel"] == 2
     assert [(m.atoms, m.sigma.funcs) for m in report.models] == [
         ({atom("r", 1), atom("s")}, {}),
         ({atom("r", 1), atom("t")}, {}),
     ]
+
+
+def dead_applications(n):
+    """``DEAD_SET_APPLICATION`` over ``d(1..n)``: ``n`` applications of
+    ``f`` that only a dropped rule reads, 3^n assignments when they count."""
+    facts = " ".join(f"d({i})." for i in range(1, n + 1))
+    return (
+        f"#function f/1 : {{a; b}}. {facts} p :- q(1), count{{X : d(X), f(X) = a}} >= 1. "
+        "s :- not t. t :- not s."
+    )
+
+
+@pytest.mark.parametrize("n", [3, 5, 7])
+def test_an_application_only_a_dropped_rule_reads_adds_no_assignment(n):
+    report = find_stable_models(parse_program(dead_applications(n)), ints(n + 1))
+    assert len(report.models) == report.stats.candidates == 2
 
 
 # Two declared-function choices: four models over the same atoms, told
@@ -1482,28 +1543,16 @@ def test_atom_cap_counts_undecided_atoms(engine):
 
 def _leaves(engine, text, bounds):
     """The answer of ``engine`` and the there-worlds its search tested or
-    accepted as closed."""
+    accepted as closed: every leaf, in search order."""
     tested = []
 
-    def counted(propagation, stable_in, accept=None, original=search.search_stable):
-        def counting_in(theory):
-            stable = stable_in(theory)
-
-            def count(there):
-                tested.append(there)
-                return stable(there)
-
-            return count
-
-        def counting_accept(theory, there):
-            tested.append(there)
-            return accept(theory, there)
-
-        return original(propagation, counting_in, accept and counting_accept)
+    def recorded(propagation, original=search.branch_leaves):
+        for numbering, mask, closed in original(propagation):
+            tested.append(numbering.atoms(mask))
+            yield numbering, mask, closed
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(solver, "search_stable", counted)
-        patch.setattr(gz, "search_stable", counted)
+        patch.setattr(search, "branch_leaves", recorded)
         answer = engine(parse_program(text), bounds)
     return answer, tested
 
