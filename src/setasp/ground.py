@@ -258,6 +258,13 @@ def simplify(phi, universe: Universe):
     return phi
 
 
+def instances(phi, universe: Universe):
+    """The instances of the quantifier ``phi`` folded by ``simplify``, less
+    those it folds to false."""
+    folded = (simplify(body, universe) for body in universe.quantifier_instances(phi))
+    return [body for body in folded if body != BOT]
+
+
 def _text(source):
     """A formula as its program statement; a set term as itself."""
     return formula_statement(source) if isinstance(source, Formula) else source
@@ -315,7 +322,7 @@ def heads(phi, universe: Universe, admit=None, antecedents=()):
         yield from heads(phi.left, universe, admit, antecedents)
         yield from heads(phi.right, universe, admit, antecedents)
     elif isinstance(phi, (Forall, Exists)):
-        for body in universe.quantifier_instances(phi):
+        for body in instances(phi, universe):
             yield from heads(body, universe, admit, antecedents)
     elif comparison(phi) is not None:
         read = {}
@@ -430,9 +437,9 @@ class _Viability:
 
         The caches are emptied at the start of each round.  The last
         round adds no atom and judges only the pending bodies; later
-        queries, such as the formulas ``search.search_theory`` keeps and
-        the set-term instances ``solver._declared_applications`` scans,
-        are answered on demand against the final atoms."""
+        queries, such as the set-term instances and antecedents that
+        ``solver._declared_applications`` scans, are answered on demand
+        against the final atoms."""
         pending = ()
         while True:
             self._values.clear()
@@ -475,6 +482,14 @@ class _Viability:
             if total > _VALUE_CAP:
                 return _TOP_MARK
         return list(itertools.product(*sets))
+
+    def argument_values(self, terms, what):
+        """The value tuples ``terms`` can take: the product of their
+        possible values, or of the whole domain where a term holds a
+        variable or the product passes the cap, ``what()`` naming them."""
+        if any(map(free_vars, terms)) or (combos := self._combos(terms)) is _TOP_MARK:
+            return self.universe.domain.product(len(terms), what)
+        return combos
 
     def _lift(self, terms, build):
         """What ``build`` makes of each combination of the possible values
@@ -631,13 +646,10 @@ class _Viability:
             retired = retired and atom is not None
             if atom is not None:
                 self._derive(atom)
-                continue
-            combos = () if head is None else self._combos(head.args)
-            if combos is _TOP_MARK:
-                combos = universe.domain.product(len(head.args), lambda: f"head {pretty(head)!r}")
-            for combo in combos:
-                if UNDEF not in combo:
-                    self._derive((head.pred, tuple(combo)))
+            elif head is not None:
+                for combo in self.argument_values(head.args, lambda: f"head {pretty(head)!r}"):
+                    if UNDEF not in combo:
+                        self._derive((head.pred, tuple(combo)))
         return retired
 
 

@@ -31,7 +31,7 @@ two instantiations, each with an upper bound of its own: the equilibrium
 engine's from the fixpoint it instantiates in, GZ's from propagation.
 It runs both engines with ``full_checks``, so that a closed leaf, too,
 takes each engine's own checks and not one shared verdict, and each
-engine's checks read its whole search theory.
+engine's checks read its whole ground theory.
 """
 
 from __future__ import annotations

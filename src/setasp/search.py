@@ -2,10 +2,10 @@
 
 ``search_stable`` takes an engine's propagation (``_Propagation``) and
 tests the there-worlds that ``branch_leaves`` yields with the engine's
-own stability test.  The equilibrium engine's propagation runs on its
-ground theory restricted to what its support fixpoint can reach
-(``search_theory``); the GZ engine's runs on its full grounding, and the
-upper bound of its root bounds is GZ's upper bound.  Propagation
+own stability test.  Each engine's propagation runs on its whole ground
+theory, numbering the atoms of the equilibrium engine's support fixpoint
+or the heads of GZ's full grounding, whose root bounds give GZ its upper
+bound, and alone restricts what the search reads.  Propagation
 tightens the bounds from the facts and its numbered atoms once, at the
 root, and drops every rule, constraint and support (``_Propagation``)
 whose body cannot hold under them; ``branch_leaves`` then decides one
@@ -21,7 +21,7 @@ the formulas propagation kept (``_Propagation.checked_formulas``),
 unless the search is exact, which rules of plain atoms and their ``not``
 make (``_Propagation``), and its bounds closed: such a leaf is a stable
 model in both engines, with no function facts.  ``full_checks`` checks
-every leaf against the whole search theory.  A leaf is a bit mask
+every leaf against the whole ground theory.  A leaf is a bit mask
 over the numbered atoms (``_Numbering``) from its last decision to the
 end of its checks.  The atoms are numbered in ``atom_key`` order, the one
 order in which the search decides them and sorts its models.
@@ -49,6 +49,7 @@ from .ground import (
     aggregate_values,
     fixed_value,
     heads,
+    instances,
     member_weight,
     simplify,
 )
@@ -56,11 +57,14 @@ from .interp import atom_key, static_atom
 from .syntax import (
     BOT,
     And,
+    EApp,
     Eq,
+    Exists,
     Implies,
     IntSet,
     Or,
     PredAtom,
+    _Bot,
     _Top,
     conj,
     nests_set,
@@ -70,7 +74,7 @@ from .values import UNDEF, FinSet, value_key
 
 
 def search_stable(propagation, stable_in, full_checks=False) -> list:
-    """The stable models of ``propagation``'s search theory as ``(atoms,
+    """The stable models of ``propagation``'s ground theory as ``(atoms,
     funcs)``, ``funcs`` their declared-function facts, sorted by their
     atoms (``_Numbering.key``), then by those facts.
 
@@ -80,7 +84,7 @@ def search_stable(propagation, stable_in, full_checks=False) -> list:
     holds only what propagation kept (``_Propagation.checked_formulas``),
     and a leaf that ``branch_leaves`` marks closed is stable with no
     function facts and takes no test, unless ``full_checks``: then
-    ``theory`` is the whole search theory and every leaf takes the test.
+    ``theory`` is the whole ground theory and every leaf takes the test.
     """
     search = propagation.ground
     if any(phi == BOT for phi in search.formulas):
@@ -98,24 +102,6 @@ def search_stable(propagation, stable_in, full_checks=False) -> list:
             facts = sorted((atom_key(app), value_key(value)) for app, value in funcs.items())
             found[mask, tuple(facts)] = atoms, funcs
     return [found[key] for key in sorted(found, key=lambda k: (numbering.key(k[0]), k[1]))]
-
-
-def search_theory(ground, possible):
-    """The copy of ``ground`` that a search bounded by a support fixpoint
-    runs on.
-
-    ``possible(phi)`` must hold whenever ``phi`` is true at the there-world
-    of some candidate inside the engine's upper bound.  A formula ``B ->
-    X`` whose body fails that test is satisfied at both worlds of every
-    candidate, since a body false at the there-world is false at every
-    here-world below it, so it is dropped, constraints included.  Nothing
-    else changes: the universe, and so every set term's instances, is
-    that of ``ground``, so models and witnesses stay those of ``ground``.
-    """
-    formulas = tuple(
-        phi for phi in ground.formulas if not isinstance(phi, Implies) or possible(phi.left)
-    )
-    return replace(ground, formulas=formulas)
 
 
 def branch_leaves(propagation):
@@ -235,21 +221,25 @@ class _Numbering:
 
 
 class _Propagation(_Numbering):
-    """Three-valued bounds on the stable models of a search theory.
+    """Three-valued bounds on the stable models of a ground theory.
 
     The atoms of an upper bound are numbered once (``_Numbering``): the
     support fixpoint's that ``upper`` gives, or else, over a full
     grounding, every atom that a formula has as a head: the facts, the
     heads of the rule view and the static heads of the formulas outside it
-    (``ground.heads``).  Each rule body and constraint of the rule view,
-    and each chain of antecedents of a formula outside it, a support of
-    the static heads under it (``bounds``), is compiled once
-    (``_compile``), so tightening a pair of bounds takes only bit
-    operations, plus a pass over the members of each aggregate test.
-    ``kept`` holds the numbered atoms of each predicate in a head that is
-    no static atom (a set-term or declared-function argument), which
-    support never drops.  ``root`` holds the bounds
-    tightened from the facts and every numbered atom, or None.  Then
+    (``ground.heads``).  Given ``upper``, an antecedent that needs an atom
+    outside it is dead: no head under it is read, and a formula outside
+    the view whose body is dead holds at both worlds of every world
+    inside ``upper``; ``others`` holds the formulas outside the view but
+    those.  Each rule body and constraint of the rule view, and each
+    chain of antecedents of a formula outside it, a support of the static
+    heads under it (``bounds``), is compiled once (``_compile``), so
+    tightening a pair of bounds takes only bit operations, plus a pass
+    over the members of each aggregate test.  ``kept`` holds the numbered
+    atoms of each predicate in a head that is no static atom (a set-term
+    or declared-function argument), which support never drops.  ``root``
+    holds the bounds tightened from the facts and every numbered atom, or
+    None.  Then
     every rule, constraint and support whose body cannot hold under the
     root bounds is dropped: the bounds below the root only tighten, so
     such a body never holds in a world the search reaches, and its formula
@@ -259,7 +249,7 @@ class _Propagation(_Numbering):
     formula.  ``read`` holds the atoms that the kept bodies mention
     (``_mentioned``): deciding any other atom tightens nothing.
 
-    The search is ``exact`` when every formula is in the view, every rule
+    The search is ``exact`` when ``others`` is empty, every rule
     body and constraint compiles to masks alone, set equalities included
     (no opaque conjunct, no ``;``, no aggregate test), and no function is
     declared; a rule whose heads are all facts holds in every model and
@@ -273,18 +263,23 @@ class _Propagation(_Numbering):
     def __init__(self, ground, upper=None):
         view, universe = ground.rules, ground.universe
         self.ground, self.universe = ground, universe
+        self._members = {}  # a set term -> its members (``_set_members``)
+        self.others, admit = view.others, None
+        if upper is not None:  # an antecedent that needs an atom outside it is dead
+            super().__init__(upper)
+            admit = lambda left: not self._compile(left)[0] & self.outside  # noqa: E731
+            self.others = tuple(p for p in view.others if not isinstance(p, Implies) or admit(p.left))
         chains, preds = {}, set()  # antecedents -> their static heads; what other heads read
-        for antecedents, head in (pair for phi in view.others for pair in heads(phi, universe)):
+        for antecedents, head in (pair for phi in self.others for pair in heads(phi, universe, admit)):
             if (atom := static_atom(head, universe)) is not None:
                 chains.setdefault(antecedents, set()).add(atom)
-            else:
+            elif head is not None:
                 preds.update((n.pred, len(n.args)) for n in walk(head) if isinstance(n, PredAtom))
         if upper is None:
             upper = view.facts.union(*chains.values(), *(rule[1] for rule in view.rules))
-        super().__init__(upper)
+            super().__init__(upper)
         everything = self.outside - 1
         self.facts = self.mask(view.facts)
-        self._members = {}  # a set term -> its members (``_set_members``)
         rules = [(body, self.mask(made), phi) for body, made, phi in view.rules]
         # a rule whose heads are all facts adds nothing and supports nothing
         self.rules = tuple(
@@ -308,19 +303,19 @@ class _Propagation(_Numbering):
             self._supporting = (*self.rules, *self.supports)
         bodies = [placed[0] for placed in (*self.rules, *self.constraints, *self.supports)]
         self.read = reduce(or_, map(_mentioned, bodies), 0)
-        self.exact = not (view.others or universe.signature.func_ranges) and not any(
+        self.exact = not (self.others or universe.signature.func_ranges) and not any(
             opaque or parts for _, _, opaque, parts in bodies
         )
 
     def checked_formulas(self):
-        """The formulas of the search theory, in its order, less the rules
-        and constraints left out of ``rules`` and ``constraints``: those
-        whose body cannot hold under the root bounds, and rules whose heads
+        """The formulas of the ground theory, in its order, less those left
+        out of ``rules``, ``constraints`` and ``others``: those whose body
+        cannot hold under the root bounds, or is dead, and rules whose heads
         are all facts.  Each of these is true at every leaf, and at every
         world below a leaf that holds the facts."""
         view = self.ground.rules
-        kept = {placed[-1] for placed in (*self.rules, *self.constraints)}
-        dropped = {rule[2] for rule in view.rules}.union(view.constraints) - kept
+        kept = {placed[-1] for placed in (*self.rules, *self.constraints)}.union(self.others)
+        dropped = {rule[2] for rule in view.rules}.union(view.constraints, view.others) - kept
         return tuple(phi for phi in self.ground.formulas if phi not in dropped)
 
     def _compile(self, phi):
@@ -329,9 +324,11 @@ class _Propagation(_Numbering):
         has a conjunct of any other shape, and its other conjuncts: a pair
         of compiled bodies per ``;`` and a test (``_aggregate``) per
         comparison of an aggregate with a ground value, under ``not`` or
-        not.  A set equality outside ``not`` adds its masks
-        (``_set_equality``).  A ``not`` of an atom outside the upper bound
-        always holds, so it is left out."""
+        not.  An equality outside ``not`` adds its masks (``_equality``),
+        an ``exists`` with one instance (``ground.instances``) reads as it,
+        and one with none, or ``#false``, as an atom outside the upper
+        bound.  A ``not`` of an atom outside it always holds, so it is left
+        out."""
         pos, neg, parts, opaque = 0, 0, [], False
         todo = [phi]
         while todo:
@@ -340,6 +337,10 @@ class _Propagation(_Numbering):
                 todo += (part.left, part.right)
             elif isinstance(part, Or):
                 parts.append((self._compile(part.left), self._compile(part.right)))
+            elif isinstance(part, Exists) and len(kept := instances(part, self.universe)) < 2:
+                todo.append(kept[0] if kept else BOT)
+            elif isinstance(part, _Bot):
+                pos |= self.outside
             elif not isinstance(part, _Top):
                 negated = isinstance(part, Implies) and part.right == BOT
                 node = part.left if negated else part
@@ -351,7 +352,7 @@ class _Propagation(_Numbering):
                         pos |= self.bits.get(atom, self.outside)
                 elif (test := self._aggregate(node, negated)) is not None:
                     parts.append(test)
-                elif not negated and (masks := self._set_equality(node)) is not None:
+                elif not negated and (masks := self._equality(node)) is not None:
                     pos, neg = pos | masks[0], neg | masks[1]
                 else:
                     opaque = True
@@ -381,42 +382,50 @@ class _Propagation(_Numbering):
             return agg.name, negated, members, accept, bounds
         return None
 
-    def _set_equality(self, part):
-        """The masks ``(pos, neg)`` of ``part``, an equality between a set
-        term and a set value ``v`` that the interpretation cannot change,
-        either side first, or None when it stays opaque.
+    def _equality(self, part):
+        """The masks ``(pos, neg)`` of ``part``, an equality between a term
+        and a value ``v`` that the interpretation cannot change, either side
+        first, or None when it stays opaque.
 
-        A set term equals ``v`` at the there-world when every member whose
-        head is in ``v`` holds there and every other member fails.  At the
-        here-world both engines read a set term as its extension only when
-        the here- and there-extensions agree, so the equality holds there
-        when every member in ``v`` holds at the here-world and every other
-        member fails at the there-world: the member's body atom goes into
-        ``pos`` or into ``neg``, as if ``not`` were applied.  A member whose
-        body is verum needs nothing when it is in ``v`` and makes the
-        equality fail otherwise, as does a tuple of ``v`` that no member
-        produces.  The equality stays opaque when a member's body is not
-        one static atom or verum, or the set term stays opaque for
-        ``_set_members``."""
+        It is false in every world inside the upper bound when the term
+        applies a declared function to static arguments and ``v`` is
+        outside its range, or when the term is a set term and ``v`` is no
+        set, a tuple of ``v`` has no member (``_set_members``) or a member
+        whose body is verum is outside ``v``.  Else a set term equals ``v``
+        at the there-world when every member whose head is in ``v`` holds
+        there and every other member fails.  At the here-world both engines
+        read a set term as its extension only when the here- and
+        there-extensions agree, so the equality holds there when every
+        member in ``v`` holds at the here-world and every other member
+        fails at the there-world: the member's body atom goes into ``pos``
+        or into ``neg``, as if ``not`` were applied.  It stays opaque when a
+        member's body is not one static atom or verum."""
         if not isinstance(part, Eq):
             return None
-        iset, other = part.children if isinstance(part.left, IntSet) else part.children[::-1]
-        value = fixed_value(other, self.universe) if isinstance(iset, IntSet) else None
-        if not isinstance(value, FinSet) or (members := self._set_members(iset)) is None:
+        universe, ranges = self.universe, self.universe.signature.func_ranges
+        term, other = part.children
+        if (value := fixed_value(other, universe)) is None:
+            term, value = other, fixed_value(term, universe)
+        if isinstance(term, EApp) and term.name in ranges and static_atom(term, universe):
+            return None if value is None or value in ranges[term.name] else (self.outside, 0)
+        if value is None or not isinstance(term, IntSet):
             return None
-        pos = neg = found = 0
+        if not isinstance(value, FinSet):
+            return self.outside, 0
+        if (members := self._set_members(term)) is None:
+            return None
+        pos = neg = found = opaque = 0  # opaque: a member's body is not one atom or verum
         for atom, negated, values in members:  # a member's body masks and head
-            if negated or atom & (atom - 1):
-                return None  # not one atom or verum
             if values in value:
                 pos, found = pos | atom, found + 1
-            elif atom:
+            elif atom or negated:
                 neg |= atom
             else:
-                pos |= self.outside  # a member always in, but not in ``v``
+                return self.outside, 0  # a member always in, but not in ``v``
+            opaque = opaque or negated or atom & (atom - 1)
         if found < len(value):
-            pos |= self.outside  # a tuple of ``v`` that no member produces
-        return pos, neg
+            return self.outside, 0  # a tuple of ``v`` that no member produces
+        return None if opaque else (pos, neg)
 
     def _set_members(self, iset):
         """The members of the set term ``iset`` as ``(pos, neg, values)``:

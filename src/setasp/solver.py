@@ -36,7 +36,7 @@ from functools import partial
 
 from .domain import DomainBounds, build_active_domain, set_argument_functions
 from .errors import DomainLimitError, RangeDeclarationError, SetAspError
-from .ground import _TOP_MARK, GroundTheory, _Viability, ground_theory, relevant_atoms
+from .ground import GroundTheory, _Viability, ground_theory, relevant_atoms
 from .instantiate import _Instantiation
 from .interp import (
     H,
@@ -52,8 +52,8 @@ from .interp import (
 )
 from .parser import Theory
 from .rules import least_model
-from .search import _Propagation, search_stable, search_theory
-from .syntax import AGGREGATE_NAMES, EApp, Exists, Forall, Implies, IntSet, free_vars, pretty
+from .search import _Propagation, search_stable
+from .syntax import AGGREGATE_NAMES, EApp, Exists, Forall, Implies, IntSet, pretty
 from .values import UNDEF, format_value
 
 
@@ -116,10 +116,10 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
     """Declared-function applications whose values the theory can observe.
 
     An application whose argument is not static covers the argument
-    values ``viability`` finds possible, or the whole domain past its cap.
-    A set term or a quantifier is read through its instances, nested ones
-    included, so a set term that no formula of ``ground`` holds is not;
-    an application that still holds a variable covers the whole domain.
+    values ``viability`` finds possible, or the whole domain past its cap
+    or where it still holds a variable (``argument_values``).  A set term
+    or a quantifier is read through its instances, nested ones included,
+    so a set term that no formula of ``ground`` holds is not.
     An ``exists`` instance or a member whose body ``viability`` rejects,
     and an implication whose antecedent it rejects, are skipped: each
     holds or fails at both worlds, whatever its applications denote.
@@ -151,11 +151,7 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
             if app is not None:
                 apps.add(app)
             else:
-                combos = _TOP_MARK if free_vars(node) else viability._combos(node.args)
-                if combos is _TOP_MARK:
-                    combos = universe.domain.product(
-                        len(node.args), lambda: f"application {pretty(node)!r}"
-                    )
+                combos = viability.argument_values(node.args, lambda: f"application {pretty(node)!r}")
                 apps.update((node.name, tuple(c)) for c in combos if UNDEF not in c)
         for child in node.children:
             scan(child)
@@ -168,27 +164,15 @@ def _declared_applications(ground: GroundTheory, viability: _Viability):
 def _sigma_candidates(ground: GroundTheory, viability: _Viability):
     """Every total assignment of declared applications to range values."""
     apps = _declared_applications(ground, viability)
-    if not apps:
-        return [Assignment()]
-    ranges = ground.universe.signature.func_ranges
-    choice_lists = []
-    total = 1
-    for name, args in apps:
-        options = list(ranges[name]) + [UNDEF]
-        choice_lists.append(options)
+    ranges, total = ground.universe.signature.func_ranges, 1
+    choices = [(*ranges[name], UNDEF) for name, _ in apps]
+    for options in choices:
         total *= len(options)
         if total > ground.universe.bounds.instance_cap:
             raise DomainLimitError(
-                f"{total} assignment candidates over {len(apps)} applications",
-                "instance_cap",
+                f"{total} assignment candidates over {len(apps)} applications", "instance_cap"
             )
-    out = []
-    for combo in itertools.product(*choice_lists):
-        funcs = {
-            app: value for app, value in zip(apps, combo) if value is not UNDEF
-        }
-        out.append(Assignment(funcs))
-    return out
+    return [Assignment(dict(zip(apps, combo))) for combo in itertools.product(*choices)]
 
 
 def _sub_assignments(sigma: Assignment):
@@ -198,10 +182,7 @@ def _sub_assignments(sigma: Assignment):
     n = len(items)
     for dropped in range(n + 1):
         for combo in itertools.combinations(range(n), dropped):
-            keep = {
-                key: value for i, (key, value) in enumerate(items) if i not in combo
-            }
-            yield Assignment(keep)
+            yield Assignment({key: value for i, (key, value) in enumerate(items) if i not in combo})
 
 
 def find_countermodel(interp: HTInterpretation, ground: GroundTheory):
@@ -317,8 +298,8 @@ def solve_ground(ground: GroundTheory) -> StableModelReport:
 
 
 def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
-    """The stable models of ``viability``'s theory: a candidate is a leaf
-    of the shared search under one assignment, and a closed leaf is one."""
+    """The stable models of ``viability``'s whole theory, searched inside
+    its upper bound: a candidate is a leaf under one assignment."""
     started = time.perf_counter()
     upper = relevant_atoms(viability)
     stats = SearchStats()
@@ -341,11 +322,9 @@ def _solve(viability: _Viability, full_checks=False) -> StableModelReport:
 
         return stable
 
-    # the search theory keeps what the fixpoint's last round judged possible
-    search = search_theory(viability.ground, viability.possibly_sat)
-    found = search_stable(_Propagation(search, upper), stable_in, full_checks)
+    found = search_stable(_Propagation(viability.ground, upper), stable_in, full_checks)
     stats.candidates += len(found)
-    models = [StableModel(atoms, _witness(search.universe, atoms, funcs)) for atoms, funcs in found]
+    models = [StableModel(atoms, _witness(viability.universe, atoms, funcs)) for atoms, funcs in found]
     stats.elapsed = time.perf_counter() - started
     return StableModelReport(models, stats)
 

@@ -181,16 +181,6 @@ def joint_search():
         yield
 
 
-@contextmanager
-def unrestricted_search():
-    """The equilibrium engine searches the whole ground theory; GZ
-    searches its full grounding either way."""
-    with pytest.MonkeyPatch.context() as patch:
-        whole = lambda ground, possible: ground  # noqa: E731
-        patch.setattr(solver, "search_theory", whole)
-        yield
-
-
 @cache
 def _generated(generator, seed):
     rng = random.Random(seed)
@@ -679,6 +669,8 @@ SET_EQUALITIES = [
     "q(1). p :- {X : q(X)} = 3.",
     "q(1) :- not s. s :- not q(1). q(2). p :- {1} = {X : 1 : q(X)}.",
     "q(1). q(2) :- not s. s :- not q(2). t :- not u. u :- not t. p :- {1} = {X : q(X), t}.",
+    "q(1). q(2) :- not r(2). r(2) :- not q(2). t :- not u. u :- not t. "
+    "q(2) :- {X : r(X), not t} = {1}.",
 ]
 
 
@@ -709,8 +701,9 @@ def test_set_equalities_match_the_checks_and_the_reference_on_fixed_programs():
         patch.setattr(solver, "_Propagation", recorded)
         answers = [[atoms for atoms, _ in _eq(text, FIXED_BOUNDS)] for text in SET_EQUALITIES]
     # the value 3 leaves p without support, so the search drops its rule and
-    # is exact: its one leaf, the fact q(1), closes at the root
-    assert exact == [True, True, True, True, False, False]
+    # is exact: its one leaf, the fact q(1), closes at the root; so does
+    # the last rule, as r(1), the only member that 1 can come from, has no rule
+    assert exact == [True, True, True, True, False, False, True]
     assert answers == [
         [{atom("p"), atom("s")}, {atom("r", 1)}],
         [{atom("q", i) for i in range(1, 14)}],
@@ -722,6 +715,12 @@ def test_set_equalities_match_the_checks_and_the_reference_on_fixed_programs():
             {atom("q", 1), atom("q", 2), atom("t")},
             {atom("q", 1), atom("q", 2), atom("u")},
             {atom("q", 1), atom("s"), atom("u")},
+        ],
+        [
+            {atom("q", 1), atom("q", 2), atom("t")},
+            {atom("q", 1), atom("q", 2), atom("u")},
+            {atom("q", 1), atom("r", 2), atom("t")},
+            {atom("q", 1), atom("r", 2), atom("u")},
         ],
     ]
 
@@ -797,18 +796,23 @@ def test_models_come_in_canonical_order():
     assert len(_eq(FUNCTION_CHOICE, FIXED_BOUNDS)) == 4
 
 
-def test_restricted_search_matches_whole_on_generated_gz_programs():
-    programs = _generated(random_gz_program, 22)
-    _compare(programs, (_eq,), GENERATOR_BOUNDS, unrestricted_search)
+def _compare_checks(programs, bounds):
+    """The equilibrium engine's answers with closed leaves and checks that
+    read only the formulas propagation keeps, against ``full_checks``."""
+    fast = [answers[0] for answers in _fast(tuple(programs), (_eq,), bounds)]
+    assert [text for text, a in zip(programs, fast) if a != _eq_checked(text, bounds)] == []
 
 
-def test_restricted_search_matches_whole_on_generated_zero_rank_programs():
-    programs = _generated(random_zero_rank_program, 23)
-    _compare(programs, (_eq,), ZERO_RANK_BOUNDS, unrestricted_search)
+def test_kept_formulas_match_full_checks_on_generated_gz_programs():
+    _compare_checks(_generated(random_gz_program, 22), GENERATOR_BOUNDS)
 
 
-def test_restricted_search_matches_whole_on_fixed_programs():
-    _compare(FALLBACK + FAST + [P3], (_eq,), FIXED_BOUNDS, unrestricted_search)
+def test_kept_formulas_match_full_checks_on_generated_zero_rank_programs():
+    _compare_checks(_generated(random_zero_rank_program, 23), ZERO_RANK_BOUNDS)
+
+
+def test_kept_formulas_match_full_checks_on_fixed_programs():
+    _compare_checks(FALLBACK + FAST + [P3], FIXED_BOUNDS)
 
 
 def test_p1_search_keeps_only_what_the_upper_bound_reaches():
@@ -819,23 +823,43 @@ def test_p1_search_keeps_only_what_the_upper_bound_reaches():
         searched = []
         with pytest.MonkeyPatch.context() as patch:
 
-            def recorded(ground, possible, original=search.search_theory):
-                searched.append((ground, original(ground, possible)))
-                return searched[-1][1]
+            def recorded(ground, upper, original=search._Propagation):
+                searched.append(original(ground, upper))
+                return searched[-1]
 
-            patch.setattr(solver, "search_theory", recorded)
+            patch.setattr(solver, "_Propagation", recorded)
             report = find_stable_models(theory, bounds.with_(int_max=max_int))
-        ((instances, restricted),) = searched
-        assert len(instances.formulas) <= 11
-        assert len(restricted.formulas) <= 11
-        assert restricted.universe is instances.universe
-        sizes = {str(s): len(c) for s, c in restricted.universe._intset_cache.items()}
+        (propagation,) = searched
+        assert len(propagation.ground.formulas) <= 11
+        assert len(propagation.checked_formulas()) <= 11
+        sizes = {str(s): len(c) for s, c in propagation.universe._intset_cache.items()}
         assert sizes == {"{X : r(X)}": 2, "{X : q(X)}": 2}
         # the set equalities propagate, so the root closes
         assert report.stats.candidates == 1
         assert report.atom_sets() == [
             {atom("p", finset([1])), atom("q", 1), atom("r", 1), atom("r", 2)}
         ]
+
+
+def test_an_exists_with_one_instance_is_read_as_it():
+    # simplify keeps only the instance V = 1, or none: in a body the search
+    # is exact, and in a fact p(1) is the one head, so 2 candidates, not 2^3
+    with counted_leaves() as closed:
+        for guard, models in (("V = 1", [{atom("p", 1), atom("q")}]), ("V = 1, V = 2", [{atom("p", 1)}])):
+            text = f"p(1). q :- exists V ({guard}, p(V))."
+            assert find_stable_models(parse_program(text), FIXED_BOUNDS).atom_sets() == models
+    assert closed == {True: 2}
+    report = find_stable_models(parse_program("exists V (V = 1, p(V))."), FIXED_BOUNDS.with_(int_max=3))
+    assert report.atom_sets() == [{atom("p", 1)}]
+    assert report.stats.candidates == 2
+
+
+def test_a_formula_outside_the_view_under_a_dead_body_keeps_the_search_exact():
+    # r has no rule, so the disjunction holds throughout: one closed leaf
+    with counted_leaves() as closed:
+        report = find_stable_models(parse_program("p(1). q(1) ; q(2) :- r."), FIXED_BOUNDS)
+    assert report.atom_sets() == [{atom("p", 1)}]
+    assert closed == {True: 1}
 
 
 def test_p1_solve_never_builds_the_set_layer(monkeypatch):
@@ -1226,6 +1250,14 @@ def test_sigma_candidates_come_from_the_search_theory(text):
     for report in (whole, find_stable_models(theory, bounds)):
         assert report.stats.candidates == 1
         assert [(m.atoms, m.sigma.funcs) for m in report.models] == [({atom("r", 1)}, {})]
+
+
+def test_an_application_is_never_equal_to_a_value_off_its_range():
+    # g = a and g = 2 both fail, so q(a) has no support and no second leaf
+    text = "#function g/0 : {3; {}}. q({}). q(a) :- g = a, g = 2. q(a) :- not q({}), q({})."
+    report = find_stable_models(parse_program(text), ZERO_RANK_BOUNDS)
+    assert report.stats.candidates == 1
+    assert [(m.atoms, m.sigma.funcs) for m in report.models] == [({atom("q", finset([]))}, {})]
 
 
 APPLIED_COUNT = "#function f/1 : {a; b}. q(1). p :- f(count{X : q(X)}) = a."
